@@ -24,10 +24,10 @@ bench:
 bench-json:
 	$(GO) run ./cmd/dsebench -json BENCH_7.json
 
-# bench-par runs the parallel-vs-sequential kernels at GOMAXPROCS 1 and at
-# the host default: the sharded expansion, the DAG collapse, and the
-# substream sampler. Results are byte-identical at every worker count, so
-# the only thing that moves between the two runs is wall clock.
+# bench-par runs the kernels across worker counts (1, 2, 4, 8) at GOMAXPROCS
+# 1 and at the host default: the sharded expansion, the DAG collapse, and
+# the substream sampler. Results are byte-identical at every worker count,
+# so the only thing that moves between the runs is wall clock.
 bench-par:
 	GOMAXPROCS=1 $(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .

@@ -501,8 +501,8 @@ func BenchmarkBalancedSup(b *testing.B) {
 
 // BenchmarkMeasureParallel measures the sharded frontier expansion against
 // the deep/wide random-walk tree at several worker counts; the workers=1
-// case routes through the sequential kernel, so the sub-benchmark family is
-// the parallel-vs-sequential scaling curve (see make bench-par).
+// case expands every level inline, so the sub-benchmark family is the
+// scaling curve against one worker (see make bench-par).
 func BenchmarkMeasureParallel(b *testing.B) {
 	w := testaut.RandomWalk("w", 10, 0.5)
 	s := &sched.Random{A: w, Bound: 14}
@@ -541,7 +541,7 @@ func BenchmarkMeasureDAGConverging(b *testing.B) {
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sched.MeasureDAG(context.Background(), w, dob, 16, nil); err != nil {
+			if _, err := sched.MeasureDAGOpts(context.Background(), w, dob, 16, nil, sched.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

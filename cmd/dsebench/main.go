@@ -146,7 +146,6 @@ func telemetryLine() map[string]any {
 	}
 	phases := map[string]string{
 		"measure_us":     "sched.measure.us",
-		"measure_par_us": "sched.measure.par.us",
 		"measure_dag_us": "sched.measure.dag.us",
 		"sample_par_us":  "sched.sample.par.us",
 	}

@@ -64,19 +64,10 @@ type Executor interface {
 // Memo caches f-dist computations across checks, keyed by a canonical
 // fingerprint of the composed automaton plus the scheduler's name. The
 // returned distributions are shared and must be treated as read-only.
-// Implementations must honour ctx and b by threading them into the
+// Implementations must honour ctx, b and o by threading them into the
 // underlying expansion and must never cache results computed under an
 // exhausted budget. internal/engine.Cache is the standard implementation.
 type Memo interface {
-	FDistCtx(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int, b *resilience.Budget) (*measure.Dist[string], error)
-}
-
-// MemoOpts is the optional extension of Memo that threads kernel options
-// (intra-measure worker counts, DAG routing) into the expansion. A Memo
-// that also implements MemoOpts receives Options.Kernel; plain Memo
-// implementations keep working unchanged.
-type MemoOpts interface {
-	Memo
 	FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error)
 }
 
@@ -111,11 +102,8 @@ type Options struct {
 	Budget *resilience.Budget
 	// Kernel configures the measure kernels themselves: a worker count
 	// shards each expansion's frontier (sched.MeasureOpts), on top of the
-	// pair-level fan-out of Exec. Parallel kernels are byte-identical to
-	// sequential ones, so reports do not depend on it. Leave Kernel.Pool
-	// nil when Exec is an engine.Pool — the per-pair tasks already run on
-	// that pool, and a nested fan-out onto the same semaphore would
-	// deadlock; Kernel.Workers alone spawns private bounded goroutines.
+	// pair-level fan-out of Exec. Measures are byte-identical at every
+	// worker count, so reports do not depend on it.
 	Kernel sched.Options
 }
 
@@ -145,13 +133,10 @@ func (o Options) ctx() context.Context {
 }
 
 // fdist computes f-dist through the memo when one is installed, threading
-// the check's context and budget into the expansion.
+// the check's context, budget and kernel options into the expansion.
 func (o Options) fdist(ctx context.Context, w psioa.PSIOA, s sched.Scheduler) (*measure.Dist[string], error) {
 	if o.Memo != nil {
-		if mo, ok := o.Memo.(MemoOpts); ok {
-			return mo.FDistOpts(ctx, w, s, o.Insight, o.depth(), o.Budget, o.Kernel)
-		}
-		return o.Memo.FDistCtx(ctx, w, s, o.Insight, o.depth(), o.Budget)
+		return o.Memo.FDistOpts(ctx, w, s, o.Insight, o.depth(), o.Budget, o.Kernel)
 	}
 	return insight.FDistOpts(ctx, w, s, o.Insight, o.depth(), o.Budget, o.Kernel)
 }

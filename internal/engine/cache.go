@@ -46,11 +46,10 @@ const maxFingerprintMemo = 8192
 // intermediate results of implementation checks: exploration results and
 // execution-measure distributions, keyed by a canonical automaton
 // fingerprint (plus scheduler name, insight id and depth). It implements
-// core.Memo (and core.MemoOpts), so it can be plugged into core.Options
-// directly. Storage is lock-striped: keys map to N independent mutex-LRU
-// shards by key hash, so the concurrent callers of the parallel kernels do
-// not serialize on a single mutex, while hit/miss/eviction counters stay
-// aggregated.
+// core.Memo, so it can be plugged into core.Options directly. Storage is
+// lock-striped: keys map to N independent mutex-LRU shards by key hash, so
+// the concurrent callers of the parallel kernels do not serialize on a
+// single mutex, while hit/miss/eviction counters stay aggregated.
 //
 // Cached values are shared between callers and must be treated as
 // read-only; everything the engine caches (Exploration, ExecMeasure,
@@ -441,36 +440,14 @@ func (c *Cache) ExploreCtx(ctx context.Context, a psioa.PSIOA, limit int, b *res
 // (automaton, scheduler, depth) triple is expanded once and reused across
 // checks. A nil cache passes through.
 func (c *Cache) Measure(a psioa.PSIOA, s sched.Scheduler, maxDepth int) (*sched.ExecMeasure, error) {
-	return c.MeasureCtx(context.Background(), a, s, maxDepth, nil)
+	return c.MeasureOpts(context.Background(), a, s, maxDepth, nil, sched.Options{})
 }
 
-// MeasureCtx is Measure threading cancellation and a budget into the
-// expansion. A budget-bounded partial measure is returned with its error
-// but never cached: only complete expansions are reused.
-func (c *Cache) MeasureCtx(ctx context.Context, a psioa.PSIOA, s sched.Scheduler, maxDepth int, b *resilience.Budget) (*sched.ExecMeasure, error) {
-	if c == nil {
-		return sched.MeasureCtx(ctx, a, s, maxDepth, b)
-	}
-	fp, err := c.Fingerprint(a)
-	if err != nil {
-		return nil, err
-	}
-	key := memoKey(memoMeasure, fp, s.Name(), strconv.Itoa(maxDepth))
-	if v, ok := c.Get(key); ok {
-		return v.(*sched.ExecMeasure), nil
-	}
-	em, err := sched.MeasureCtx(ctx, a, s, maxDepth, b)
-	if err != nil {
-		return em, err
-	}
-	c.Put(key, em)
-	return em, nil
-}
-
-// MeasureOpts is MeasureCtx computing misses with the parallel
-// level-synchronous kernel. Parallel and sequential expansions are
-// byte-identical, so they share cache keys: a measure expanded at one
-// worker count is reused at any other. Partial results are never cached.
+// MeasureOpts is Measure threading cancellation, a budget and kernel
+// options into the expansion. Measures are byte-identical at every worker
+// count, so they share cache keys: a measure expanded at one worker count
+// is reused at any other. A budget-bounded partial measure is returned
+// with its error but never cached: only complete expansions are reused.
 func (c *Cache) MeasureOpts(ctx context.Context, a psioa.PSIOA, s sched.Scheduler, maxDepth int, b *resilience.Budget, o sched.Options) (*sched.ExecMeasure, error) {
 	if c == nil {
 		return sched.MeasureOpts(ctx, a, s, maxDepth, b, o)
@@ -496,36 +473,14 @@ func (c *Cache) MeasureOpts(ctx context.Context, a psioa.PSIOA, s sched.Schedule
 // miss reuses a cached execution measure when one exists. A nil cache
 // passes through.
 func (c *Cache) FDist(w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int) (*measure.Dist[string], error) {
-	return c.FDistCtx(context.Background(), w, s, f, maxDepth, nil)
+	return c.FDistOpts(context.Background(), w, s, f, maxDepth, nil, sched.Options{})
 }
 
-// FDistCtx is FDist threading cancellation and a budget into the underlying
-// expansion; it implements core.Memo. Interrupted computations — including
-// budget-bounded partial measures — are never cached.
-func (c *Cache) FDistCtx(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int, b *resilience.Budget) (*measure.Dist[string], error) {
-	if c == nil {
-		return insight.FDistCtx(ctx, w, s, f, maxDepth, b)
-	}
-	fp, err := c.Fingerprint(w)
-	if err != nil {
-		return nil, err
-	}
-	key := memoKey(memoFDist, fp, s.Name(), f.ID, strconv.Itoa(maxDepth))
-	if v, ok := c.Get(key); ok {
-		return v.(*measure.Dist[string]), nil
-	}
-	em, err := c.MeasureCtx(ctx, w, s, maxDepth, b)
-	if err != nil {
-		return nil, err
-	}
-	img := em.Image(func(fr *psioa.Frag) string { return f.Apply(w, fr) })
-	c.Put(key, img)
-	return img, nil
-}
-
-// FDistOpts is FDistCtx with kernel options; it implements core.MemoOpts.
-// State-local insights under depth-oblivious schedulers compute on the
-// state-collapsed DAG (no tree expansion is performed or cached); other
+// FDistOpts is FDist threading cancellation, a budget and kernel options
+// into the underlying expansion; it implements core.Memo. Interrupted
+// computations — including budget-bounded partial measures — are never
+// cached. State-local insights under depth-oblivious schedulers compute on
+// the state-collapsed DAG (no tree expansion is performed or cached); other
 // misses reuse or expand the tree measure through MeasureOpts. Both routes
 // fill the same fdist key — the distributions agree — so DAG-computed
 // images are reused by tree-routed callers and vice versa.

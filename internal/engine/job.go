@@ -213,12 +213,10 @@ func (r *Runner) options(ctx context.Context, b *resilience.Budget, st *sched.St
 	return opt
 }
 
-// kernelOpts derives the sched kernel options from the runner's pool: the
-// worker count only, never the pool handle itself — check jobs already run
-// per-pair tasks on the pool, and a kernel fanning its frontier shards back
-// onto the same semaphore from inside one of those tasks would deadlock.
-// The kernels spawn private bounded goroutines instead. st (may be nil)
-// threads the job's telemetry collector into every kernel call.
+// kernelOpts derives the sched kernel options from the runner's pool: its
+// worker count, which the kernels spend on private bounded goroutines. st
+// (may be nil) threads the job's telemetry collector into every kernel
+// call.
 func (r *Runner) kernelOpts(st *sched.Stats) sched.Options {
 	if r.Pool == nil {
 		return sched.Options{Stats: st}
@@ -317,7 +315,7 @@ func phaseQuantiles(phases []obs.PhaseStat) {
 		var names []string
 		switch phases[i].Name {
 		case "sched.measure":
-			names = []string{"sched.measure.par.us", "sched.measure.us"}
+			names = []string{"sched.measure.us"}
 		case "sched.sample":
 			names = []string{"sched.sample.par.us"}
 		case "sched.measure.dag":
@@ -480,7 +478,7 @@ func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience
 		// sub-probability prefix of ε_σ, which is a usable answer for a
 		// simulation (unlike for a check). Report it flagged Partial
 		// rather than failing the job. The partial measure is never
-		// cached (see Cache.MeasureCtx), so later unconstrained runs
+		// cached (see Cache.MeasureOpts), so later unconstrained runs
 		// recompute in full.
 		if em == nil || !resilience.IsBudget(err) {
 			return nil, err

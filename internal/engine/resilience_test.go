@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/psioa"
 	"repro/internal/resilience"
+	"repro/internal/testaut"
 )
 
 // TestPoolMapPanicIsolation pins panic isolation: a panicking task becomes
@@ -84,34 +87,57 @@ func TestRunnerTimeout(t *testing.T) {
 }
 
 // TestSimulateBudgetPartial pins graceful degradation: an exact simulate
-// job stopped by its transition budget returns the expanded sub-probability
-// prefix flagged Partial instead of failing.
+// job stopped by its transition budget returns the fully expanded levels —
+// a sub-probability prefix flagged Partial — instead of failing, and the
+// partial is identical at every pool width, so a daemon's answer does not
+// depend on the host's CPU count. The walk halts at many depths, so the
+// budget ends after at least one halting level and the prefix has mass.
 func TestSimulateBudgetPartial(t *testing.T) {
-	r := engine.NewRunner(nil, engine.NewCache(16))
-	spec := &engine.SimulateSpec{Systems: []string{"ledger:direct:x:2"}, Sched: "random", Bound: 8}
-	// The budgeted job runs first, on a cold cache (a cached full measure
-	// would satisfy the request without ever consulting the budget).
-	res, err := r.Run(context.Background(), engine.Job{
-		Kind: engine.KindSimulate, Simulate: spec, BudgetTransitions: 400,
-	})
-	if err != nil {
-		t.Fatalf("budgeted simulate should degrade, not fail: %v", err)
+	walk := testaut.RandomWalk("w", 6, 0.5)
+	resolve := func(string) (psioa.PSIOA, error) { return walk, nil }
+	spec := &engine.SimulateSpec{Systems: []string{"walk"}, Sched: "greedy", Bound: 14}
+	var want *engine.SimulateResult
+	var full float64
+	for _, pool := range []*engine.Pool{nil, engine.NewPool(1), engine.NewPool(2), engine.NewPool(8)} {
+		r := engine.NewRunner(pool, engine.NewCache(16))
+		r.Resolve = resolve
+		width := "nil"
+		if pool != nil {
+			width = fmt.Sprint(pool.Workers())
+		}
+		// The budgeted job runs first, on a cold cache (a cached full
+		// measure would satisfy the request without consulting the budget).
+		res, err := r.Run(context.Background(), engine.Job{
+			Kind: engine.KindSimulate, Simulate: spec, BudgetTransitions: 2000,
+		})
+		if err != nil {
+			t.Fatalf("pool %s: budgeted simulate should degrade, not fail: %v", width, err)
+		}
+		sr := *res.Simulate
+		if !sr.Partial || sr.Degraded == "" {
+			t.Fatalf("pool %s: result not flagged partial: %+v", width, sr)
+		}
+		// The note reports the usage at the trip, which depends on which
+		// shard flushed last; everything else must match exactly.
+		sr.Degraded = ""
+		if want == nil {
+			want = &sr
+		} else if !reflect.DeepEqual(sr, *want) {
+			t.Errorf("pool %s: partial %+v differs from nil pool's %+v", width, sr, *want)
+		}
+		// Partials are never cached: an unconstrained run of the same spec
+		// must produce the full measure.
+		res, err = r.Run(context.Background(), engine.Job{Kind: engine.KindSimulate, Simulate: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Simulate.Partial {
+			t.Fatalf("pool %s: unconstrained run served the partial: %+v", width, res.Simulate)
+		}
+		full = res.Simulate.TotalMass
 	}
-	sr := res.Simulate
-	if !sr.Partial || sr.Degraded == "" {
-		t.Fatalf("result not flagged partial: %+v", sr)
-	}
-	// Partials are never cached: an unconstrained run of the same spec
-	// must produce the full measure, strictly heavier than the prefix.
-	full, err := r.Run(context.Background(), engine.Job{Kind: engine.KindSimulate, Simulate: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Simulate.Partial {
-		t.Fatalf("unconstrained run served the partial: %+v", full.Simulate)
-	}
-	if sr.TotalMass <= 0 || sr.TotalMass >= full.Simulate.TotalMass {
-		t.Errorf("partial mass = %v, want in (0, %v)", sr.TotalMass, full.Simulate.TotalMass)
+	if want.TotalMass <= 0 || want.TotalMass >= full {
+		t.Errorf("partial mass = %v, want in (0, %v)", want.TotalMass, full)
 	}
 }
 

@@ -32,8 +32,8 @@ func e19Render(em *sched.ExecMeasure) string {
 	return b.String()
 }
 
-// E19ParallelMeasure measures the sharded frontier expansion: the parallel
-// kernel must be byte-identical to the sequential tree kernel at every
+// E19ParallelMeasure measures the sharded frontier expansion: the kernel
+// must be byte-identical to its one-worker run (the baseline row) at every
 // worker count, and the sweep records the wall-clock scaling curve. On a
 // single-CPU host the curve is flat at best (see docs/PERFORMANCE.md); the
 // equivalence column is the correctness acceptance either way.
@@ -46,13 +46,7 @@ func E19ParallelMeasure() (*Table, error) {
 		Kernel:  "parallel",
 	}
 	w, s, depth := e19Workload()
-	seqStart := time.Now()
-	seq, err := sched.MeasureCtx(context.Background(), w, s, depth, nil)
-	if err != nil {
-		return nil, err
-	}
-	seqElapsed := time.Since(seqStart)
-	ref := e19Render(seq)
+	var ref string
 	var base time.Duration
 	ok := true
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -63,7 +57,7 @@ func E19ParallelMeasure() (*Table, error) {
 		}
 		elapsed := time.Since(start)
 		if workers == 1 {
-			base = elapsed
+			base, ref = elapsed, e19Render(em)
 		}
 		same := e19Render(em) == ref
 		ok = ok && same
@@ -73,10 +67,7 @@ func E19ParallelMeasure() (*Table, error) {
 			f6(speedup), fmt.Sprint(same),
 		})
 	}
-	t.Rows = append(t.Rows, []string{
-		"(sequential)", fmt.Sprint(seq.Len()), seqElapsed.Round(time.Microsecond).String(), "1", "true",
-	})
-	t.Verdict = verdict(ok, "parallel expansion byte-identical to the sequential kernel at every worker count")
+	t.Verdict = verdict(ok, "sharded expansion byte-identical to the one-worker run at every worker count")
 	return t, nil
 }
 
@@ -102,14 +93,14 @@ func E20DAGCollapse() (*Table, error) {
 			return nil, fmt.Errorf("E20: Random must be depth-oblivious")
 		}
 		treeStart := time.Now()
-		em, err := sched.MeasureCtx(context.Background(), w, s, bound+2, nil)
+		em, err := sched.Measure(w, s, bound+2)
 		if err != nil {
 			return nil, err
 		}
 		treeElapsed := time.Since(treeStart)
 		nodes0 := obs.C("sched.measure.dag.nodes").Value()
 		dagStart := time.Now()
-		dm, err := sched.MeasureDAG(context.Background(), w, dob, bound+2, nil)
+		dm, err := sched.MeasureDAGOpts(context.Background(), w, dob, bound+2, nil, sched.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +120,7 @@ func E20DAGCollapse() (*Table, error) {
 	deep := &sched.Random{A: w, Bound: 40}
 	dob, _ := sched.AsDepthOblivious(deep)
 	deepStart := time.Now()
-	dm, err := sched.MeasureDAG(context.Background(), w, dob, 42, nil)
+	dm, err := sched.MeasureDAGOpts(context.Background(), w, dob, 42, nil, sched.Options{})
 	if err != nil {
 		return nil, err
 	}

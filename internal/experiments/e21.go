@@ -33,22 +33,7 @@ func E21ShardTelemetry() (*Table, error) {
 	w, s, depth := e19Workload()
 	ok := true
 	var refItems int64 = -1
-
-	// Baseline: the sequential route has no shards to account, but its
-	// memo traffic calibrates what a single thread pays.
-	memo0 := psioa.SortMemoSnapshot()
-	seqStart := time.Now()
-	if _, err := sched.MeasureOpts(context.Background(), w, s, depth, nil, sched.Options{Workers: 1, Stats: &sched.Stats{}}); err != nil {
-		return nil, err
-	}
-	seqElapsed := time.Since(seqStart)
-	memo1 := psioa.SortMemoSnapshot()
-	t.Rows = append(t.Rows, []string{
-		"1 (seq)", seqElapsed.Round(time.Microsecond).String(), "-", "-", "-",
-		fmt.Sprint(memo1.Hits - memo0.Hits), fmt.Sprint(memo1.Misses - memo0.Misses), "-",
-	})
-
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		st := &sched.Stats{}
 		memo0 := psioa.SortMemoSnapshot()
 		start := time.Now()

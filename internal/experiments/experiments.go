@@ -46,8 +46,8 @@ type Table struct {
 	// Workers is the worker count the experiment's kernels ran with
 	// (0 means the default sequential path and reports as 1).
 	Workers int `json:"workers,omitempty"`
-	// Kernel names the measure kernel exercised: "tree" (exact sequential
-	// expansion), "parallel" (sharded frontier expansion) or "dag"
+	// Kernel names the measure kernel exercised: "tree" (exact expansion
+	// on one worker), "parallel" (sharded frontier expansion) or "dag"
 	// (state-collapsed forward propagation). Empty reports as "tree".
 	Kernel string `json:"kernel,omitempty"`
 	// Cluster names the verification-cluster topology the experiment ran

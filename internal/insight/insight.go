@@ -143,24 +143,18 @@ func Final() Insight {
 // under the insight function, where w is the composed system E‖A and σ a
 // scheduler of w. maxDepth guards the exact expansion.
 func FDist(w psioa.PSIOA, s sched.Scheduler, f Insight, maxDepth int) (*measure.Dist[string], error) {
-	return FDistCtx(nil, w, s, f, maxDepth, nil)
+	return FDistOpts(nil, w, s, f, maxDepth, nil, sched.Options{})
 }
 
-// FDistCtx is FDist with cooperative cancellation and a work budget,
-// threaded into the underlying measure expansion. An image of a partial
-// measure would silently misreport the perception, so any interruption —
-// budget included — returns nil with the classified error.
-func FDistCtx(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight, maxDepth int, b *resilience.Budget) (*measure.Dist[string], error) {
-	return FDistOpts(ctx, w, s, f, maxDepth, b, sched.Options{})
-}
-
-// FDistOpts is FDistCtx with kernel options, routed automatically: a
-// state-local insight under a depth-oblivious scheduler computes on the
-// state-collapsed DAG kernel (no fragments materialised, O(|states| ×
-// depth)); everything else expands the exact tree, sharded across workers
-// when the options request parallelism. Both routes produce the same
+// FDistOpts is FDist with cooperative cancellation, a work budget and
+// kernel options, routed automatically: a state-local insight under a
+// depth-oblivious scheduler computes on the state-collapsed DAG kernel (no
+// fragments materialised, O(|states| × depth)); everything else expands
+// the exact tree, sharded across o.Workers. Both routes produce the same
 // distribution — bit for bit on dyadic workloads, up to float summation
-// order otherwise.
+// order otherwise. An image of a partial measure would silently misreport
+// the perception, so any interruption — budget included — returns nil with
+// the classified error.
 func FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error) {
 	defer obs.Time("insight.fdist.us")()
 	if f.StateLocal != nil {

@@ -110,8 +110,7 @@ func (f *Frag) ActionAt(i int) Action { return f.at(i + 1).act }
 
 // SetInternID assigns the fragment's dense per-expansion intern ID. The
 // measure kernels call it exactly once per retained fragment, from the
-// single-threaded retention path (the sequential worklist or the parallel
-// merge), before the fragment escapes to concurrent readers; the ID then
+// single-threaded retention path (the level merge), before the fragment escapes to concurrent readers; the ID then
 // indexes slice-backed views (cone masses, halt indexes) so the interior of
 // a measure never hashes the fragment's string key. IDs are meaningful only
 // relative to the expansion that assigned them — consumers must check

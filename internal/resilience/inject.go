@@ -19,8 +19,9 @@ const (
 	// FaultCacheEvict fires in engine.Cache.Get: a present entry is
 	// evicted and reported as a miss, forcing recomputation.
 	FaultCacheEvict = "cache.evict"
-	// FaultTransitionPanic fires in the sched.Measure worklist expansion:
-	// the kernel panics mid-transition, exercising panic isolation.
+	// FaultTransitionPanic fires in the sched.MeasureOpts frontier
+	// expansion: the kernel panics mid-transition, exercising panic
+	// isolation.
 	FaultTransitionPanic = "transition.panic"
 	// FaultSlowOp fires at kernel entry (psioa.Explore, sched.Measure): a
 	// context-aware delay simulating a slow operation, exercising

@@ -17,7 +17,7 @@ func TestMeasureCtxCancellation(t *testing.T) {
 	s := &sched.Greedy{A: w, Bound: 14}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	em, err := sched.MeasureCtx(ctx, w, s, 20, nil)
+	em, err := sched.MeasureOpts(ctx, w, s, 20, nil, sched.Options{})
 	if !errors.Is(err, resilience.ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCancelled wrapping context.Canceled", err)
 	}
@@ -33,8 +33,8 @@ func TestMeasureCtxBudgetPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bud := resilience.NewBudget(0, 500, 0)
-	em, err := sched.MeasureCtx(nil, w, s, 20, bud)
+	bud := resilience.NewBudget(0, 2000, 0)
+	em, err := sched.MeasureOpts(nil, w, s, 20, bud, sched.Options{})
 	if !resilience.IsBudget(err) {
 		t.Fatalf("err = %v, want budget", err)
 	}
@@ -54,20 +54,25 @@ func TestMeasureCtxBudgetPartial(t *testing.T) {
 	})
 }
 
+// TestMeasureCtxMatchesMeasure: a generous budget and a live context change
+// nothing — at every worker count the checkpointed kernel agrees bitwise
+// with the independent string-keyed reference.
 func TestMeasureCtxMatchesMeasure(t *testing.T) {
 	w := testaut.RandomWalk("w", 6, 0.5)
 	s := &sched.Greedy{A: w, Bound: 10}
-	full, err := sched.Measure(w, s, 20)
+	ref, err := refExpand(w, s, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, err := sched.MeasureCtx(context.Background(), w, s, 20, resilience.NewBudget(1<<30, 1<<30, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if em.Len() != full.Len() || em.Total() != full.Total() || em.MaxLen() != full.MaxLen() {
-		t.Errorf("hardened measure diverged: %d/%v/%d vs %d/%v/%d",
-			em.Len(), em.Total(), em.MaxLen(), full.Len(), full.Total(), full.MaxLen())
+	for _, workers := range []int{1, 2, 4, 8} {
+		em, err := sched.MeasureOpts(context.Background(), w, s, 20, resilience.NewBudget(1<<30, 1<<30, 0),
+			sched.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := diffRef(em, ref); msg != "" {
+			t.Errorf("workers=%d: hardened measure diverged from reference: %s", workers, msg)
+		}
 	}
 }
 
@@ -75,29 +80,31 @@ func TestSampleImageCtxNoPartials(t *testing.T) {
 	c := testaut.Coin("c", 0.5)
 	s := &sched.Greedy{A: c, Bound: 5}
 	fragKey := func(f *psioa.Frag) string { return f.Key() }
+	one := sched.Options{Workers: 1}
 	// Cancellation: no result at all (estimates are unbiased only at the
 	// full sample count).
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	d, err := sched.SampleImageCtx(ctx, c, s, rng.New(1), 10, 5000, fragKey, nil)
+	d, err := sched.SampleImageOpts(ctx, c, s, rng.New(1), 10, 5000, fragKey, nil, one)
 	if d != nil || !errors.Is(err, resilience.ErrCancelled) {
-		t.Fatalf("cancelled SampleImageCtx = (%v, %v), want (nil, ErrCancelled)", d, err)
+		t.Fatalf("cancelled SampleImageOpts = (%v, %v), want (nil, ErrCancelled)", d, err)
 	}
 	// Budget exhaustion: same, no partial estimate.
-	d, err = sched.SampleImageCtx(nil, c, s, rng.New(1), 10, 5000, fragKey, resilience.NewBudget(100, 0, 0))
+	d, err = sched.SampleImageOpts(nil, c, s, rng.New(1), 10, 5000, fragKey, resilience.NewBudget(100, 0, 0), one)
 	if d != nil || !resilience.IsBudget(err) {
-		t.Fatalf("budgeted SampleImageCtx = (%v, %v), want (nil, budget)", d, err)
+		t.Fatalf("budgeted SampleImageOpts = (%v, %v), want (nil, budget)", d, err)
 	}
-	// Unconstrained: matches the plain SampleImage under the same stream.
-	want, err := sched.SampleImage(c, s, rng.New(7), 10, 500, fragKey)
+	// Unconstrained: a live context and a generous budget change nothing.
+	want, err := sched.SampleImageOpts(nil, c, s, rng.New(7), 10, 500, fragKey, nil, one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sched.SampleImageCtx(context.Background(), c, s, rng.New(7), 10, 500, fragKey, nil)
+	got, err := sched.SampleImageOpts(context.Background(), c, s, rng.New(7), 10, 500, fragKey,
+		resilience.NewBudget(1<<30, 1<<30, 0), one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Total() != got.Total() || want.Len() != got.Len() {
-		t.Errorf("hardened sampling diverged: %v/%d vs %v/%d", got.Total(), got.Len(), want.Total(), want.Len())
+	if renderDist(want) != renderDist(got) {
+		t.Errorf("hardened sampling diverged:\n%s\nvs\n%s", renderDist(got), renderDist(want))
 	}
 }

@@ -133,7 +133,7 @@ type dagHalt struct {
 	p     float64
 }
 
-// DAGMeasure is the state-collapsed form of ε_σ produced by MeasureDAG:
+// DAGMeasure is the state-collapsed form of ε_σ produced by MeasureDAGOpts:
 // halting mass aggregated per (state, depth) class, recorded in propagation
 // order (depth ascending, states sorted within a depth). It supports every
 // aggregate that does not need individual execution fragments — total mass,
@@ -177,23 +177,18 @@ func (dm *DAGMeasure) Image(f func(q psioa.State, depth int) string) *measure.Di
 	return d
 }
 
-// MeasureDAG computes the state-collapsed form of ε_σ by forward-propagating
-// aggregated state mass level by level: all fragments sharing (lstate,
-// depth) receive the same choice from a depth-oblivious scheduler, so they
-// are merged into one node. Validation (sub-probability choices, enabled
-// actions, the maxDepth guard) and pruning mirror MeasureCtx; cancellation
-// and budgets thread through the same checkpoint with the same typed
-// sentinels, and a budget-bounded stop returns the sound sub-probability
-// prefix aggregated so far.
-func MeasureDAG(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDepth int, b *resilience.Budget) (*DAGMeasure, error) {
-	return MeasureDAGOpts(ctx, a, s, maxDepth, b, Options{})
-}
-
-// MeasureDAGOpts is MeasureDAG threading kernel Options: the propagation
-// itself stays sequential (the collapsed workload rarely warrants
-// sharding), but a Stats collector receives per-level rows — one shard per
-// level with the nodes expanded and the level's wall time — and the dag
-// phase totals, so run reports cover DAG-routed jobs too.
+// MeasureDAGOpts computes the state-collapsed form of ε_σ by
+// forward-propagating aggregated state mass level by level: all fragments
+// sharing (lstate, depth) receive the same choice from a depth-oblivious
+// scheduler, so they are merged into one node. Validation (sub-probability
+// choices, enabled actions, the maxDepth guard) and pruning mirror
+// MeasureOpts; cancellation and budgets thread through the same checkpoint
+// with the same typed sentinels, and a budget-bounded stop returns the
+// sound sub-probability prefix aggregated so far. The propagation itself
+// stays sequential (the collapsed workload rarely warrants sharding), but
+// a Stats collector receives per-level rows — one shard per level with the
+// nodes expanded and the level's wall time — and the dag phase totals, so
+// run reports cover DAG-routed jobs too.
 func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDepth int, b *resilience.Budget, o Options) (*DAGMeasure, error) {
 	sp := obs.Begin("sched.measure.dag", s.Name())
 	defer sp.End()
@@ -211,7 +206,7 @@ func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDep
 	start := a.Start()
 	if maxDepth <= 0 {
 		// Depth 0 admits only the empty execution: ε_σ is the Dirac measure
-		// on the start state, exactly as in MeasureCtx.
+		// on the start state, exactly as in MeasureOpts.
 		dm.halts = append(dm.halts, dagHalt{q: start, depth: 0, p: 1})
 		dm.total = 1
 		return dm, nil
@@ -354,23 +349,4 @@ outer:
 		return nil, stopped
 	}
 	return dm, nil
-}
-
-// MeasureTotalCtx computes Total and MaxLen of ε_σ, routing through the
-// state-collapsed DAG kernel when the scheduler is depth-oblivious and
-// falling back to the exact tree expansion otherwise. Callers that need
-// fragments (cones, prefix enumeration) must use MeasureCtx/MeasureOpts.
-func MeasureTotalCtx(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, b *resilience.Budget) (total float64, maxLen int, err error) {
-	if dob, ok := AsDepthOblivious(s); ok {
-		dm, derr := MeasureDAG(ctx, a, dob, maxDepth, b)
-		if derr != nil {
-			return 0, 0, derr
-		}
-		return dm.Total(), dm.MaxLen(), nil
-	}
-	em, merr := MeasureCtx(ctx, a, s, maxDepth, b)
-	if merr != nil {
-		return 0, 0, merr
-	}
-	return em.Total(), em.MaxLen(), nil
 }

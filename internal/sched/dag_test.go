@@ -39,7 +39,7 @@ func TestMeasureDAGMatchesTree(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: should be depth-oblivious", name)
 		}
-		dm, err := sched.MeasureDAG(context.Background(), w, dob, 10, nil)
+		dm, err := sched.MeasureDAGOpts(context.Background(), w, dob, 10, nil, sched.Options{})
 		if err != nil {
 			t.Fatalf("%s: dag: %v", name, err)
 		}
@@ -65,7 +65,7 @@ func TestMeasureDAGMatchesTree(t *testing.T) {
 func TestMeasureDAGDepthZero(t *testing.T) {
 	w := testaut.RandomWalk("w", 3, 0.5)
 	dob, _ := sched.AsDepthOblivious(&sched.Greedy{A: w, Bound: 4})
-	dm, err := sched.MeasureDAG(context.Background(), w, dob, 0, nil)
+	dm, err := sched.MeasureDAGOpts(context.Background(), w, dob, 0, nil, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestBoundedObliviousRespectsBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	dob, _ := sched.AsDepthOblivious(s)
-	dm, err := sched.MeasureDAG(context.Background(), w, dob, 10, nil)
+	dm, err := sched.MeasureDAGOpts(context.Background(), w, dob, 10, nil, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestMeasureDAGErrorParity(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not depth-oblivious", tc.name)
 		}
-		dm, derr := sched.MeasureDAG(context.Background(), w, dob, tc.d, nil)
+		dm, derr := sched.MeasureDAGOpts(context.Background(), w, dob, tc.d, nil, sched.Options{})
 		if !errors.Is(derr, tc.want) {
 			t.Errorf("%s: DAG err = %v, want %v", tc.name, derr, tc.want)
 		}
@@ -186,15 +186,15 @@ func TestMeasureDAGCancelAndBudget(t *testing.T) {
 	dob, _ := sched.AsDepthOblivious(&sched.Random{A: w, Bound: 300})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dm, err := sched.MeasureDAG(ctx, w, dob, 400, nil)
+	dm, err := sched.MeasureDAGOpts(ctx, w, dob, 400, nil, sched.Options{})
 	if dm != nil || !errors.Is(err, resilience.ErrCancelled) {
 		t.Fatalf("cancelled = (%v, %v), want (nil, ErrCancelled)", dm, err)
 	}
-	full, err := sched.MeasureDAG(context.Background(), w, dob, 400, nil)
+	full, err := sched.MeasureDAGOpts(context.Background(), w, dob, 400, nil, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm, err = sched.MeasureDAG(nil, w, dob, 400, resilience.NewBudget(600, 0, 0))
+	dm, err = sched.MeasureDAGOpts(nil, w, dob, 400, resilience.NewBudget(600, 0, 0), sched.Options{})
 	if !resilience.IsBudget(err) {
 		t.Fatalf("err = %v, want budget", err)
 	}
@@ -214,7 +214,7 @@ func TestMeasureDAGConvergingScales(t *testing.T) {
 	w := testaut.RandomWalk("w", 6, 0.5)
 	nodes0 := obs.C("sched.measure.dag.nodes").Value()
 	dob, _ := sched.AsDepthOblivious(&sched.Random{A: w, Bound: 64})
-	dm, err := sched.MeasureDAG(context.Background(), w, dob, 80, nil)
+	dm, err := sched.MeasureDAGOpts(context.Background(), w, dob, 80, nil, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,40 +227,5 @@ func TestMeasureDAGConvergingScales(t *testing.T) {
 	}
 	if nodes := obs.C("sched.measure.dag.nodes").Value() - nodes0; nodes > int64(states*65) {
 		t.Errorf("dag nodes = %d, want <= %d (O(|states| x depth))", nodes, states*65)
-	}
-}
-
-// TestMeasureTotalCtxRouting pins the automatic routing: depth-oblivious
-// schedulers go through the DAG kernel, opaque ones through the tree, and
-// both report the same aggregates.
-func TestMeasureTotalCtxRouting(t *testing.T) {
-	w := testaut.RandomWalk("w", 5, 0.5)
-	s := &sched.Random{A: w, Bound: 8}
-	em, err := sched.Measure(w, s, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls0 := obs.C("sched.measure.dag.calls").Value()
-	total, maxLen, err := sched.MeasureTotalCtx(context.Background(), w, s, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obs.C("sched.measure.dag.calls").Value() == calls0 {
-		t.Error("depth-oblivious scheduler should route through the DAG kernel")
-	}
-	if total != em.Total() || maxLen != em.MaxLen() {
-		t.Errorf("DAG-routed totals %v/%d, tree has %v/%d", total, maxLen, em.Total(), em.MaxLen())
-	}
-	opaque := &sched.FuncSched{ID: "fn", Fn: s.Choose}
-	calls1 := obs.C("sched.measure.dag.calls").Value()
-	total, maxLen, err = sched.MeasureTotalCtx(context.Background(), w, opaque, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obs.C("sched.measure.dag.calls").Value() != calls1 {
-		t.Error("opaque scheduler must not route through the DAG kernel")
-	}
-	if total != em.Total() || maxLen != em.MaxLen() {
-		t.Errorf("tree-routed totals %v/%d, want %v/%d", total, maxLen, em.Total(), em.MaxLen())
 	}
 }

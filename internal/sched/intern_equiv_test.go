@@ -22,8 +22,8 @@ import (
 // contract: interning changes representation, never a float operation or
 // its order.
 
-// refMeasure is the pre-interning tree kernel, reimplemented here over
-// string-keyed maps as an independent reference: same DFS, same pruning,
+// refMeasure is the pre-interning depth-first tree kernel, reimplemented
+// here over string-keyed maps as an independent reference: same pruning,
 // same (action, successor) child order, halts keyed by fragment key, cone
 // masses accumulated in sorted halted-key order over parent chains.
 type refMeasure struct {
@@ -40,6 +40,12 @@ func refExpand(a psioa.PSIOA, s sched.Scheduler, maxDepth int) (*refMeasure, err
 	}
 	haltFrag := map[string]*psioa.Frag{}
 	stack := []item{{psioa.NewFrag(a.Start()), 1}}
+	if maxDepth <= 0 {
+		// Depth 0: the Dirac measure on the start fragment, σ unconsulted.
+		k := stack[0].f.Key()
+		rm.halts[k], rm.cones[k], rm.total = 1, 1, 1
+		return rm, nil
+	}
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -96,6 +102,35 @@ func refExpand(a psioa.PSIOA, s sched.Scheduler, maxDepth int) (*refMeasure, err
 	return rm, nil
 }
 
+// diffRef compares a kernel measure bitwise against the reference — total,
+// support, every halted mass and every cone mass over the expansion tree —
+// and describes the first difference, or returns "" when they agree.
+func diffRef(em *sched.ExecMeasure, ref *refMeasure) string {
+	if em.Total() != ref.total {
+		return fmt.Sprintf("total %v != ref %v", em.Total(), ref.total)
+	}
+	if em.Len() != len(ref.halts) {
+		return fmt.Sprintf("support %d != ref %d", em.Len(), len(ref.halts))
+	}
+	var msg string
+	em.ForEach(func(f *psioa.Frag, p float64) {
+		if rp := ref.halts[f.Key()]; rp != p && msg == "" {
+			msg = fmt.Sprintf("halt %q mass %v != ref %v", f.Key(), p, rp)
+		}
+	})
+	prefixes := 0
+	em.ForEachPrefix(func(f *psioa.Frag) {
+		prefixes++
+		if c, rc := em.Cone(f), ref.cones[f.Key()]; c != rc && msg == "" {
+			msg = fmt.Sprintf("cone(%q) %v != ref %v", f.Key(), c, rc)
+		}
+	})
+	if msg == "" && prefixes != len(ref.cones) {
+		msg = fmt.Sprintf("%d tree nodes != ref %d", prefixes, len(ref.cones))
+	}
+	return msg
+}
+
 func internEquivScheduler(a *psioa.Table, pick uint8) sched.Scheduler {
 	switch pick % 3 {
 	case 0:
@@ -127,26 +162,12 @@ func TestInternedMeasureMatchesReferenceQuick(t *testing.T) {
 			t.Logf("seed %d: reference: %v", seed, err)
 			return false
 		}
-		if em.Total() != ref.total {
-			t.Logf("seed %d: total %v != ref %v", seed, em.Total(), ref.total)
-			return false
-		}
-		if em.Len() != len(ref.halts) {
-			t.Logf("seed %d: support %d != ref %d", seed, em.Len(), len(ref.halts))
+		if msg := diffRef(em, ref); msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
 			return false
 		}
 		ok := true
-		em.ForEach(func(f *psioa.Frag, p float64) {
-			if ref.halts[f.Key()] != p {
-				t.Logf("seed %d: halt %q mass %v != ref %v", seed, f.Key(), p, ref.halts[f.Key()])
-				ok = false
-			}
-		})
 		em.ForEachPrefix(func(f *psioa.Frag) {
-			if got := em.Cone(f); got != ref.cones[f.Key()] {
-				t.Logf("seed %d: cone(%q) %v != ref %v", seed, f.Key(), got, ref.cones[f.Key()])
-				ok = false
-			}
 			// Foreign fragment with no intern ID: must take the key-indexed
 			// fallback and agree exactly.
 			re, err := psioa.FragFromKey(f.Key())
@@ -323,7 +344,7 @@ func TestInternedDAGMatchesReferenceQuick(t *testing.T) {
 			t.Logf("scheduler not depth-oblivious")
 			return false
 		}
-		dm, err := sched.MeasureDAG(context.Background(), a, dob, 6, nil)
+		dm, err := sched.MeasureDAGOpts(context.Background(), a, dob, 6, nil, sched.Options{})
 		if err != nil {
 			return false
 		}

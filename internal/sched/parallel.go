@@ -13,29 +13,12 @@ import (
 	"repro/internal/rng"
 )
 
-// Executor abstracts the worker pool the parallel kernels fan out on. It is
-// the engine.Pool surface restated here so sched does not import engine
-// (engine already imports sched).
-type Executor interface {
-	// Map runs fn(0..n-1) with bounded parallelism and returns the
-	// lowest-index task error.
-	Map(ctx context.Context, n int, fn func(i int) error) error
-	// Workers returns the executor's worker budget.
-	Workers() int
-}
-
-// Options configures the parallel kernels. The zero value runs everything
-// sequentially, byte-identical to MeasureCtx/SampleImageCtx.
+// Options configures the measure and sampling kernels. The zero value runs
+// one shard inline on the calling goroutine.
 type Options struct {
 	// Workers is the shard count of the level-synchronous expansion and the
-	// sampling fan-out. Zero defaults to Pool.Workers() when Pool is set,
-	// else 1 (sequential).
+	// sampling fan-out. Zero means 1.
 	Workers int
-	// Pool, when set, runs the shards; otherwise the kernel spawns its own
-	// bounded goroutines. Do not pass a pool from inside one of its own
-	// Map tasks — the nested fan-out would deadlock on the pool semaphore;
-	// set Workers only in that case.
-	Pool Executor
 	// Stats, when set, collects per-level per-shard work and wall-time
 	// telemetry into the collector (see Stats). Nil — the default — skips
 	// all collection, including the per-shard clock reads.
@@ -46,22 +29,17 @@ func (o Options) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}
-	if o.Pool != nil {
-		return o.Pool.Workers()
-	}
 	return 1
 }
 
-// Parallel reports whether the options request a parallel kernel.
-func (o Options) Parallel() bool { return o.workers() > 1 }
-
-// run executes fn(0..n-1) concurrently: on the configured pool when one is
-// set, else on private goroutines (one per shard; n is already bounded by
-// the worker count). Panics are isolated into *resilience.PanicError task
-// failures either way, and the lowest-index failure wins.
-func (o Options) run(ctx context.Context, n int, fn func(i int) error) error {
-	if o.Pool != nil {
-		return o.Pool.Map(ctx, n, fn)
+// runShards executes fn(0..n-1): a lone shard inline on the calling
+// goroutine, more on private goroutines (n is already bounded by the worker
+// count). Panics are isolated into *resilience.PanicError failures either
+// way — the rule engine.Pool.Map follows — and the lowest-index failure
+// wins.
+func runShards(n int, fn func(i int)) error {
+	if n == 1 {
+		return catchShard(fn, 0)
 	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -69,7 +47,7 @@ func (o Options) run(ctx context.Context, n int, fn func(i int) error) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = resilience.Catch(func() error { return fn(i) })
+			errs[i] = catchShard(fn, i)
 		}(i)
 	}
 	wg.Wait()
@@ -81,20 +59,25 @@ func (o Options) run(ctx context.Context, n int, fn func(i int) error) error {
 	return nil
 }
 
+// catchShard runs shard i, converting a panic into a *PanicError return.
+func catchShard(fn func(i int), i int) error {
+	return resilience.Catch(func() error { fn(i); return nil })
+}
+
 // span is a contiguous index range of one shard.
 type span struct{ lo, hi int }
 
 // splitSpans partitions [0, n) into at most parts contiguous ranges whose
-// sizes differ by at most one. The partition depends only on (n, parts), so
-// shard boundaries are deterministic.
-func splitSpans(n, parts int) []span {
+// sizes differ by at most one, reusing dst's storage. The partition depends
+// only on (n, parts), so shard boundaries are deterministic.
+func splitSpans(dst []span, n, parts int) []span {
 	if parts > n {
 		parts = n
 	}
 	if parts < 1 {
 		parts = 1
 	}
-	out := make([]span, 0, parts)
+	dst = dst[:0]
 	base, rem := n/parts, n%parts
 	lo := 0
 	for i := 0; i < parts; i++ {
@@ -102,10 +85,10 @@ func splitSpans(n, parts int) []span {
 		if i < rem {
 			sz++
 		}
-		out = append(out, span{lo, lo + sz})
+		dst = append(dst, span{lo, lo + sz})
 		lo += sz
 	}
-	return out
+	return dst
 }
 
 // parItem is one frontier node of the level-synchronous expansion.
@@ -114,10 +97,10 @@ type parItem struct {
 	p float64
 }
 
-// parShard is the private output of one worker's frontier range: completed
-// work in frontier-index order plus the first validation error or
-// checkpoint stop, tagged with its global frontier index so the merge can
-// pick a deterministic winner across any worker count.
+// parShard is the output of one shard's frontier range: completed work in
+// frontier-index order plus the first validation error or checkpoint stop,
+// tagged with its global frontier index so the merge can pick a
+// deterministic winner across any worker count.
 type parShard struct {
 	prefixes []*psioa.Frag
 	halts    []weightedFrag
@@ -132,46 +115,46 @@ type parShard struct {
 	stopIdx  int
 }
 
-// parMinFrontier is the frontier size below which a level is expanded
-// inline: sharding a near-empty level costs more in goroutine handoff than
-// the expansion itself. The merge order is index-based either way, so the
-// result does not depend on which path ran.
+// reset clears the shard for the next level, keeping its buffers. Each
+// buffer is truncated in its own statement, which writes only its length.
+func (sh *parShard) reset() {
+	sh.prefixes = sh.prefixes[:0]
+	sh.halts = sh.halts[:0]
+	sh.events = sh.events[:0]
+	sh.next = sh.next[:0]
+	sh.steps, sh.haltn, sh.wallUS = 0, 0, 0
+	sh.err, sh.stop = nil, nil
+}
+
+// parMinFrontier is the frontier size below which a level is expanded by a
+// single shard: sharding a near-empty level costs more in goroutine handoff
+// than the expansion itself. The merge order is index-based either way, so
+// the result does not depend on the shard count.
 const parMinFrontier = 8
 
-// MeasureOpts is MeasureCtx with a parallel level-synchronous expansion:
-// each depth's frontier is sharded across workers by contiguous index
-// ranges, every worker expands its range into private buffers, and the
-// merge reassembles them in frontier-index order — so fragment insertion
-// order, float summation order and trace emission are deterministic and the
-// resulting measure is byte-identical to the sequential kernel for any
-// worker count. Sequential options (workers <= 1) route straight to
-// MeasureCtx.
+// MeasureOpts computes ε_σ exactly by a level-synchronous expansion of the
+// scheduler tree from the start state. Each depth's frontier is split into
+// contiguous index ranges, one per shard; shard 0 writes straight into the
+// measure and the next frontier, the others into private buffers that the
+// merge appends in frontier-index order. Fragment retention order, float
+// summation order and trace emission are therefore fixed by the frontier
+// alone, and every view of the measure is byte-identical for any worker
+// count. maxDepth guards against unbounded schedulers: if the scheduler
+// still assigns mass to actions at depth maxDepth, an error is returned
+// identifying the offending fragment.
 //
-// Cancellation and budgets thread through per-worker checkpoints sharing
-// the job's budget, with the sequential kernel's typed sentinels: a
-// budget-bounded stop merges the completed prefix work — an exact
-// sub-probability prefix of ε_σ — and returns it with the budget error;
-// context termination returns nil with ErrCancelled/ErrDeadline. Unlike the
-// sequential kernel, a panic inside a worker (e.g. an injected
-// transition.panic fault) surfaces as a *resilience.PanicError return
-// instead of propagating, matching engine.Pool.Map's isolation. Trace
-// events are emitted in breadth-first rather than depth-first order.
+// Cancellation and budgets thread through per-shard checkpoints sharing b
+// (one state per expanded fragment, one transition per scheduled (action,
+// successor) child). A budget-bounded stop returns the fully expanded
+// levels so far — an exact sub-probability prefix of ε_σ, possibly of mass
+// 0 when the budget ends before the first halting level — with the
+// ErrBudgetExceeded-classified error; context termination returns nil with
+// ErrCancelled/ErrDeadline. A panic inside a shard (e.g. an injected
+// transition.panic fault) surfaces as a *resilience.PanicError return.
 func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, b *resilience.Budget, o Options) (*ExecMeasure, error) {
-	if !o.Parallel() || maxDepth <= 0 {
-		if o.Stats == nil {
-			return MeasureCtx(ctx, a, s, maxDepth, b)
-		}
-		t0 := time.Now()
-		em, err := MeasureCtx(ctx, a, s, maxDepth, b)
-		o.Stats.recordCall("measure", time.Since(t0).Microseconds(), 0)
-		if em != nil {
-			o.Stats.recordDepth(em.MaxLen())
-		}
-		return em, err
-	}
-	sp := obs.Begin("sched.measure.par", s.Name())
+	sp := obs.Begin("sched.measure", s.Name())
 	defer sp.End()
-	defer obs.Time("sched.measure.par.us")()
+	defer obs.Time("sched.measure.us")()
 	if err := resilience.FireDelay(ctx, resilience.FaultSlowOp); err != nil {
 		return nil, err
 	}
@@ -188,41 +171,65 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 		callStart = time.Now()
 	}
 	em := &ExecMeasure{}
-	frontier := []parItem{{psioa.NewFrag(a.Start()), 1}}
+	root := psioa.NewFrag(a.Start())
+	if maxDepth <= 0 {
+		// Depth 0 admits only the empty execution: the scheduler is never
+		// consulted and ε_σ is the Dirac measure on the start fragment, so
+		// Total() == 1 regardless of σ.
+		root.SetInternID(0)
+		em.prefList = []*psioa.Frag{root}
+		em.halts = []weightedFrag{{frag: root, p: 1}}
+		cMeasureCalls.Inc()
+		cMeasureHalts.Inc()
+		cMeasureFrags.Inc()
+		gMeasureSupport.SetMax(1)
+		obs.H("sched.measure.support").Observe(1)
+		if collect {
+			o.Stats.recordCall("measure", time.Since(callStart).Microseconds(), 0)
+		}
+		return em, nil
+	}
+	frontier := []parItem{{root, 1}}
+	var spare []parItem
+	var spans []span
+	var outs []parShard
+	expand := func(i int) {
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
+		}
+		expandShard(ctx, a, s, maxDepth, b, frontier[spans[i].lo:spans[i].hi], spans[i].lo, traced, &outs[i])
+		if timed {
+			outs[i].wallUS = time.Since(t0).Microseconds()
+		}
+	}
 	var steps, halts int64
 	var err, stopped error
 	lastLevel := -1
-	for lvl := 0; len(frontier) > 0 && err == nil && stopped == nil; lvl++ {
-		lastLevel = lvl
+	for lvl := 0; len(frontier) > 0; lvl++ {
 		parts := workers
 		if len(frontier) < parMinFrontier {
 			parts = 1
 		}
-		spans := splitSpans(len(frontier), parts)
-		outs := make([]parShard, len(spans))
-		var levelStart time.Time
-		if timed {
-			levelStart = time.Now()
+		spans = splitSpans(spans, len(frontier), parts)
+		for len(outs) < len(spans) {
+			outs = append(outs, parShard{})
 		}
-		var runErr error
-		if len(spans) == 1 {
-			expandShard(ctx, a, s, maxDepth, b, frontier, 0, traced, &outs[0])
-			if timed {
-				outs[0].wallUS = time.Since(levelStart).Microseconds()
-			}
-		} else {
-			runErr = o.run(ctx, len(spans), func(i int) error {
-				var t0 time.Time
-				if timed {
-					t0 = time.Now()
-				}
-				expandShard(ctx, a, s, maxDepth, b, frontier[spans[i].lo:spans[i].hi], spans[i].lo, traced, &outs[i])
-				if timed {
-					outs[i].wallUS = time.Since(t0).Microseconds()
-				}
-				return nil
-			})
+		outs = outs[:len(spans)]
+		for i := range outs {
+			outs[i].reset()
 		}
+		// The next frontier reuses the buffer of the level before last; when
+		// that is too small it is replaced by one sized for a doubling
+		// frontier, so growing trees allocate one buffer per level instead
+		// of a chain of append regrowths.
+		if want := 2 * len(frontier); cap(spare) < want {
+			spare = make([]parItem, 0, want)
+		}
+		// Shard 0 appends in place: its output leads the merge order, so it
+		// needs no private copy.
+		outs[0].prefixes, outs[0].halts, outs[0].next = em.prefList, em.halts, spare[:0]
+		runErr := runShards(len(spans), expand)
 		// Deterministic winner: the validation error or checkpoint stop
 		// with the smallest global frontier index, independent of worker
 		// count (shards partition the frontier, so indices never tie).
@@ -238,35 +245,46 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 			}
 		}
 		if errIdx < 0 && runErr != nil {
-			// A panic escaped a shard (isolated into a PanicError) or the
-			// executor observed the cancelled context; treat it as an error
+			// A panic escaped a shard, isolated into a PanicError: an error
 			// with no partial result.
 			err, errIdx = runErr, 0
 		}
-		if errIdx >= 0 && (stopIdx < 0 || errIdx <= stopIdx) {
-			stopped = nil
+		if errIdx >= 0 || stopIdx >= 0 {
+			if errIdx >= 0 && (stopIdx < 0 || errIdx <= stopIdx) {
+				stopped = nil
+			} else {
+				err = nil
+			}
+			// The interrupted level is dropped whole: em still holds the
+			// slice headers of the last completed level, so the partial
+			// does not depend on how the level was split.
 			break
 		}
-		if stopIdx >= 0 {
-			err = nil
-		}
-		// Index-ordered merge: shard outputs are concatenated in frontier
-		// order, so intern-ID assignment, halting-mass accumulation, trace
-		// emission and the next frontier all match a sequential
-		// breadth-first expansion. The merge is the single-threaded
-		// retention path, so it owns intern-ID assignment.
-		next := make([]parItem, 0, len(frontier))
-		for i := range outs {
-			for _, f := range outs[i].prefixes {
-				em.retain(f)
-			}
+		// Index-ordered merge after shard 0's in-place output. The merge is
+		// the single-threaded retention path, so it owns intern-ID
+		// assignment.
+		lvlStart := len(em.prefList)
+		em.prefList, em.halts = outs[0].prefixes, outs[0].halts
+		next := outs[0].next
+		for i := 1; i < len(outs); i++ {
+			em.prefList = append(em.prefList, outs[i].prefixes...)
 			em.halts = append(em.halts, outs[i].halts...)
-			if traced {
+			next = append(next, outs[i].next...)
+		}
+		for id := lvlStart; id < len(em.prefList); id++ {
+			em.prefList[id].SetInternID(uint32(id))
+		}
+		if traced {
+			for i := range outs {
 				for _, ev := range outs[i].events {
 					tr.Emit(ev)
 				}
 			}
-			next = append(next, outs[i].next...)
+			for i := range outs {
+				tr.Emit(obs.Event{Kind: obs.KindShard, Name: s.Name(),
+					Attr: fmt.Sprintf("L%d.S%d", lvl, i), N: outs[i].steps,
+					Dur: outs[i].wallUS, Parent: sp.ID()})
+			}
 		}
 		if collect {
 			widths := make([]int64, len(outs))
@@ -279,14 +297,8 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 			}
 			o.Stats.recordLevel(widths, items, walls)
 		}
-		if traced {
-			for i := range outs {
-				tr.Emit(obs.Event{Kind: obs.KindShard, Name: s.Name(),
-					Attr: fmt.Sprintf("L%d.S%d", lvl, i), N: outs[i].steps,
-					Dur: outs[i].wallUS, Parent: sp.ID()})
-			}
-		}
-		frontier = next
+		lastLevel = lvl
+		frontier, spare = next, frontier[:0]
 	}
 	if collect {
 		o.Stats.recordCall("measure", time.Since(callStart).Microseconds(), 0)
@@ -305,8 +317,6 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 	}
 	if stopped != nil {
 		if resilience.IsBudget(stopped) {
-			// Graceful degradation: every merged item was fully expanded,
-			// so the measure is an exact sub-probability prefix of ε_σ.
 			return em, stopped
 		}
 		return nil, stopped
@@ -315,9 +325,9 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 }
 
 // expandShard expands frontier items [base, base+len(items)) into out,
-// mirroring the sequential MeasureCtx loop body exactly: same pruning, same
-// validation errors, same (action, successor) child order, same checkpoint
-// charges. Scheduler choices and automaton transitions must be safe for
+// appending to its buffers: same pruning, same validation errors, same
+// (action, successor) child order and same checkpoint charges for every
+// shard. Scheduler choices and automaton transitions must be safe for
 // concurrent use (all built-in schedulers are; their choice caches are
 // read-mostly concurrent maps and their identifying fields are read-only).
 // Fragment string keys are never touched here: retention is interned, and
@@ -402,17 +412,16 @@ func expandShard(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 // sample keys merge into the distribution in index order — so the result is
 // identical for any worker count, including 1, and the caller's stream
 // advances by exactly one draw regardless of n. The sample sequence is by
-// construction different from the serial-stream SampleImageCtx, which is
-// left untouched (its goldens are pinned).
+// construction different from the serial-stream SampleImage, which is left
+// untouched (its goldens are pinned).
 //
-// Monte-Carlo estimates stay unbiased only at the full sample count, so —
-// like SampleImageCtx — any interruption returns nil with the classified
-// error (lowest sample index wins, deterministically). f must be safe for
-// concurrent calls.
+// Monte-Carlo estimates stay unbiased only at the full sample count, so
+// any interruption returns nil with the classified error (lowest sample
+// index wins, deterministically). f must be safe for concurrent calls.
 func SampleImageOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, stream *rng.Stream, maxDepth, n int, f func(*psioa.Frag) string, b *resilience.Budget, o Options) (*measure.Dist[string], error) {
 	material := stream.Uint64()
 	keys := make([]string, n)
-	spans := splitSpans(n, o.workers())
+	spans := splitSpans(nil, n, o.workers())
 	outs := make([]parShard, len(spans))
 	sp := obs.Begin("sched.sample.par", s.Name())
 	defer sp.End()
@@ -444,7 +453,7 @@ func SampleImageOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, stream *rn
 			outs[i].err, outs[i].errIdx = err, hi
 		}
 	}
-	timedRange := func(i int) {
+	runErr := runShards(len(spans), func(i int) {
 		var t0 time.Time
 		if timed {
 			t0 = time.Now()
@@ -453,16 +462,7 @@ func SampleImageOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, stream *rn
 		if timed {
 			outs[i].wallUS = time.Since(t0).Microseconds()
 		}
-	}
-	var runErr error
-	if len(spans) == 1 {
-		timedRange(0)
-	} else {
-		runErr = o.run(ctx, len(spans), func(i int) error {
-			timedRange(i)
-			return nil
-		})
-	}
+	})
 	var err error
 	errIdx := -1
 	for i := range outs {

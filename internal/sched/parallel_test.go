@@ -79,23 +79,29 @@ func parallelWorkloads() []struct {
 }
 
 // TestParallelMeasureByteIdentical is the tentpole property: for every
-// built-in scheduler schema, depth and worker count, the parallel kernel
-// renders byte-identically to the sequential kernel.
+// built-in scheduler schema, depth and worker count, the kernel agrees
+// bitwise with the independent string-keyed reference, and its rendering
+// does not depend on the worker count.
 func TestParallelMeasureByteIdentical(t *testing.T) {
 	for _, tc := range parallelWorkloads() {
-		want, err := sched.MeasureCtx(context.Background(), tc.a, tc.s, tc.maxDepth, nil)
+		ref, err := refExpand(tc.a, tc.s, tc.maxDepth)
 		if err != nil {
-			t.Fatalf("%s: sequential: %v", tc.name, err)
+			t.Fatalf("%s: reference: %v", tc.name, err)
 		}
-		ref := renderMeasure(want)
+		var want string
 		for _, workers := range []int{1, 2, 4, 8} {
 			em, err := sched.MeasureOpts(context.Background(), tc.a, tc.s, tc.maxDepth, nil,
 				sched.Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}
-			if got := renderMeasure(em); got != ref {
-				t.Errorf("%s workers=%d: parallel measure not byte-identical to sequential", tc.name, workers)
+			if msg := diffRef(em, ref); msg != "" {
+				t.Errorf("%s workers=%d: diverged from reference: %s", tc.name, workers, msg)
+			}
+			if got := renderMeasure(em); want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("%s workers=%d: rendering differs from workers=1", tc.name, workers)
 			}
 		}
 	}
@@ -136,8 +142,9 @@ func TestParallelSampleImageWorkerInvariant(t *testing.T) {
 }
 
 // TestParallelMeasureBudgetPartial pins graceful degradation under
-// parallelism: a budget stop merges only completed shard work, so the
-// partial is an exact sub-probability prefix of ε_σ.
+// parallelism: a budget stop keeps only the fully expanded levels, so the
+// partial is an exact sub-probability prefix of ε_σ and identical at every
+// worker count.
 func TestParallelMeasureBudgetPartial(t *testing.T) {
 	w := testaut.RandomWalk("w", 6, 0.5)
 	s := &sched.Greedy{A: w, Bound: 14}
@@ -145,8 +152,9 @@ func TestParallelMeasureBudgetPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 8} {
-		bud := resilience.NewBudget(0, 500, 0)
+	var want string
+	for _, workers := range []int{1, 2, 8} {
+		bud := resilience.NewBudget(0, 2000, 0)
 		em, err := sched.MeasureOpts(nil, w, s, 20, bud, sched.Options{Workers: workers})
 		if !resilience.IsBudget(err) {
 			t.Fatalf("workers=%d: err = %v, want budget", workers, err)
@@ -162,6 +170,11 @@ func TestParallelMeasureBudgetPartial(t *testing.T) {
 				t.Errorf("workers=%d: partial mass of %v = %v, full measure has %v", workers, f, p, fp)
 			}
 		})
+		if got := renderMeasure(em); want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("workers=%d: partial differs from workers=1", workers)
+		}
 	}
 }
 
@@ -230,43 +243,56 @@ func TestChaosParallelMeasureCancel(t *testing.T) {
 }
 
 // TestChaosParallelMeasurePanic arms the transition.panic fault point once
-// the expansion is inside the sharded level: the worker panic must surface
-// as a *resilience.PanicError return — engine.Pool.Map's isolation rule —
-// instead of crashing the process, and leak no goroutines.
+// the expansion reaches a given depth: the panic must surface as a
+// *resilience.PanicError return — engine.Pool.Map's isolation rule —
+// instead of crashing the process, and leak no goroutines. The rule holds
+// for sharded levels and for levels a single shard expands inline (one
+// worker, or a frontier narrower than the sharding threshold).
 func TestChaosParallelMeasurePanic(t *testing.T) {
 	w := testaut.RandomWalk("w", 6, 0.5)
 	inner := &sched.Random{A: w, Bound: 12}
-	var once sync.Once
-	var restore func()
-	defer func() {
-		if restore != nil {
-			restore()
-		}
-	}()
-	s := &sched.FuncSched{ID: "panic-at-4", Fn: func(f *psioa.Frag) *sched.Choice {
-		if f.Len() == 4 {
-			// Armed mid-level: every FirePanic call from here on runs inside
-			// a worker goroutine of the depth-4 frontier (16 items, sharded).
-			once.Do(func() {
-				restore = resilience.InstallInjector(
-					resilience.NewInjector(1).Arm(resilience.FaultTransitionPanic, 1))
-			})
-		}
-		return inner.Choose(f)
-	}}
-	base := runtime.NumGoroutine()
-	em, err := sched.MeasureOpts(context.Background(), w, s, 16, nil, sched.Options{Workers: 4})
-	var pe *resilience.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
+	for _, tc := range []struct {
+		name             string
+		workers, armedAt int
+	}{
+		{"workers=4/sharded", 4, 4}, // depth-4 frontier: 16 items, sharded
+		{"workers=4/narrow", 4, 1},  // depth-1 frontier: below the threshold, inline
+		{"workers=1", 1, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var once sync.Once
+			var restore func()
+			defer func() {
+				if restore != nil {
+					restore()
+				}
+			}()
+			s := &sched.FuncSched{ID: "panic", Fn: func(f *psioa.Frag) *sched.Choice {
+				if f.Len() == tc.armedAt {
+					// Armed mid-level: the next FirePanic call runs inside
+					// the shard expanding this frontier.
+					once.Do(func() {
+						restore = resilience.InstallInjector(
+							resilience.NewInjector(1).Arm(resilience.FaultTransitionPanic, 1))
+					})
+				}
+				return inner.Choose(f)
+			}}
+			base := runtime.NumGoroutine()
+			em, err := sched.MeasureOpts(context.Background(), w, s, 16, nil, sched.Options{Workers: tc.workers})
+			var pe *resilience.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want *PanicError", err)
+			}
+			if resilience.Class(err) != "panic" {
+				t.Errorf("Class = %q, want panic", resilience.Class(err))
+			}
+			if em != nil {
+				t.Error("a panicking expansion must not return a measure")
+			}
+			settleGoroutines(t, base)
+		})
 	}
-	if resilience.Class(err) != "panic" {
-		t.Errorf("Class = %q, want panic", resilience.Class(err))
-	}
-	if em != nil {
-		t.Error("a panicking expansion must not return a measure")
-	}
-	settleGoroutines(t, base)
 }
 
 // TestParallelMeasureRace drives the same parallel expansion from several

@@ -25,7 +25,7 @@ func telemetryWorkload() (psioa.PSIOA, sched.Scheduler, int) {
 func TestMeasureOptsTelemetry(t *testing.T) {
 	ctx := context.Background()
 	a, s, depth := telemetryWorkload()
-	want, err := sched.MeasureCtx(ctx, a, s, depth, nil)
+	want, err := sched.MeasureOpts(ctx, a, s, depth, nil, sched.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestMeasureOptsTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	if renderMeasure(got) != renderMeasure(want) {
-		t.Error("telemetered parallel measure differs from sequential")
+		t.Error("telemetered measure differs from the undisturbed one")
 	}
 
 	if st.Levels() == 0 {
@@ -99,7 +99,7 @@ func TestDagTelemetry(t *testing.T) {
 	ctx := context.Background()
 	w := testaut.RandomWalk("w", 6, 0.5)
 	s := &sched.Greedy{A: w, Bound: 9}
-	want, err := sched.MeasureDAG(ctx, w, s, 12, nil)
+	want, err := sched.MeasureDAGOpts(ctx, w, s, 12, nil, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
