@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/... ./internal/sched/... ./internal/psioa/... ./internal/engine/... ./internal/cluster/... ./cmd/dsed/...
+	$(GO) test -race ./internal/obs/... ./internal/sched/... ./internal/psioa/... ./internal/pca/... ./internal/engine/... ./internal/cluster/... ./cmd/dsed/...
 
 vet:
 	$(GO) vet ./...
@@ -22,7 +22,7 @@ bench:
 # line). Compare two recordings with scripts/bench_compare.sh; see
 # docs/PERFORMANCE.md.
 bench-json:
-	$(GO) run ./cmd/dsebench -json BENCH_7.json
+	$(GO) run ./cmd/dsebench -json BENCH_8.json
 
 # bench-par runs the kernels across worker counts (1, 2, 4, 8) at GOMAXPROCS
 # 1 and at the host default: the sharded expansion, the DAG collapse, and
@@ -32,10 +32,10 @@ bench-par:
 	GOMAXPROCS=1 $(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
 
-# bench-compare fails when the current recording (BENCH_7.json) regresses
-# more than 20% against the previous PR's baseline (BENCH_6.json).
+# bench-compare fails when the current recording (BENCH_8.json) regresses
+# more than 20% against the previous PR's baseline (BENCH_7.json).
 bench-compare:
-	sh scripts/bench_compare.sh BENCH_6.json BENCH_7.json
+	sh scripts/bench_compare.sh BENCH_7.json BENCH_8.json
 
 # no-string-keys guards the interned measure core's representation
 # boundary: string-keyed maps are banned from the kernel files and allowed

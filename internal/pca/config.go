@@ -120,32 +120,34 @@ func FromKey(key string) (*Config, error) {
 	return &Config{states: states}, nil
 }
 
-// sigs returns the per-automaton signatures at the configuration's states.
-func (c *Config) sigs(reg Registry) (map[string]psioa.Signature, error) {
-	out := make(map[string]psioa.Signature, len(c.states))
-	for id, q := range c.states {
+// signatures returns the constituents' identifiers (sorted, as Auts) and
+// their signatures at the configuration's states, in the same order.
+func (c *Config) signatures(reg Registry) ([]string, []psioa.Signature, error) {
+	ids := c.Auts()
+	sigs := make([]psioa.Signature, len(ids))
+	for i, id := range ids {
 		a, ok := reg.Lookup(id)
 		if !ok {
-			return nil, fmt.Errorf("pca: automaton %q not in registry", id)
+			return nil, nil, fmt.Errorf("pca: automaton %q not in registry", id)
 		}
-		out[id] = a.Sig(q)
+		sigs[i] = a.Sig(c.states[id])
 	}
-	return out, nil
+	return ids, sigs, nil
 }
 
 // Compatible checks Def 2.10: the automata are compatible at the
 // configuration's states (their signatures form a compatible set).
 func (c *Config) Compatible(reg Registry) error {
-	sigs, err := c.sigs(reg)
+	ids, sigs, err := c.signatures(reg)
 	if err != nil {
 		return err
 	}
-	ids := c.Auts()
-	ordered := make([]psioa.Signature, len(ids))
-	for i, id := range ids {
-		ordered[i] = sigs[id]
-	}
-	if err := psioa.CompatibleSignatures(ordered); err != nil {
+	return compatible(ids, sigs)
+}
+
+// compatible is Compatible on signatures already looked up.
+func compatible(ids []string, sigs []psioa.Signature) error {
+	if err := psioa.CompatibleSignatures(sigs); err != nil {
 		return fmt.Errorf("pca: configuration %v incompatible: %w", ids, err)
 	}
 	return nil
@@ -154,28 +156,24 @@ func (c *Config) Compatible(reg Registry) error {
 // Sig returns the intrinsic signature sig(C) of Def 2.11:
 // out = ∪ out_i, int = ∪ int_i, in = (∪ in_i) \ out.
 func (c *Config) Sig(reg Registry) (psioa.Signature, error) {
-	sigs, err := c.sigs(reg)
+	_, sigs, err := c.signatures(reg)
 	if err != nil {
 		return psioa.Signature{}, err
 	}
-	ordered := make([]psioa.Signature, 0, len(sigs))
-	for _, id := range c.Auts() {
-		ordered = append(ordered, sigs[id])
-	}
-	return psioa.ComposeSignatures(ordered), nil
+	return psioa.ComposeSignatures(sigs), nil
 }
 
 // Reduce implements Def 2.12: drop the automata whose current signature is
 // empty (the destruction mechanism).
 func (c *Config) Reduce(reg Registry) (*Config, error) {
-	sigs, err := c.sigs(reg)
+	ids, sigs, err := c.signatures(reg)
 	if err != nil {
 		return nil, err
 	}
 	out := EmptyConfig()
-	for id, q := range c.states {
-		if !sigs[id].IsEmpty() {
-			out.states[id] = q
+	for i, id := range ids {
+		if !sigs[i].IsEmpty() {
+			out.states[id] = c.states[id]
 		}
 	}
 	return out, nil

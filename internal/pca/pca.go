@@ -2,10 +2,18 @@ package pca
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
+	"repro/internal/intern"
 	"repro/internal/measure"
+	"repro/internal/obs"
 	"repro/internal/psioa"
 )
+
+// cConfigDecodes counts configuration decodes, i.e. misses of the
+// ConfigAutomaton state memo; hits are not counted.
+var cConfigDecodes = obs.C("pca.config.decodes")
 
 // PCA is a probabilistic configuration automaton (Def 2.16): a PSIOA whose
 // states are linked to reduced compatible configurations, together with a
@@ -32,16 +40,62 @@ type PCA interface {
 // satisfies PCA constraints 1–4 of Def 2.16 (config is the identity-like
 // decoding, so the top/down and bottom/up simulations are equalities);
 // Validate/ValidatePCA re-check this mechanically.
+//
+// Every state is decoded once: the first query on a state q builds its
+// memo entry (configuration, hidden actions, signature, compatibility), and
+// the first Trans/Created on (q, a) fills that entry's slot for a. Later
+// queries are lookups. The memo lives as long as the automaton, so the
+// registry and the creation/hiding mappings must not change after New —
+// the same immutability the package already assumes of every value it
+// hands out.
 type ConfigAutomaton struct {
-	id   string
-	reg  Registry
-	init *Config
+	id    string
+	reg   Registry
+	start psioa.State
 	// createdFn maps (configuration, action) to the created identifiers;
 	// nil means nothing is ever created.
 	createdFn func(c *Config, a psioa.Action) []string
 	// hiddenFn maps a configuration to the outputs hidden at that state;
 	// nil means nothing is hidden.
 	hiddenFn func(c *Config) psioa.ActionSet
+
+	// memo maps each well-formed state queried so far to its entry. A
+	// product queries a component once per product state that projects
+	// onto it, so reads outnumber inserts by about three orders of
+	// magnitude: the read-mostly map's lock-free snapshot hits fit.
+	memo *intern.RM[psioa.State, *stateMemo]
+}
+
+// stateMemo is what a ConfigAutomaton derives from one state. Entries are
+// shared by every caller and never change after publication, except for
+// the write-once slots.
+type stateMemo struct {
+	cfg    *Config
+	hidden psioa.ActionSet
+	sig    psioa.Signature
+	// acts is sig.All() sorted; slots[i] belongs to acts[i].
+	acts  []psioa.Action
+	slots []actMemo
+	// sigErr and compatErr say why the state is ill-formed; an entry with
+	// either set is never stored.
+	sigErr, compatErr error
+}
+
+// actMemo holds created(X)(q)(a) and the transition on a, each stored once
+// built. Racing first builders store equal values, so a lost store is
+// harmless and reads need no lock.
+type actMemo struct {
+	created atomic.Pointer[[]string]
+	trans   atomic.Pointer[psioa.Dist]
+}
+
+// slot returns the memo slot of action a, or nil when a is not enabled.
+func (m *stateMemo) slot(a psioa.Action) *actMemo {
+	i, ok := slices.BinarySearch(m.acts, a)
+	if !ok {
+		return nil
+	}
+	return &m.slots[i]
 }
 
 // Option customises a ConfigAutomaton.
@@ -82,7 +136,12 @@ func New(id string, reg Registry, init *Config, opts ...Option) (*ConfigAutomato
 			return nil, fmt.Errorf("pca: constraint 1 violated: %q starts at %q, configuration has %q", id2, aut.Start(), q)
 		}
 	}
-	x := &ConfigAutomaton{id: id, reg: reg, init: init}
+	x := &ConfigAutomaton{
+		id:    id,
+		reg:   reg,
+		start: psioa.State(init.Key()),
+		memo:  intern.NewRM[psioa.State, *stateMemo](0),
+	}
 	for _, o := range opts {
 		o(x)
 	}
@@ -119,61 +178,108 @@ func (x *ConfigAutomaton) ID() string { return x.id }
 func (x *ConfigAutomaton) Registry() Registry { return x.reg }
 
 // Start implements PSIOA.
-func (x *ConfigAutomaton) Start() psioa.State { return psioa.State(x.init.Key()) }
+func (x *ConfigAutomaton) Start() psioa.State { return x.start }
 
-// Config implements PCA: states are configuration keys.
-func (x *ConfigAutomaton) Config(q psioa.State) *Config {
+// state returns q's memo entry, decoding q on first touch. A state whose
+// signature or compatibility check fails gets a fresh, unstored entry on
+// every query, so failures are recomputed and re-reported rather than
+// remembered. A state that is not a configuration key panics and stores
+// nothing.
+func (x *ConfigAutomaton) state(q psioa.State) *stateMemo {
+	if m, ok := x.memo.Get(q); ok {
+		return m
+	}
+	cConfigDecodes.Inc()
 	c, err := FromKey(string(q))
 	if err != nil {
 		invalidf("pca: %q: state %q is not a configuration key: %v", x.id, q, err)
 	}
-	return c
+	m := &stateMemo{cfg: c, hidden: psioa.NewActionSet()}
+	if x.hiddenFn != nil {
+		m.hidden = x.hiddenFn(c)
+	}
+	ids, sigs, err := c.signatures(x.reg)
+	if err != nil {
+		m.sigErr, m.compatErr = err, err
+		return m
+	}
+	m.sig = psioa.HideSignature(psioa.ComposeSignatures(sigs), m.hidden)
+	m.acts = m.sig.All().Sorted()
+	m.slots = make([]actMemo, len(m.acts))
+	if m.compatErr = compatible(ids, sigs); m.compatErr == nil {
+		x.memo.Set(q, m)
+	}
+	return m
 }
+
+// Config implements PCA: states are configuration keys.
+func (x *ConfigAutomaton) Config(q psioa.State) *Config { return x.state(q).cfg }
 
 // HiddenActions implements PCA.
 func (x *ConfigAutomaton) HiddenActions(q psioa.State) psioa.ActionSet {
-	if x.hiddenFn == nil {
-		return psioa.NewActionSet()
-	}
-	return x.hiddenFn(x.Config(q))
+	return x.state(q).hidden
 }
 
 // Created implements PCA.
 func (x *ConfigAutomaton) Created(q psioa.State, a psioa.Action) []string {
+	return x.created(x.state(q), a)
+}
+
+// created returns created(X)(q)(a) for q's entry m, memoized when a is
+// enabled at q.
+func (x *ConfigAutomaton) created(m *stateMemo, a psioa.Action) []string {
 	if x.createdFn == nil {
 		return nil
 	}
-	return x.createdFn(x.Config(q), a)
+	s := m.slot(a)
+	if s == nil {
+		return x.createdFn(m.cfg, a)
+	}
+	if ids := s.created.Load(); ids != nil {
+		return *ids
+	}
+	ids := x.createdFn(m.cfg, a)
+	s.created.Store(&ids)
+	return ids
 }
 
 // Sig implements PSIOA per PCA constraint 4:
 // sig(X)(q) = hide(sig(config(X)(q)), hidden-actions(X)(q)).
 func (x *ConfigAutomaton) Sig(q psioa.State) psioa.Signature {
-	c := x.Config(q)
-	sig, err := c.Sig(x.reg)
-	if err != nil {
-		invalidf("pca: %q: signature of %q: %v", x.id, q, err)
+	return x.sigState(q).sig
+}
+
+// sigState is state(q) for callers that need the signature: a signature
+// failure makes the PCA ill-formed at q.
+func (x *ConfigAutomaton) sigState(q psioa.State) *stateMemo {
+	m := x.state(q)
+	if m.sigErr != nil {
+		invalidf("pca: %q: signature of %q: %v", x.id, q, m.sigErr)
 	}
-	return psioa.HideSignature(sig, x.HiddenActions(q))
+	return m
 }
 
 // CompatAt reports configuration compatibility at q.
-func (x *ConfigAutomaton) CompatAt(q psioa.State) error {
-	return x.Config(q).Compatible(x.reg)
-}
+func (x *ConfigAutomaton) CompatAt(q psioa.State) error { return x.state(q).compatErr }
 
 // Trans implements PSIOA: the intrinsic transition of Def 2.14 with
 // φ = created(X)(q)(a), transported along the configuration encoding (the
 // top/down simulation of constraint 2 holds definitionally).
 func (x *ConfigAutomaton) Trans(q psioa.State, a psioa.Action) *psioa.Dist {
-	if !x.Sig(q).All().Has(a) {
+	m := x.sigState(q)
+	s := m.slot(a)
+	if s == nil {
 		panic(fmt.Sprintf("pca: %q: action %q not enabled at %q", x.id, a, q))
 	}
-	eta, err := IntrinsicTrans(x.reg, x.Config(q), a, x.Created(q, a))
+	if d := s.trans.Load(); d != nil {
+		return d
+	}
+	eta, err := IntrinsicTrans(x.reg, m.cfg, a, x.created(m, a))
 	if err != nil {
 		invalidf("pca: %q: intrinsic transition at %q on %q: %v", x.id, q, a, err)
 	}
 	out := measure.New[psioa.State]()
 	eta.ForEach(func(key string, p float64) { out.Add(psioa.State(key), p) })
+	s.trans.Store(out)
 	return out
 }

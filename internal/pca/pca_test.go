@@ -323,8 +323,14 @@ func TestValidatePCACatchesBrokenCreated(t *testing.T) {
 	x := pca.MustNew("bad", reg, init, pca.WithCreated(func(c *pca.Config, a psioa.Action) []string {
 		return []string{"c1"}
 	}))
-	if err := pca.ValidatePCA(x, 100); err == nil {
-		t.Error("expected validation failure")
+	err1 := pca.ValidatePCA(x, 100)
+	if err1 == nil {
+		t.Fatal("expected validation failure")
+	}
+	// The failed transition is not memoized: validating again recomputes it
+	// and reports the same failure.
+	if err2 := pca.ValidatePCA(x, 100); err2 == nil || err2.Error() != err1.Error() {
+		t.Errorf("second validation: %v, want %v", err2, err1)
 	}
 }
 
