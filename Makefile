@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-par bench-compare bench-smoke no-string-keys daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
+.PHONY: build test race vet fmt bench bench-json bench-par bench-compare bench-smoke no-string-keys daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,12 @@ race:
 vet:
 	$(GO) vet ./...
 
+# fmt fails when gofmt would change a Go file that git tracks (or would
+# track: untracked files that are not ignored count too), and lists them.
+fmt:
+	@out=$$(git ls-files -co --exclude-standard '*.go' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
@@ -22,7 +28,7 @@ bench:
 # line). Compare two recordings with scripts/bench_compare.sh; see
 # docs/PERFORMANCE.md.
 bench-json:
-	$(GO) run ./cmd/dsebench -json BENCH_8.json
+	$(GO) run ./cmd/dsebench -json BENCH_9.json
 
 # bench-par runs the kernels across worker counts (1, 2, 4, 8) at GOMAXPROCS
 # 1 and at the host default: the sharded expansion, the DAG collapse, and
@@ -32,10 +38,10 @@ bench-par:
 	GOMAXPROCS=1 $(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
 
-# bench-compare fails when the current recording (BENCH_8.json) regresses
-# more than 20% against the previous PR's baseline (BENCH_7.json).
+# bench-compare fails when the current recording (BENCH_9.json) regresses
+# more than 20% against the previous PR's baseline (BENCH_8.json).
 bench-compare:
-	sh scripts/bench_compare.sh BENCH_7.json BENCH_8.json
+	sh scripts/bench_compare.sh BENCH_8.json BENCH_9.json
 
 # no-string-keys guards the interned measure core's representation
 # boundary: string-keyed maps are banned from the kernel files and allowed
@@ -85,11 +91,11 @@ chaos:
 	$(GO) test -race -run Chaos ./internal/engine/... ./internal/sched/... ./internal/cluster/... ./cmd/dsed/...
 	$(GO) test -race ./internal/resilience/...
 
-# check is the tier-1 gate plus static analysis, the race-sensitive
-# packages, the chaos suite, the bench tooling smoke, the parallel-kernel
-# smoke, the baseline comparison, and the daemon, cluster, and durability
-# end-to-end smokes; run before every commit.
-check: build vet no-string-keys test race chaos bench-smoke bench-par bench-compare daemon-smoke obs-smoke cluster-smoke durable-smoke
+# check is the tier-1 gate plus static analysis and formatting, the
+# race-sensitive packages, the chaos suite, the bench tooling smoke, the
+# parallel-kernel smoke, the baseline comparison, and the daemon, cluster,
+# and durability end-to-end smokes; run before every commit.
+check: build vet fmt no-string-keys test race chaos bench-smoke bench-par bench-compare daemon-smoke obs-smoke cluster-smoke durable-smoke
 
 clean:
 	$(GO) clean ./...

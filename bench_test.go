@@ -466,6 +466,19 @@ func BenchmarkExploreWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkValidate measures Validate on a freshly composed world: an
+// exploration followed by building every transition measure, the pattern
+// that engine fingerprinting shares.
+func BenchmarkValidate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w := psioa.MustCompose(channel.Env("x", 1), channel.Real("x"), channel.Eavesdropper("x"))
+		if err := psioa.Validate(w, 100000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDistSample measures repeated draws from one 64-point
 // distribution (the transition-sampling inner loop of Sample).
 func BenchmarkDistSample(b *testing.B) {

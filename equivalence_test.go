@@ -151,6 +151,10 @@ func kernelPinCases() []struct {
 		{"explore/walk-truncated", func() (string, error) {
 			return exploreFingerprint(testaut.RandomWalk("w", 50, 0.5), 5)
 		}},
+		{"explore/channel-world-truncated", func() (string, error) {
+			w := psioa.MustCompose(channel.Env("x", 1), channel.Real("x"), channel.Eavesdropper("x"))
+			return exploreFingerprint(w, 7)
+		}},
 	}
 }
 
@@ -166,6 +170,9 @@ var kernelPins = map[string]string{
 	"sample/coins-random":     "947552f461f5c1ceb2715f177b5252c75c88c3951d49d95d0487823fd63de7a9",
 	"explore/channel-world":   "8c374ed9566b073397962485cacd251a960ed0f2bd19a4135244829540d3d41e",
 	"explore/walk-truncated":  "c4e1398c24f1defed3cd320836acf101beba28b5567d0c41c09656b67e5d82f2",
+	// Captured from the product-measure exploration that the support walk
+	// replaced: a truncated product pins discovery order at the cut.
+	"explore/channel-world-truncated": "0f29645994912509fb2206b5e0039ccd9c15a064e60476f339853dae2cffca9f",
 }
 
 func TestKernelPins(t *testing.T) {

@@ -47,10 +47,10 @@ import (
 // cluster-smoke`). cluster.remote.misses counts consultations that found no
 // store entry anywhere.
 var (
-	cRemoteHits = obs.C("cluster.remote.hits")
-	cRemoteMiss = obs.C("cluster.remote.misses")
-	cDispatched = obs.C("cluster.jobs.dispatched")
-	cRerouted   = obs.C("cluster.jobs.rerouted")
+	cRemoteHits     = obs.C("cluster.remote.hits")
+	cRemoteMiss     = obs.C("cluster.remote.misses")
+	cDispatched     = obs.C("cluster.jobs.dispatched")
+	cRerouted       = obs.C("cluster.jobs.rerouted")
 	cWorkersDown    = obs.C("cluster.workers.down")
 	cWorkersRevived = obs.C("cluster.workers.revived")
 	cStorePuts      = obs.C("cluster.store.puts")

@@ -13,8 +13,10 @@ package codec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // sep separates tuple components; esc escapes sep and itself.
@@ -34,43 +36,87 @@ func EncodeTuple(parts []string) string {
 	if len(parts) == 0 {
 		return emptyTuple
 	}
-	var b strings.Builder
-	// Reserve room for the common case of no escapes.
-	n := len(parts)
-	for _, p := range parts {
-		n += len(p)
-	}
-	b.Grow(n)
-	for i, p := range parts {
-		if i > 0 {
-			b.WriteByte(sep)
-		}
-		appendEscaped(&b, p)
-	}
-	return b.String()
+	return bytesString(appendParts(make([]byte, 0, tupleLen(parts)), parts))
 }
 
-// appendEscaped writes one component with sep/esc escaping. A component
-// that is exactly the empty-tuple sentinel is written escape-prefixed so a
-// singleton ("()") never collides with the encoding of the empty tuple;
-// the decoder needs no special case since escaped bytes pass through
-// verbatim.
-func appendEscaped(b *strings.Builder, p string) {
-	if p == emptyTuple {
-		b.WriteByte(esc)
-		b.WriteByte('(')
-		b.WriteByte(esc)
-		b.WriteByte(')')
-		return
+// AppendTuple appends EncodeTuple(parts) to dst and returns the extended
+// slice, growing dst at most once. Callers that only look the encoding up
+// (a map probe with string(buf) as the key) reuse one buffer and allocate
+// nothing per tuple.
+func AppendTuple(dst []byte, parts ...string) []byte {
+	if len(parts) == 0 {
+		return append(dst, emptyTuple...)
 	}
-	for j := 0; j < len(p); j++ {
-		c := p[j]
-		if c == sep || c == esc {
-			b.WriteByte(esc)
-		}
-		b.WriteByte(c)
+	// Escaping at most doubles a component, so a buffer with room for
+	// twice the raw length needs no exact count.
+	worst := len(parts) - 1
+	for _, p := range parts {
+		worst += 2 * len(p)
 	}
+	if cap(dst)-len(dst) < worst {
+		dst = slices.Grow(dst, tupleLen(parts))
+	}
+	return appendParts(dst, parts)
 }
+
+// appendParts appends the encoding of a non-empty tuple to b.
+func appendParts(b []byte, parts []string) []byte {
+	for i, p := range parts {
+		if i > 0 {
+			b = append(b, sep)
+		}
+		b = appendEscaped(b, p)
+	}
+	return b
+}
+
+// tupleLen is the exact length of the encoding of a non-empty tuple:
+// the components, one separator between each pair, and one byte per
+// escape.
+func tupleLen(parts []string) int {
+	n := len(parts) - 1
+	for _, p := range parts {
+		n += escapedLen(p)
+	}
+	return n
+}
+
+// escapedLen is the length of one component after escaping.
+func escapedLen(p string) int {
+	if p == emptyTuple {
+		return 4
+	}
+	n := len(p)
+	for j := 0; j < len(p); j++ {
+		if c := p[j]; c == sep || c == esc {
+			n++
+		}
+	}
+	return n
+}
+
+// appendEscaped appends one component with sep/esc escaping, copying the
+// runs between escaped bytes whole. A component that is exactly the
+// empty-tuple sentinel is written escape-prefixed so a singleton ("()")
+// never collides with the encoding of the empty tuple; the decoder needs no
+// special case since escaped bytes pass through verbatim.
+func appendEscaped(b []byte, p string) []byte {
+	if p == emptyTuple {
+		return append(b, esc, '(', esc, ')')
+	}
+	run := 0
+	for j := 0; j < len(p); j++ {
+		if c := p[j]; c == sep || c == esc {
+			b = append(append(b, p[run:j]...), esc)
+			run = j
+		}
+	}
+	return append(b, p[run:]...)
+}
+
+// bytesString converts a buffer that is never written again to a string
+// without copying it, as strings.Builder does.
+func bytesString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // AppendToTuple extends an existing encoding of a non-empty tuple with
 // further components, in one pass over the new components only:
@@ -79,18 +125,12 @@ func appendEscaped(b *strings.Builder, p string) {
 // by persistent structures (execution fragments) whose keys grow one step
 // at a time from a cached parent key.
 func AppendToTuple(enc string, parts ...string) string {
-	var b strings.Builder
-	n := len(enc) + len(parts)
-	for _, p := range parts {
-		n += len(p)
+	if len(parts) == 0 {
+		return enc
 	}
-	b.Grow(n)
-	b.WriteString(enc)
-	for _, p := range parts {
-		b.WriteByte(sep)
-		appendEscaped(&b, p)
-	}
-	return b.String()
+	b := make([]byte, 0, len(enc)+1+tupleLen(parts))
+	b = append(append(b, enc...), sep)
+	return bytesString(appendParts(b, parts))
 }
 
 // DecodeTuple reverses EncodeTuple. It returns an error if s is not a valid

@@ -247,3 +247,63 @@ func TestEncodeTupleSentinelComponent(t *testing.T) {
 		t.Error("AppendToTuple disagrees with EncodeTuple on sentinel components")
 	}
 }
+
+func TestAppendTupleMatchesEncodeTuple(t *testing.T) {
+	cases := [][]string{
+		nil,
+		{},
+		{""},
+		{"()"},
+		{"()", "()"},
+		{"a", "()", ""},
+		{"a|b", "c\\d", "\\|"},
+		{EncodeTuple([]string{"x|y", "()"}), EncodeTuple(nil)},
+	}
+	for _, prefix := range []string{"", "junk|"} {
+		for _, c := range cases {
+			got := AppendTuple([]byte(prefix), c...)
+			if want := prefix + EncodeTuple(c); string(got) != want {
+				t.Errorf("AppendTuple(%q, %q) = %q, want %q", prefix, c, got, want)
+			}
+			out, err := DecodeTuple(string(got[len(prefix):]))
+			if err != nil {
+				t.Fatalf("DecodeTuple(%q): %v", got[len(prefix):], err)
+			}
+			if len(c) == 0 {
+				c = nil
+			}
+			if !reflect.DeepEqual(out, c) {
+				t.Errorf("round trip %q -> %q -> %q", c, got, out)
+			}
+		}
+	}
+}
+
+func TestAppendTupleQuick(t *testing.T) {
+	prop := func(prefix []byte, parts []string) bool {
+		got := AppendTuple(append([]byte(nil), prefix...), parts...)
+		return string(got) == string(prefix)+EncodeTuple(parts)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestTupleEncodingExactSize pins the sizing of the encoders: a nested
+// product state escapes every separator of its inner tuples, and an
+// encoder that sized its buffer from the unescaped length would regrow it.
+func TestTupleEncodingExactSize(t *testing.T) {
+	inner := EncodeTuple([]string{"s|1", "\\q", "()", EncodeTuple([]string{"a|b", "c"})})
+	parts := []string{inner, "x", inner, "()"}
+	if n := testing.AllocsPerRun(100, func() { _ = EncodeTuple(parts) }); n != 1 {
+		t.Errorf("EncodeTuple on a nested escaped tuple: %v allocs, want 1", n)
+	}
+	enc := EncodeTuple(parts[:1])
+	if n := testing.AllocsPerRun(100, func() { _ = AppendToTuple(enc, parts[1:]...) }); n != 1 {
+		t.Errorf("AppendToTuple on a nested escaped tuple: %v allocs, want 1", n)
+	}
+	buf := make([]byte, 0, 2*len(EncodeTuple(parts)))
+	if n := testing.AllocsPerRun(100, func() { buf = AppendTuple(buf[:0], parts...) }); n != 0 {
+		t.Errorf("AppendTuple into a large enough buffer: %v allocs, want 0", n)
+	}
+}

@@ -111,9 +111,9 @@ func TestDiskStoreLRUDeterministic(t *testing.T) {
 		if reopen {
 			s = openStore(t, dir, durable.StoreOptions{MaxEntries: 3})
 		}
-		s.Get("a")                // a most recent
-		s.Put("d", []byte("d"))  // evicts b (LRU)
-		s.Put("e", []byte("e"))  // evicts c
+		s.Get("a")              // a most recent
+		s.Put("d", []byte("d")) // evicts b (LRU)
+		s.Put("e", []byte("e")) // evicts c
 		var live []string
 		for _, k := range []string{"a", "b", "c", "d", "e"} {
 			if _, err := s.Get(k); err == nil {

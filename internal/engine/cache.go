@@ -66,7 +66,7 @@ type Cache struct {
 	size    atomic.Int64 // total entries across shards (feeds gCacheSize)
 	fpLimit int
 	fpMu    sync.Mutex
-	fps     map[psioa.PSIOA]string
+	fps     map[psioa.PSIOA]*fpCall
 	raw     RawBacking // optional disk tier under the raw namespace
 }
 
@@ -145,7 +145,7 @@ func NewCacheSharded(capacity, shards int) *Cache {
 	c := &Cache{
 		shards:  make([]cacheShard, shards),
 		fpLimit: DefaultFingerprintLimit,
-		fps:     make(map[psioa.PSIOA]string),
+		fps:     make(map[psioa.PSIOA]*fpCall),
 	}
 	for i := range c.shards {
 		c.shards[i].cap = per
@@ -380,29 +380,61 @@ func (c *Cache) PutRaw(key string, data []byte) {
 // Fingerprint returns the canonical fingerprint of a, memoized by identity
 // for automata with comparable dynamic types (compositions produce fresh
 // pointers per check, so the identity memo is bounded and periodically
-// dropped rather than LRU-managed).
+// dropped rather than LRU-managed). Concurrent callers that miss on the
+// same automaton wait for one computation. A failed computation is not
+// memoized: its waiters retry.
 func (c *Cache) Fingerprint(a psioa.PSIOA) (string, error) {
-	cmp := reflect.TypeOf(a).Comparable()
-	if cmp {
+	if !reflect.TypeOf(a).Comparable() {
+		return Fingerprint(a, c.fpLimit)
+	}
+	for {
 		c.fpMu.Lock()
-		fp, ok := c.fps[a]
+		call, inFlight := c.fps[a]
+		if !inFlight {
+			if len(c.fps) >= maxFingerprintMemo {
+				c.fps = make(map[psioa.PSIOA]*fpCall)
+			}
+			call = &fpCall{done: make(chan struct{})}
+			c.fps[a] = call
+		}
 		c.fpMu.Unlock()
-		if ok {
-			return fp, nil
+		if !inFlight {
+			return c.fingerprintFor(a, call)
+		}
+		<-call.done
+		if call.ok {
+			return call.fp, nil
 		}
 	}
+}
+
+// fpCall is one fingerprint computation in the identity memo: done closes
+// when it finishes, and fp is valid once done is closed if ok is set.
+type fpCall struct {
+	done chan struct{}
+	fp   string
+	ok   bool
+}
+
+// fingerprintFor computes the fingerprint that call's waiters share. If the
+// computation errs or panics, the memo entry is removed before the waiters
+// wake, so each of them retries.
+func (c *Cache) fingerprintFor(a psioa.PSIOA, call *fpCall) (string, error) {
+	defer func() {
+		if !call.ok {
+			c.fpMu.Lock()
+			if c.fps[a] == call {
+				delete(c.fps, a)
+			}
+			c.fpMu.Unlock()
+		}
+		close(call.done)
+	}()
 	fp, err := Fingerprint(a, c.fpLimit)
 	if err != nil {
 		return "", err
 	}
-	if cmp {
-		c.fpMu.Lock()
-		if len(c.fps) >= maxFingerprintMemo {
-			c.fps = make(map[psioa.PSIOA]string)
-		}
-		c.fps[a] = fp
-		c.fpMu.Unlock()
-	}
+	call.fp, call.ok = fp, true
 	return fp, nil
 }
 

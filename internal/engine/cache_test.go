@@ -10,9 +10,11 @@ import (
 	"repro/internal/engine"
 	"repro/internal/insight"
 	"repro/internal/obs"
+	"repro/internal/protocols/channel"
 	"repro/internal/protocols/coin"
 	"repro/internal/psioa"
 	"repro/internal/sched"
+	"repro/internal/testaut"
 )
 
 func TestFingerprintCanonical(t *testing.T) {
@@ -277,5 +279,87 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	}
 	if c.Len() != n {
 		t.Errorf("Len = %d, but %d keys present", c.Len(), n)
+	}
+}
+
+// TestFingerprintSingleFlight: concurrent misses on one automaton share a
+// single fingerprint computation.
+func TestFingerprintSingleFlight(t *testing.T) {
+	w := psioa.MustCompose(testaut.RandomWalk("a", 24, 0.5), testaut.RandomWalk("b", 24, 0.5))
+	c := engine.NewCache(0)
+	counter := obs.C("engine.fingerprints")
+	before := counter.Value()
+	const n = 8
+	fps := make([]string, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			fp, err := c.Fingerprint(w)
+			if err != nil {
+				t.Error(err)
+			}
+			fps[i] = fp
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if got := counter.Value() - before; got != 1 {
+		t.Errorf("%d goroutines computed %d fingerprints, want 1", n, got)
+	}
+	for i := 1; i < n; i++ {
+		if fps[i] != fps[0] {
+			t.Fatalf("goroutine %d got fingerprint %q, goroutine 0 got %q", i, fps[i], fps[0])
+		}
+	}
+}
+
+// TestFingerprintFailureNotMemoized: an automaton that cannot be
+// fingerprinted (here, incompatible at its start state) fails every call,
+// concurrent or not, and leaves nothing behind in the memo.
+func TestFingerprintFailureNotMemoized(t *testing.T) {
+	w := psioa.MustCompose(testaut.Coin("x", 0.5), psioa.RenameMap(testaut.Coin("y", 0.5), map[psioa.Action]psioa.Action{"flip_y": "flip_x"}))
+	c := engine.NewCache(0)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Fingerprint(w); err == nil {
+				t.Error("fingerprinting an incompatible world succeeded")
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := c.Fingerprint(w); err == nil {
+		t.Error("a later call succeeded on an incompatible world")
+	}
+}
+
+// TestFingerprintGolden pins fingerprint values, which durable stores and
+// clusters use as keys: a change to how the hash input is written must not
+// change them.
+func TestFingerprintGolden(t *testing.T) {
+	cases := []struct {
+		a     psioa.PSIOA
+		limit int
+		want  string
+	}{
+		{psioa.MustCompose(channel.Env("x", 1), channel.Real("x"), channel.Eavesdropper("x")), 0, "26fee606846a69d167fb203d6592077f"},
+		{psioa.MustCompose(channel.Env("x", 1), channel.Real("x"), channel.Eavesdropper("x")), 7, "f8aac6881f7b2007905d9c59e21e89af!trunc"},
+		{psioa.MustCompose(testaut.Coin("c0", 0.3), testaut.Coin("c1", 0.25)), 0, "8b4341a10ca7b9564c363cd52eec075e"},
+		{psioa.MustCompose(testaut.Coin("c0", 0.3), testaut.Coin("c1", 0.25)), 7, "fe9dd82d3889b3a978c437af64d05ed2!trunc"},
+	}
+	for _, c := range cases {
+		got, err := engine.Fingerprint(c.a, c.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("Fingerprint(%s, %d) = %s, want %s", c.a.ID(), c.limit, got, c.want)
+		}
 	}
 }

@@ -34,10 +34,13 @@ func Fingerprint(a psioa.PSIOA, limit int) (string, error) {
 		return "", err
 	}
 	cFingerprints.Inc()
+	// The hash input is staged in one buffer and flushed in chunks, so
+	// writing a field allocates nothing; FNV is a streaming hash, so the
+	// chunking does not change the sum.
 	h := fnv.New128a()
+	var buf []byte
 	wr := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
+		buf = append(append(buf, s...), 0)
 	}
 	wr(a.ID())
 	wr(string(a.Start()))
@@ -61,13 +64,18 @@ func Fingerprint(a psioa.PSIOA, limit int) (string, error) {
 			// Lexicographic successor order, shared with the transition
 			// measure's cached sorted view instead of copied and re-sorted
 			// per call.
-			succs := d.SortedSupport()
-			for _, q2 := range succs {
+			succs, ps := d.SupportAndProbs()
+			for i, q2 := range succs {
 				wr(string(q2))
-				wr(strconv.FormatFloat(d.P(q2), 'g', -1, 64))
+				buf = append(strconv.AppendFloat(buf, ps[i], 'g', -1, 64), 0)
 			}
 		}
+		if len(buf) >= 1<<12 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	fp := fmt.Sprintf("%x", h.Sum(nil))
 	if ex.Truncated {
 		// A truncated exploration identifies only the explored fragment;

@@ -46,6 +46,11 @@ type Product struct {
 	compatOK   map[State]bool
 	transCache map[State]map[Action]*Dist
 	splitCache map[State][]State
+	// spare is the enumerator Trans reuses: callers that build every
+	// transition of a state in a row (Validate, fingerprinting) then look
+	// the state up once. A concurrent Trans that finds it taken uses a
+	// fresh one.
+	spare *prodEnum
 }
 
 // Compose builds the partial composition of the given automata (Def 2.18).
@@ -221,48 +226,21 @@ func (p *Product) Sig(q State) Signature {
 // otherwise.
 func (p *Product) Trans(q State, a Action) *Dist {
 	p.mu.Lock()
-	if m, ok := p.transCache[q]; ok {
-		if d, ok := m[a]; ok {
-			p.mu.Unlock()
-			return d
-		}
+	if d := p.transCache[q][a]; d != nil {
+		p.mu.Unlock()
+		return d
 	}
+	e := p.spare
+	p.spare = nil
 	p.mu.Unlock()
-	if !p.Sig(q).Has(a) {
-		disabledPanic(p.id, q, a)
-	}
-	qs := p.Split(q)
-	// The product measure is built directly over the component
-	// distributions: non-participating components stay put (Dirac), so they
-	// contribute a fixed tuple slot instead of a factor, and participating
-	// factors are consumed in place — no per-factor copies, no intermediate
-	// product. Every tuple combination is emitted exactly once, so the
-	// result is independent of map iteration order.
-	factors := make([]*Dist, len(p.comps))
-	for i, c := range p.comps {
-		if c.Sig(qs[i]).Has(a) {
-			factors[i] = c.Trans(qs[i], a)
-		}
+	if e == nil {
+		e = &prodEnum{}
+		e.emit = e.add
 	}
 	d := measure.New[State]()
-	parts := make([]string, len(p.comps))
-	var rec func(i int, pr float64)
-	rec = func(i int, pr float64) {
-		if i == len(factors) {
-			d.Add(State(codec.EncodeTuple(parts)), pr)
-			return
-		}
-		if factors[i] == nil {
-			parts[i] = string(qs[i])
-			rec(i+1, pr)
-			return
-		}
-		factors[i].ForEach(func(x State, px float64) {
-			parts[i] = string(x)
-			rec(i+1, pr*px)
-		})
-	}
-	rec(0, 1)
+	e.dist = d
+	p.enumerate(e, q, a)
+	e.dist = nil
 	p.mu.Lock()
 	m := p.transCache[q]
 	if m == nil {
@@ -270,8 +248,103 @@ func (p *Product) Trans(q State, a Action) *Dist {
 		p.transCache[q] = m
 	}
 	m[a] = d
+	p.spare = e
 	p.mu.Unlock()
 	return d
+}
+
+// cachedTrans returns the transition measure of (q, a) if Trans has already
+// built it, and nil otherwise.
+func (p *Product) cachedTrans(q State, a Action) *Dist {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.transCache[q][a]
+}
+
+// prodEnum is the scratch space of one enumeration of a product
+// transition's support: per component, its signature at the current state
+// and its factor, plus the component states of the tuple being built and
+// its encoding. It keeps what enumerate looked up about the last state it
+// saw, so a walk that enumerates every action of a state looks the state
+// up once. Trans reuses the product's spare one; Explore's walk has its own
+// for its whole BFS.
+type prodEnum struct {
+	q     State     // the state sig, qs and comps describe (valid if qs != nil)
+	sig   Signature // the product's signature at q
+	qs    []State   // q split into component states
+	comps []prodComp
+	parts []string
+	buf   []byte
+	// emit receives each support element's tuple encoding, valid only
+	// until emit returns, with its product mass.
+	emit func(enc []byte, pr float64)
+	dist *Dist // the measure Trans is building (see add)
+}
+
+// add is Trans's emit: it adds a support element to the measure.
+func (e *prodEnum) add(enc []byte, pr float64) { e.dist.Add(State(enc), pr) }
+
+// prodComp is one component's slot in a prodEnum: its signature at the
+// current state, and its transition measure if it participates in the
+// action being enumerated (nil if it stays put).
+type prodComp struct {
+	sig    Signature
+	factor *Dist
+}
+
+// enumerate is the one product enumerator behind Trans and Explore's walk:
+// it calls e.emit for every element of the support of η_{(P,q,a)} (Def 2.5)
+// without building the measure. Non-participating components stay put
+// (Dirac), so they contribute a fixed tuple slot instead of a factor, and
+// participating factors are consumed in place. Every tuple combination is
+// emitted exactly once; combinations whose mass multiplies out to zero are
+// skipped, as measure.Dist.Add skips them.
+func (p *Product) enumerate(e *prodEnum, q State, a Action) {
+	if e.qs == nil || e.q != q {
+		e.q, e.sig, e.qs = q, p.Sig(q), p.Split(q)
+		if len(e.comps) != len(p.comps) {
+			e.comps = make([]prodComp, len(p.comps))
+			e.parts = make([]string, len(p.comps))
+		}
+		for i, c := range p.comps {
+			e.comps[i].sig = c.Sig(e.qs[i])
+		}
+	}
+	if !e.sig.Has(a) {
+		disabledPanic(p.id, q, a)
+	}
+	for i, c := range p.comps {
+		e.comps[i].factor = nil
+		e.parts[i] = string(e.qs[i])
+		if e.comps[i].sig.Has(a) {
+			e.comps[i].factor = c.Trans(e.qs[i], a)
+		}
+	}
+	e.rec(0, 1)
+}
+
+func (e *prodEnum) rec(i int, pr float64) {
+	if i == len(e.comps) {
+		if pr != 0 {
+			e.buf = codec.AppendTuple(e.buf[:0], e.parts...)
+			e.emit(e.buf, pr)
+		}
+		return
+	}
+	if e.comps[i].factor == nil {
+		e.rec(i+1, pr)
+		return
+	}
+	// The factor's sorted view is built once per measure and iterated as
+	// slices, which costs far less than ranging over its weight map.
+	xs, ps := e.comps[i].factor.SupportAndProbs()
+	for j, x := range xs {
+		if !(ps[j] > 0) { // ForEach's filter
+			continue
+		}
+		e.parts[i] = string(x)
+		e.rec(i+1, pr*ps[j])
+	}
 }
 
 // Atomic wraps an automaton so that Compose treats it as a single

@@ -3,6 +3,7 @@ package psioa
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -65,6 +66,25 @@ func ExploreCtx(ctx context.Context, a PSIOA, limit int, b *resilience.Budget) (
 	start := a.Start()
 	queue := []State{start}
 	seen := map[State]bool{start: true}
+	// fresh collects the unseen successors of one transition. Seen
+	// successors never affect discovery order or truncation, so only
+	// unseen ones are materialised as States.
+	var fresh []State
+	// A product (possibly under hiding or an Atomic wrapper, which share its
+	// states and transitions) is walked over the product of its components'
+	// supports, so exploring builds no product measures. The tuple encoding
+	// goes into one reused buffer and the seen-lookup does not allocate.
+	prod := productOf(a)
+	walk := &prodEnum{emit: func(enc []byte, _ float64) {
+		if seen[State(enc)] {
+			return
+		}
+		if len(seen) >= limit {
+			ex.Truncated = true
+			return
+		}
+		fresh = append(fresh, State(enc))
+	}}
 	for len(queue) > 0 {
 		q := queue[0]
 		queue = queue[1:]
@@ -83,12 +103,12 @@ func ExploreCtx(ctx context.Context, a PSIOA, limit int, b *resilience.Budget) (
 			tr.Emit(obs.Event{Kind: obs.KindStateFound, Name: a.ID(), Attr: string(q), N: int64(len(ex.States))})
 		}
 		// Deterministic discovery order: sorted actions, sorted successors.
-		// This makes truncated explorations reproducible run to run. Both
-		// sorts are memoized: SortedAll per signature identity (states
-		// sharing a signature share the sort) and SortedSupport inside the
-		// transition measure (automata cache transition measures per
-		// (state, action), so revisits — Validate, ActsUniverse, repeated
-		// explorations of a shared automaton — skip the sort entirely).
+		// This makes truncated explorations reproducible run to run.
+		// SortedAll is memoized per signature identity (states sharing a
+		// signature share the sort). A transition measure that already
+		// exists supplies its cached sorted support; otherwise the product
+		// walk enumerates the support and only the fresh successors are
+		// sorted.
 		for _, act := range SortedAll(sig) {
 			ex.Acts.Add(act)
 			nTrans++
@@ -98,15 +118,30 @@ func ExploreCtx(ctx context.Context, a PSIOA, limit int, b *resilience.Budget) (
 			if traced {
 				tr.Emit(obs.Event{Kind: obs.KindTransition, Name: a.ID(), Attr: string(act)})
 			}
-			for _, q2 := range a.Trans(q, act).SortedSupport() {
-				if !seen[q2] {
-					if len(seen) >= limit {
-						ex.Truncated = true
-						continue
+			fresh = fresh[:0]
+			var d *Dist
+			if prod == nil {
+				d = a.Trans(q, act)
+			} else {
+				d = prod.cachedTrans(q, act)
+			}
+			if d != nil {
+				for _, q2 := range d.SortedSupport() {
+					if !seen[q2] {
+						fresh = append(fresh, q2)
 					}
-					seen[q2] = true
-					queue = append(queue, q2)
 				}
+			} else {
+				prod.enumerate(walk, q, act)
+				slices.Sort(fresh)
+			}
+			for _, q2 := range fresh {
+				if len(seen) >= limit {
+					ex.Truncated = true
+					continue
+				}
+				seen[q2] = true
+				queue = append(queue, q2)
 			}
 		}
 	}
@@ -120,6 +155,24 @@ func ExploreCtx(ctx context.Context, a PSIOA, limit int, b *resilience.Budget) (
 		cExploreTrunc.Inc()
 	}
 	return ex, nil
+}
+
+// productOf returns the Product whose states and transitions a shares: a
+// itself, or the product under Hidden and Atomic wrappers. It returns nil
+// for every other automaton.
+func productOf(a PSIOA) *Product {
+	for {
+		switch w := a.(type) {
+		case *Product:
+			return w
+		case *Hidden:
+			a = w.inner
+		case *Atomic:
+			a = w.inner
+		default:
+			return nil
+		}
+	}
 }
 
 // exploreStopped finalises an exploration interrupted by a checkpoint. A

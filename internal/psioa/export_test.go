@@ -1,0 +1,15 @@
+package psioa
+
+// ProductOf exposes productOf to the external test package.
+var ProductOf = productOf
+
+// TransCacheLen reports how many transition measures p has cached.
+func (p *Product) TransCacheLen() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, m := range p.transCache {
+		n += len(m)
+	}
+	return n
+}
