@@ -385,6 +385,28 @@ func BenchmarkMeasureDeepBranching(b *testing.B) {
 	}
 }
 
+// BenchmarkMeasureSortedView measures building the key-ordered view of an
+// execution measure: Len() right after the expansion of a 16-step walk
+// (the measure-kernels workload's largest shape), whose 2^16 halted
+// executions are ordered by one walk over the expansion tree. The
+// expansion itself runs outside the timer.
+func BenchmarkMeasureSortedView(b *testing.B) {
+	w := testaut.RandomWalk("w", 12, 0.5)
+	s := &sched.Greedy{A: w, Bound: 16, LocalOnly: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		em, err := sched.MeasureOpts(context.Background(), w, s, 18, nil, sched.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if em.Len() == 0 {
+			b.Fatal("empty support")
+		}
+	}
+}
+
 // BenchmarkSampleImageMany measures Monte-Carlo image estimation: 1000
 // depth-64 walks per iteration, the SampleImage hot path.
 func BenchmarkSampleImageMany(b *testing.B) {

@@ -309,7 +309,7 @@ func (c *ForwardCtx) ForwardSched(sigma sched.Scheduler) sched.Scheduler {
 			}
 			_, qA, _ := c.splitW1(alpha.LState())
 			choice := sigma.Choose(alpha)
-			out := sched.Halt()
+			out := measure.New[psioa.Action]()
 			choice.ForEach(func(a psioa.Action, p float64) {
 				if c.classify(a, qA) == classAOFwd {
 					// σ asks for A's (renamed) adversary output: in W2 the

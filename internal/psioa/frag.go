@@ -2,6 +2,7 @@ package psioa
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/codec"
 )
@@ -13,23 +14,22 @@ import (
 // fragment cost O(n) total instead of O(n²) slice copying. The canonical
 // key is computed incrementally from the parent's cached key.
 //
-// The lazily cached key is the only mutable (write-once) field; computing
-// it is not synchronized, so the first Key() call on a given fragment must
-// not race with other uses of that fragment. Measure forces the key of
-// every fragment it retains, which is why execution measures shared through
-// the engine cache are safe for concurrent readers.
+// The lazily cached key is published atomically: racing first Key() calls
+// compute the same string and either store wins, so any reader may key any
+// fragment, including those of execution measures shared through the
+// engine cache.
 type Frag struct {
 	parent *Frag // nil iff Len() == 0
 	root   *Frag // first fragment of the chain (self for roots)
 	act    Action
 	last   State
-	depth  int
-	key    string
-	hasKey bool
+	key    atomic.Pointer[string] // write-once canonical key, nil until keyed
+	// depth is Len(); int32 packs it with ord, keeping a Frag at 64 bytes.
+	depth int32
 	// ord+1, where ord is the dense per-expansion intern ID assigned by the
-	// measure kernels (retention order); 0 means unassigned. Like key it is
-	// write-once and unsynchronized: the kernel assigns it single-threaded
-	// before the fragment is shared.
+	// measure kernels (retention order); 0 means unassigned. Unlike key it
+	// is unsynchronized: the kernel assigns it once, single-threaded, before
+	// the fragment is shared.
 	ord uint32
 }
 
@@ -53,7 +53,7 @@ func FromAlternating(states []State, actions []Action) (*Frag, error) {
 }
 
 // Len returns |α|, the number of transitions along the fragment.
-func (f *Frag) Len() int { return f.depth }
+func (f *Frag) Len() int { return int(f.depth) }
 
 // FState returns fstate(α), the first state.
 func (f *Frag) FState() State { return f.root.last }
@@ -96,7 +96,7 @@ func (f *Frag) Actions() []Action {
 // at returns the fragment prefix of length i.
 func (f *Frag) at(i int) *Frag {
 	g := f
-	for g.depth > i {
+	for int(g.depth) > i {
 		g = g.parent
 	}
 	return g
@@ -152,7 +152,7 @@ func (f *Frag) IsPrefixOf(g *Frag) bool {
 	if f.depth > g.depth {
 		return false
 	}
-	y := g.at(f.depth)
+	y := g.at(int(f.depth))
 	for x := f; x != y; x, y = x.parent, y.parent {
 		if x.last != y.last {
 			return false
@@ -180,33 +180,39 @@ func (f *Frag) IsProperPrefixOf(g *Frag) bool {
 // every prefix of an execution (the Measure expansion pattern) does one
 // append per step instead of re-encoding the whole alternating sequence.
 func (f *Frag) Key() string {
-	if f.hasKey {
-		return f.key
+	if k := f.key.Load(); k != nil {
+		return *k
 	}
-	if f.parent != nil && f.parent.hasKey {
-		// Fast path: one append off the parent's cached key (the expansion
-		// pattern, where prefixes are keyed before their extensions).
-		f.key = codec.AppendToTuple(f.parent.key, string(f.act), string(f.last))
-		f.hasKey = true
-		return f.key
+	if f.parent != nil {
+		if pk := f.parent.key.Load(); pk != nil {
+			// Fast path: one append off the parent's cached key (the
+			// expansion pattern, where prefixes are keyed before their
+			// extensions).
+			return *f.setKey(codec.AppendToTuple(*pk, string(f.act), string(f.last)))
+		}
 	}
 	// Collect the unkeyed suffix of the chain, deepest first.
 	var pending []*Frag
 	g := f
-	for g.parent != nil && !g.hasKey {
+	for g.parent != nil && g.key.Load() == nil {
 		pending = append(pending, g)
 		g = g.parent
 	}
-	if !g.hasKey {
-		g.key = codec.EncodeTuple([]string{string(g.last)})
-		g.hasKey = true
+	k := g.key.Load()
+	if k == nil {
+		k = g.setKey(codec.EncodeTuple([]string{string(g.last)}))
 	}
 	for i := len(pending) - 1; i >= 0; i-- {
 		h := pending[i]
-		h.key = codec.AppendToTuple(h.parent.key, string(h.act), string(h.last))
-		h.hasKey = true
+		k = h.setKey(codec.AppendToTuple(*k, string(h.act), string(h.last)))
 	}
-	return f.key
+	return *k
+}
+
+// setKey publishes k as the fragment's key.
+func (f *Frag) setKey(k string) *string {
+	f.key.Store(&k)
+	return &k
 }
 
 // FragFromKey decodes a fragment key produced by Key.

@@ -1,8 +1,11 @@
 package psioa_test
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/psioa"
 )
@@ -135,5 +138,52 @@ func TestFragKeyIncrementalMatchesRebuilt(t *testing.T) {
 	scratch := psioa.NewFrag("s|0").Extend("a\\1", "s1").Extend("a|2", "s\\2")
 	if scratch.Key() != inc {
 		t.Errorf("incremental key %q != scratch key %q", inc, scratch.Key())
+	}
+}
+
+// TestFragKeyConcurrentFirstUse: goroutines that key the fragments of one
+// shared tree for the first time, deepest and shallowest first at once,
+// all read the keys of an identical unshared tree. Under -race this is the
+// check that the key cache is published safely.
+func TestFragKeyConcurrentFirstUse(t *testing.T) {
+	build := func() []*psioa.Frag {
+		fs := []*psioa.Frag{psioa.NewFrag("q|0")}
+		for i := 0; i < 64; i++ {
+			l := hostileLabels[i%len(hostileLabels)]
+			fs = append(fs, fs[i/2].Extend(psioa.Action(l), psioa.State(l+"s")))
+		}
+		return fs
+	}
+	ref, shared := build(), build()
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*len(shared))
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range shared {
+				j := i
+				if g%2 == 1 {
+					j = len(shared) - 1 - i
+				}
+				if got, want := shared[j].Key(), ref[j].Key(); got != want {
+					errs <- fmt.Sprintf("fragment %d keyed %q, want %q", j, got, want)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+// TestFragSize: the expansion and the sampler allocate a Frag per step;
+// on 64-bit platforms it fits the 64-byte size class.
+func TestFragSize(t *testing.T) {
+	var f psioa.Frag
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(f) != 64 {
+		t.Errorf("Frag is %d bytes, want 64", unsafe.Sizeof(f))
 	}
 }

@@ -22,6 +22,11 @@ import (
 
 const choiceCacheLimit = 1 << 16
 
+// haltChoice is the shared empty choice (halt with probability 1) that the
+// built-in schedulers return, so halting at the bound allocates nothing.
+// It must be treated as read-only; Halt returns a fresh one to fill.
+var haltChoice = Halt()
+
 var diracChoices = intern.NewRM[psioa.Action, *Choice](choiceCacheLimit)
 
 // diracChoice returns the shared Dirac choice on a. The result must be

@@ -43,10 +43,10 @@ type DepthOblivious interface {
 // Acts[i] when enabled at q and halts otherwise.
 func (s *Sequence) ChooseAt(q psioa.State, depth int) *Choice {
 	if depth >= len(s.Acts) {
-		return Halt()
+		return haltChoice
 	}
 	if !enabledHas(s.A.Sig(q), s.Acts[depth], s.LocalOnly) {
-		return Halt()
+		return haltChoice
 	}
 	return diracChoice(s.Acts[depth])
 }
@@ -55,11 +55,11 @@ func (s *Sequence) ChooseAt(q psioa.State, depth int) *Choice {
 // q, halting at the bound.
 func (r *Random) ChooseAt(q psioa.State, depth int) *Choice {
 	if depth >= r.Bound {
-		return Halt()
+		return haltChoice
 	}
 	enabled := enabledSorted(r.A.Sig(q), r.LocalOnly)
 	if len(enabled) == 0 {
-		return Halt()
+		return haltChoice
 	}
 	return uniformChoice(enabled)
 }
@@ -68,7 +68,7 @@ func (r *Random) ChooseAt(q psioa.State, depth int) *Choice {
 // priority order at q, halting at the bound.
 func (p *Priority) ChooseAt(q psioa.State, depth int) *Choice {
 	if depth >= p.Bound {
-		return Halt()
+		return haltChoice
 	}
 	sig := p.A.Sig(q)
 	for _, a := range p.Order {
@@ -76,18 +76,18 @@ func (p *Priority) ChooseAt(q psioa.State, depth int) *Choice {
 			return diracChoice(a)
 		}
 	}
-	return Halt()
+	return haltChoice
 }
 
 // ChooseAt implements DepthOblivious: the lexicographically-first enabled
 // action at q, halting at the bound.
 func (g *Greedy) ChooseAt(q psioa.State, depth int) *Choice {
 	if depth >= g.Bound {
-		return Halt()
+		return haltChoice
 	}
 	enabled := enabledSorted(g.A.Sig(q), g.LocalOnly)
 	if len(enabled) == 0 {
-		return Halt()
+		return haltChoice
 	}
 	return diracChoice(enabled[0])
 }
@@ -101,7 +101,7 @@ type boundedOblivious struct {
 
 func (b *boundedOblivious) ChooseAt(q psioa.State, depth int) *Choice {
 	if depth >= b.B {
-		return Halt()
+		return haltChoice
 	}
 	return b.inner.ChooseAt(q, depth)
 }

@@ -330,10 +330,9 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 // shard. Scheduler choices and automaton transitions must be safe for
 // concurrent use (all built-in schedulers are; their choice caches are
 // read-mostly concurrent maps and their identifying fields are read-only).
-// Fragment string keys are never touched here: retention is interned, and
-// keys materialize lazily at the boundary views, whose sync.Once (reached
-// only after every level barrier) provides the happens-before for the
-// write-once key cache.
+// Fragment string keys are never touched here: retention is interned, the
+// measure's ordered views walk the tree without keys, and a key
+// materializes only when a caller asks for it.
 func expandShard(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, b *resilience.Budget, items []parItem, base int, traced bool, out *parShard) {
 	ck := resilience.NewCheckpoint(ctx, b)
 	for j := range items {

@@ -344,3 +344,19 @@ func TestGreedyAndRandomHaltOnEmpty(t *testing.T) {
 		t.Error("schedulers must halt at empty signature")
 	}
 }
+
+// TestHaltAtBoundAllocFree: halting at the bound is the last choice of
+// every sample and every leaf of an expansion, so it returns a shared
+// choice instead of building an empty one.
+func TestHaltAtBoundAllocFree(t *testing.T) {
+	c := testaut.Coin("c", 0.5)
+	g := &sched.Greedy{A: c, Bound: 3}
+	q := c.Start()
+	if n := testing.AllocsPerRun(100, func() {
+		if g.ChooseAt(q, 3).Deficit() != 1 {
+			t.Fatal("greedy must halt at its bound")
+		}
+	}); n != 0 {
+		t.Errorf("Greedy.ChooseAt at the bound allocates %v times per call, want 0", n)
+	}
+}

@@ -84,7 +84,7 @@ func (t *TaskSchedule) position(alpha *psioa.Frag) (int, bool) {
 func (t *TaskSchedule) Choose(alpha *psioa.Frag) *Choice {
 	pos, ok := t.position(alpha)
 	if !ok {
-		return Halt()
+		return haltChoice
 	}
 	q := alpha.LState()
 	for pos < len(t.Tasks) {
@@ -95,10 +95,10 @@ func (t *TaskSchedule) Choose(alpha *psioa.Frag) *Choice {
 		case 1:
 			return measure.Dirac(en[0])
 		default:
-			return Halt() // ambiguous task: not schedulable
+			return haltChoice // ambiguous task: not schedulable
 		}
 	}
-	return Halt()
+	return haltChoice
 }
 
 // CheckTaskDeterminism verifies next-transition determinism on the

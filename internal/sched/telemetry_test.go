@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/psioa"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -163,5 +164,24 @@ func TestStatsSharedAcrossKernels(t *testing.T) {
 	}
 	if len(st.Phases()) != 1 || st.Phases()[0].Calls != calls {
 		t.Errorf("phases = %+v, want one sched.measure row with %d calls", st.Phases(), calls)
+	}
+}
+
+// TestSampleStepsCounter: sched.sample.steps advances by exactly the
+// executed steps of the samples drawn.
+func TestSampleStepsCounter(t *testing.T) {
+	a, s, depth := telemetryWorkload()
+	stream := rng.New(11)
+	before := obs.C("sched.sample.steps").Value()
+	steps := int64(0)
+	for i := 0; i < 50; i++ {
+		f, err := sched.Sample(a, s, stream, depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps += int64(f.Len())
+	}
+	if got := obs.C("sched.sample.steps").Value() - before; got != steps {
+		t.Errorf("sched.sample.steps advanced by %d, samples hold %d steps", got, steps)
 	}
 }
