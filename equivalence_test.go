@@ -12,6 +12,7 @@
 package dse_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -19,6 +20,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/insight"
+	"repro/internal/measure"
 	"repro/internal/protocols/channel"
 	"repro/internal/protocols/ledger"
 	"repro/internal/psioa"
@@ -60,6 +63,44 @@ func sampleFingerprint(a psioa.PSIOA, s sched.Scheduler, seed uint64, maxDepth, 
 		fmt.Fprintf(&b, "S %s %.17g\n", k, d.P(k))
 	}
 	return b.String(), nil
+}
+
+// sampleOptsFingerprint renders the index-substream Monte-Carlo estimate
+// of SampleImageOpts from a fixed seed under the insight f, at workers 1
+// and 8, both directly and through insight.SampleOpts (which folds a
+// state-local insight without building fragments). The estimate depends
+// on neither the worker count nor the route, so all renders must agree
+// before one is pinned.
+func sampleOptsFingerprint(a psioa.PSIOA, s sched.Scheduler, seed uint64, maxDepth, n int, f insight.Insight) (string, error) {
+	var texts []string
+	for _, w := range []int{1, 8} {
+		o := sched.Options{Workers: w}
+		d, err := sched.SampleImageOpts(context.Background(), a, s, rng.New(seed), maxDepth, n,
+			func(fr *psioa.Frag) string { return f.Apply(a, fr) }, nil, o)
+		if err != nil {
+			return "", err
+		}
+		routed, err := insight.SampleOpts(context.Background(), a, s, f, rng.New(seed), maxDepth, n, nil, o)
+		if err != nil {
+			return "", err
+		}
+		texts = append(texts, renderSampleDist(d), renderSampleDist(routed))
+	}
+	for i := range texts {
+		if texts[i] != texts[0] {
+			return "", fmt.Errorf("sampled estimate %d differs across workers 1/8 and the direct/routed samplers", i)
+		}
+	}
+	return texts[0], nil
+}
+
+func renderSampleDist(d *measure.Dist[string]) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "total %.17g\n", d.Total())
+	for _, k := range sortedStrings(d.Support()) {
+		fmt.Fprintf(&b, "S %s %.17g\n", k, d.P(k))
+	}
+	return b.String()
 }
 
 func sortedStrings(ss []string) []string {
@@ -144,6 +185,18 @@ func kernelPinCases() []struct {
 			p := psioa.MustCompose(testaut.Coin("c0", 0.5), testaut.Coin("c1", 0.25))
 			return sampleFingerprint(p, &sched.Random{A: p, Bound: 6, LocalOnly: true}, 99, 8, 2048)
 		}},
+		{"sampleopts/walk-greedy-final", func() (string, error) {
+			w := testaut.RandomWalk("w", 8, 0.5)
+			return sampleOptsFingerprint(w, &sched.Greedy{A: w, Bound: 12, LocalOnly: true}, 42, 14, 4096, insight.Final())
+		}},
+		{"sampleopts/walk-greedy-trace", func() (string, error) {
+			w := testaut.RandomWalk("w", 8, 0.5)
+			return sampleOptsFingerprint(w, &sched.Greedy{A: w, Bound: 12, LocalOnly: true}, 42, 14, 4096, insight.Trace())
+		}},
+		{"sampleopts/coins-random", func() (string, error) {
+			p := psioa.MustCompose(testaut.Coin("c0", 0.5), testaut.Coin("c1", 0.25))
+			return sampleOptsFingerprint(p, &sched.Random{A: p, Bound: 6, LocalOnly: true}, 99, 8, 2048, insight.Trace())
+		}},
 		{"explore/channel-world", func() (string, error) {
 			w := psioa.MustCompose(channel.Env("x", 1), channel.Real("x"), channel.Eavesdropper("x"))
 			return exploreFingerprint(w, 100000)
@@ -168,8 +221,13 @@ var kernelPins = map[string]string{
 	"measure/depth-zero":      "e020509bfe71c0fda3b2273589d992272ceba775b7366e428b209ff758950531",
 	"sample/walk-greedy":      "e99e43fefe78568e1b337c6b98bb78c1f959863487be0f07136d11d6e80ad2b2",
 	"sample/coins-random":     "947552f461f5c1ceb2715f177b5252c75c88c3951d49d95d0487823fd63de7a9",
-	"explore/channel-world":   "8c374ed9566b073397962485cacd251a960ed0f2bd19a4135244829540d3d41e",
-	"explore/walk-truncated":  "c4e1398c24f1defed3cd320836acf101beba28b5567d0c41c09656b67e5d82f2",
+	// Captured before the sampling kernels read the depth-oblivious step
+	// table: the index-substream sampler at workers 1 and 8.
+	"sampleopts/walk-greedy-final": "36a4ba1a826973ae0f350945d6732c9308428985fd70a61d5c29f292addbdb48",
+	"sampleopts/walk-greedy-trace": "154bc6e8a07704d8d8ddd129ed0deaf5f6cb2323c2e182d60e54df8cea6d5404",
+	"sampleopts/coins-random":      "1239831dddeda1df148a1e2d7b7ff39b4868dc13602f7be49ac4975fb22c22f9",
+	"explore/channel-world":        "8c374ed9566b073397962485cacd251a960ed0f2bd19a4135244829540d3d41e",
+	"explore/walk-truncated":       "c4e1398c24f1defed3cd320836acf101beba28b5567d0c41c09656b67e5d82f2",
 	// Captured from the product-measure exploration that the support walk
 	// replaced: a truncated product pins discovery order at the cut.
 	"explore/channel-world-truncated": "0f29645994912509fb2206b5e0039ccd9c15a064e60476f339853dae2cffca9f",

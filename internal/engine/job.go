@@ -458,9 +458,7 @@ func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience
 		// Index-substream sampling: the estimate is identical for any
 		// -workers setting (including 1), deterministic per seed.
 		stream := rng.New(ss.Seed)
-		d, err := sched.SampleImageOpts(ctx, w, s, stream, depth, ss.Samples, func(fr *psioa.Frag) string {
-			return ins.Apply(w, fr)
-		}, bud, r.kernelOpts(st))
+		d, err := insight.SampleOpts(ctx, w, s, ins, stream, depth, ss.Samples, bud, r.kernelOpts(st))
 		if err != nil {
 			return nil, err
 		}

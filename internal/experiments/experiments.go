@@ -1,4 +1,4 @@
-// Package experiments implements the reproduction experiment suite E1–E18
+// Package experiments implements the reproduction experiment suite E1–E23
 // (see DESIGN.md §4 and EXPERIMENTS.md). The paper is a brief announcement
 // with no empirical section, so each experiment validates one of its
 // lemmas/theorems on calibrated instances and reports the measured
@@ -33,7 +33,7 @@ import (
 
 // Table is one experiment's output.
 type Table struct {
-	// ID is the experiment identifier (E1..E10).
+	// ID is the experiment identifier (E1..E23).
 	ID string `json:"id"`
 	// Title states the claim under test with its paper reference.
 	Title string `json:"title"`

@@ -25,6 +25,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/psioa"
 	"repro/internal/resilience"
+	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
@@ -183,6 +184,25 @@ func FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight,
 		tr.Emit(obs.Event{Kind: obs.KindProbe, Name: f.ID, Attr: s.Name(), N: int64(img.Len())})
 	}
 	return img, nil
+}
+
+// SampleOpts estimates f-dist_{(E,A)}(σ) from n samples with
+// sched.SampleImageOpts, routed the way FDistOpts routes the exact image: a
+// state-local insight under a depth-oblivious scheduler folds each sample
+// to its final (state, depth) through sched.SampleStateImageOpts and builds
+// no fragment. Both routes draw the same samples, so the estimate does not
+// depend on the route.
+func SampleOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight, stream *rng.Stream, maxDepth, n int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error) {
+	if f.StateLocal != nil {
+		if dob, ok := sched.AsDepthOblivious(s); ok {
+			return sched.SampleStateImageOpts(ctx, w, dob, stream, maxDepth, n, func(q psioa.State, depth int) string {
+				return f.StateLocal(w, q, depth)
+			}, b, o)
+		}
+	}
+	return sched.SampleImageOpts(ctx, w, s, stream, maxDepth, n, func(fr *psioa.Frag) string {
+		return f.Apply(w, fr)
+	}, b, o)
 }
 
 // Distance returns the Def 3.6 distance between two external perceptions:

@@ -68,6 +68,26 @@ func TestSampleBoundaries(t *testing.T) {
 	if _, ok := sub.Sample(0.75); ok {
 		t.Error("Sample beyond total mass should fail")
 	}
+	if _, ok := sub.SampleIndex(0.75); ok {
+		t.Error("SampleIndex beyond total mass should fail")
+	}
+}
+
+// TestSampleIndexAgreesWithSample: SampleIndex draws the position of the
+// element Sample draws, in the SupportAndProbs order.
+func TestSampleIndexAgreesWithSample(t *testing.T) {
+	d := New[string]()
+	d.Add("c", 0.125)
+	d.Add("a", 0.5)
+	d.Add("b", 0.25)
+	keys, _ := d.SupportAndProbs()
+	for u := 0.0; u < 1; u += 1.0 / 64 {
+		x, ok := d.Sample(u)
+		i, iok := d.SampleIndex(u)
+		if ok != iok || (ok && keys[i] != x) {
+			t.Errorf("u=%v: Sample = %v,%v but SampleIndex = %v,%v", u, x, ok, i, iok)
+		}
+	}
 }
 
 func TestTotalSortedOrderDeterministic(t *testing.T) {

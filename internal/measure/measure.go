@@ -483,13 +483,22 @@ func TVDistance[T comparable](d, e *Dist[T]) float64 {
 // draws from one distribution cost O(log n) each instead of an O(n log n)
 // sort per draw.
 func (d *Dist[T]) Sample(u float64) (x T, ok bool) {
-	c := d.view()
-	i := sort.Search(len(c.cum), func(i int) bool { return c.cum[i] > u })
-	if i < len(c.cum) {
-		return c.keys[i], true
+	if i, ok := d.SampleIndex(u); ok {
+		return d.view().keys[i], true
 	}
 	var zero T
 	return zero, false
+}
+
+// SampleIndex is Sample returning the position of the drawn element in
+// the sorted support (SortedSupport, SupportAndProbs) instead of the
+// element: the same binary search over the same prefix sums, so for every
+// u both draw the same element. Kernels that keep per-element data
+// aligned with the sorted support index it directly.
+func (d *Dist[T]) SampleIndex(u float64) (int, bool) {
+	c := d.view()
+	i := sort.Search(len(c.cum), func(i int) bool { return c.cum[i] > u })
+	return i, i < len(c.cum)
 }
 
 // String renders the distribution deterministically for diagnostics.

@@ -53,7 +53,7 @@ const (
 	// KindEmuRound is one adversary/simulator round of a secure-emulation
 	// check (Name = adversary id, Attr = verdict).
 	KindEmuRound Kind = "emulation.round"
-	// KindExperiment is one completed experiment of the E1..E17 suite.
+	// KindExperiment is one completed experiment of the E1..E23 suite.
 	KindExperiment Kind = "experiment"
 	// KindShard is one shard of one level of a parallel kernel (Name =
 	// scheduler, Attr = "L<level>.S<shard>", N = items expanded, Dur =

@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 fail=0
 
 # Kernel files: no string-keyed maps at all.
-for f in internal/sched/dag.go internal/sched/parallel.go; do
+for f in internal/sched/dag.go internal/sched/parallel.go internal/sched/steptable.go; do
     if grep -n 'map\[string\]\|map\[psioa\.State\]' "$f"; then
         echo "no_string_keys: $f: string-keyed map in an interned kernel file" >&2
         fail=1
