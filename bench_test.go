@@ -1,5 +1,6 @@
-// Benchmarks for the reproduction experiment suite (E1–E23, see DESIGN.md
-// §4 and EXPERIMENTS.md) plus micro-benchmarks of the framework kernels.
+// Benchmarks for the reproduction experiment suite (E1–E18, E20, E22, see
+// DESIGN.md §4 and EXPERIMENTS.md) plus micro-benchmarks of the framework
+// kernels.
 // Each experiment benchmark exercises the same code path as the
 // corresponding cmd/dsebench table.
 package dse_test

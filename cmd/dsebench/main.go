@@ -1,6 +1,7 @@
-// dsebench runs the reproduction experiment suite E1–E23 (see DESIGN.md and
-// EXPERIMENTS.md): each experiment validates one lemma or theorem of the
-// paper on calibrated instances and prints a table of measured quantities.
+// dsebench runs the reproduction experiment suite E1–E18, E20, E22 (see
+// DESIGN.md and EXPERIMENTS.md): each experiment validates one lemma or
+// theorem of the paper on calibrated instances and prints a table of
+// measured quantities.
 //
 // Usage:
 //
@@ -31,7 +32,7 @@ import (
 var ocli obs.CLI
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (E1..E23)")
+	only := flag.String("only", "", "run a single experiment (E1–E18, E20, E22)")
 	workers := flag.Int("workers", 1, "experiment parallelism (engine pool size; 1 = sequential; per-kernel worker counts are recorded in the JSON output)")
 	jsonOut := flag.String("json", "", "write machine-readable results (one JSON object per benchmark) to `file` (\"-\" for stdout)")
 	timeout := flag.Duration("timeout", 0, "abort after this wall-clock time (0 = no limit)")

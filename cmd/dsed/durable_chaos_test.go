@@ -19,13 +19,14 @@ import (
 
 // durableDaemon is one in-process daemon incarnation over a shared durable
 // directory, mirroring main()'s wiring: journal sink on the job store, disk
-// store behind the cache's raw namespace, journal replay before serving.
+// store under the cache's memory view, journal replay before serving.
 type durableDaemon struct {
-	ts    *httptest.Server
-	dm    *durable.Manager
-	store *engine.Store
-	stats durable.ReplayStats
-	kill  context.CancelFunc
+	ts     *httptest.Server
+	dm     *durable.Manager
+	store  *engine.Store
+	runner *engine.Runner
+	stats  durable.ReplayStats
+	kill   context.CancelFunc
 }
 
 func startDurableDaemon(t *testing.T, dir string) *durableDaemon {
@@ -41,6 +42,14 @@ func startDurableDaemon(t *testing.T, dir string) *durableDaemon {
 	dm := durable.NewManager(jr, ds)
 	st := engine.NewStoreWith(engine.StoreConfig{Journal: dm})
 	ctx, cancel := context.WithCancel(context.Background())
+	// Cleanups run last in, first out: cancel the jobs, then wait for them
+	// and their store publications, which land after a job reads as done,
+	// so none writes into the test's directory while it is removed.
+	t.Cleanup(func() {
+		drainCtx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer dcancel()
+		st.Drain(drainCtx)
+	})
 	t.Cleanup(cancel)
 	s := &server{
 		// One worker slot: submissions past the first provably sit queued
@@ -52,7 +61,7 @@ func startDurableDaemon(t *testing.T, dir string) *durableDaemon {
 		ctx:     ctx,
 		started: time.Now(),
 	}
-	s.runner.Cache.SetRawBacking(ds)
+	s.runner.Results = engine.Tiered(s.runner.Results, ds)
 	stats, err := dm.Replay(ctx, st, s.runner)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
@@ -60,7 +69,7 @@ func startDurableDaemon(t *testing.T, dir string) *durableDaemon {
 	dm.SetReplay(stats)
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
-	return &durableDaemon{ts: ts, dm: dm, store: st, stats: stats, kill: cancel}
+	return &durableDaemon{ts: ts, dm: dm, store: st, runner: s.runner, stats: stats, kill: cancel}
 }
 
 func submitAsync(t *testing.T, d *durableDaemon, body string) string {

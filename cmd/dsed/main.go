@@ -69,7 +69,7 @@ func main() {
 	}
 
 	// Durability layer: a disk-backed content-addressed store under the
-	// cache's raw namespace, plus a write-ahead journal of async job
+	// cache's memory view, plus a write-ahead journal of async job
 	// lifecycles. Either piece runs alone; both empty means the daemon is
 	// memory-only, exactly as before.
 	var dm *durable.Manager
@@ -122,11 +122,11 @@ func main() {
 	}
 	srv.runner.WorkerID = *workerID
 	if dm != nil && dm.Store() != nil {
-		// The disk store becomes the tier under the cache's raw namespace:
-		// memory misses fall through to it, raw puts write through, so the
-		// warm store survives restarts and cluster peers are served from
-		// disk after a worker bounce.
-		srv.runner.Cache.SetRawBacking(dm.Store())
+		// The disk store becomes the tier under the cache's memory view:
+		// memory misses fall through to it, store puts write through, so
+		// the warm store survives restarts and cluster peers are served
+		// from disk after a worker bounce.
+		srv.runner.Results = engine.Tiered(srv.runner.Results, dm.Store())
 	}
 	if dm != nil {
 		// Replay the journal before accepting traffic: completed results

@@ -39,7 +39,7 @@ type server struct {
 	// are sharded across the cluster's workers instead of run locally.
 	coord *cluster.Coordinator
 	// durable, when non-nil, is the crash-safety layer (-store-dir /
-	// -journal): the disk store backing the cache's raw namespace and the
+	// -journal): the disk tier of the runner's result store and the
 	// write-ahead job journal (see docs/DURABILITY.md).
 	durable *durable.Manager
 	// budget is the default per-job work budget applied when a request
@@ -102,7 +102,7 @@ func (s *server) handler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/store/{key}", func(w http.ResponseWriter, r *http.Request) {
 		cHTTPRequests.Inc()
-		data, err := s.runner.Cache.GetRaw(r.PathValue("key"))
+		data, err := s.runner.Results.Get(r.Context(), r.PathValue("key"))
 		if err != nil {
 			httpError(w, http.StatusNotFound, err)
 			return
@@ -113,14 +113,18 @@ func (s *server) handler() http.Handler {
 	})
 	mux.HandleFunc("PUT /v1/store/{key}", func(w http.ResponseWriter, r *http.Request) {
 		cHTTPRequests.Inc()
-		// The store rides the bounded striped cache, so an oversized body
-		// only wastes transfer; cap it anyway to keep a bad peer cheap.
+		// The store's memory tier is the bounded striped cache, so an
+		// oversized body only wastes transfer; cap it anyway to keep a bad
+		// peer cheap.
 		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxStoreEntry))
 		if err != nil {
 			httpError(w, http.StatusRequestEntityTooLarge, err)
 			return
 		}
-		s.runner.Cache.PutRaw(r.PathValue("key"), data)
+		if err := s.runner.Results.Put(r.Context(), r.PathValue("key"), data); err != nil {
+			httpError(w, http.StatusInternalServerError, err)
+			return
+		}
 		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,7 @@
 package dse_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,9 @@ import (
 
 	"repro/internal/durable"
 )
+
+// ctx is the context of the tests' store calls.
+var ctx = context.Background()
 
 func TestDurableStoreKernelPins(t *testing.T) {
 	dir := t.TempDir()
@@ -26,7 +30,7 @@ func TestDurableStoreKernelPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Put(c.name, []byte(text)); err != nil {
+		if err := s.Put(ctx, c.name, []byte(text)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,7 +42,7 @@ func TestDurableStoreKernelPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cases {
-		data, err := s2.Get(c.name)
+		data, err := s2.Get(ctx, c.name)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -72,17 +76,17 @@ func TestDurableStoreKernelPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cases {
-		if _, err := s3.Get(c.name); err == nil {
+		if _, err := s3.Get(ctx, c.name); err == nil {
 			t.Fatalf("%s: bit-flipped entry served", c.name)
 		}
 		text, err := c.text() // recompute
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s3.Put(c.name, []byte(text)); err != nil {
+		if err := s3.Put(ctx, c.name, []byte(text)); err != nil {
 			t.Fatal(err)
 		}
-		data, err := s3.Get(c.name)
+		data, err := s3.Get(ctx, c.name)
 		if err != nil {
 			t.Fatal(err)
 		}

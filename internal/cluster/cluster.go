@@ -6,11 +6,11 @@
 // docs/CLUSTER.md):
 //
 //   - Backend is the small surface a worker exposes — run a job, answer a
-//     health probe, and serve a content-addressed result store. Three
-//     implementations ship: LocalBackend (an in-process engine.Runner),
-//     RemoteBackend (dsed's HTTP job API behind a mutex-guarded client with
-//     automatic redial/backoff), and MockBackend (scripted failures for
-//     tests).
+//     health probe, and expose its content-addressed result store (an
+//     engine.Blobs). Three implementations ship: LocalBackend (an
+//     in-process engine.Runner), RemoteBackend (dsed's HTTP job API behind
+//     a mutex-guarded client with automatic redial/backoff), and
+//     MockBackend (scripted failures for tests).
 //   - The Coordinator shards a check job's (env, scheduler) sweep by
 //     environment — the outer quantifier of Def 4.12, whose per-env pair
 //     blocks are independent — assigning each shard to a worker by
@@ -76,17 +76,19 @@ type Backend interface {
 	Run(ctx context.Context, job engine.Job) (*engine.Result, error)
 	// Health probes liveness; nil means the node can accept work.
 	Health(ctx context.Context) error
-	// StoreGet fetches the canonical bytes stored under a content
-	// fingerprint key, or an error wrapping engine.ErrCacheMiss.
-	StoreGet(ctx context.Context, key string) ([]byte, error)
-	// StorePut publishes canonical bytes under a content fingerprint key.
-	StorePut(ctx context.Context, key string, data []byte) error
-	// Stats returns the node's cumulative traffic counters.
+	// Store returns the node's content-addressed result store. A miss
+	// wraps engine.ErrNotFound; an unreachable node fails with
+	// UnreachableError, like Run.
+	Store() engine.Blobs
+	// Stats returns the node's cumulative job traffic counters; the
+	// coordinator fills in the store counters, which it counts itself.
 	Stats() BackendStats
 }
 
 // BackendStats are one backend's cumulative counters, surfaced per worker
-// in the coordinator's /v1/debug section.
+// in the coordinator's /v1/debug section. The store counters count the
+// coordinator's own calls to the node's store: gets, gets that returned
+// bytes, and puts.
 type BackendStats struct {
 	Jobs      int64 `json:"jobs"`
 	Errors    int64 `json:"errors"`

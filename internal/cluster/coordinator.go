@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -28,13 +28,17 @@ type Coordinator struct {
 	// means a single attempt.
 	Retry resilience.Backoff
 
+	// stores counts the coordinator's calls to each worker's store; the
+	// map is fixed at construction.
+	stores map[string]*storeTraffic
+
 	mu   sync.Mutex
 	down map[string]bool
 
-	dispatched int64
-	rerouted   int64
-	storeHits  int64
-	storeMiss  int64
+	dispatched atomic.Int64
+	rerouted   atomic.Int64
+	storeHits  atomic.Int64
+	storeMiss  atomic.Int64
 }
 
 // NewCoordinator builds a coordinator over backends. Backend order is the
@@ -45,15 +49,19 @@ func NewCoordinator(backends ...Backend) (*Coordinator, error) {
 	if len(backends) == 0 {
 		return nil, ErrNoWorkers
 	}
-	seen := make(map[string]bool, len(backends))
+	stores := make(map[string]*storeTraffic, len(backends))
 	for _, b := range backends {
-		if seen[b.ID()] {
+		if stores[b.ID()] != nil {
 			return nil, fmt.Errorf("cluster: duplicate worker id %q", b.ID())
 		}
-		seen[b.ID()] = true
+		stores[b.ID()] = &storeTraffic{}
 	}
-	return &Coordinator{backends: backends, down: make(map[string]bool)}, nil
+	return &Coordinator{backends: backends, stores: stores, down: make(map[string]bool)}, nil
 }
+
+// storeTraffic is one worker's store gets, gets that returned bytes, and
+// puts, as the coordinator made them.
+type storeTraffic struct{ gets, hits, puts atomic.Int64 }
 
 // ShardResult records where one shard of a job ran and how it was served.
 type ShardResult struct {
@@ -103,13 +111,15 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := CoordinatorStats{
-		Dispatched:  c.dispatched,
-		Rerouted:    c.rerouted,
-		StoreHits:   c.storeHits,
-		StoreMisses: c.storeMiss,
+		Dispatched:  c.dispatched.Load(),
+		Rerouted:    c.rerouted.Load(),
+		StoreHits:   c.storeHits.Load(),
+		StoreMisses: c.storeMiss.Load(),
 	}
 	for _, b := range c.backends {
-		st.Workers = append(st.Workers, WorkerStatus{ID: b.ID(), Down: c.down[b.ID()], Stats: b.Stats()})
+		bs, t := b.Stats(), c.stores[b.ID()]
+		bs.StoreGets, bs.StoreHits, bs.StorePuts = t.gets.Load(), t.hits.Load(), t.puts.Load()
+		st.Workers = append(st.Workers, WorkerStatus{ID: b.ID(), Down: c.down[b.ID()], Stats: bs})
 	}
 	return st
 }
@@ -313,22 +323,16 @@ func (c *Coordinator) runShard(ctx context.Context, job engine.Job, env string) 
 	key := job.Fingerprint()
 	sh := ShardResult{Key: key, Env: env}
 	cDispatched.Inc()
-	c.mu.Lock()
-	c.dispatched++
-	c.mu.Unlock()
+	c.dispatched.Add(1)
 
-	if res, node := c.storeLookup(ctx, key); res != nil {
+	if res, node := c.storeLookup(ctx, key, job.Kind); res != nil {
 		cRemoteHits.Inc()
-		c.mu.Lock()
-		c.storeHits++
-		c.mu.Unlock()
+		c.storeHits.Add(1)
 		sh.Worker, sh.FromStore = node, true
 		return res, sh, nil
 	}
 	cRemoteMiss.Inc()
-	c.mu.Lock()
-	c.storeMiss++
-	c.mu.Unlock()
+	c.storeMiss.Add(1)
 
 	tried := make(map[string]bool)
 	var lastErr error
@@ -366,17 +370,16 @@ func (c *Coordinator) runShard(ctx context.Context, job engine.Job, env string) 
 		}
 		sh.Rerouted++
 		cRerouted.Inc()
-		c.mu.Lock()
-		c.rerouted++
-		c.mu.Unlock()
+		c.rerouted.Add(1)
 	}
 }
 
 // storeLookup consults the shard's rendezvous owner first, then the
-// remaining live nodes in configured order. A decodable hit from any node
-// is authoritative: entries are content-addressed by the full job
-// fingerprint, so byte-identity cannot depend on which node answered.
-func (c *Coordinator) storeLookup(ctx context.Context, key string) (*engine.Result, string) {
+// remaining live nodes in configured order. A hit from any node that
+// decodes as a result of the job's kind is authoritative: entries are
+// content-addressed by the full job fingerprint, so byte-identity cannot
+// depend on which node answered.
+func (c *Coordinator) storeLookup(ctx context.Context, key, kind string) (*engine.Result, string) {
 	live := c.liveIDs(nil)
 	if len(live) == 0 {
 		return nil, ""
@@ -390,39 +393,33 @@ func (c *Coordinator) storeLookup(ctx context.Context, key string) (*engine.Resu
 		}
 	}
 	for _, id := range order {
-		b := c.backend(id)
-		data, err := b.StoreGet(ctx, key)
+		c.stores[id].gets.Add(1)
+		data, err := c.backend(id).Store().Get(ctx, key)
 		if err != nil {
 			if IsUnreachable(err) {
 				c.markDown(id)
 			}
 			continue
 		}
-		res := &engine.Result{}
-		if json.Unmarshal(data, res) != nil || res.Kind == "" {
-			continue
+		c.stores[id].hits.Add(1)
+		if res := engine.DecodeResult(data, kind); res != nil {
+			return res, id
 		}
-		return res, id
 	}
 	return nil, ""
 }
 
 // storePublish writes the shard result to the store of the node that
-// computed it, stripped of its run telemetry (a per-run account, not
-// content). Partial simulate results are never published, mirroring the
-// engine cache's partials-are-never-cached rule; unmarshalable results
-// (e.g. +Inf distances) are skipped — the shard still returns normally.
+// computed it, by engine.EncodeResult's rule (run telemetry stripped,
+// partial and unmarshalable results skipped — the shard still returns
+// normally).
 func (c *Coordinator) storePublish(ctx context.Context, b Backend, key string, res *engine.Result) {
-	if res == nil || (res.Simulate != nil && res.Simulate.Partial) {
+	data, ok := engine.EncodeResult(res)
+	if !ok {
 		return
 	}
-	stored := *res
-	stored.Report = nil
-	data, err := json.Marshal(&stored)
-	if err != nil {
-		return
-	}
-	if b.StorePut(ctx, key, data) == nil {
+	c.stores[b.ID()].puts.Add(1)
+	if b.Store().Put(ctx, key, data) == nil {
 		cStorePuts.Inc()
 	}
 }

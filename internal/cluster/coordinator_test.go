@@ -348,3 +348,41 @@ func TestCoordinatorSimulateStoreRoundTrip(t *testing.T) {
 		t.Fatalf("second simulate run not store-served: %+v", res2.Shards)
 	}
 }
+
+// TestCoordinatorStoreStatsBackendAgnostic pins that per-worker store
+// traffic is counted by the coordinator, not by each backend: one cold and
+// one warm pass over an in-process cluster and over a mock cluster with the
+// same worker IDs report the same store gets, hits and puts per worker.
+func TestCoordinatorStoreStatsBackendAgnostic(t *testing.T) {
+	ids := []string{"w0", "w1"}
+	traffic := func(backends ...cluster.Backend) map[string]cluster.BackendStats {
+		coord, err := cluster.NewCoordinator(backends...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			if _, err := coord.Run(context.Background(), chanJob()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := make(map[string]cluster.BackendStats)
+		for _, w := range coord.Stats().Workers {
+			out[w.ID] = cluster.BackendStats{StoreGets: w.Stats.StoreGets, StoreHits: w.Stats.StoreHits, StorePuts: w.Stats.StorePuts}
+		}
+		return out
+	}
+	local := traffic(cluster.NewLocalBackend(ids[0], newRunner()), cluster.NewLocalBackend(ids[1], newRunner()))
+	mock := traffic(cluster.NewMockBackend(ids[0], newRunner()), cluster.NewMockBackend(ids[1], newRunner()))
+	var puts, hits int64
+	for _, id := range ids {
+		if local[id] != mock[id] {
+			t.Errorf("worker %s store traffic: local %+v, mock %+v", id, local[id], mock[id])
+		}
+		puts += local[id].StorePuts
+		hits += local[id].StoreHits
+	}
+	// Two shards computed and published once, then both served warm.
+	if puts != 2 || hits != 2 {
+		t.Errorf("store traffic = %+v, want 2 puts and 2 hits in all", local)
+	}
+}

@@ -30,7 +30,7 @@ func TestLocalBackendDiskWarmRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := newRunner()
-		r.Cache.SetRawBacking(ds)
+		r.Results = engine.Tiered(r.Results, ds)
 		coord, err := cluster.NewCoordinator(cluster.NewLocalBackend("w0", r))
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func TestReprobeRevivesIdleCluster(t *testing.T) {
 }
 
 // TestRemoteBackendStoreOpRestartTransient is the regression for store
-// round-trips racing a worker restart: a bare 500 mid-StorePut (the
+// round-trips racing a worker restart: a bare 500 mid-put (the
 // listener is up before the store is wired) is retried as a transient blip
 // and succeeds; exhausted retries classify as unreachable — never as a
 // permanent job-level WorkerError. A 503 shed keeps its own semantics.
@@ -148,8 +148,8 @@ func TestRemoteBackendStoreOpRestartTransient(t *testing.T) {
 
 	// One restart blip: the put retries through it.
 	failures.Store(1)
-	if err := b.StorePut(context.Background(), "job-1", []byte("data")); err != nil {
-		t.Fatalf("StorePut through a restart blip = %v, want nil", err)
+	if err := b.Store().Put(context.Background(), "job-1", []byte("data")); err != nil {
+		t.Fatalf("store put through a restart blip = %v, want nil", err)
 	}
 	if puts.Load() != 1 {
 		t.Fatalf("puts = %d, want 1", puts.Load())
@@ -157,8 +157,8 @@ func TestRemoteBackendStoreOpRestartTransient(t *testing.T) {
 
 	// Same for the read side.
 	failures.Store(1)
-	if _, err := b.StoreGet(context.Background(), "job-1"); err != nil {
-		t.Fatalf("StoreGet through a restart blip = %v, want nil", err)
+	if _, err := b.Store().Get(context.Background(), "job-1"); err != nil {
+		t.Fatalf("store get through a restart blip = %v, want nil", err)
 	}
 
 	// A restart outlasting the retry budget is unreachable (re-probe
@@ -166,7 +166,7 @@ func TestRemoteBackendStoreOpRestartTransient(t *testing.T) {
 	// the original 500 stays visible in the chain but the classification is
 	// transport-level, not job-level.
 	failures.Store(100)
-	err := b.StorePut(context.Background(), "job-2", []byte("data"))
+	err := b.Store().Put(context.Background(), "job-2", []byte("data"))
 	if !cluster.IsUnreachable(err) {
 		t.Fatalf("exhausted store put = %v, want UnreachableError", err)
 	}
@@ -187,7 +187,7 @@ func TestRemoteBackendStoreOpShedStaysWorkerError(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	b := cluster.NewRemoteBackend("w0", ts.URL, resilience.Backoff{Attempts: 2, Base: time.Millisecond})
-	err := b.StorePut(context.Background(), "job-1", []byte("data"))
+	err := b.Store().Put(context.Background(), "job-1", []byte("data"))
 	if cluster.IsUnreachable(err) {
 		t.Fatalf("shed store put classified unreachable: %v", err)
 	}

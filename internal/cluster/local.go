@@ -16,11 +16,8 @@ type LocalBackend struct {
 	runner *engine.Runner
 	id     string
 
-	jobs      atomic.Int64
-	errs      atomic.Int64
-	storeGets atomic.Int64
-	storeHits atomic.Int64
-	storePuts atomic.Int64
+	jobs atomic.Int64
+	errs atomic.Int64
 }
 
 // NewLocalBackend wraps runner as a backend named id. The runner's
@@ -29,9 +26,6 @@ func NewLocalBackend(id string, runner *engine.Runner) *LocalBackend {
 	runner.WorkerID = id
 	return &LocalBackend{runner: runner, id: id}
 }
-
-// Runner exposes the wrapped runner (tests warm or inspect its cache).
-func (b *LocalBackend) Runner() *engine.Runner { return b.runner }
 
 // ID implements Backend.
 func (b *LocalBackend) ID() string { return b.id }
@@ -50,36 +44,10 @@ func (b *LocalBackend) Run(ctx context.Context, job engine.Job) (*engine.Result,
 // Health implements Backend; an in-process runner is always reachable.
 func (b *LocalBackend) Health(ctx context.Context) error { return ctx.Err() }
 
-// StoreGet implements Backend over the runner cache's raw-bytes path.
-func (b *LocalBackend) StoreGet(ctx context.Context, key string) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	b.storeGets.Add(1)
-	data, err := b.runner.Cache.GetRaw(key)
-	if err == nil {
-		b.storeHits.Add(1)
-	}
-	return data, err
-}
-
-// StorePut implements Backend over the runner cache's raw-bytes path.
-func (b *LocalBackend) StorePut(ctx context.Context, key string, data []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	b.storePuts.Add(1)
-	b.runner.Cache.PutRaw(key, data)
-	return nil
-}
+// Store implements Backend with the runner's result store.
+func (b *LocalBackend) Store() engine.Blobs { return b.runner.Results }
 
 // Stats implements Backend.
 func (b *LocalBackend) Stats() BackendStats {
-	return BackendStats{
-		Jobs:      b.jobs.Load(),
-		Errors:    b.errs.Load(),
-		StoreGets: b.storeGets.Load(),
-		StoreHits: b.storeHits.Load(),
-		StorePuts: b.storePuts.Load(),
-	}
+	return BackendStats{Jobs: b.jobs.Load(), Errors: b.errs.Load()}
 }

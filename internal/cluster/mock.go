@@ -18,15 +18,17 @@ type MockBackend struct {
 	// Runner, when set, computes jobs for real; without it Run fails.
 	runner *engine.Runner
 
-	mu    sync.Mutex
-	dead  bool
-	store map[string][]byte
+	// store is the node's memory store, reachable only while alive.
+	store engine.Blobs
+
+	mu   sync.Mutex
+	dead bool
 	// failNext errors the next n Run calls with a transport failure.
 	failNext int
 	// hook, when set, runs before each job; a non-nil return preempts it.
 	hook func(job engine.Job) error
-	// log records every job fingerprint this backend was asked to run.
-	log []string
+	// jobs counts the jobs this backend was asked to run.
+	jobs int64
 }
 
 // NewMockBackend builds a mock named id. runner may be nil for tests that
@@ -35,7 +37,7 @@ func NewMockBackend(id string, runner *engine.Runner) *MockBackend {
 	if runner != nil {
 		runner.WorkerID = id
 	}
-	return &MockBackend{id: id, runner: runner, store: make(map[string][]byte)}
+	return &MockBackend{id: id, runner: runner, store: engine.NewCache(0).Blobs()}
 }
 
 // ID implements Backend.
@@ -71,17 +73,10 @@ func (b *MockBackend) SetHook(fn func(job engine.Job) error) {
 	b.hook = fn
 }
 
-// Log returns the fingerprints of every job routed to this backend.
-func (b *MockBackend) Log() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]string(nil), b.log...)
-}
-
 // Run implements Backend.
 func (b *MockBackend) Run(ctx context.Context, job engine.Job) (*engine.Result, error) {
 	b.mu.Lock()
-	b.log = append(b.log, job.Fingerprint())
+	b.jobs++
 	dead, hook := b.dead, b.hook
 	failing := b.failNext > 0
 	if failing {
@@ -115,34 +110,29 @@ func (b *MockBackend) Health(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// StoreGet implements Backend over the in-memory map.
-func (b *MockBackend) StoreGet(ctx context.Context, key string) ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.dead {
-		return nil, &UnreachableError{Node: b.id, Err: errors.New("node down")}
+// Store implements Backend: a memory store that fails like Run while the
+// node is dead.
+func (b *MockBackend) Store() engine.Blobs { return mockStore{b} }
+
+type mockStore struct{ b *MockBackend }
+
+func (m mockStore) Get(ctx context.Context, key string) ([]byte, error) {
+	if err := m.b.Health(ctx); err != nil {
+		return nil, err
 	}
-	data, ok := b.store[key]
-	if !ok {
-		return nil, fmt.Errorf("cluster: mock %s: %w", b.id, engine.ErrCacheMiss)
-	}
-	return append([]byte(nil), data...), nil
+	return m.b.store.Get(ctx, key)
 }
 
-// StorePut implements Backend over the in-memory map.
-func (b *MockBackend) StorePut(ctx context.Context, key string, data []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.dead {
-		return &UnreachableError{Node: b.id, Err: errors.New("node down")}
+func (m mockStore) Put(ctx context.Context, key string, data []byte) error {
+	if err := m.b.Health(ctx); err != nil {
+		return err
 	}
-	b.store[key] = append([]byte(nil), data...)
-	return nil
+	return m.b.store.Put(ctx, key, data)
 }
 
 // Stats implements Backend.
 func (b *MockBackend) Stats() BackendStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return BackendStats{Jobs: int64(len(b.log)), StorePuts: int64(len(b.store))}
+	return BackendStats{Jobs: b.jobs}
 }

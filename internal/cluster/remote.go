@@ -33,12 +33,9 @@ type RemoteBackend struct {
 	mu     sync.Mutex
 	client *http.Client
 
-	jobs      atomic.Int64
-	errs      atomic.Int64
-	storeGets atomic.Int64
-	storeHits atomic.Int64
-	storePuts atomic.Int64
-	redials   atomic.Int64
+	jobs    atomic.Int64
+	errs    atomic.Int64
+	redials atomic.Int64
 }
 
 // NewRemoteBackend targets the dsed worker at baseURL (e.g.
@@ -52,9 +49,6 @@ func NewRemoteBackend(id, baseURL string, backoff resilience.Backoff) *RemoteBac
 		client:  &http.Client{Transport: &http.Transport{}},
 	}
 }
-
-// URL returns the worker's base URL.
-func (b *RemoteBackend) URL() string { return b.base }
 
 // ID implements Backend.
 func (b *RemoteBackend) ID() string { return b.id }
@@ -83,18 +77,14 @@ func (b *RemoteBackend) redial() {
 // do issues one HTTP request with retry-on-transient and redial-on-
 // transport-failure. It returns the response body and status, or an error:
 // UnreachableError for exhausted transport failures, a re-classified
-// *WorkerError for job-level failures the worker reported.
-func (b *RemoteBackend) do(ctx context.Context, method, url string, body []byte, contentType string) (status int, respBody []byte, err error) {
-	return b.doOpts(ctx, method, url, body, contentType, false)
-}
-
-// doOpts is do with the store-op flag: during a store round-trip a 5xx
-// other than a load shed (503) is the footprint of a worker restarting
-// mid-request — its listener answers before the store is wired up — so it
-// re-classifies as UnreachableError (transient) rather than a job-level
-// *WorkerError, letting the retry loop and the coordinator's re-probe heal
-// the blip instead of failing the publish permanently.
-func (b *RemoteBackend) doOpts(ctx context.Context, method, url string, body []byte, contentType string, storeOp bool) (status int, respBody []byte, err error) {
+// *WorkerError for job-level failures the worker reported. During a store
+// round-trip (storeOp) a 5xx other than a load shed (503) is the footprint
+// of a worker restarting mid-request — its listener answers before the
+// store is wired up — so it re-classifies as UnreachableError (transient)
+// rather than a job-level *WorkerError, letting the retry loop and the
+// coordinator's re-probe heal the blip instead of failing the publish
+// permanently.
+func (b *RemoteBackend) do(ctx context.Context, method, url string, body []byte, contentType string, storeOp bool) (status int, respBody []byte, err error) {
 	attempt := func() error {
 		var rdr io.Reader
 		if body != nil {
@@ -229,7 +219,7 @@ func (b *RemoteBackend) Run(ctx context.Context, job engine.Job) (*engine.Result
 	if len(q) > 0 {
 		url += "?" + strings.Join(q, "&")
 	}
-	_, respBody, err := b.do(ctx, http.MethodPost, url, body, "application/json")
+	_, respBody, err := b.do(ctx, http.MethodPost, url, body, "application/json", false)
 	if err != nil {
 		b.errs.Add(1)
 		return nil, err
@@ -263,39 +253,34 @@ func (b *RemoteBackend) Health(ctx context.Context) error {
 	return nil
 }
 
-// StoreGet implements Backend over GET /v1/store/{key}; a 404 comes back
-// wrapping engine.ErrCacheMiss so remote and local misses classify alike.
-func (b *RemoteBackend) StoreGet(ctx context.Context, key string) ([]byte, error) {
-	b.storeGets.Add(1)
-	status, body, err := b.doOpts(ctx, http.MethodGet, b.base+"/v1/store/"+key, nil, "", true)
+// Store implements Backend with the worker's GET/PUT /v1/store/{key}.
+func (b *RemoteBackend) Store() engine.Blobs { return remoteStore{b} }
+
+type remoteStore struct{ b *RemoteBackend }
+
+// Get fetches the entry under key; a 404 comes back wrapping
+// engine.ErrNotFound so remote and local misses classify alike.
+func (r remoteStore) Get(ctx context.Context, key string) ([]byte, error) {
+	status, body, err := r.b.do(ctx, http.MethodGet, r.b.base+"/v1/store/"+key, nil, "", true)
 	if err != nil {
 		if status == http.StatusNotFound {
-			return nil, fmt.Errorf("cluster: worker %s: %w", b.id, engine.ErrCacheMiss)
+			return nil, fmt.Errorf("cluster: worker %s: %w", r.b.id, engine.ErrNotFound)
 		}
 		return nil, err
 	}
-	b.storeHits.Add(1)
 	return body, nil
 }
 
-// StorePut implements Backend over PUT /v1/store/{key}. A worker
-// restarting mid-put surfaces as a transient blip (retried, then
-// UnreachableError), never a permanent job-level failure — the payload is
-// content-addressed, so re-publishing it later is always safe.
-func (b *RemoteBackend) StorePut(ctx context.Context, key string, data []byte) error {
-	b.storePuts.Add(1)
-	_, _, err := b.doOpts(ctx, http.MethodPut, b.base+"/v1/store/"+key, data, "application/octet-stream", true)
+// Put publishes data under key. A worker restarting mid-put surfaces as a
+// transient blip (retried, then UnreachableError), never a permanent
+// job-level failure — the payload is content-addressed, so re-publishing
+// it later is always safe.
+func (r remoteStore) Put(ctx context.Context, key string, data []byte) error {
+	_, _, err := r.b.do(ctx, http.MethodPut, r.b.base+"/v1/store/"+key, data, "application/octet-stream", true)
 	return err
 }
 
 // Stats implements Backend.
 func (b *RemoteBackend) Stats() BackendStats {
-	return BackendStats{
-		Jobs:      b.jobs.Load(),
-		Errors:    b.errs.Load(),
-		StoreGets: b.storeGets.Load(),
-		StoreHits: b.storeHits.Load(),
-		StorePuts: b.storePuts.Load(),
-		Redials:   b.redials.Load(),
-	}
+	return BackendStats{Jobs: b.jobs.Load(), Errors: b.errs.Load(), Redials: b.redials.Load()}
 }

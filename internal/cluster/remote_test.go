@@ -101,13 +101,13 @@ func TestRemoteBackendRoundTrip(t *testing.T) {
 		t.Fatalf("remote report differs from local run:\n got: %s\nwant: %s", got, want)
 	}
 
-	if _, err := b.StoreGet(context.Background(), "job-nope"); !errors.Is(err, engine.ErrCacheMiss) {
-		t.Fatalf("store miss classified as %v, want ErrCacheMiss", err)
+	if _, err := b.Store().Get(context.Background(), "job-nope"); !errors.Is(err, engine.ErrNotFound) {
+		t.Fatalf("store miss classified as %v, want ErrNotFound", err)
 	}
-	if err := b.StorePut(context.Background(), "job-k", []byte("payload")); err != nil {
+	if err := b.Store().Put(context.Background(), "job-k", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.StoreGet(context.Background(), "job-k")
+	got, err := b.Store().Get(context.Background(), "job-k")
 	if err != nil || string(got) != "payload" {
 		t.Fatalf("store round-trip: %q, %v", got, err)
 	}

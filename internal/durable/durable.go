@@ -11,10 +11,10 @@
 //     written atomically (temp file, then rename), self-checksummed with
 //     SHA-256, bounded by a deterministic LRU eviction index. Entries that
 //     fail validation — truncated, bit-flipped, or torn — are quarantined
-//     (moved aside, never served), and the caller recomputes. It layers
-//     under engine.Cache's raw namespace (Cache.SetRawBacking), so the
-//     memory tier stays the fast path and the disk tier is consulted only
-//     on memory misses and filled on every raw put.
+//     (moved aside, never served), and the caller recomputes. It
+//     implements engine.Blobs, and dsed layers it under the cache's memory
+//     view with engine.Tiered, so memory stays the fast path and the disk
+//     tier is consulted only on memory misses and filled on every store put.
 //
 //   - Journal is a write-ahead job journal: append-only JSONL records of
 //     each async job's lifecycle (accepted → running → done/failed, with

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 
@@ -116,43 +115,31 @@ func (m *Manager) Finished(rec *engine.JobRecord) {
 }
 
 // Publish writes a completed result into the disk store under its job
-// fingerprint, following the cluster's publication rules: run-report
-// telemetry is stripped (a per-run account, not content) and partial
-// simulate results are never persisted — mirroring the engine cache's
-// partials-are-never-cached rule. Errors degrade durability, not
-// availability: the job still completes.
+// fingerprint, by engine.EncodeResult's rule: run-report telemetry is
+// stripped and partial results are never persisted. Errors degrade
+// durability, not availability: the job still completes.
 func (m *Manager) Publish(key string, res *engine.Result) {
 	if m == nil || m.killed.Load() || m.store == nil || key == "" {
 		return
 	}
-	if res == nil || (res.Simulate != nil && res.Simulate.Partial) {
-		return
+	if data, ok := engine.EncodeResult(res); ok {
+		_ = m.store.Put(context.TODO(), key, data)
 	}
-	stored := *res
-	stored.Report = nil
-	data, err := json.Marshal(&stored)
-	if err != nil {
-		return
-	}
-	_ = m.store.Put(key, data)
 }
 
-// Lookup returns the stored result for a job fingerprint, or nil when the
-// store has no valid entry (missing, evicted, or quarantined-corrupt — all
-// of which read as "recompute").
-func (m *Manager) Lookup(key string) *engine.Result {
+// Lookup returns the result stored under a job fingerprint for a job of
+// the given kind, or nil when the store has no valid entry: missing,
+// evicted, quarantined-corrupt, or not a result of that kind by
+// engine.DecodeResult's rule. All of these read as "recompute".
+func (m *Manager) Lookup(ctx context.Context, key, kind string) *engine.Result {
 	if m == nil || m.store == nil || key == "" {
 		return nil
 	}
-	data, err := m.store.Get(key)
+	data, err := m.store.Get(ctx, key)
 	if err != nil {
 		return nil
 	}
-	var res engine.Result
-	if json.Unmarshal(data, &res) != nil {
-		return nil
-	}
-	return &res
+	return engine.DecodeResult(data, kind)
 }
 
 // ReplayStats accounts one journal replay.
@@ -243,41 +230,29 @@ func (m *Manager) Replay(ctx context.Context, st *engine.Store, r *engine.Runner
 	var firstErr error
 	for _, id := range order {
 		j := jobs[id]
-		switch {
-		case j.status == RecDone:
-			// Completed before the crash: serve the stored result. A
-			// missing/corrupt store entry falls back to recomputation.
-			if res := m.Lookup(j.fp); res != nil {
-				if err := st.Restore(m.terminalRecord(j, engine.StatusDone, res)); err == nil {
-					stats.Restored++
-					stats.Served++
-					cDiskRecovered.Inc()
-					continue
-				}
-			}
-			m.requeue(ctx, st, r, j, &stats, &firstErr)
-		case j.status == RecFailed && j.errClass != "cancelled":
+		if j.status == RecFailed && j.errClass != "cancelled" {
 			// A genuine failure: deterministic work would fail again, so
 			// restore the verdict rather than burning the work twice.
 			if err := st.Restore(m.terminalRecord(j, engine.StatusFailed, nil)); err == nil {
 				stats.Restored++
 				continue
 			}
-			m.requeue(ctx, st, r, j, &stats, &firstErr)
-		default:
-			// Accepted or running at the crash (or cancelled by shutdown):
-			// idempotency guard first — a result already in the store means
-			// the job finished but died before its done record landed.
-			if res := m.Lookup(j.fp); res != nil {
-				if err := st.Restore(m.terminalRecord(j, engine.StatusDone, res)); err == nil {
-					stats.Restored++
-					stats.Served++
-					cDiskRecovered.Inc()
-					continue
-				}
+		} else if res := m.Lookup(ctx, j.fp, j.kind); res != nil {
+			// Completed before the crash — or, for a job accepted or
+			// running at the crash (or cancelled by shutdown), the
+			// idempotency guard: a result already in the store means the
+			// job finished but died before its done record landed. Either
+			// way, serve the stored result.
+			if err := st.Restore(m.terminalRecord(j, engine.StatusDone, res)); err == nil {
+				stats.Restored++
+				stats.Served++
+				cDiskRecovered.Inc()
+				continue
 			}
-			m.requeue(ctx, st, r, j, &stats, &firstErr)
 		}
+		// Anything not restored — a missing, corrupt or foreign store
+		// entry, or a record the job store refused — is recomputed.
+		m.requeue(ctx, st, r, j, &stats, &firstErr)
 	}
 	return stats, firstErr
 }

@@ -79,7 +79,7 @@ func TestReplayKillRestart(t *testing.T) {
 	if finA.Status != engine.StatusDone {
 		t.Fatalf("job A = %+v", finA)
 	}
-	storedA, err := rig1.dm.Store().Get(finA.Fingerprint)
+	storedA, err := rig1.dm.Store().Get(ctx, finA.Fingerprint)
 	if err != nil {
 		t.Fatalf("job A not published to the disk store: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestReplayKillRestart(t *testing.T) {
 	}
 	// The requeued jobs journal their completion, so a further restart
 	// would serve them from the store too.
-	if _, err := rig2.dm.Store().Get(boundJob(2, 5).Fingerprint()); err != nil {
+	if _, err := rig2.dm.Store().Get(ctx, boundJob(2, 5).Fingerprint()); err != nil {
 		t.Errorf("requeued job result not published: %v", err)
 	}
 }
@@ -223,7 +223,7 @@ func TestReplayCorruptEntryRecomputes(t *testing.T) {
 	if err != nil || fin.Status != engine.StatusDone {
 		t.Fatalf("phase 1: %+v, %v", fin, err)
 	}
-	original, err := rig1.dm.Store().Get(fin.Fingerprint)
+	original, err := rig1.dm.Store().Get(ctx, fin.Fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestReplayCorruptEntryRecomputes(t *testing.T) {
 	if err != nil || fin2.Status != engine.StatusDone {
 		t.Fatalf("recomputed job = %+v, %v", fin2, err)
 	}
-	recomputed, err := rig2.dm.Store().Get(fin2.Fingerprint)
+	recomputed, err := rig2.dm.Store().Get(ctx, fin2.Fingerprint)
 	if err != nil {
 		t.Fatalf("recomputed result not republished: %v", err)
 	}
@@ -276,6 +276,55 @@ func TestReplayCorruptEntryRecomputes(t *testing.T) {
 	}
 	if st := rig2.dm.Store().Stats(); st.Corrupt != 1 {
 		t.Errorf("store stats = %+v, want corrupt=1", st)
+	}
+}
+
+// TestReplayRejectsForeignEntry pins replay's decode rule: a store entry
+// under a journaled job's fingerprint is restored only if it is a result of
+// that job's kind. Any peer can PUT /v1/store/<fp> on a durable worker, and
+// that write lands in the disk key space replay reads; an empty, null or
+// wrong-kind body must send the job back to recomputation, not restore it
+// as done with an empty result.
+func TestReplayRejectsForeignEntry(t *testing.T) {
+	for _, body := range []string{`{}`, `null`, `{"kind":"check"}`} {
+		t.Run(body, func(t *testing.T) {
+			dir := t.TempDir()
+			rig1 := newRig(t, dir)
+			rec, err := rig1.store.Submit(context.Background(), rig1.run, checkJob(13))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fin, err := rig1.store.Await(context.Background(), rec.ID)
+			if err != nil || fin.Status != engine.StatusDone {
+				t.Fatalf("phase 1: %+v, %v", fin, err)
+			}
+			original, err := rig1.dm.Store().Get(ctx, fin.Fingerprint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rig1.dm.Store().Put(ctx, fin.Fingerprint, []byte(body)); err != nil {
+				t.Fatal(err)
+			}
+
+			rig2 := newRig(t, dir)
+			stats, err := rig2.dm.Replay(context.Background(), rig2.store, rig2.run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Requeued != 1 || stats.Served != 0 {
+				t.Fatalf("replay stats = %+v, want requeued=1 served=0 (foreign entry)", stats)
+			}
+			awaitCtx, acancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer acancel()
+			fin2, err := rig2.store.Await(awaitCtx, rec.ID)
+			if err != nil || fin2.Status != engine.StatusDone || fin2.Result == nil || fin2.Result.Simulate == nil {
+				t.Fatalf("recomputed job = %+v, %v", fin2, err)
+			}
+			republished, err := rig2.dm.Store().Get(ctx, fin.Fingerprint)
+			if err != nil || !bytes.Equal(republished, original) {
+				t.Errorf("republished entry = %s, %v; want %s", republished, err, original)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -15,16 +16,19 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/engine"
 )
 
 // Typed store errors; classify with errors.Is.
 var (
-	// ErrNotFound reports a key with no committed entry on disk.
-	ErrNotFound = errors.New("durable: entry not found")
+	// ErrNotFound reports a key with no committed entry on disk. It is
+	// engine.ErrNotFound, the one miss of every result store tier.
+	ErrNotFound = engine.ErrNotFound
 	// ErrCorrupt reports an entry that failed validation and was moved to
 	// quarantine; the caller should recompute. Every ErrCorrupt also
 	// matches ErrNotFound, so single-branch callers treat it as a miss.
-	ErrCorrupt = errors.New("durable: entry corrupt")
+	ErrCorrupt = fmt.Errorf("durable: entry corrupt: %w", ErrNotFound)
 )
 
 const (
@@ -82,8 +86,8 @@ type dentry struct {
 
 // DiskStore is a disk-backed content-addressed byte store: one
 // self-checksummed file per key, atomic commits, deterministic LRU
-// eviction. It is safe for concurrent use. See the package comment and
-// docs/DURABILITY.md.
+// eviction. It implements engine.Blobs and is safe for concurrent use. See
+// the package comment and docs/DURABILITY.md.
 type DiskStore struct {
 	dir  string
 	opts StoreOptions
@@ -195,16 +199,6 @@ func Open(dir string, opts StoreOptions) (*DiskStore, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
-// Len returns the number of committed entries.
-func (s *DiskStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.items)
-}
-
 // fileName maps a key to its fixed-width entry file name.
 func fileName(key string) string {
 	sum := sha256.Sum256([]byte(key))
@@ -263,11 +257,12 @@ func (s *DiskStore) quarantine(name string) {
 	s.quarantined.Add(1)
 }
 
-// Get returns the payload committed under key. A missing entry returns
-// ErrNotFound; an entry that fails validation (length or checksum) is
-// quarantined and returns ErrCorrupt (which also matches ErrNotFound) so
-// the caller recomputes instead of consuming corrupt bytes.
-func (s *DiskStore) Get(key string) ([]byte, error) {
+// Get implements engine.Blobs: it returns the payload committed under key.
+// A missing entry returns ErrNotFound; an entry that fails validation
+// (length or checksum) is quarantined and returns ErrCorrupt (which also
+// matches ErrNotFound) so the caller recomputes instead of consuming
+// corrupt bytes.
+func (s *DiskStore) Get(_ context.Context, key string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.items[key]
@@ -291,7 +286,7 @@ func (s *DiskStore) Get(key string) ([]byte, error) {
 		s.corrupt.Add(1)
 		cDiskCorrupt.Inc()
 		s.misses.Add(1)
-		return nil, fmt.Errorf("durable: %q: %w: %w: %w", key, ErrCorrupt, ErrNotFound, err)
+		return nil, fmt.Errorf("durable: %q: %w: %w", key, ErrCorrupt, err)
 	}
 	s.ll.MoveToFront(el)
 	s.hits.Add(1)
@@ -332,14 +327,15 @@ func (s *DiskStore) dropLocked(el *list.Element, e *dentry) {
 	s.bytes -= e.size
 }
 
-// Put commits data under key atomically: the entry is assembled in a temp
-// file in the same directory and renamed into place, so readers (and the
-// next Open) see either the previous entry or the complete new one, never
-// a partial write. Under the default fsync policy the file is synced
-// before the rename and the directory after it; with NoFsync a crash can
-// lose the tail, but validation still quarantines anything torn. Entries
-// past the configured bounds are evicted least-recently-used.
-func (s *DiskStore) Put(key string, data []byte) error {
+// Put implements engine.Blobs: it commits data under key atomically. The
+// entry is assembled in a temp file in the same directory and renamed into
+// place, so readers (and the next Open) see either the previous entry or
+// the complete new one, never a partial write. Under the default fsync
+// policy the file is synced before the rename and the directory after it;
+// with NoFsync a crash can lose the tail, but validation still quarantines
+// anything torn. Entries past the configured bounds are evicted
+// least-recently-used.
+func (s *DiskStore) Put(_ context.Context, key string, data []byte) error {
 	h := entryHeader{V: entryVersion, Key: key, Len: int64(len(data))}
 	sum := sha256.Sum256(data)
 	h.SHA256 = hex.EncodeToString(sum[:])
@@ -435,14 +431,6 @@ func syncDir(dir string) {
 	d.Sync()
 	d.Close()
 }
-
-// Load implements engine.RawBacking: the disk tier under the cache's raw
-// namespace. Any error — miss or quarantined-corrupt — reads as a miss to
-// the cache, which then recomputes.
-func (s *DiskStore) Load(key string) ([]byte, error) { return s.Get(key) }
-
-// Save implements engine.RawBacking (write-through from Cache.PutRaw).
-func (s *DiskStore) Save(key string, data []byte) error { return s.Put(key, data) }
 
 // Stats snapshots the store's counters and occupancy.
 func (s *DiskStore) Stats() StoreStats {

@@ -2,6 +2,7 @@ package durable_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +11,9 @@ import (
 
 	"repro/internal/durable"
 )
+
+// ctx is the context of the tests' store calls.
+var ctx = context.Background()
 
 func openStore(t *testing.T, dir string, opts durable.StoreOptions) *durable.DiskStore {
 	t.Helper()
@@ -53,24 +57,24 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, durable.StoreOptions{})
 	payload := []byte(`{"kind":"check","check":{"holds":true}}`)
-	if err := s.Put("job-0001", payload); err != nil {
+	if err := s.Put(ctx, "job-0001", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get("job-0001")
+	got, err := s.Get(ctx, "job-0001")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("round-trip mismatch: %q != %q", got, payload)
 	}
-	if _, err := s.Get("job-absent"); !errors.Is(err, durable.ErrNotFound) {
+	if _, err := s.Get(ctx, "job-absent"); !errors.Is(err, durable.ErrNotFound) {
 		t.Fatalf("absent key = %v, want ErrNotFound", err)
 	}
 	// Overwrite is atomic and keeps a single entry.
-	if err := s.Put("job-0001", []byte("v2")); err != nil {
+	if err := s.Put(ctx, "job-0001", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	got, err = s.Get("job-0001")
+	got, err = s.Get(ctx, "job-0001")
 	if err != nil || string(got) != "v2" {
 		t.Fatalf("after overwrite: %q, %v", got, err)
 	}
@@ -82,18 +86,18 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 func TestDiskStoreReopenPersists(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, durable.StoreOptions{})
-	if err := s.Put("k", []byte("survives restarts")); err != nil {
+	if err := s.Put(ctx, "k", []byte("survives restarts")); err != nil {
 		t.Fatal(err)
 	}
 	// A second open over the same directory — a restarted process — serves
 	// the same bytes.
 	s2 := openStore(t, dir, durable.StoreOptions{})
-	got, err := s2.Get("k")
+	got, err := s2.Get(ctx, "k")
 	if err != nil || string(got) != "survives restarts" {
 		t.Fatalf("reopened Get = %q, %v", got, err)
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("reopened Len = %d, want 1", s2.Len())
+	if s2.Stats().Entries != 1 {
+		t.Fatalf("reopened Len = %d, want 1", s2.Stats().Entries)
 	}
 }
 
@@ -104,19 +108,19 @@ func TestDiskStoreLRUDeterministic(t *testing.T) {
 	run := func(dir string, reopen bool) []string {
 		s := openStore(t, dir, durable.StoreOptions{MaxEntries: 3})
 		for _, k := range []string{"a", "b", "c"} {
-			if err := s.Put(k, []byte(k)); err != nil {
+			if err := s.Put(ctx, k, []byte(k)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if reopen {
 			s = openStore(t, dir, durable.StoreOptions{MaxEntries: 3})
 		}
-		s.Get("a")              // a most recent
-		s.Put("d", []byte("d")) // evicts b (LRU)
-		s.Put("e", []byte("e")) // evicts c
+		s.Get(ctx, "a")              // a most recent
+		s.Put(ctx, "d", []byte("d")) // evicts b (LRU)
+		s.Put(ctx, "e", []byte("e")) // evicts c
 		var live []string
 		for _, k := range []string{"a", "b", "c", "d", "e"} {
-			if _, err := s.Get(k); err == nil {
+			if _, err := s.Get(ctx, k); err == nil {
 				live = append(live, k)
 			}
 		}
@@ -135,7 +139,7 @@ func TestDiskStoreLRUDeterministic(t *testing.T) {
 func TestDiskStoreTruncatedEntryQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, durable.StoreOptions{})
-	if err := s.Put("k", []byte("0123456789abcdef")); err != nil {
+	if err := s.Put(ctx, "k", []byte("0123456789abcdef")); err != nil {
 		t.Fatal(err)
 	}
 	name := entryFiles(t, dir)[0]
@@ -149,7 +153,7 @@ func TestDiskStoreTruncatedEntryQuarantined(t *testing.T) {
 	}
 
 	// Same handle: the length check catches it on Get.
-	if _, err := s.Get("k"); !errors.Is(err, durable.ErrCorrupt) || !errors.Is(err, durable.ErrNotFound) {
+	if _, err := s.Get(ctx, "k"); !errors.Is(err, durable.ErrCorrupt) || !errors.Is(err, durable.ErrNotFound) {
 		t.Fatalf("truncated Get = %v, want ErrCorrupt (matching ErrNotFound)", err)
 	}
 	if got := quarantined(t, dir); len(got) != 1 {
@@ -159,10 +163,10 @@ func TestDiskStoreTruncatedEntryQuarantined(t *testing.T) {
 		t.Fatal("truncated entry left in place")
 	}
 	// Recompute-and-republish restores service byte-identically.
-	if err := s.Put("k", []byte("0123456789abcdef")); err != nil {
+	if err := s.Put(ctx, "k", []byte("0123456789abcdef")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get("k")
+	got, err := s.Get(ctx, "k")
 	if err != nil || string(got) != "0123456789abcdef" {
 		t.Fatalf("recomputed Get = %q, %v", got, err)
 	}
@@ -174,7 +178,7 @@ func TestDiskStoreTruncatedEntryQuarantined(t *testing.T) {
 func TestDiskStoreBitFlipQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, durable.StoreOptions{})
-	if err := s.Put("k", []byte("payload under checksum")); err != nil {
+	if err := s.Put(ctx, "k", []byte("payload under checksum")); err != nil {
 		t.Fatal(err)
 	}
 	name := entryFiles(t, dir)[0]
@@ -190,13 +194,13 @@ func TestDiskStoreBitFlipQuarantined(t *testing.T) {
 	// A fresh open accepts the header (length matches) — the flip is caught
 	// by the checksum at Get, exactly the silent-bit-rot scenario.
 	s2 := openStore(t, dir, durable.StoreOptions{})
-	if _, err := s2.Get("k"); !errors.Is(err, durable.ErrCorrupt) {
+	if _, err := s2.Get(ctx, "k"); !errors.Is(err, durable.ErrCorrupt) {
 		t.Fatalf("bit-flipped Get = %v, want ErrCorrupt", err)
 	}
 	if got := quarantined(t, dir); len(got) != 1 {
 		t.Fatalf("quarantine holds %v, want 1 file", got)
 	}
-	if _, err := s2.Get("k"); !errors.Is(err, durable.ErrNotFound) || errors.Is(err, durable.ErrCorrupt) {
+	if _, err := s2.Get(ctx, "k"); !errors.Is(err, durable.ErrNotFound) || errors.Is(err, durable.ErrCorrupt) {
 		t.Fatalf("second Get = %v, want plain ErrNotFound (already quarantined)", err)
 	}
 }
@@ -204,7 +208,7 @@ func TestDiskStoreBitFlipQuarantined(t *testing.T) {
 func TestDiskStoreTornTempQuarantinedAtOpen(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, durable.StoreOptions{})
-	if err := s.Put("good", []byte("committed")); err != nil {
+	if err := s.Put(ctx, "good", []byte("committed")); err != nil {
 		t.Fatal(err)
 	}
 	// A crash between CreateTemp and rename leaves a torn temp file.
@@ -216,7 +220,7 @@ func TestDiskStoreTornTempQuarantinedAtOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := openStore(t, dir, durable.StoreOptions{})
-	if got, err := s2.Get("good"); err != nil || string(got) != "committed" {
+	if got, err := s2.Get(ctx, "good"); err != nil || string(got) != "committed" {
 		t.Fatalf("good entry after recovery = %q, %v", got, err)
 	}
 	st := s2.Stats()
@@ -229,8 +233,8 @@ func TestDiskStoreTornTempQuarantinedAtOpen(t *testing.T) {
 	if st.Quarantined != 2 {
 		t.Errorf("Quarantined = %d, want 2", st.Quarantined)
 	}
-	if s2.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s2.Len())
+	if s2.Stats().Entries != 1 {
+		t.Errorf("Len = %d, want 1", s2.Stats().Entries)
 	}
 }
 
@@ -238,7 +242,7 @@ func TestDiskStoreMaxBytes(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir, durable.StoreOptions{MaxEntries: 100, MaxBytes: 300})
 	for _, k := range []string{"a", "b", "c", "d"} {
-		if err := s.Put(k, bytes.Repeat([]byte(k), 64)); err != nil {
+		if err := s.Put(ctx, k, bytes.Repeat([]byte(k), 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,7 +254,7 @@ func TestDiskStoreMaxBytes(t *testing.T) {
 		t.Fatal("no evictions under the byte bound")
 	}
 	// The most recent entry survives.
-	if _, err := s.Get("d"); err != nil {
+	if _, err := s.Get(ctx, "d"); err != nil {
 		t.Fatalf("most recent entry evicted: %v", err)
 	}
 }

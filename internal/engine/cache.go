@@ -3,8 +3,6 @@ package engine
 import (
 	"container/list"
 	"context"
-	"errors"
-	"fmt"
 	"hash/fnv"
 	"reflect"
 	"strconv"
@@ -62,12 +60,10 @@ const maxFingerprintMemo = 8192
 // behaviour on the same automaton would alias and must not be mixed with a
 // shared cache.
 type Cache struct {
-	shards  []cacheShard
-	size    atomic.Int64 // total entries across shards (feeds gCacheSize)
-	fpLimit int
-	fpMu    sync.Mutex
-	fps     map[psioa.PSIOA]*fpCall
-	raw     RawBacking // optional disk tier under the raw namespace
+	shards []cacheShard
+	size   atomic.Int64 // total entries across shards (feeds gCacheSize)
+	fpMu   sync.Mutex
+	fps    map[psioa.PSIOA]*fpCall
 }
 
 // cacheShard is one mutex-striped LRU unit. Keys map to shards by fnv-1a
@@ -143,9 +139,8 @@ func NewCacheSharded(capacity, shards int) *Cache {
 	}
 	per := (capacity + shards - 1) / shards
 	c := &Cache{
-		shards:  make([]cacheShard, shards),
-		fpLimit: DefaultFingerprintLimit,
-		fps:     make(map[psioa.PSIOA]*fpCall),
+		shards: make([]cacheShard, shards),
+		fps:    make(map[psioa.PSIOA]*fpCall),
 	}
 	for i := range c.shards {
 		c.shards[i].cap = per
@@ -169,10 +164,6 @@ func (c *Cache) shard(key string) *cacheShard {
 	h.Write([]byte(key))
 	return &c.shards[h.Sum64()%uint64(len(c.shards))]
 }
-
-// SetFingerprintLimit overrides the exploration bound used when
-// fingerprinting automata (see Fingerprint). Call before sharing the cache.
-func (c *Cache) SetFingerprintLimit(limit int) { c.fpLimit = limit }
 
 // Len returns the current number of cached entries across all shards.
 func (c *Cache) Len() int {
@@ -278,35 +269,6 @@ func (c *Cache) Totals() (hits, misses, evictions, lockWaitUS int64) {
 	return hits, misses, evictions, lockWaitUS
 }
 
-// ErrCacheMiss reports a key absent from the cache. The raw store facade
-// (GET /v1/store/{key} on dsed, cluster.Backend.StoreGet) classifies misses
-// with it so callers distinguish "not cached" from transport failures.
-var ErrCacheMiss = errors.New("engine: cache miss")
-
-// rawPrefix namespaces raw store entries inside the striped LRU so they can
-// never collide with the typed explore/measure/fdist memo keys: raw keys
-// start with the printable byte 'r', typed memo keys with a control byte.
-const rawPrefix = "raw|"
-
-// RawBacking is a second, slower tier under the raw namespace — typically
-// the disk store in internal/durable. GetRaw consults it on memory misses
-// and PutRaw writes through to it. Load returns the stored bytes or an
-// error (ErrCacheMiss-compatible for absence); Save persists them. Both
-// must be safe for concurrent use.
-type RawBacking interface {
-	Load(key string) ([]byte, error)
-	Save(key string, data []byte) error
-}
-
-// SetRawBacking installs a backing tier under the raw namespace. Call
-// before sharing the cache; a nil cache or nil backing is a no-op/removal.
-func (c *Cache) SetRawBacking(b RawBacking) {
-	if c == nil {
-		return
-	}
-	c.raw = b
-}
-
 // Typed memo keys are fixed-width: one kind byte plus the 16-byte fnv-1a
 // 128 hash of the key parts. Seventeen bytes regardless of fingerprint,
 // scheduler-name or insight-ID length, so shard routing and LRU map probes
@@ -332,51 +294,6 @@ func memoKey(kind byte, parts ...string) string {
 	return string(h.Sum(b))
 }
 
-// GetRaw returns the canonical bytes stored under key by PutRaw, or
-// ErrCacheMiss. Raw entries live in the same striped LRU as the kernel
-// memos — they are looked up by content-addressed key alone, with no
-// re-fingerprinting — and the lookup counts against the owning shard's
-// hit/miss counters like any other access, so remote store traffic stays
-// visible in ShardStats and the engine.cache.* metrics.
-func (c *Cache) GetRaw(key string) ([]byte, error) {
-	if c == nil {
-		return nil, ErrCacheMiss
-	}
-	v, ok := c.Get(rawPrefix + key)
-	if ok {
-		b, ok := v.([]byte)
-		if !ok {
-			return nil, fmt.Errorf("engine: raw store entry %q holds %T: %w", key, v, ErrCacheMiss)
-		}
-		return b, nil
-	}
-	if c.raw != nil {
-		// Memory miss: fall through to the backing tier and, on success,
-		// promote the entry so the next lookup is a memory hit.
-		b, err := c.raw.Load(key)
-		if err == nil {
-			c.Put(rawPrefix+key, append([]byte(nil), b...))
-			return b, nil
-		}
-	}
-	return nil, ErrCacheMiss
-}
-
-// PutRaw stores canonical bytes under key (see GetRaw), writing through to
-// the backing tier when one is installed (backing failures degrade
-// durability, not availability — the memory entry is kept either way). The
-// bytes are copied, so callers may reuse their buffer; entries round-trip
-// verbatim. A nil cache drops the entry.
-func (c *Cache) PutRaw(key string, data []byte) {
-	if c == nil {
-		return
-	}
-	c.Put(rawPrefix+key, append([]byte(nil), data...))
-	if c.raw != nil {
-		_ = c.raw.Save(key, data)
-	}
-}
-
 // Fingerprint returns the canonical fingerprint of a, memoized by identity
 // for automata with comparable dynamic types (compositions produce fresh
 // pointers per check, so the identity memo is bounded and periodically
@@ -385,7 +302,7 @@ func (c *Cache) PutRaw(key string, data []byte) {
 // memoized: its waiters retry.
 func (c *Cache) Fingerprint(a psioa.PSIOA) (string, error) {
 	if !reflect.TypeOf(a).Comparable() {
-		return Fingerprint(a, c.fpLimit)
+		return Fingerprint(a, DefaultFingerprintLimit)
 	}
 	for {
 		c.fpMu.Lock()
@@ -430,7 +347,7 @@ func (c *Cache) fingerprintFor(a psioa.PSIOA, call *fpCall) (string, error) {
 		}
 		close(call.done)
 	}()
-	fp, err := Fingerprint(a, c.fpLimit)
+	fp, err := Fingerprint(a, DefaultFingerprintLimit)
 	if err != nil {
 		return "", err
 	}

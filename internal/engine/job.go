@@ -169,6 +169,11 @@ var (
 type Runner struct {
 	Pool  *Pool
 	Cache *Cache
+	// Results is the node's content-addressed result store, served on
+	// dsed's /v1/store and to cluster coordinators. NewRunner sets it to
+	// the cache's memory view; dsed layers its disk store under that with
+	// Tiered.
+	Results Blobs
 	// WorkerID is a stable identity for this runner's node, stamped on
 	// every Result it produces (dsed derives it from -worker-id or the
 	// hostname). Empty leaves results unattributed.
@@ -176,9 +181,10 @@ type Runner struct {
 	Resolve  func(ref string) (psioa.PSIOA, error)
 }
 
-// NewRunner returns a runner over the given pool and cache.
+// NewRunner returns a runner over the given pool and cache, storing
+// results in the cache's memory view.
 func NewRunner(pool *Pool, cache *Cache) *Runner {
-	return &Runner{Pool: pool, Cache: cache}
+	return &Runner{Pool: pool, Cache: cache, Results: cache.Blobs()}
 }
 
 func (r *Runner) resolve(ref string) (psioa.PSIOA, error) {

@@ -3,73 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/psioa"
 	"repro/internal/sched"
 	"repro/internal/testaut"
 )
-
-// e19Workload is the deep/wide tree workload of the parallel sweep: a biased
-// random walk whose frontier doubles per level, so the sharded expansion has
-// real work to split.
-func e19Workload() (psioa.PSIOA, sched.Scheduler, int) {
-	w := testaut.RandomWalk("w", 8, 0.5)
-	return w, &sched.Random{A: w, Bound: 13}, 16
-}
-
-// e19Render canonicalises an execution measure for equivalence comparison:
-// every support element with its exact mass plus the aggregates, so two
-// renderings are equal iff the measures are byte-identical.
-func e19Render(em *sched.ExecMeasure) string {
-	var b strings.Builder
-	em.ForEach(func(f *psioa.Frag, p float64) {
-		fmt.Fprintf(&b, "E %s %.17g\n", f.Key(), p)
-	})
-	fmt.Fprintf(&b, "total %.17g len %d maxlen %d\n", em.Total(), em.Len(), em.MaxLen())
-	return b.String()
-}
-
-// E19ParallelMeasure measures the sharded frontier expansion: the kernel
-// must be byte-identical to its one-worker run (the baseline row) at every
-// worker count, and the sweep records the wall-clock scaling curve. On a
-// single-CPU host the curve is flat at best (see docs/PERFORMANCE.md); the
-// equivalence column is the correctness acceptance either way.
-func E19ParallelMeasure() (*Table, error) {
-	t := &Table{
-		ID:      "E19",
-		Title:   "parallel sharded frontier expansion: byte-equivalence and scaling vs workers",
-		Header:  []string{"workers", "support", "time", "speedup vs 1w", "byte-identical"},
-		Workers: 8,
-		Kernel:  "parallel",
-	}
-	w, s, depth := e19Workload()
-	var ref string
-	var base time.Duration
-	ok := true
-	for _, workers := range []int{1, 2, 4, 8} {
-		start := time.Now()
-		em, err := sched.MeasureOpts(context.Background(), w, s, depth, nil, sched.Options{Workers: workers})
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		if workers == 1 {
-			base, ref = elapsed, e19Render(em)
-		}
-		same := e19Render(em) == ref
-		ok = ok && same
-		speedup := float64(base) / float64(elapsed)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(workers), fmt.Sprint(em.Len()), elapsed.Round(time.Microsecond).String(),
-			f6(speedup), fmt.Sprint(same),
-		})
-	}
-	t.Verdict = verdict(ok, "sharded expansion byte-identical to the one-worker run at every worker count")
-	return t, nil
-}
 
 // E20DAGCollapse measures the state-collapsed DAG fast path on a converging
 // automaton: the tree kernel's cost is the number of distinct executions

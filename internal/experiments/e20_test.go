@@ -6,15 +6,6 @@ import (
 	"repro/internal/experiments"
 )
 
-func TestE19(t *testing.T) {
-	tbl, err := experiments.E19ParallelMeasure()
-	checkTable(t, tbl, err)
-	res := tbl.Result()
-	if res.Workers != 8 || res.Kernel != "parallel" {
-		t.Errorf("E19 provenance = workers %d kernel %q, want 8/parallel", res.Workers, res.Kernel)
-	}
-}
-
 func TestE20(t *testing.T) {
 	tbl, err := experiments.E20DAGCollapse()
 	checkTable(t, tbl, err)

@@ -52,7 +52,8 @@ type memoEntry struct {
 // sortMemo is a read-mostly concurrent map: steady-state hits are one
 // atomic load with no lock, so the parallel kernels' shards no longer
 // serialize on an RWMutex for every Choose (the dominant contention source
-// E21 measured). The cap preserves the wholesale-drop bound above.
+// of the sharded kernel before it read interned IDs). The cap preserves the
+// wholesale-drop bound above.
 var sortMemo = intern.NewRM[sigIdent, memoEntry](sortMemoLimit)
 
 // Contention instruments for the sort memo. The memo sits on the hottest

@@ -69,6 +69,32 @@ func TestMeasureOptsTelemetry(t *testing.T) {
 	}
 }
 
+// TestMeasureOptsTelemetryWorkerInvariant checks that the per-shard
+// accounting sees the whole expansion at every worker count: the shards'
+// items sum to the same positive total at 1, 2, 4 and 8 workers. (That the
+// measure itself is byte-identical across worker counts is
+// TestParallelMeasureByteIdentical's job.)
+func TestMeasureOptsTelemetryWorkerInvariant(t *testing.T) {
+	a, s, depth := telemetryWorkload()
+	want := int64(-1)
+	for _, workers := range []int{1, 2, 4, 8} {
+		st := &sched.Stats{}
+		if _, err := sched.MeasureOpts(context.Background(), a, s, depth, nil, sched.Options{Workers: workers, Stats: st}); err != nil {
+			t.Fatal(err)
+		}
+		var items int64
+		for _, sh := range st.Shards() {
+			items += sh.Items
+		}
+		if want < 0 {
+			want = items
+		}
+		if items != want || items == 0 {
+			t.Errorf("workers=%d: shards account for %d items, want %d (workers=1), > 0", workers, items, want)
+		}
+	}
+}
+
 // TestSampleTelemetry checks the sampling kernel's per-shard accounting:
 // every drawn sample is attributed to exactly one shard.
 func TestSampleTelemetry(t *testing.T) {
