@@ -11,8 +11,9 @@ import (
 )
 
 // The cases every store tier shares (misses, verbatim round-trips, tiering)
-// are in cmd/dsed's TestStoreConformance; these pin what only the cache's
-// memory view does.
+// are in cmd/dsed's TestStoreConformance, and Tiered over a counting fake
+// slow tier is in tiered_test.go; these pin what only the cache's memory
+// view does.
 
 // TestRawStoreRoundTrip pins the memory view's accounting: its entries
 // live in the same striped LRU as the typed memos and are counted by the
