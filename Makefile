@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-json bench-par bench-compare bench-smoke no-string-keys daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
+.PHONY: build test race vet fmt bench bench-json bench-par bench-compare bench-smoke loc no-string-keys daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,11 @@ durable-smoke:
 chaos:
 	$(GO) test -race -run Chaos ./internal/engine/... ./internal/sched/... ./internal/cluster/... ./cmd/dsed/...
 	$(GO) test -race ./internal/resilience/...
+
+# loc prints the line count of non-test Go outside bench/, the size
+# figure ROADMAP.md tracks. It is informational and not part of check.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
 
 # check is the tier-1 gate plus static analysis and formatting, the
 # race-sensitive packages, the chaos suite, the bench tooling smoke, the

@@ -85,17 +85,20 @@ type cacheShard struct {
 	lockWaitUS atomic.Int64
 }
 
-// lock acquires the shard mutex, timing the wait when tracing is enabled.
-func (sh *cacheShard) lock() {
+// lock acquires the shard mutex, timing the wait when tracing is enabled,
+// and returns the wait in µs.
+func (sh *cacheShard) lock() int64 {
 	if !obs.Active().Enabled() {
 		sh.mu.Lock()
-		return
+		return 0
 	}
 	t0 := time.Now()
 	sh.mu.Lock()
-	if w := time.Since(t0).Microseconds(); w > 0 {
+	w := time.Since(t0).Microseconds()
+	if w > 0 {
 		sh.lockWaitUS.Add(w)
 	}
+	return w
 }
 
 // CacheShardStat is a point-in-time view of one cache stripe: occupancy
@@ -176,14 +179,18 @@ func (c *Cache) Len() int {
 // Get returns the cached value for key, marking it most recently used in
 // its shard. Under an armed cache.evict fault point a present entry is
 // dropped and reported as a miss, forcing recomputation downstream.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache) Get(key string) (any, bool) { return c.get(nil, key) }
+
+// get is Get charging the lookup to m (which may be nil).
+func (c *Cache) get(m *obs.Meter, key string) (any, bool) {
 	sh := c.shard(key)
-	sh.lock()
+	wait := sh.lock()
 	defer sh.mu.Unlock()
 	el, ok := sh.items[key]
 	if !ok {
 		cCacheMisses.Inc()
 		sh.misses.Add(1)
+		m.Cache(0, 1, 0, wait)
 		return nil, false
 	}
 	if resilience.Fire(resilience.FaultCacheEvict) {
@@ -194,10 +201,12 @@ func (c *Cache) Get(key string) (any, bool) {
 		cCacheMisses.Inc()
 		sh.evictions.Add(1)
 		sh.misses.Add(1)
+		m.Cache(0, 1, 1, wait)
 		return nil, false
 	}
 	cCacheHits.Inc()
 	sh.hits.Add(1)
+	m.Cache(1, 0, 0, wait)
 	sh.ll.MoveToFront(el)
 	return el.Value.(*centry).val, true
 }
@@ -205,13 +214,18 @@ func (c *Cache) Get(key string) (any, bool) {
 // Put stores a value, evicting the shard's least-recently-used entries over
 // its capacity. Aggregate hit/miss/eviction counters and the size gauge are
 // shared across shards.
-func (c *Cache) Put(key string, v any) {
+func (c *Cache) Put(key string, v any) { c.put(nil, key, v) }
+
+// put is Put charging the lock wait and any evictions to m (which may be
+// nil).
+func (c *Cache) put(m *obs.Meter, key string, v any) {
 	sh := c.shard(key)
-	sh.lock()
+	wait := sh.lock()
 	defer sh.mu.Unlock()
 	if el, ok := sh.items[key]; ok {
 		el.Value.(*centry).val = v
 		sh.ll.MoveToFront(el)
+		m.Cache(0, 0, 0, wait)
 		return
 	}
 	sh.items[key] = sh.ll.PushFront(&centry{key: key, val: v})
@@ -224,6 +238,7 @@ func (c *Cache) Put(key string, v any) {
 		sh.evictions.Add(1)
 		n--
 	}
+	m.Cache(0, 0, 1-n, wait)
 	gCacheSize.Set(c.size.Add(n))
 }
 
@@ -253,8 +268,7 @@ func (c *Cache) ShardStats() []CacheShardStat {
 }
 
 // Totals sums the per-shard counters — the cache-local analogue of the
-// process-wide engine.cache.* metrics, used to delta cache traffic around
-// one job for its run report.
+// process-wide engine.cache.* metrics, over every caller of the cache.
 func (c *Cache) Totals() (hits, misses, evictions, lockWaitUS int64) {
 	if c == nil {
 		return 0, 0, 0, 0
@@ -364,7 +378,8 @@ func (c *Cache) Explore(a psioa.PSIOA, limit int) (*psioa.Exploration, error) {
 
 // ExploreCtx is Explore threading cancellation and a budget into the
 // exploration. Results computed under an exhausted budget are partial and
-// are returned to the caller but never cached.
+// are returned to the caller but never cached. The lookup is charged to
+// the meter ctx carries, as are the typed lookups below.
 func (c *Cache) ExploreCtx(ctx context.Context, a psioa.PSIOA, limit int, b *resilience.Budget) (*psioa.Exploration, error) {
 	if c == nil {
 		return psioa.ExploreCtx(ctx, a, limit, b)
@@ -373,15 +388,16 @@ func (c *Cache) ExploreCtx(ctx context.Context, a psioa.PSIOA, limit int, b *res
 	if err != nil {
 		return nil, err
 	}
+	m := obs.MeterFrom(ctx)
 	key := memoKey(memoExplore, fp, strconv.Itoa(limit))
-	if v, ok := c.Get(key); ok {
+	if v, ok := c.get(m, key); ok {
 		return v.(*psioa.Exploration), nil
 	}
 	ex, err := psioa.ExploreCtx(ctx, a, limit, b)
 	if err != nil {
 		return ex, err
 	}
-	c.Put(key, ex)
+	c.put(m, key, ex)
 	return ex, nil
 }
 
@@ -405,15 +421,16 @@ func (c *Cache) MeasureOpts(ctx context.Context, a psioa.PSIOA, s sched.Schedule
 	if err != nil {
 		return nil, err
 	}
+	m := obs.MeterFrom(ctx)
 	key := memoKey(memoMeasure, fp, s.Name(), strconv.Itoa(maxDepth))
-	if v, ok := c.Get(key); ok {
+	if v, ok := c.get(m, key); ok {
 		return v.(*sched.ExecMeasure), nil
 	}
 	em, err := sched.MeasureOpts(ctx, a, s, maxDepth, b, o)
 	if err != nil {
 		return em, err
 	}
-	c.Put(key, em)
+	c.put(m, key, em)
 	return em, nil
 }
 
@@ -441,8 +458,9 @@ func (c *Cache) FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler,
 	if err != nil {
 		return nil, err
 	}
+	m := obs.MeterFrom(ctx)
 	key := memoKey(memoFDist, fp, s.Name(), f.ID, strconv.Itoa(maxDepth))
-	if v, ok := c.Get(key); ok {
+	if v, ok := c.get(m, key); ok {
 		return v.(*measure.Dist[string]), nil
 	}
 	if f.StateLocal != nil {
@@ -451,7 +469,7 @@ func (c *Cache) FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler,
 			if err != nil {
 				return nil, err
 			}
-			c.Put(key, img)
+			c.put(m, key, img)
 			return img, nil
 		}
 	}
@@ -460,6 +478,6 @@ func (c *Cache) FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler,
 		return nil, err
 	}
 	img := em.Image(func(fr *psioa.Frag) string { return f.Apply(w, fr) })
-	c.Put(key, img)
+	c.put(m, key, img)
 	return img, nil
 }

@@ -207,9 +207,9 @@ func (r *Runner) resolveAll(refs []string) ([]psioa.PSIOA, error) {
 }
 
 // options assembles core.Options wired to the runner's pool, cache and the
-// job's budget, collecting kernel telemetry into st when non-nil.
-func (r *Runner) options(ctx context.Context, b *resilience.Budget, st *sched.Stats) core.Options {
-	opt := core.Options{Ctx: ctx, Budget: b, Kernel: r.kernelOpts(st)}
+// job's budget.
+func (r *Runner) options(ctx context.Context, b *resilience.Budget) core.Options {
+	opt := core.Options{Ctx: ctx, Budget: b, Kernel: r.kernelOpts()}
 	if r.Pool != nil {
 		opt.Exec = r.Pool
 	}
@@ -220,14 +220,9 @@ func (r *Runner) options(ctx context.Context, b *resilience.Budget, st *sched.St
 }
 
 // kernelOpts derives the sched kernel options from the runner's pool: its
-// worker count, which the kernels spend on private bounded goroutines. st
-// (may be nil) threads the job's telemetry collector into every kernel
-// call.
-func (r *Runner) kernelOpts(st *sched.Stats) sched.Options {
-	if r.Pool == nil {
-		return sched.Options{Stats: st}
-	}
-	return sched.Options{Workers: r.Pool.Workers(), Stats: st}
+// worker count, which the kernels spend on private bounded goroutines.
+func (r *Runner) kernelOpts() sched.Options {
+	return sched.Options{Workers: r.Pool.Workers()}
 }
 
 // budget materialises the job's work budget; nil when the job sets none.
@@ -243,7 +238,9 @@ func (j Job) budget() *resilience.Budget {
 // Run executes one job. The context bounds the run; Job.TimeoutMS, when
 // set, tightens it further. Errors are classified: context termination
 // surfaces as resilience.ErrDeadline/ErrCancelled, budget exhaustion (on
-// jobs that cannot degrade) as resilience.ErrBudgetExceeded.
+// jobs that cannot degrade) as resilience.ErrBudgetExceeded. The result's
+// report comes from a meter that the job's context carries to every layer
+// the job reaches, so it counts this job's work only.
 func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	if job.TimeoutMS > 0 {
 		var cancel context.CancelFunc
@@ -252,88 +249,22 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	}
 	cJobsRun.Inc()
 	start := time.Now()
-	st := &sched.Stats{}
-	bud := job.budget()
-	if bud == nil {
-		// Metering without enforcement: checkpoints created with a nil
-		// budget fall back to the process default budget, so substitute
-		// that when one is installed (its limits must stay enforced), and
-		// an always-passing NewBudget(0,0,0) otherwise — it never trips
-		// but still tallies the job's states and transitions for the run
-		// report.
-		if bud = resilience.DefaultBudget(); bud == nil {
-			bud = resilience.NewBudget(0, 0, 0)
-		}
-	}
-	states0, trans0 := bud.Used()
-	hits0, miss0, evict0, lock0 := r.Cache.Totals()
-	memo0 := psioa.SortMemoSnapshot()
-	res, err := r.dispatch(ctx, job, bud, st)
+	m := &obs.Meter{}
+	res, err := r.dispatch(obs.WithMeter(ctx, m), job, job.budget())
 	if err != nil {
 		err = resilience.WrapCtx(err)
 		cJobsFailed.Inc()
 	}
 	if res != nil {
 		res.WorkerID = r.WorkerID
-		states1, trans1 := bud.Used()
-		hits1, miss1, evict1, lock1 := r.Cache.Totals()
-		memo1 := psioa.SortMemoSnapshot()
-		rep := &obs.RunReport{
-			Kind:              job.Kind,
-			WallUS:            time.Since(start).Microseconds(),
-			States:            states1 - states0,
-			Transitions:       trans1 - trans0,
-			DepthReached:      st.DepthReached(),
-			CacheHits:         hits1 - hits0,
-			CacheMisses:       miss1 - miss0,
-			CacheEvictions:    evict1 - evict0,
-			CacheLockWaitUS:   lock1 - lock0,
-			SortMemoHits:      memo1.Hits - memo0.Hits,
-			SortMemoMisses:    memo1.Misses - memo0.Misses,
-			SortMemoResets:    memo1.Resets - memo0.Resets,
-			SortMemoEntries:   int64(memo1.Entries),
-			BudgetStates:      job.BudgetStates,
-			BudgetTransitions: job.BudgetTransitions,
-			Workers:           r.Pool.Workers(),
-			Levels:            st.Levels(),
-			Shards:            st.Shards(),
-			Phases:            st.Phases(),
-		}
-		rep.ShardImbalance = obs.Imbalance(rep.Shards)
-		for _, s := range rep.Shards {
-			rep.BarrierWaitUS += s.BarrierWaitUS
-		}
-		if tot := rep.CacheHits + rep.CacheMisses; tot > 0 {
-			rep.CacheHitRatio = float64(rep.CacheHits) / float64(tot)
-		}
-		phaseQuantiles(rep.Phases)
+		rep := m.Report()
+		rep.Kind = job.Kind
+		rep.WallUS = time.Since(start).Microseconds()
+		rep.Workers = r.Pool.Workers()
+		rep.BudgetStates, rep.BudgetTransitions = job.BudgetStates, job.BudgetTransitions
 		res.Report = rep
 	}
 	return res, err
-}
-
-// phaseQuantiles fills each phase row's wall quantiles from the matching
-// duration histogram of the default registry. The histograms are
-// process-cumulative (per-call durations across the process lifetime), so
-// the quantiles characterise the kernel family, not this job alone.
-func phaseQuantiles(phases []obs.PhaseStat) {
-	for i := range phases {
-		var names []string
-		switch phases[i].Name {
-		case "sched.measure":
-			names = []string{"sched.measure.us"}
-		case "sched.sample":
-			names = []string{"sched.sample.par.us"}
-		case "sched.measure.dag":
-			names = []string{"sched.measure.dag.us"}
-		}
-		for _, n := range names {
-			if s := obs.H(n).Snapshot(); s.Count > 0 {
-				phases[i].P50US, phases[i].P95US, phases[i].P99US = s.P50, s.P95, s.P99
-				break
-			}
-		}
-	}
 }
 
 // RunSafe is Run behind a panic isolation boundary: a panicking job
@@ -344,7 +275,7 @@ func (r *Runner) RunSafe(ctx context.Context, job Job) (res *Result, err error) 
 	return r.Run(ctx, job)
 }
 
-func (r *Runner) dispatch(ctx context.Context, job Job, bud *resilience.Budget, st *sched.Stats) (*Result, error) {
+func (r *Runner) dispatch(ctx context.Context, job Job, bud *resilience.Budget) (*Result, error) {
 	if err := resilience.FireErr(resilience.FaultJobTransient); err != nil {
 		return nil, err
 	}
@@ -353,7 +284,7 @@ func (r *Runner) dispatch(ctx context.Context, job Job, bud *resilience.Budget, 
 		if job.Check == nil {
 			return nil, fmt.Errorf("engine: check job without check spec")
 		}
-		rep, err := r.check(ctx, job.Check, bud, st)
+		rep, err := r.check(ctx, job.Check, bud)
 		if err != nil {
 			return nil, err
 		}
@@ -362,7 +293,7 @@ func (r *Runner) dispatch(ctx context.Context, job Job, bud *resilience.Budget, 
 		if job.Simulate == nil {
 			return nil, fmt.Errorf("engine: simulate job without simulate spec")
 		}
-		sr, err := r.simulate(ctx, job.Simulate, bud, st)
+		sr, err := r.simulate(ctx, job.Simulate, bud)
 		if err != nil {
 			return nil, err
 		}
@@ -384,10 +315,10 @@ func (r *Runner) dispatch(ctx context.Context, job Job, bud *resilience.Budget, 
 // Check resolves the spec and runs core.Implements on the runner's pool and
 // cache. The report is identical to a sequential, uncached run.
 func (r *Runner) Check(ctx context.Context, cs *CheckSpec) (*core.Report, error) {
-	return r.check(ctx, cs, nil, nil)
+	return r.check(ctx, cs, nil)
 }
 
-func (r *Runner) check(ctx context.Context, cs *CheckSpec, bud *resilience.Budget, st *sched.Stats) (*core.Report, error) {
+func (r *Runner) check(ctx context.Context, cs *CheckSpec, bud *resilience.Budget) (*core.Report, error) {
 	if cs.Left == "" || cs.Right == "" || len(cs.Envs) == 0 {
 		return nil, fmt.Errorf("engine: check needs left, right and at least one env")
 	}
@@ -411,7 +342,7 @@ func (r *Runner) check(ctx context.Context, cs *CheckSpec, bud *resilience.Budge
 	if err != nil {
 		return nil, err
 	}
-	opt := r.options(ctx, bud, st)
+	opt := r.options(ctx, bud)
 	opt.Envs = envs
 	opt.Schema = schema
 	opt.Insight = ins
@@ -427,10 +358,10 @@ func (r *Runner) check(ctx context.Context, cs *CheckSpec, bud *resilience.Budge
 // Monte-Carlo estimate when Samples > 0), reusing cached measures for
 // repeated exact requests.
 func (r *Runner) Simulate(ctx context.Context, ss *SimulateSpec) (*SimulateResult, error) {
-	return r.simulate(ctx, ss, nil, nil)
+	return r.simulate(ctx, ss, nil)
 }
 
-func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience.Budget, st *sched.Stats) (*SimulateResult, error) {
+func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience.Budget) (*SimulateResult, error) {
 	if len(ss.Systems) == 0 {
 		return nil, fmt.Errorf("engine: simulate needs at least one system")
 	}
@@ -464,7 +395,7 @@ func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience
 		// Index-substream sampling: the estimate is identical for any
 		// -workers setting (including 1), deterministic per seed.
 		stream := rng.New(ss.Seed)
-		d, err := insight.SampleOpts(ctx, w, s, ins, stream, depth, ss.Samples, bud, r.kernelOpts(st))
+		d, err := insight.SampleOpts(ctx, w, s, ins, stream, depth, ss.Samples, bud, r.kernelOpts())
 		if err != nil {
 			return nil, err
 		}
@@ -476,7 +407,7 @@ func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience
 			Outcomes:   outcomes(d),
 		}, nil
 	}
-	em, err := r.Cache.MeasureOpts(ctx, w, s, depth, bud, r.kernelOpts(st))
+	em, err := r.Cache.MeasureOpts(ctx, w, s, depth, bud, r.kernelOpts())
 	if err != nil {
 		// Graceful degradation: a budget-bounded stop leaves an exact
 		// sub-probability prefix of ε_σ, which is a usable answer for a
@@ -499,7 +430,7 @@ func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience
 			Degraded:   err.Error(),
 		}, nil
 	}
-	img, err := r.Cache.FDistOpts(ctx, w, s, ins, depth, bud, r.kernelOpts(st))
+	img, err := r.Cache.FDistOpts(ctx, w, s, ins, depth, bud, r.kernelOpts())
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -105,59 +104,4 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...)
-}
-
-// Summarize renders a compact text summary of a trace: per-kind event
-// counts and, for spans, per-name call counts with total and maximum
-// duration. It is the human counterpart of the raw JSONL file.
-func Summarize(events []Event) string {
-	kinds := make(map[Kind]int)
-	type spanAgg struct {
-		n        int
-		tot, max int64
-	}
-	spans := make(map[string]*spanAgg)
-	for _, e := range events {
-		kinds[e.Kind]++
-		if e.Kind == KindSpanEnd {
-			a := spans[e.Name]
-			if a == nil {
-				a = &spanAgg{}
-				spans[e.Name] = a
-			}
-			a.n++
-			a.tot += e.Dur
-			if e.Dur > a.max {
-				a.max = e.Dur
-			}
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %d events\n", len(events))
-	kindNames := make([]string, 0, len(kinds))
-	for k := range kinds {
-		kindNames = append(kindNames, string(k))
-	}
-	sort.Strings(kindNames)
-	for _, k := range kindNames {
-		fmt.Fprintf(&b, "  %-22s %d\n", k, kinds[Kind(k)])
-	}
-	if len(spans) > 0 {
-		b.WriteString("spans:\n")
-		spanNames := make([]string, 0, len(spans))
-		for n := range spans {
-			spanNames = append(spanNames, n)
-		}
-		sort.Strings(spanNames)
-		for _, n := range spanNames {
-			a := spans[n]
-			fmt.Fprintf(&b, "  %-28s n=%-6d total=%s max=%s\n",
-				n, a.n, usDur(a.tot), usDur(a.max))
-		}
-	}
-	return b.String()
-}
-
-func usDur(us int64) string {
-	return (time.Duration(us) * time.Microsecond).Round(time.Microsecond).String()
 }

@@ -148,8 +148,7 @@ func Begin(name, attr string) Span {
 }
 
 // Begin opens a child span of s: the begin event carries s's id as Parent,
-// so a SpanTree reconstructor can rebuild the call hierarchy from the
-// trace. The zero Span is a valid parent (the child becomes a root), which
+// so the call hierarchy can be rebuilt from the trace. The zero Span is a valid parent (the child becomes a root), which
 // keeps the disabled path allocation-free: when tracing is off every span
 // is the zero Span and opening children off it costs one branch.
 func (s Span) Begin(name, attr string) Span {

@@ -147,24 +147,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSummarize checks the compact text summary over a recorded trace.
-func TestSummarize(t *testing.T) {
-	rec := obs.NewRecorder()
-	prev := obs.SetTracer(rec)
-	sp := obs.Begin("phase", "x")
-	rec.Emit(obs.Event{Kind: obs.KindSchedStep, Name: "s"})
-	rec.Emit(obs.Event{Kind: obs.KindSchedStep, Name: "s"})
-	sp.End()
-	obs.SetTracer(prev)
-
-	sum := obs.Summarize(rec.Events())
-	for _, frag := range []string{"4 events", "sched.step", "phase", "n=1"} {
-		if !strings.Contains(sum, frag) {
-			t.Errorf("summary missing %q:\n%s", frag, sum)
-		}
-	}
-}
-
 // TestSnapshotJSON checks the JSON export round-trips.
 func TestSnapshotJSON(t *testing.T) {
 	r := obs.NewRegistry()

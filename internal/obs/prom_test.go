@@ -88,7 +88,6 @@ func TestRunReportString(t *testing.T) {
 	r := &obs.RunReport{
 		Kind: "check", WallUS: 1500, States: 100, Transitions: 250, DepthReached: 6,
 		CacheHits: 30, CacheMisses: 10, CacheHitRatio: 0.75,
-		SortMemoHits: 5, SortMemoMisses: 2, SortMemoEntries: 2,
 		Workers: 4, Levels: 6, ShardImbalance: 1.25,
 		Shards: []obs.ShardStat{{Shard: 0, Levels: 6, Items: 40, Width: 48, WallUS: 900}},
 		Phases: []obs.PhaseStat{{Name: "sched.measure", Calls: 3, WallUS: 1200, P50US: 256, P95US: 512, P99US: 512}},

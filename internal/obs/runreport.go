@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"strings"
+	"time"
 )
 
 // ShardStat is the per-shard work account of a parallel kernel, aggregated
@@ -21,7 +22,7 @@ type ShardStat struct {
 }
 
 // PhaseStat is one named phase of a run's wall-time breakdown, with
-// bucket-resolution quantiles taken from the phase's duration histogram.
+// bucket-resolution quantiles of the run's own call durations.
 type PhaseStat struct {
 	Name   string  `json:"name"`
 	Calls  int64   `json:"calls"`
@@ -33,13 +34,9 @@ type PhaseStat struct {
 
 // RunReport is the structured account of one verification job: where the
 // states, transitions, cache hits and wall time went. It is attached to
-// engine job results, printed by dsecheck -explain, appended to dsebench
-// -json output and returned in dsed job responses.
-//
-// Cache and sort-memo figures are deltas of the process counters taken
-// around the job; in a single-job CLI process they are exact, under
-// concurrent daemon jobs they may include a neighbour's traffic (see
-// docs/OBSERVABILITY.md).
+// engine job results, printed by dsecheck -explain and returned in dsed
+// job responses. Everything it measures comes from the job's own Meter,
+// so it is exact however many jobs run concurrently.
 type RunReport struct {
 	Kind         string `json:"kind,omitempty"`
 	WallUS       int64  `json:"wall_us"`
@@ -51,11 +48,6 @@ type RunReport struct {
 	CacheMisses    int64   `json:"cache_misses"`
 	CacheEvictions int64   `json:"cache_evictions,omitempty"`
 	CacheHitRatio  float64 `json:"cache_hit_ratio"`
-
-	SortMemoHits    int64 `json:"sort_memo_hits"`
-	SortMemoMisses  int64 `json:"sort_memo_misses"`
-	SortMemoResets  int64 `json:"sort_memo_resets,omitempty"`
-	SortMemoEntries int64 `json:"sort_memo_entries"`
 
 	// BudgetStates/BudgetTransitions echo the limits the job ran under
 	// (zero = unlimited); States/Transitions are the spend against them.
@@ -71,8 +63,8 @@ type RunReport struct {
 	// BarrierWaitUS is the summed barrier wait across shards — the wall
 	// time lost to imbalance rather than contention.
 	BarrierWaitUS int64 `json:"barrier_wait_us,omitempty"`
-	// CacheLockWaitUS is the summed striped-cache lock wait (collected
-	// only while tracing is enabled; zero otherwise).
+	// CacheLockWaitUS is the job's summed striped-cache lock wait
+	// (collected only while tracing is enabled; zero otherwise).
 	CacheLockWaitUS int64 `json:"cache_lock_wait_us,omitempty"`
 
 	Phases []PhaseStat `json:"phases,omitempty"`
@@ -108,8 +100,6 @@ func (r *RunReport) String() string {
 	}
 	fmt.Fprintf(&b, "  cache       hits=%d misses=%d evictions=%d hit-ratio=%.3f\n",
 		r.CacheHits, r.CacheMisses, r.CacheEvictions, r.CacheHitRatio)
-	fmt.Fprintf(&b, "  sort memo   hits=%d misses=%d resets=%d entries=%d\n",
-		r.SortMemoHits, r.SortMemoMisses, r.SortMemoResets, r.SortMemoEntries)
 	if len(r.Shards) > 0 {
 		fmt.Fprintf(&b, "  shards      workers=%d levels=%d imbalance(max/mean)=%.3f barrier-wait=%s",
 			r.Workers, r.Levels, r.ShardImbalance, usDur(r.BarrierWaitUS))
@@ -137,4 +127,8 @@ func orDash(s string) string {
 		return "-"
 	}
 	return s
+}
+
+func usDur(us int64) string {
+	return (time.Duration(us) * time.Microsecond).Round(time.Microsecond).String()
 }

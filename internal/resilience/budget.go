@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Budget bounds how much work an operation may perform. Usage counters are
@@ -27,16 +29,6 @@ type Budget struct {
 // returns an always-passing budget (prefer nil for that).
 func NewBudget(states, transitions int64, wall time.Duration) *Budget {
 	return &Budget{maxStates: states, maxTrans: transitions, wall: wall, start: time.Now()}
-}
-
-// Used reports the states and transitions charged so far. Checkpoints
-// accumulate locally and flush every pollEvery steps, so during a run the
-// value can lag by a bounded amount.
-func (b *Budget) Used() (states, transitions int64) {
-	if b == nil {
-		return 0, 0
-	}
-	return b.states.Load(), b.trans.Load()
 }
 
 // check charges addStates/addTrans and returns a *BudgetError as soon as
@@ -111,20 +103,6 @@ func SetDefaultBudget(b *Budget) *Budget {
 	return defaultBudget.Swap(b)
 }
 
-// DefaultBudget returns the process-wide fallback budget, or nil when none
-// is installed. Callers that substitute their own budget into a call path
-// (e.g. the engine's per-job metering) consult it so an operator-installed
-// -budget limit is never silently bypassed.
-func DefaultBudget() *Budget { return defaultBudget.Load() }
-
-// Limits reports the budget's configured bounds (zero = unlimited).
-func (b *Budget) Limits() (states, transitions int64, wall time.Duration) {
-	if b == nil {
-		return 0, 0, 0
-	}
-	return b.maxStates, b.maxTrans, b.wall
-}
-
 // pollEvery is the amortization factor of Checkpoint.Step: the context and
 // the shared budget are consulted once per pollEvery steps, bounding both
 // the per-step cost (two adds, a decrement, a branch) and the overshoot
@@ -134,19 +112,20 @@ const pollEvery = 256
 
 // Checkpoint is the cooperative cancellation and budget probe kernels call
 // once per unit of work. A nil *Checkpoint is valid and free, so legacy
-// call paths (nil ctx, no budget) pay only the nil check.
+// call paths (nil ctx, no budget, no meter) pay only the nil check.
 type Checkpoint struct {
 	ctx    context.Context
 	done   <-chan struct{}
 	budget *Budget
-	states int64 // charged locally, flushed to budget every pollEvery steps
+	meter  *obs.Meter
+	states int64 // charged locally, flushed every pollEvery steps
 	trans  int64
 	tick   int
 }
 
 // NewCheckpoint builds a checkpoint polling ctx and charging b (or the
-// process default budget when b is nil). Returns nil — a free checkpoint —
-// when there is nothing to enforce.
+// process default budget when b is nil) and the meter ctx carries. Returns
+// nil — a free checkpoint — when there is nothing to enforce or meter.
 func NewCheckpoint(ctx context.Context, b *Budget) *Checkpoint {
 	if b == nil {
 		b = defaultBudget.Load()
@@ -155,10 +134,11 @@ func NewCheckpoint(ctx context.Context, b *Budget) *Checkpoint {
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	if done == nil && b == nil {
+	m := obs.MeterFrom(ctx)
+	if done == nil && b == nil && m == nil {
 		return nil
 	}
-	return &Checkpoint{ctx: ctx, done: done, budget: b, tick: pollEvery}
+	return &Checkpoint{ctx: ctx, done: done, budget: b, meter: m, tick: pollEvery}
 }
 
 // Step charges states/trans units of work and, once per pollEvery calls,
@@ -177,8 +157,8 @@ func (c *Checkpoint) Step(states, trans int64) error {
 }
 
 // Finish flushes the residual locally-accumulated work into the budget and
-// performs a final poll. Kernels call it before returning success so
-// shared-budget accounting stays accurate across calls.
+// the meter and performs a final poll. Kernels call it before returning
+// success so shared-budget accounting stays accurate across calls.
 func (c *Checkpoint) Finish() error {
 	if c == nil {
 		return nil
@@ -195,12 +175,11 @@ func (c *Checkpoint) flush() error {
 		default:
 		}
 	}
+	states, trans := c.states, c.trans
+	c.states, c.trans = 0, 0
+	c.meter.Work(states, trans)
 	if c.budget != nil {
-		err := c.budget.check(c.states, c.trans)
-		c.states, c.trans = 0, 0
-		if err != nil {
-			return err
-		}
+		return c.budget.check(states, trans)
 	}
 	return nil
 }

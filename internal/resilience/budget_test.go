@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
@@ -114,9 +115,28 @@ func TestBudgetShared(t *testing.T) {
 	if !resilience.IsBudget(err) {
 		t.Fatalf("second call should exhaust the shared budget, got %v", err)
 	}
-	s, _ := b.Used()
-	if s < 1000 {
-		t.Errorf("Used states = %d, want >= 1000", s)
+	var be *resilience.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("exhausted budget returned %T, want *BudgetError", err)
+	}
+	if be.States < 1000 {
+		t.Errorf("charged states = %d, want >= 1000", be.States)
+	}
+}
+
+// TestCheckpointChargesMeter pins that a checkpoint charges the meter its
+// context carries, with or without a budget, and only what it flushed.
+func TestCheckpointChargesMeter(t *testing.T) {
+	m := &obs.Meter{}
+	ctx := obs.WithMeter(context.Background(), m)
+	if err := drive(resilience.NewCheckpoint(ctx, nil), 1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := drive(resilience.NewCheckpoint(ctx, resilience.NewBudget(1000000, 0, 0)), 300); err != nil {
+		t.Fatal(err)
+	}
+	if r := m.Report(); r.States != 1300 || r.Transitions != 0 {
+		t.Errorf("meter charged %d states, %d transitions; want 1300, 0", r.States, r.Transitions)
 	}
 }
 

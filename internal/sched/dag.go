@@ -229,8 +229,8 @@ func (dm *DAGMeasure) Image(f func(q psioa.State, depth int) string) *measure.Di
 // with the same typed sentinels, and a budget-bounded stop returns the
 // sound sub-probability prefix aggregated so far. The propagation itself
 // stays sequential (the collapsed workload rarely warrants sharding), but
-// a Stats collector receives per-level rows — one shard per level with the
-// nodes expanded and the level's wall time — and the dag phase totals, so
+// a meter in ctx receives per-level rows — one shard per level with the
+// nodes expanded and the level's wall time — and the call's wall time, so
 // run reports cover DAG-routed jobs too.
 func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDepth int, b *resilience.Budget, o Options) (*DAGMeasure, error) {
 	sp := obs.Begin("sched.measure.dag", s.Name())
@@ -240,9 +240,9 @@ func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDep
 	if err := resilience.FireDelay(ctx, resilience.FaultSlowOp); err != nil {
 		return nil, err
 	}
-	collect := o.Stats != nil
+	m := obs.MeterFrom(ctx)
 	var callStart time.Time
-	if collect {
+	if m != nil {
 		callStart = time.Now()
 	}
 	dm := &DAGMeasure{}
@@ -252,6 +252,9 @@ func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDep
 		// on the start state, exactly as in MeasureOpts.
 		dm.halts = append(dm.halts, dagHalt{q: start, depth: 0, p: 1})
 		dm.total = 1
+		if m != nil {
+			m.Call(obs.PhaseDAG, time.Since(callStart).Microseconds())
+		}
 		return dm, nil
 	}
 	ck := resilience.NewCheckpoint(ctx, b)
@@ -279,7 +282,7 @@ outer:
 	for d := 0; len(order) > 0; d++ {
 		var levelStart time.Time
 		levelNodes := nodes
-		if collect {
+		if m != nil {
 			levelStart = time.Now()
 		}
 		epoch++
@@ -353,10 +356,10 @@ outer:
 				break outer
 			}
 		}
-		if collect {
+		if m != nil {
 			wall := time.Since(levelStart).Microseconds()
-			o.Stats.recordLevel([]int64{int64(len(order))}, []int64{nodes - levelNodes}, []int64{wall})
-			o.Stats.recordDepth(d)
+			m.Level([]int64{int64(len(order))}, []int64{nodes - levelNodes}, []int64{wall})
+			m.Depth(d)
 		}
 		slots := *tbl.slots.Load()
 		sort.Slice(nextOrder, func(i, j int) bool { return slots[nextOrder[i]].q < slots[nextOrder[j]].q })
@@ -366,8 +369,8 @@ outer:
 	if err == nil && stopped == nil {
 		stopped = ck.Finish()
 	}
-	if collect {
-		o.Stats.recordCall("dag", time.Since(callStart).Microseconds(), nodes)
+	if m != nil {
+		m.Call(obs.PhaseDAG, time.Since(callStart).Microseconds())
 	}
 	cDagNodes.Add(nodes)
 	if err != nil {

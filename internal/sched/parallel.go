@@ -19,10 +19,6 @@ type Options struct {
 	// Workers is the shard count of the level-synchronous expansion and the
 	// sampling fan-out. Zero means 1.
 	Workers int
-	// Stats, when set, collects per-level per-shard work and wall-time
-	// telemetry into the collector (see Stats). Nil — the default — skips
-	// all collection, including the per-shard clock reads.
-	Stats *Stats
 }
 
 func (o Options) workers() int {
@@ -164,10 +160,10 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 	tr := obs.Active()
 	traced := tr.Enabled()
 	// Per-shard telemetry (and the clock reads feeding it) is collected
-	// only with a Stats collector or an enabled tracer, so undisturbed
+	// only for a meter in ctx or an enabled tracer, so undisturbed
 	// benchmarks keep the zero-instrumentation fast path.
-	collect := o.Stats != nil
-	timed := collect || traced
+	m := obs.MeterFrom(ctx)
+	timed := m != nil || traced
 	var callStart time.Time
 	if timed {
 		callStart = time.Now()
@@ -186,8 +182,8 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 		cMeasureFrags.Inc()
 		gMeasureSupport.SetMax(1)
 		obs.H("sched.measure.support").Observe(1)
-		if collect {
-			o.Stats.recordCall("measure", time.Since(callStart).Microseconds(), 0)
+		if m != nil {
+			m.Call(obs.PhaseMeasure, time.Since(callStart).Microseconds())
 		}
 		return em, nil
 	}
@@ -312,7 +308,7 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 					Dur: outs[i].wallUS, Parent: sp.ID()})
 			}
 		}
-		if collect {
+		if m != nil {
 			widths := make([]int64, len(outs))
 			items := make([]int64, len(outs))
 			walls := make([]int64, len(outs))
@@ -321,15 +317,15 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 				items[i] = outs[i].steps
 				walls[i] = outs[i].wallUS
 			}
-			o.Stats.recordLevel(widths, items, walls)
+			m.Level(widths, items, walls)
 		}
 		lastLevel = lvl
 		k.frontier, spare = next, frontier[:0]
 		k.ids, spareIDs = nextIDs, k.ids[:0]
 	}
-	if collect {
-		o.Stats.recordCall("measure", time.Since(callStart).Microseconds(), 0)
-		o.Stats.recordDepth(lastLevel)
+	if m != nil {
+		m.Call(obs.PhaseMeasure, time.Since(callStart).Microseconds())
+		m.Depth(lastLevel)
 	}
 	cMeasureCalls.Inc()
 	cMeasureSteps.Add(steps)
@@ -576,8 +572,8 @@ func sampleImage(ctx context.Context, name string, stream *rng.Stream, n int, b 
 	defer obs.Time("sched.sample.par.us")()
 	tr := obs.Active()
 	traced := tr.Enabled()
-	collect := o.Stats != nil
-	timed := collect || traced
+	m := obs.MeterFrom(ctx)
+	timed := m != nil || traced
 	var callStart time.Time
 	if timed {
 		callStart = time.Now()
@@ -623,7 +619,7 @@ func sampleImage(ctx context.Context, name string, stream *rng.Stream, n int, b 
 	}
 	if timed && err == nil {
 		callWallUS := time.Since(callStart).Microseconds()
-		if collect {
+		if m != nil {
 			widths := make([]int64, len(outs))
 			walls := make([]int64, len(outs))
 			for i := range outs {
@@ -632,8 +628,8 @@ func sampleImage(ctx context.Context, name string, stream *rng.Stream, n int, b 
 			}
 			// Sampling has no levels: the whole run is one barrier, and
 			// every sample in a shard's span was drawn, so items = width.
-			o.Stats.recordLevel(widths, widths, walls)
-			o.Stats.recordCall("sample", callWallUS, 0)
+			m.Level(widths, widths, walls)
+			m.Call(obs.PhaseSample, callWallUS)
 		}
 		if traced {
 			for i := range outs {

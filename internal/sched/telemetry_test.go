@@ -20,18 +20,23 @@ func telemetryWorkload() (psioa.PSIOA, sched.Scheduler, int) {
 	return w, &sched.Random{A: w, Bound: 13}, 16
 }
 
-// TestMeasureOptsTelemetry checks that a collector threaded through the
+// metered returns a context carrying a fresh meter, and the meter.
+func metered() (context.Context, *obs.Meter) {
+	m := &obs.Meter{}
+	return obs.WithMeter(context.Background(), m), m
+}
+
+// TestMeasureOptsTelemetry checks that a meter in the context of the
 // parallel measure kernel accounts for the whole expansion — and that
-// collecting changes nothing about the result.
+// metering changes nothing about the result.
 func TestMeasureOptsTelemetry(t *testing.T) {
-	ctx := context.Background()
 	a, s, depth := telemetryWorkload()
-	want, err := sched.MeasureOpts(ctx, a, s, depth, nil, sched.Options{Workers: 4})
+	want, err := sched.MeasureOpts(context.Background(), a, s, depth, nil, sched.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &sched.Stats{}
-	got, err := sched.MeasureOpts(ctx, a, s, depth, nil, sched.Options{Workers: 4, Stats: st})
+	ctx, m := metered()
+	got, err := sched.MeasureOpts(ctx, a, s, depth, nil, sched.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +44,14 @@ func TestMeasureOptsTelemetry(t *testing.T) {
 		t.Error("telemetered measure differs from the undisturbed one")
 	}
 
-	if st.Levels() == 0 {
+	rep := m.Report()
+	if rep.Levels == 0 {
 		t.Fatal("no levels recorded")
 	}
-	if st.DepthReached() == 0 {
+	if rep.DepthReached == 0 {
 		t.Error("depth high-water mark not recorded")
 	}
-	shards := st.Shards()
+	shards := rep.Shards
 	if len(shards) == 0 {
 		t.Fatal("no shard rows recorded")
 	}
@@ -63,7 +69,7 @@ func TestMeasureOptsTelemetry(t *testing.T) {
 	if width < items {
 		t.Errorf("total width %d < total items %d: width is the span handed to the shard", width, items)
 	}
-	phases := st.Phases()
+	phases := rep.Phases
 	if len(phases) != 1 || phases[0].Name != "sched.measure" || phases[0].Calls != 1 {
 		t.Errorf("phases = %+v, want one sched.measure call", phases)
 	}
@@ -78,12 +84,12 @@ func TestMeasureOptsTelemetryWorkerInvariant(t *testing.T) {
 	a, s, depth := telemetryWorkload()
 	want := int64(-1)
 	for _, workers := range []int{1, 2, 4, 8} {
-		st := &sched.Stats{}
-		if _, err := sched.MeasureOpts(context.Background(), a, s, depth, nil, sched.Options{Workers: workers, Stats: st}); err != nil {
+		ctx, m := metered()
+		if _, err := sched.MeasureOpts(ctx, a, s, depth, nil, sched.Options{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		var items int64
-		for _, sh := range st.Shards() {
+		for _, sh := range m.Report().Shards {
 			items += sh.Items
 		}
 		if want < 0 {
@@ -98,23 +104,23 @@ func TestMeasureOptsTelemetryWorkerInvariant(t *testing.T) {
 // TestSampleTelemetry checks the sampling kernel's per-shard accounting:
 // every drawn sample is attributed to exactly one shard.
 func TestSampleTelemetry(t *testing.T) {
-	ctx := context.Background()
+	ctx, m := metered()
 	a, s, depth := telemetryWorkload()
-	st := &sched.Stats{}
 	const n = 200
 	_, err := sched.SampleImageOpts(ctx, a, s, rng.New(7), depth, n,
-		func(f *psioa.Frag) string { return f.Key() }, nil, sched.Options{Workers: 4, Stats: st})
+		func(f *psioa.Frag) string { return f.Key() }, nil, sched.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := m.Report()
 	var items int64
-	for _, sh := range st.Shards() {
+	for _, sh := range rep.Shards {
 		items += sh.Items
 	}
 	if items != n {
 		t.Errorf("shards account for %d samples, want %d", items, n)
 	}
-	phases := st.Phases()
+	phases := rep.Phases
 	if len(phases) != 1 || phases[0].Name != "sched.sample" {
 		t.Errorf("phases = %+v, want one sched.sample row", phases)
 	}
@@ -123,15 +129,14 @@ func TestSampleTelemetry(t *testing.T) {
 // TestDagTelemetry checks the DAG kernel records one shard per level and
 // its node count, without changing the measure.
 func TestDagTelemetry(t *testing.T) {
-	ctx := context.Background()
 	w := testaut.RandomWalk("w", 6, 0.5)
 	s := &sched.Greedy{A: w, Bound: 9}
-	want, err := sched.MeasureDAGOpts(ctx, w, s, 12, nil, sched.Options{})
+	want, err := sched.MeasureDAGOpts(context.Background(), w, s, 12, nil, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &sched.Stats{}
-	got, err := sched.MeasureDAGOpts(ctx, w, s, 12, nil, sched.Options{Stats: st})
+	ctx, m := metered()
+	got, err := sched.MeasureDAGOpts(ctx, w, s, 12, nil, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,22 +144,28 @@ func TestDagTelemetry(t *testing.T) {
 	if fmt.Sprint(got.Image(final)) != fmt.Sprint(want.Image(final)) {
 		t.Error("telemetered DAG measure differs")
 	}
-	if st.Levels() == 0 || st.DagNodes() == 0 {
-		t.Errorf("levels=%d dagNodes=%d, want both > 0", st.Levels(), st.DagNodes())
+	// The DAG kernel's one shard per level expands the level's nodes, so
+	// the shard rows' items are the call's node count.
+	rep := m.Report()
+	var nodes int64
+	for _, sh := range rep.Shards {
+		nodes += sh.Items
 	}
-	phases := st.Phases()
+	if rep.Levels == 0 || nodes == 0 {
+		t.Errorf("levels=%d nodes=%d, want both > 0", rep.Levels, nodes)
+	}
+	phases := rep.Phases
 	if len(phases) != 1 || phases[0].Name != "sched.measure.dag" {
 		t.Errorf("phases = %+v, want one sched.measure.dag row", phases)
 	}
 }
 
-// TestStatsSharedAcrossKernels is the race check: one collector shared by
-// concurrent kernel calls (the engine shares one Stats per job across every
+// TestStatsSharedAcrossKernels is the race check: one meter shared by
+// concurrent kernel calls (the engine shares one meter per job across every
 // pair task) must be safe under -race and lose no work.
 func TestStatsSharedAcrossKernels(t *testing.T) {
-	ctx := context.Background()
+	ctx, shared := metered()
 	a, s, depth := telemetryWorkload()
-	st := &sched.Stats{}
 	const calls = 8
 	var wg sync.WaitGroup
 	errs := make([]error, calls)
@@ -162,7 +173,7 @@ func TestStatsSharedAcrossKernels(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			_, errs[c] = sched.MeasureOpts(ctx, a, s, depth, nil, sched.Options{Workers: 2, Stats: st})
+			_, errs[c] = sched.MeasureOpts(ctx, a, s, depth, nil, sched.Options{Workers: 2})
 		}(c)
 	}
 	wg.Wait()
@@ -171,25 +182,26 @@ func TestStatsSharedAcrossKernels(t *testing.T) {
 			t.Fatalf("call %d: %v", c, err)
 		}
 	}
-	single := &sched.Stats{}
-	if _, err := sched.MeasureOpts(ctx, a, s, depth, nil, sched.Options{Workers: 2, Stats: single}); err != nil {
+	ctx1, m1 := metered()
+	if _, err := sched.MeasureOpts(ctx1, a, s, depth, nil, sched.Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := st.Levels(), calls*single.Levels(); got != want {
-		t.Errorf("shared collector recorded %d levels, want %d (%d calls × %d)", got, want, calls, single.Levels())
+	st, single := shared.Report(), m1.Report()
+	if got, want := st.Levels, calls*single.Levels; got != want {
+		t.Errorf("shared meter recorded %d levels, want %d (%d calls × %d)", got, want, calls, single.Levels)
 	}
 	var got, want int64
-	for _, sh := range st.Shards() {
+	for _, sh := range st.Shards {
 		got += sh.Items
 	}
-	for _, sh := range single.Shards() {
+	for _, sh := range single.Shards {
 		want += sh.Items
 	}
 	if got != calls*want {
-		t.Errorf("shared collector accounted %d items, want %d", got, calls*want)
+		t.Errorf("shared meter accounted %d items, want %d", got, calls*want)
 	}
-	if len(st.Phases()) != 1 || st.Phases()[0].Calls != calls {
-		t.Errorf("phases = %+v, want one sched.measure row with %d calls", st.Phases(), calls)
+	if len(st.Phases) != 1 || st.Phases[0].Calls != calls {
+		t.Errorf("phases = %+v, want one sched.measure row with %d calls", st.Phases, calls)
 	}
 }
 
