@@ -2,12 +2,12 @@ package psioa
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/codec"
 	"repro/internal/intern"
-	"repro/internal/measure"
 	"repro/internal/obs"
 )
 
@@ -32,25 +32,31 @@ type Product struct {
 	id    string
 	comps []PSIOA
 
-	// Per-product caches stay mutex-guarded plain maps on purpose: an
-	// exploration sweep inserts a fresh entry for nearly every state it
-	// visits, and for that insert-heavy profile a snapshot-promoting
-	// read-mostly map (intern.RM) pays O(n) copies over and over — the
-	// shared *bounded* memo tables (sortcache, choicecache) are where RM
-	// earns its keep. The transition cache stays two chained string-keyed
-	// maps rather than one struct-keyed map: string keys get the runtime's
-	// faststr map path, which a composite struct key forfeits. Values are
-	// immutable once stored.
-	mu         sync.Mutex
-	sigCache   map[State]Signature
-	compatOK   map[State]bool
-	transCache map[State]map[Action]*Dist
-	splitCache map[State][]State
-	// spare is the enumerator Trans reuses: callers that build every
-	// transition of a state in a row (Validate, fingerprinting) then look
-	// the state up once. A concurrent Trans that finds it taken uses a
-	// fresh one.
-	spare *prodEnum
+	// The state table (prodtable.go) is the product's one per-state store:
+	// component indexes, product states keyed by their component IDs,
+	// shared signature entries and the transition measures Trans built.
+	// It stays plain maps under one mutex on purpose: an exploration
+	// inserts a state for nearly every one it visits, and for that
+	// insert-heavy profile a snapshot-promoting read-mostly map
+	// (intern.RM) pays O(n) copies over and over. The table lives exactly
+	// as long as the product.
+	mu      sync.Mutex
+	tabs    []compTab
+	states  []pstate
+	byTuple map[string]uint32 // tuple key → state ID
+	byState map[State]uint32  // encoding → state ID
+	entries map[string]*sigEntry
+	actIDs  map[Action]uint32
+	actList []Action // by action ID
+	// succ keeps the successor lists of (state ID<<32 | action ID) for the
+	// products this one is a component of (under Hidden or Atomic).
+	succ     map[uint64][]succ
+	start    uint32
+	hasStart bool
+	// Scratch buffers of the table operations, guarded by mu.
+	buf, sbuf, enc []byte
+	parts          []string
+	lists          [][]succ
 }
 
 // Compose builds the partial composition of the given automata (Def 2.18).
@@ -80,13 +86,18 @@ func Compose(auts ...PSIOA) (*Product, error) {
 	}
 	cComposeCalls.Inc()
 	cComposeComponents.Add(int64(len(comps)))
+	tabs := make([]compTab, len(comps))
+	for i, c := range comps {
+		tabs[i] = newCompTab(c)
+	}
 	return &Product{
-		id:         strings.Join(ids, "||"),
-		comps:      comps,
-		sigCache:   make(map[State]Signature),
-		compatOK:   make(map[State]bool),
-		transCache: make(map[State]map[Action]*Dist),
-		splitCache: make(map[State][]State),
+		id:      strings.Join(ids, "||"),
+		comps:   comps,
+		tabs:    tabs,
+		byTuple: make(map[string]uint32),
+		byState: make(map[State]uint32),
+		entries: make(map[string]*sigEntry),
+		actIDs:  make(map[Action]uint32),
 	}, nil
 }
 
@@ -107,34 +118,14 @@ func (p *Product) Components() []PSIOA { return p.comps }
 
 // Start implements PSIOA: the tuple of component start states.
 func (p *Product) Start() State {
-	parts := make([]string, len(p.comps))
-	for i, c := range p.comps {
-		parts[i] = string(c.Start())
-	}
-	return State(codec.EncodeTuple(parts))
+	id := p.startID()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.states[id].q
 }
 
 // Split decomposes a product state into component states.
-func (p *Product) Split(q State) []State {
-	p.mu.Lock()
-	if cached, ok := p.splitCache[q]; ok {
-		p.mu.Unlock()
-		return cached
-	}
-	p.mu.Unlock()
-	parts, err := codec.DecodeTuple(string(q))
-	if err != nil || len(parts) != len(p.comps) {
-		panic(fmt.Sprintf("psioa: product %q: malformed state %q", p.id, q))
-	}
-	out := make([]State, len(parts))
-	for i, s := range parts {
-		out[i] = State(s)
-	}
-	p.mu.Lock()
-	p.splitCache[q] = out
-	p.mu.Unlock()
-	return out
-}
+func (p *Product) Split(q State) []State { return p.splitState(p.lookup(q)) }
 
 // Join composes component states into a product state.
 func (p *Product) Join(qs []State) State {
@@ -164,61 +155,28 @@ func (p *Product) ProjectID(q State, id string) (State, bool) {
 }
 
 // CompatAt reports whether the components are compatible at q (Def 2.5):
-// their state signatures form a compatible set per Def 2.3.
+// their state signatures form a compatible set per Def 2.3, and every
+// composite component is compatible at its own state.
 func (p *Product) CompatAt(q State) error {
-	p.mu.Lock()
-	if p.compatOK[q] {
-		p.mu.Unlock()
+	if _, ok := p.ready(q); ok {
 		return nil
 	}
-	p.mu.Unlock()
-	qs := p.Split(q)
-	sigs := make([]Signature, len(qs))
-	for i, c := range p.comps {
-		sigs[i] = c.Sig(qs[i])
-	}
-	if err := CompatibleSignatures(sigs); err != nil {
-		return fmt.Errorf("psioa: product %q incompatible at state %q: %w", p.id, q, err)
-	}
-	// Propagate into composite components (e.g. nested hides over products).
-	for i, c := range p.comps {
-		if cc, ok := c.(compatAtChecker); ok {
-			if err := cc.CompatAt(qs[i]); err != nil {
-				return err
-			}
-		}
-	}
-	p.mu.Lock()
-	p.compatOK[q] = true
-	p.mu.Unlock()
-	return nil
+	_, err := p.prepare(p.lookup(q))
+	return err
 }
 
 // Sig implements PSIOA per Defs 2.4/2.5. It panics if the components are
 // incompatible at q; use CompatAt (or Explore/Validate) to check
 // compatibility without panicking.
 func (p *Product) Sig(q State) Signature {
-	p.mu.Lock()
-	if sig, ok := p.sigCache[q]; ok {
-		p.mu.Unlock()
-		return sig
+	if s, ok := p.ready(q); ok {
+		return s.ent.sig
 	}
-	p.mu.Unlock()
-
-	if err := p.CompatAt(q); err != nil {
+	s, err := p.prepare(p.lookup(q))
+	if err != nil {
 		panic(err)
 	}
-	qs := p.Split(q)
-	sigs := make([]Signature, len(qs))
-	for i, c := range p.comps {
-		sigs[i] = c.Sig(qs[i])
-	}
-	sig := ComposeSignatures(sigs)
-
-	p.mu.Lock()
-	p.sigCache[q] = sig
-	p.mu.Unlock()
-	return sig
+	return s.ent.sig
 }
 
 // Trans implements PSIOA per Def 2.5: η_{(A,q,a)} = η₁ ⊗ ... ⊗ ηₙ with
@@ -226,125 +184,30 @@ func (p *Product) Sig(q State) Signature {
 // otherwise.
 func (p *Product) Trans(q State, a Action) *Dist {
 	p.mu.Lock()
-	if d := p.transCache[q][a]; d != nil {
-		p.mu.Unlock()
-		return d
-	}
-	e := p.spare
-	p.spare = nil
-	p.mu.Unlock()
-	if e == nil {
-		e = &prodEnum{}
-		e.emit = e.add
-	}
-	d := measure.New[State]()
-	e.dist = d
-	p.enumerate(e, q, a)
-	e.dist = nil
-	p.mu.Lock()
-	m := p.transCache[q]
-	if m == nil {
-		m = make(map[Action]*Dist)
-		p.transCache[q] = m
-	}
-	m[a] = d
-	p.spare = e
-	p.mu.Unlock()
-	return d
-}
-
-// cachedTrans returns the transition measure of (q, a) if Trans has already
-// built it, and nil otherwise.
-func (p *Product) cachedTrans(q State, a Action) *Dist {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.transCache[q][a]
-}
-
-// prodEnum is the scratch space of one enumeration of a product
-// transition's support: per component, its signature at the current state
-// and its factor, plus the component states of the tuple being built and
-// its encoding. It keeps what enumerate looked up about the last state it
-// saw, so a walk that enumerates every action of a state looks the state
-// up once. Trans reuses the product's spare one; Explore's walk has its own
-// for its whole BFS.
-type prodEnum struct {
-	q     State     // the state sig, qs and comps describe (valid if qs != nil)
-	sig   Signature // the product's signature at q
-	qs    []State   // q split into component states
-	comps []prodComp
-	parts []string
-	buf   []byte
-	// emit receives each support element's tuple encoding, valid only
-	// until emit returns, with its product mass.
-	emit func(enc []byte, pr float64)
-	dist *Dist // the measure Trans is building (see add)
-}
-
-// add is Trans's emit: it adds a support element to the measure.
-func (e *prodEnum) add(enc []byte, pr float64) { e.dist.Add(State(enc), pr) }
-
-// prodComp is one component's slot in a prodEnum: its signature at the
-// current state, and its transition measure if it participates in the
-// action being enumerated (nil if it stays put).
-type prodComp struct {
-	sig    Signature
-	factor *Dist
-}
-
-// enumerate is the one product enumerator behind Trans and Explore's walk:
-// it calls e.emit for every element of the support of η_{(P,q,a)} (Def 2.5)
-// without building the measure. Non-participating components stay put
-// (Dirac), so they contribute a fixed tuple slot instead of a factor, and
-// participating factors are consumed in place. Every tuple combination is
-// emitted exactly once; combinations whose mass multiplies out to zero are
-// skipped, as measure.Dist.Add skips them.
-func (p *Product) enumerate(e *prodEnum, q State, a Action) {
-	if e.qs == nil || e.q != q {
-		e.q, e.sig, e.qs = q, p.Sig(q), p.Split(q)
-		if len(e.comps) != len(p.comps) {
-			e.comps = make([]prodComp, len(p.comps))
-			e.parts = make([]string, len(p.comps))
-		}
-		for i, c := range p.comps {
-			e.comps[i].sig = c.Sig(e.qs[i])
+	id, ok := p.byState[q]
+	if ok {
+		if ent := p.states[id].ent; ent != nil {
+			if k, ok := slices.BinarySearch(ent.acts, a); ok {
+				if d := p.transLocked(id, k); d != nil {
+					p.mu.Unlock()
+					return d
+				}
+			}
 		}
 	}
-	if !e.sig.Has(a) {
+	p.mu.Unlock()
+	if !ok {
+		id = p.lookup(q)
+	}
+	s, err := p.prepare(id)
+	if err != nil {
+		panic(err)
+	}
+	k, ok := slices.BinarySearch(s.ent.acts, a)
+	if !ok {
 		disabledPanic(p.id, q, a)
 	}
-	for i, c := range p.comps {
-		e.comps[i].factor = nil
-		e.parts[i] = string(e.qs[i])
-		if e.comps[i].sig.Has(a) {
-			e.comps[i].factor = c.Trans(e.qs[i], a)
-		}
-	}
-	e.rec(0, 1)
-}
-
-func (e *prodEnum) rec(i int, pr float64) {
-	if i == len(e.comps) {
-		if pr != 0 {
-			e.buf = codec.AppendTuple(e.buf[:0], e.parts...)
-			e.emit(e.buf, pr)
-		}
-		return
-	}
-	if e.comps[i].factor == nil {
-		e.rec(i+1, pr)
-		return
-	}
-	// The factor's sorted view is built once per measure and iterated as
-	// slices, which costs far less than ranging over its weight map.
-	xs, ps := e.comps[i].factor.SupportAndProbs()
-	for j, x := range xs {
-		if !(ps[j] > 0) { // ForEach's filter
-			continue
-		}
-		e.parts[i] = string(x)
-		e.rec(i+1, pr*ps[j])
-	}
+	return p.buildTrans(id, s, k)
 }
 
 // Atomic wraps an automaton so that Compose treats it as a single

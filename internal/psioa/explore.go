@@ -3,7 +3,6 @@ package psioa
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -63,53 +62,37 @@ func ExploreCtx(ctx context.Context, a PSIOA, limit int, b *resilience.Budget) (
 	traced := tr.Enabled()
 	var nTrans int64
 	ex := &Exploration{Sigs: make(map[State]Signature), Acts: NewActionSet()}
-	start := a.Start()
-	queue := []State{start}
-	seen := map[State]bool{start: true}
-	// fresh collects the unseen successors of one transition. Seen
-	// successors never affect discovery order or truncation, so only
-	// unseen ones are materialised as States.
-	var fresh []State
-	// A product (possibly under hiding or an Atomic wrapper, which share its
-	// states and transitions) is walked over the product of its components'
-	// supports, so exploring builds no product measures. The tuple encoding
-	// goes into one reused buffer and the seen-lookup does not allocate.
-	prod := productOf(a)
-	walk := &prodEnum{emit: func(enc []byte, _ float64) {
-		if seen[State(enc)] {
-			return
-		}
-		if len(seen) >= limit {
-			ex.Truncated = true
-			return
-		}
-		fresh = append(fresh, State(enc))
-	}}
+	// The walk runs over dense state IDs: a product's (possibly under
+	// hiding or an Atomic wrapper, which share its states and transitions)
+	// come from its state table, so exploring builds no product measures
+	// and encodes each product state once; any other automaton is walked
+	// through its transition measures' sorted supports.
+	st := stepperOf(a)
+	w := &walk{limit: limit}
+	start := st.start()
+	w.mark(start)
+	queue := []uint32{start}
 	for len(queue) > 0 {
-		q := queue[0]
+		id := queue[0]
 		queue = queue[1:]
 		if err := ck.Step(1, 0); err != nil {
 			return exploreStopped(ex, nTrans, err)
 		}
-		if cc, ok := a.(compatAtChecker); ok {
-			if err := cc.CompatAt(q); err != nil {
-				return nil, err
-			}
+		q, sig, acts, err := st.state(id)
+		if err != nil {
+			return nil, err
 		}
-		sig := a.Sig(q)
 		ex.States = append(ex.States, q)
 		ex.Sigs[q] = sig
 		if traced {
 			tr.Emit(obs.Event{Kind: obs.KindStateFound, Name: a.ID(), Attr: string(q), N: int64(len(ex.States))})
 		}
-		// Deterministic discovery order: sorted actions, sorted successors.
-		// This makes truncated explorations reproducible run to run.
-		// SortedAll is memoized per signature identity (states sharing a
-		// signature share the sort). A transition measure that already
-		// exists supplies its cached sorted support; otherwise the product
-		// walk enumerates the support and only the fresh successors are
-		// sorted.
-		for _, act := range SortedAll(sig) {
+		// Deterministic discovery order: sorted actions, and per action
+		// the unseen successors sorted by encoding. This makes truncated
+		// explorations reproducible run to run. Seen successors never
+		// affect discovery order or truncation, so only unseen ones are
+		// collected.
+		for k, act := range acts {
 			ex.Acts.Add(act)
 			nTrans++
 			if err := ck.Step(0, 1); err != nil {
@@ -118,33 +101,19 @@ func ExploreCtx(ctx context.Context, a PSIOA, limit int, b *resilience.Budget) (
 			if traced {
 				tr.Emit(obs.Event{Kind: obs.KindTransition, Name: a.ID(), Attr: string(act)})
 			}
-			fresh = fresh[:0]
-			var d *Dist
-			if prod == nil {
-				d = a.Trans(q, act)
-			} else {
-				d = prod.cachedTrans(q, act)
-			}
-			if d != nil {
-				for _, q2 := range d.SortedSupport() {
-					if !seen[q2] {
-						fresh = append(fresh, q2)
-					}
-				}
-			} else {
-				prod.enumerate(walk, q, act)
-				slices.Sort(fresh)
-			}
-			for _, q2 := range fresh {
-				if len(seen) >= limit {
-					ex.Truncated = true
+			w.fresh = w.fresh[:0]
+			st.fresh(w, id, k)
+			for _, id2 := range w.fresh {
+				if w.n >= limit {
+					w.truncated = true
 					continue
 				}
-				seen[q2] = true
-				queue = append(queue, q2)
+				w.mark(id2)
+				queue = append(queue, id2)
 			}
 		}
 	}
+	ex.Truncated = w.truncated
 	if err := ck.Finish(); err != nil {
 		return exploreStopped(ex, nTrans, err)
 	}
@@ -260,4 +229,168 @@ func Reachable(a PSIOA, q State, limit int) (bool, error) {
 	}
 	_, ok := ex.Sigs[q]
 	return ok, nil
+}
+
+// stepper is what Explore's breadth-first walk needs of an automaton:
+// dense state IDs, each state's signature and sorted actions, and the
+// unseen successors of one of its transitions.
+type stepper interface {
+	start() uint32
+	// state checks compatibility at id and returns its state, signature
+	// and sorted actions.
+	state(id uint32) (State, Signature, []Action, error)
+	// fresh sets w.fresh to the successors of (id, acts[k]) that w has
+	// not seen, sorted by encoding; it stops collecting at w's limit.
+	fresh(w *walk, id uint32, k int)
+}
+
+// walk is one exploration's visited set over a stepper's state IDs.
+type walk struct {
+	seen      []uint64 // bitset by state ID
+	n, limit  int
+	truncated bool
+	fresh     []uint32
+}
+
+func (w *walk) has(id uint32) bool {
+	i := int(id >> 6)
+	return i < len(w.seen) && w.seen[i]&(1<<(id&63)) != 0
+}
+
+func (w *walk) mark(id uint32) {
+	for int(id>>6) >= len(w.seen) {
+		w.seen = append(w.seen, 0)
+	}
+	w.seen[id>>6] |= 1 << (id & 63)
+	w.n++
+}
+
+// prodStepper walks a product's table. a is the explored automaton: the
+// product itself, or a Hidden/Atomic wrapper sharing its states.
+type prodStepper struct {
+	p      *Product
+	a      PSIOA
+	cur    pstate // the state the last state call returned
+	w      *walk
+	freshQ []State
+	emit   func(key []byte, pr float64)
+}
+
+func newProdStepper(p *Product, a PSIOA) *prodStepper {
+	s := &prodStepper{p: p, a: a}
+	s.emit = func(key []byte, _ float64) {
+		w := s.w
+		id, ok := p.byTuple[string(key)]
+		if ok && w.has(id) {
+			return
+		}
+		if w.n >= w.limit {
+			w.truncated = true
+			return
+		}
+		if !ok {
+			id = p.idLocked(key)
+		}
+		w.fresh = append(w.fresh, id)
+		s.freshQ = append(s.freshQ, p.states[id].q)
+	}
+	return s
+}
+
+func (s *prodStepper) start() uint32 { return s.p.startID() }
+
+func (s *prodStepper) state(id uint32) (State, Signature, []Action, error) {
+	st, err := s.p.prepare(id)
+	if err != nil {
+		return "", Signature{}, nil, err
+	}
+	s.cur = st
+	sig := st.ent.sig
+	if s.a != PSIOA(s.p) {
+		// Hiding reclassifies actions but keeps the action set, so the
+		// product's sorted actions are the wrapper's too.
+		sig = s.a.Sig(st.q)
+	}
+	return st.q, sig, st.ent.acts, nil
+}
+
+func (s *prodStepper) fresh(w *walk, _ uint32, k int) {
+	s.w = w
+	s.freshQ = s.freshQ[:0]
+	s.p.succs(s.cur, k, s.emit)
+	if len(w.fresh) > 1 {
+		sortByState(w.fresh, s.freshQ)
+	}
+}
+
+// sortByState sorts ids by their states qs (aligned), in place.
+func sortByState(ids []uint32, qs []State) {
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && qs[j] < qs[j-1]; j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
+			qs[j], qs[j-1] = qs[j-1], qs[j]
+		}
+	}
+}
+
+// autStepper walks any other automaton through its transition measures'
+// sorted supports, interning states as it discovers them.
+type autStepper struct {
+	a      PSIOA
+	cc     compatAtChecker
+	ids    map[State]uint32
+	states []State
+	acts   []Action
+}
+
+func (s *autStepper) intern(q State) uint32 {
+	if id, ok := s.ids[q]; ok {
+		return id
+	}
+	id := uint32(len(s.states))
+	s.ids[q] = id
+	s.states = append(s.states, q)
+	return id
+}
+
+func (s *autStepper) start() uint32 { return s.intern(s.a.Start()) }
+
+func (s *autStepper) state(id uint32) (State, Signature, []Action, error) {
+	q := s.states[id]
+	if s.cc != nil {
+		if err := s.cc.CompatAt(q); err != nil {
+			return "", Signature{}, nil, err
+		}
+	}
+	sig := s.a.Sig(q)
+	s.acts = SortedAll(sig)
+	return q, sig, s.acts, nil
+}
+
+func (s *autStepper) fresh(w *walk, id uint32, k int) {
+	for _, q2 := range s.a.Trans(s.states[id], s.acts[k]).SortedSupport() {
+		id2, ok := s.ids[q2]
+		if ok && w.has(id2) {
+			continue
+		}
+		if w.n >= w.limit {
+			w.truncated = true
+			continue
+		}
+		if !ok {
+			id2 = s.intern(q2)
+		}
+		w.fresh = append(w.fresh, id2)
+	}
+}
+
+// stepperOf returns the stepper Explore walks a with: the state table of
+// the product a shares states with, or the generic walk.
+func stepperOf(a PSIOA) stepper {
+	if p := productOf(a); p != nil {
+		return newProdStepper(p, a)
+	}
+	s := &autStepper{a: a, ids: make(map[State]uint32)}
+	s.cc, _ = a.(compatAtChecker)
+	return s
 }

@@ -8,8 +8,21 @@ func (p *Product) TransCacheLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for _, m := range p.transCache {
-		n += len(m)
+	for _, s := range p.states {
+		for _, d := range s.trans {
+			if d != nil {
+				n++
+			}
+		}
 	}
 	return n
+}
+
+func (p *Product) TableStats() (states, entries int, comps []int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, t := range p.tabs {
+		comps = append(comps, len(t.cs), len(t.sigs), len(t.succ))
+	}
+	return len(p.states), len(p.entries), comps
 }
