@@ -158,7 +158,7 @@ func (p *Product) ProjectID(q State, id string) (State, bool) {
 // their state signatures form a compatible set per Def 2.3, and every
 // composite component is compatible at its own state.
 func (p *Product) CompatAt(q State) error {
-	if _, ok := p.ready(q); ok {
+	if p.readyEntry(q) != nil {
 		return nil
 	}
 	_, err := p.prepare(p.lookup(q))
@@ -169,8 +169,8 @@ func (p *Product) CompatAt(q State) error {
 // incompatible at q; use CompatAt (or Explore/Validate) to check
 // compatibility without panicking.
 func (p *Product) Sig(q State) Signature {
-	if s, ok := p.ready(q); ok {
-		return s.ent.sig
+	if ent := p.readyEntry(q); ent != nil {
+		return ent.sig
 	}
 	s, err := p.prepare(p.lookup(q))
 	if err != nil {

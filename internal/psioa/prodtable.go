@@ -260,15 +260,15 @@ func (p *Product) startID() uint32 {
 	return id
 }
 
-// ready returns state q if it is in the table with its signature entry.
-func (p *Product) ready(q State) (pstate, bool) {
+// readyEntry returns the signature entry of state q if it is known.
+func (p *Product) readyEntry(q State) *sigEntry {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	id, ok := p.byState[q]
-	if !ok || p.states[id].ent == nil {
-		return pstate{}, false
+	var ent *sigEntry
+	if id, ok := p.byState[q]; ok {
+		ent = p.states[id].ent
 	}
-	return p.states[id], true
+	p.mu.Unlock()
+	return ent
 }
 
 // prepare checks that the components are compatible at state id (Def 2.5)

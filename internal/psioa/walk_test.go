@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/measure"
+	"repro/internal/protocols/dynchannel"
 	"repro/internal/psioa"
 	"repro/internal/rng"
 	"repro/internal/testaut"
@@ -119,46 +121,127 @@ func walkWorlds() []struct {
 	}
 }
 
+// nestedWorlds are products with a product component under Hidden and
+// Atomic wrappers, whose successors come from the nested product's table:
+// x‖hide(u‖v), x‖Atom(hide(u‖v)‖w), a state-dependent hiding inside a
+// product, and the dynamic channel world env‖hide(host‖adv) at one
+// session. u, v, w and x are random synchronising automata (see syncAut).
+func nestedWorlds() []struct {
+	name  string
+	seeds uint64 // how many seeds give distinct worlds
+	mk    func(seed uint64) psioa.PSIOA
+} {
+	m := []psioa.Action{"m0", "m1"}
+	n := []psioa.Action{"n0", "n1"}
+	o := []psioa.Action{"o0"}
+	uv := func(seed uint64) *psioa.Product {
+		return psioa.MustCompose(syncAut("u", m, append(n, o...), 4*seed), syncAut("v", n, append(m, o...), 4*seed+1))
+	}
+	x := func(seed uint64) *psioa.Table { return syncAut("x", o, []psioa.Action{"m1", "n0"}, 4*seed+2) }
+	hidden := psioa.NewActionSet("m0", "n1")
+	return []struct {
+		name  string
+		seeds uint64
+		mk    func(seed uint64) psioa.PSIOA
+	}{
+		{"x||hide(u||v)", 8, func(seed uint64) psioa.PSIOA {
+			return psioa.MustCompose(x(seed), psioa.HideSet(uv(seed), hidden))
+		}},
+		{"x||Atom(hide(u||v)||w)", 8, func(seed uint64) psioa.PSIOA {
+			w := syncAut("w", []psioa.Action{"p0"}, o, 4*seed+3)
+			return psioa.MustCompose(x(seed), psioa.Atom(psioa.MustCompose(psioa.HideSet(uv(seed), hidden), w)))
+		}},
+		{"x||hide_q(u||v)", 8, func(seed uint64) psioa.PSIOA {
+			// The hidden set depends on the state: m0 at states whose
+			// encoding has even length, n1 at the others.
+			return psioa.MustCompose(x(seed), psioa.Hide(uv(seed), func(q psioa.State) psioa.ActionSet {
+				if len(q)%2 == 0 {
+					return psioa.NewActionSet("m0")
+				}
+				return psioa.NewActionSet("n1")
+			}))
+		}},
+		{"env||hide(host||adv)", 1, func(uint64) psioa.PSIOA {
+			host := dynchannel.Host("d", 1, dynchannel.RealKind)
+			left, err := core.HideAAct(host, dynchannel.Adversary("d", 1), 1000)
+			if err != nil {
+				panic(err)
+			}
+			return psioa.MustCompose(dynchannel.Env("d", []int{1}), left)
+		}},
+	}
+}
+
+// noProductMeasures fails t if exploring a built a transition measure in
+// its product or in any product nested in it.
+func noProductMeasures(t *testing.T, what string, a psioa.PSIOA) {
+	t.Helper()
+	p := psioa.ProductOf(a)
+	if p == nil {
+		return
+	}
+	if n := p.TransCacheLen(); n != 0 {
+		t.Fatalf("%s: exploring cached %d transitions of %s, want none", what, n, p.ID())
+	}
+	for _, c := range p.Components() {
+		noProductMeasures(t, what, c)
+	}
+}
+
+// checkWalk runs the differential check on fresh automata from mk: Explore
+// must match refExplore cold (every successor from the table walk), warm
+// (after Trans on every reachable state) and half-warm (after Trans on the
+// first few states).
+func checkWalk(t *testing.T, what string, mk func() psioa.PSIOA, limit int) {
+	t.Helper()
+	want, err := refExplore(mk(), limit)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", what, err)
+	}
+	a := mk()
+	got, err := psioa.Explore(a, limit)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	sameExploration(t, what+"/cold", got, want)
+	noProductMeasures(t, what, a)
+	for _, warmth := range []struct {
+		name  string
+		limit int
+	}{{"warm", 100000}, {"part", 3}} {
+		b := mk()
+		if _, err := refExplore(b, warmth.limit); err != nil {
+			t.Fatal(err)
+		}
+		got, err := psioa.Explore(b, limit)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", what, warmth.name, err)
+		}
+		sameExploration(t, what+"/"+warmth.name, got, want)
+	}
+}
+
 func TestExploreWalkMatchesReference(t *testing.T) {
 	for _, w := range walkWorlds() {
 		for _, limit := range []int{100000, 2, 5, 17} {
-			what := fmt.Sprintf("%s/limit=%d", w.name, limit)
-			want, err := refExplore(w.mk(), limit)
+			checkWalk(t, fmt.Sprintf("%s/limit=%d", w.name, limit), w.mk, limit)
+		}
+	}
+}
+
+// TestExploreWalkNestedWorlds runs the differential check on worlds with
+// nested products, whose successors come from the nested tables.
+func TestExploreWalkNestedWorlds(t *testing.T) {
+	for _, w := range nestedWorlds() {
+		for seed := uint64(1); seed <= w.seeds; seed++ {
+			mk := func() psioa.PSIOA { return w.mk(seed) }
+			full, err := refExplore(mk(), 100000)
 			if err != nil {
-				t.Fatalf("%s: reference: %v", what, err)
+				t.Fatalf("%s/seed=%d: reference: %v", w.name, seed, err)
 			}
-			// Cold: every successor comes from the support walk.
-			a := w.mk()
-			got, err := psioa.Explore(a, limit)
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
+			for _, limit := range []int{100000, 2, 5, 17, len(full.States) / 2} {
+				checkWalk(t, fmt.Sprintf("%s/seed=%d/limit=%d", w.name, seed, limit), mk, limit)
 			}
-			sameExploration(t, what+"/cold", got, want)
-			if p := psioa.ProductOf(a); p != nil && p.TransCacheLen() != 0 {
-				t.Fatalf("%s: exploring cached %d product transitions, want none", what, p.TransCacheLen())
-			}
-			// Warm: the transitions the reference built are read back from
-			// the product's cache.
-			warm := w.mk()
-			if _, err := refExplore(warm, limit); err != nil {
-				t.Fatal(err)
-			}
-			got, err = psioa.Explore(warm, limit)
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			sameExploration(t, what+"/warm", got, want)
-			// Partly warm: cached transitions for the first few states, the
-			// walk for the rest.
-			part := w.mk()
-			if _, err := refExplore(part, 3); err != nil {
-				t.Fatal(err)
-			}
-			got, err = psioa.Explore(part, limit)
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			sameExploration(t, what+"/part", got, want)
 		}
 	}
 }
@@ -276,45 +359,151 @@ func TestExploreWalkIncompatibleWorld(t *testing.T) {
 	}
 }
 
-// TestProductTransConcurrent: goroutines that build the transitions of one
-// product at once (sharing its reusable enumerator) get the same measures,
-// bit for bit, as a product built alone.
-func TestProductTransConcurrent(t *testing.T) {
-	mk := func() psioa.PSIOA {
-		return psioa.MustCompose(syncAut("u", []psioa.Action{"m0"}, []psioa.Action{"n0"}, 5),
-			syncAut("v", []psioa.Action{"n0"}, []psioa.Action{"m0"}, 6), testaut.Coin("c", 0.25))
+// TestExploreWalkNestedErrorParity pins the errors of two worlds that
+// become incompatible at a reachable state: one only inside its hidden
+// product (u's output x clashes with v's once u has ticked), one only at
+// the outer level (w's output x clashes with u's). Explore must return
+// the reference walk's error with no result, and Sig at the clash state
+// must panic with the message it has always panicked with.
+func TestExploreWalkNestedErrorParity(t *testing.T) {
+	tick := func(id string, out psioa.Action) *psioa.Table {
+		return psioa.NewBuilder(id, "a0").
+			AddState("a0", psioa.NewSignature(nil, nil, []psioa.Action{psioa.Action("tick_" + id)})).
+			AddState("a1", psioa.NewSignature(nil, []psioa.Action{out}, nil)).
+			AddDet("a0", psioa.Action("tick_"+id), "a1").
+			AddDet("a1", out, "a1").
+			MustBuild()
 	}
-	type tr struct {
-		q psioa.State
-		a psioa.Action
+	steady := func(id string, out psioa.Action) *psioa.Table {
+		return psioa.NewBuilder(id, "b0").
+			AddState("b0", psioa.NewSignature(nil, []psioa.Action{out}, nil)).
+			AddDet("b0", out, "b0").
+			MustBuild()
 	}
-	ref := mk()
-	ex, err := psioa.Explore(ref, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trs []tr
-	want := map[tr]string{}
-	for _, q := range ex.States {
-		for _, a := range psioa.SortedAll(ex.Sigs[q]) {
-			trs = append(trs, tr{q, a})
-			want[tr{q, a}] = fmt.Sprint(ref.Trans(q, a).SupportAndProbs())
+	for _, c := range []struct {
+		name string
+		mk   func() *psioa.Product
+		want string
+	}{
+		{"nested", func() *psioa.Product {
+			inner := psioa.MustCompose(tick("u", "x"), steady("v", "x"))
+			return psioa.MustCompose(steady("w", "y"), psioa.HideSet(inner, psioa.NewActionSet("x")))
+		}, `psioa: product "u||v" incompatible at state "a1|b0": psioa: signatures 0 and 1 share output actions {x}`},
+		{"outer", func() *psioa.Product {
+			inner := psioa.MustCompose(tick("u", "x"), steady("v", "z"))
+			return psioa.MustCompose(steady("w", "x"), psioa.HideSet(inner, psioa.NewActionSet("z")))
+		}, `psioa: product "w||hide(u||v)" incompatible at state "b0|a1\\|b0": psioa: signatures 0 and 1 share output actions {x}`},
+	} {
+		ex, err := psioa.Explore(c.mk(), 100)
+		if ex != nil || err == nil || err.Error() != c.want {
+			t.Fatalf("%s: Explore = (%v, %v), want error %q", c.name, ex, err, c.want)
+		}
+		if _, rerr := refExplore(c.mk(), 100); rerr == nil || rerr.Error() != c.want {
+			t.Fatalf("%s: reference error %v, want %q", c.name, rerr, c.want)
+		}
+		w := c.mk()
+		inner := psioa.ProductOf(w.Components()[1])
+		clash := w.Join([]psioa.State{"b0", inner.Join([]psioa.State{"a1", "b0"})})
+		got := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			w.Sig(clash)
+			return "no panic"
+		}()
+		if got != c.want {
+			t.Fatalf("%s: Sig panics with %q, want %q", c.name, got, c.want)
 		}
 	}
-	shared := mk()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for k := range trs {
-				x := trs[(k+7*g)%len(trs)]
-				if got := fmt.Sprint(shared.Trans(x.q, x.a).SupportAndProbs()); got != want[x] {
-					t.Errorf("Trans(%q, %q) = %s, want %s", x.q, x.a, got, want[x])
-					return
-				}
-			}
-		}(g)
+}
+
+// diffExploration describes how got differs from want, or returns "".
+func diffExploration(got, want *psioa.Exploration) string {
+	if !reflect.DeepEqual(got.States, want.States) || got.Truncated != want.Truncated ||
+		!reflect.DeepEqual(got.Acts.Sorted(), want.Acts.Sorted()) || len(got.Sigs) != len(want.Sigs) {
+		return "states, actions or truncation differ"
 	}
-	wg.Wait()
+	for _, q := range want.States {
+		if !got.Sigs[q].Equal(want.Sigs[q]) {
+			return fmt.Sprintf("Sigs[%q] = %v, want %v", q, got.Sigs[q], want.Sigs[q])
+		}
+	}
+	return ""
+}
+
+// TestProductTransConcurrent: goroutines that share one product — flat,
+// and one with a nested product — and call Explore, Sig, CompatAt, Split
+// and Trans on it at once get what a product used alone returns, bit for
+// bit.
+func TestProductTransConcurrent(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		mk   func() *psioa.Product
+	}{
+		{"flat", func() *psioa.Product {
+			return psioa.MustCompose(syncAut("u", []psioa.Action{"m0"}, []psioa.Action{"n0"}, 5),
+				syncAut("v", []psioa.Action{"n0"}, []psioa.Action{"m0"}, 6), testaut.Coin("c", 0.25))
+		}},
+		{"nested", func() *psioa.Product { return nestedWorlds()[1].mk(3).(*psioa.Product) }},
+	} {
+		type tr struct {
+			q psioa.State
+			a psioa.Action
+		}
+		ref := w.mk()
+		ex, err := psioa.Explore(ref, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trs []tr
+		want := map[tr]string{}
+		split := map[psioa.State][]psioa.State{}
+		for _, q := range ex.States {
+			split[q] = ref.Split(q)
+			for _, a := range psioa.SortedAll(ex.Sigs[q]) {
+				trs = append(trs, tr{q, a})
+				want[tr{q, a}] = fmt.Sprint(ref.Trans(q, a).SupportAndProbs())
+			}
+		}
+		shared := w.mk()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				explore := func() {
+					got, err := psioa.Explore(shared, 1000)
+					if err != nil {
+						t.Errorf("%s: Explore: %v", w.name, err)
+					} else if d := diffExploration(got, ex); d != "" {
+						t.Errorf("%s: Explore: %s", w.name, d)
+					}
+				}
+				if g%2 == 0 {
+					explore()
+				}
+				for k := range trs {
+					x := trs[(k+7*g)%len(trs)]
+					if err := shared.CompatAt(x.q); err != nil {
+						t.Errorf("%s: CompatAt(%q) = %v", w.name, x.q, err)
+						return
+					}
+					if sig := shared.Sig(x.q); !sig.Equal(ex.Sigs[x.q]) {
+						t.Errorf("%s: Sig(%q) = %v, want %v", w.name, x.q, sig, ex.Sigs[x.q])
+						return
+					}
+					if qs := shared.Split(x.q); !reflect.DeepEqual(qs, split[x.q]) {
+						t.Errorf("%s: Split(%q) = %q, want %q", w.name, x.q, qs, split[x.q])
+						return
+					}
+					if got := fmt.Sprint(shared.Trans(x.q, x.a).SupportAndProbs()); got != want[x] {
+						t.Errorf("%s: Trans(%q, %q) = %s, want %s", w.name, x.q, x.a, got, want[x])
+						return
+					}
+				}
+				if g%2 == 1 {
+					explore()
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
 }
