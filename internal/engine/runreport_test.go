@@ -143,6 +143,34 @@ func TestRunReportDepthZeroPhases(t *testing.T) {
 	}
 }
 
+// TestRunReportExplorePhase checks that a describe job's report counts
+// one psioa.explore phase call per ExploreCtx the job made with its
+// context: one per system on a fresh cache, and none when the cache
+// serves every exploration. (Describe's own explorations run without the
+// job's context and are not charged.)
+func TestRunReportExplorePhase(t *testing.T) {
+	ds := &engine.DescribeSpec{Systems: []string{"com:real:x", "com:env:x:1"}}
+	r := engine.NewRunner(nil, engine.NewCache(0))
+	calls := func() int64 {
+		res, err := r.Run(context.Background(), engine.Job{Kind: engine.KindDescribe, Describe: ds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.Report.Phases {
+			if p.Name == "psioa.explore" {
+				return p.Calls
+			}
+		}
+		return 0
+	}
+	if n := calls(); n != int64(len(ds.Systems)) {
+		t.Errorf("fresh cache: %d psioa.explore calls, want %d", n, len(ds.Systems))
+	}
+	if n := calls(); n != 0 {
+		t.Errorf("warm cache: %d psioa.explore calls, want 0", n)
+	}
+}
+
 // concurrentJobs is a mix of small jobs that share no cache key: distinct
 // systems (or, for the leaky coins, a distinct insight), so a job's cache
 // traffic cannot depend on which neighbours ran before it.

@@ -14,10 +14,11 @@ const (
 	PhaseMeasure Phase = iota // sched.measure: tree expansion
 	PhaseSample               // sched.sample: Monte-Carlo sampling
 	PhaseDAG                  // sched.measure.dag: state-collapsed propagation
+	PhaseExplore              // psioa.explore: bounded reachability analysis
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"sched.measure", "sched.sample", "sched.measure.dag"}
+var phaseNames = [numPhases]string{"sched.measure", "sched.sample", "sched.measure.dag", "psioa.explore"}
 
 // Meter is the work account of one job. engine.Runner.Run puts one in the
 // job's context (WithMeter), and every layer that receives the context

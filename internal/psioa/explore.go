@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/resilience"
@@ -53,7 +54,14 @@ func Explore(a PSIOA, limit int) (*Exploration, error) {
 func ExploreCtx(ctx context.Context, a PSIOA, limit int, b *resilience.Budget) (*Exploration, error) {
 	sp := obs.Begin("psioa.explore", a.ID())
 	defer sp.End()
-	defer obs.Time("psioa.explore.us")()
+	// One clock read pair times the call for the process histogram and,
+	// when ctx carries a job meter, for the job's psioa.explore phase.
+	m, begin := obs.MeterFrom(ctx), time.Now()
+	defer func() {
+		us := time.Since(begin).Microseconds()
+		obs.H("psioa.explore.us").Observe(float64(us))
+		m.Call(obs.PhaseExplore, us)
+	}()
 	if err := resilience.FireDelay(ctx, resilience.FaultSlowOp); err != nil {
 		return nil, err
 	}
