@@ -27,6 +27,7 @@ import (
 	"repro/internal/psioa"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/structured"
 	"repro/internal/testaut"
 )
 
@@ -348,6 +349,26 @@ func BenchmarkExplore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := psioa.MustCompose(channel.Env("x", 1), channel.Real("x"), channel.Eavesdropper("x"))
 		if _, err := psioa.Explore(w, 100000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExploreNestedWorld measures reachability analysis of a fresh
+// dynamic-channel world env‖hide(host‖adv) at two sessions per iteration:
+// the world shape whose schema enumeration dominates E11 and the
+// emulate-sessions workload. Its hidden component is itself a product.
+func BenchmarkExploreNestedWorld(b *testing.B) {
+	aact, err := structured.AActUniverse(dynchannel.Host("d", 2, dynchannel.RealKind), 20000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		host := dynchannel.Host("d", 2, dynchannel.RealKind)
+		left := psioa.HideSet(psioa.MustCompose(host, dynchannel.Adversary("d", 2)), aact)
+		w := psioa.MustCompose(dynchannel.Env("d", []int{0, 1}), left)
+		if _, err := psioa.Explore(w, 20000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,12 +17,3 @@ func (p *Product) TransCacheLen() int {
 	}
 	return n
 }
-
-func (p *Product) TableStats() (states, entries int, comps []int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, t := range p.tabs {
-		comps = append(comps, len(t.cs), len(t.sigs), len(t.succ))
-	}
-	return len(p.states), len(p.entries), comps
-}

@@ -249,15 +249,24 @@ func (p *Product) startID() uint32 {
 	if ok {
 		return id
 	}
-	parts := make([]string, len(p.comps))
-	for i, c := range p.comps {
-		parts[i] = string(c.Start())
+	key := make([]byte, 4*len(p.tabs))
+	starts := make([]State, len(p.tabs))
+	for i := range p.tabs {
+		if in := p.tabs[i].inner; in != nil {
+			putID(key, i, in.startID())
+		} else {
+			starts[i] = p.comps[i].Start()
+		}
 	}
-	id = p.lookup(State(codec.EncodeTuple(parts)))
 	p.mu.Lock()
-	p.start, p.hasStart = id, true
-	p.mu.Unlock()
-	return id
+	defer p.mu.Unlock()
+	for i := range p.tabs {
+		if t := &p.tabs[i]; t.inner == nil {
+			putID(key, i, t.internLocked(starts[i]))
+		}
+	}
+	p.start, p.hasStart = p.idLocked(key), true
+	return p.start
 }
 
 // readyEntry returns the signature entry of state q if it is known.
