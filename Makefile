@@ -28,7 +28,7 @@ bench:
 # line). Compare two recordings with scripts/bench_compare.sh; see
 # docs/PERFORMANCE.md.
 bench-json:
-	$(GO) run ./cmd/dsebench -json BENCH_12.json
+	$(GO) run ./cmd/dsebench -json BENCH_13.json
 
 # bench-par runs the kernels across worker counts (1, 2, 4, 8) at GOMAXPROCS
 # 1 and at the host default: the sharded expansion, the DAG collapse, and
@@ -38,10 +38,10 @@ bench-par:
 	GOMAXPROCS=1 $(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
 
-# bench-compare fails when the current recording (BENCH_12.json) regresses
-# more than 20% against the previous PR's baseline (BENCH_11.json).
+# bench-compare fails when the current recording (BENCH_13.json) regresses
+# more than 20% against the previous PR's baseline (BENCH_12.json).
 bench-compare:
-	sh scripts/bench_compare.sh BENCH_11.json BENCH_12.json
+	sh scripts/bench_compare.sh BENCH_12.json BENCH_13.json
 
 # no-string-keys guards the interned measure core's representation
 # boundary: string-keyed maps are banned from the kernel files and allowed

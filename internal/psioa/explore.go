@@ -3,7 +3,9 @@ package psioa
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -276,12 +278,18 @@ func (w *walk) mark(id uint32) {
 // prodStepper walks a product's table. a is the explored automaton: the
 // product itself, or a Hidden/Atomic wrapper sharing its states.
 type prodStepper struct {
-	p      *Product
-	a      PSIOA
-	cur    pstate // the state the last state call returned
-	w      *walk
-	freshQ []State
-	emit   func(key []byte, pr float64)
+	p     *Product
+	a     PSIOA
+	cur   pstate // the state the last state call returned
+	w     *walk
+	found []foundState
+	emit  func(key []byte, pr float64)
+}
+
+// foundState is an unseen successor with its encoding, the sort key.
+type foundState struct {
+	id uint32
+	q  State
 }
 
 func newProdStepper(p *Product, a PSIOA) *prodStepper {
@@ -299,8 +307,7 @@ func newProdStepper(p *Product, a PSIOA) *prodStepper {
 		if !ok {
 			id = p.idLocked(key)
 		}
-		w.fresh = append(w.fresh, id)
-		s.freshQ = append(s.freshQ, p.states[id].q)
+		s.found = append(s.found, foundState{id, p.states[id].q})
 	}
 	return s
 }
@@ -323,21 +330,11 @@ func (s *prodStepper) state(id uint32) (State, Signature, []Action, error) {
 }
 
 func (s *prodStepper) fresh(w *walk, _ uint32, k int) {
-	s.w = w
-	s.freshQ = s.freshQ[:0]
+	s.w, s.found = w, s.found[:0]
 	s.p.succs(s.cur, k, s.emit)
-	if len(w.fresh) > 1 {
-		sortByState(w.fresh, s.freshQ)
-	}
-}
-
-// sortByState sorts ids by their states qs (aligned), in place.
-func sortByState(ids []uint32, qs []State) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && qs[j] < qs[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-			qs[j], qs[j-1] = qs[j-1], qs[j]
-		}
+	slices.SortFunc(s.found, func(x, y foundState) int { return strings.Compare(string(x.q), string(y.q)) })
+	for _, f := range s.found {
+		w.fresh = append(w.fresh, f.id)
 	}
 }
 

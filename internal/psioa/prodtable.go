@@ -56,8 +56,13 @@ type sigEntry struct {
 	sig   Signature // Def 2.4 composition (compatible entries only)
 	acts  []Action  // SortedAll(sig)
 	actID []uint32  // product-wide ID of acts[k]
-	parts [][]int   // per acts[k]: the components whose signature has it
+	// part[off[k]:off[k+1]] are the components whose signature has acts[k].
+	part []int32
+	off  []int32
 }
+
+// parts returns the components that participate in acts[k].
+func (e *sigEntry) parts(k int) []int32 { return e.part[e.off[k]:e.off[k+1]] }
 
 // compTab indexes one component's states.
 type compTab struct {
@@ -403,7 +408,12 @@ func (p *Product) mergeActsLocked(e *sigEntry, sigIDs []int32) {
 		heads = append(heads, p.tabs[i].sorted[s])
 		n += len(heads[i])
 	}
-	flat := make([]int, 0, n)
+	// Every component action is one participant; shared actions make the
+	// distinct count smaller than n.
+	e.part = make([]int32, 0, n)
+	e.acts = make([]Action, 0, n)
+	e.actID = make([]uint32, 0, n)
+	e.off = append(make([]int32, 0, n+1), 0)
 	for {
 		var next Action
 		found := false
@@ -415,10 +425,9 @@ func (p *Product) mergeActsLocked(e *sigEntry, sigIDs []int32) {
 		if !found {
 			return
 		}
-		from := len(flat)
 		for j, h := range heads {
 			if len(h) > 0 && h[0] == next {
-				flat = append(flat, j)
+				e.part = append(e.part, int32(j))
 				heads[j] = h[1:]
 			}
 		}
@@ -430,7 +439,7 @@ func (p *Product) mergeActsLocked(e *sigEntry, sigIDs []int32) {
 		}
 		e.acts = append(e.acts, next)
 		e.actID = append(e.actID, aid)
-		e.parts = append(e.parts, flat[from:len(flat):len(flat)])
+		e.off = append(e.off, int32(len(e.part)))
 	}
 }
 
@@ -551,11 +560,11 @@ func (p *Product) succOf(id, aid uint32) []succ {
 // Tuples whose mass multiplies out to zero are skipped, as
 // measure.Dist.Add skips them.
 func (p *Product) succs(s pstate, k int, f func(key []byte, pr float64)) {
-	parts, aid := s.ent.parts[k], s.ent.actID[k]
+	parts, aid := s.ent.parts(k), s.ent.actID[k]
 	p.mu.Lock()
 	lists, hit := p.lists[:0], true
 	for _, j := range parts {
-		l, ok := p.cachedSuccLocked(j, idAt(s.key, j), aid)
+		l, ok := p.cachedSuccLocked(int(j), idAt(s.key, int(j)), aid)
 		if !ok {
 			hit = false
 			break
@@ -568,7 +577,7 @@ func (p *Product) succs(s pstate, k int, f func(key []byte, pr float64)) {
 		p.mu.Unlock()
 		lists = make([][]succ, len(parts))
 		for n, j := range parts {
-			lists[n] = p.compSucc(j, idAt(s.key, j), s.ent.acts[k], aid)
+			lists[n] = p.compSucc(int(j), idAt(s.key, int(j)), s.ent.acts[k], aid)
 		}
 		p.mu.Lock()
 	}
@@ -577,7 +586,7 @@ func (p *Product) succs(s pstate, k int, f func(key []byte, pr float64)) {
 	cross(p.buf, parts, lists, 1, f)
 }
 
-func cross(key []byte, parts []int, lists [][]succ, pr float64, f func([]byte, float64)) {
+func cross(key []byte, parts []int32, lists [][]succ, pr float64, f func([]byte, float64)) {
 	if len(parts) == 0 {
 		if pr != 0 {
 			f(key, pr)
@@ -585,7 +594,7 @@ func cross(key []byte, parts []int, lists [][]succ, pr float64, f func([]byte, f
 		return
 	}
 	for _, s := range lists[0] {
-		putID(key, parts[0], s.id)
+		putID(key, int(parts[0]), s.id)
 		cross(key, parts[1:], lists[1:], pr*s.p, f)
 	}
 }
