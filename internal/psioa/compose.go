@@ -2,7 +2,6 @@ package psioa
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 
@@ -187,7 +186,7 @@ func (p *Product) Trans(q State, a Action) *Dist {
 	id, ok := p.byState[q]
 	if ok {
 		if ent := p.states[id].ent; ent != nil {
-			if k, ok := slices.BinarySearch(ent.acts, a); ok {
+			if k, ok := ent.index(a); ok {
 				if d := p.transLocked(id, k); d != nil {
 					p.mu.Unlock()
 					return d
@@ -203,7 +202,7 @@ func (p *Product) Trans(q State, a Action) *Dist {
 	if err != nil {
 		panic(err)
 	}
-	k, ok := slices.BinarySearch(s.ent.acts, a)
+	k, ok := s.ent.index(a)
 	if !ok {
 		disabledPanic(p.id, q, a)
 	}

@@ -3,7 +3,6 @@ package psioa
 import (
 	"fmt"
 	"hash/maphash"
-	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/measure"
@@ -63,6 +62,19 @@ type sigEntry struct {
 
 // parts returns the components that participate in acts[k].
 func (e *sigEntry) parts(k int) []int32 { return e.part[e.off[k]:e.off[k+1]] }
+
+// index returns the position of a in acts, and whether it is there.
+func (e *sigEntry) index(a Action) (int, bool) {
+	lo, hi := 0, len(e.acts)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); e.acts[m] < a {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(e.acts) && e.acts[lo] == a
+}
 
 // compTab indexes one component's states.
 type compTab struct {
@@ -534,7 +546,7 @@ func (p *Product) succOf(id, aid uint32) []succ {
 	if err != nil {
 		panic(err)
 	}
-	k, ok := slices.BinarySearch(s.ent.acts, a)
+	k, ok := s.ent.index(a)
 	if !ok {
 		disabledPanic(p.id, s.q, a)
 	}
