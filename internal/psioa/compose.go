@@ -116,12 +116,7 @@ func (p *Product) ID() string { return p.id }
 func (p *Product) Components() []PSIOA { return p.comps }
 
 // Start implements PSIOA: the tuple of component start states.
-func (p *Product) Start() State {
-	id := p.startID()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.states[id].q
-}
+func (p *Product) Start() State { return p.stateQ(p.startID()) }
 
 // Split decomposes a product state into component states.
 func (p *Product) Split(q State) []State { return p.splitState(p.lookup(q)) }

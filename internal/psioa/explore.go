@@ -72,11 +72,12 @@ func ExploreCtx(ctx context.Context, a PSIOA, limit int, b *resilience.Budget) (
 	traced := tr.Enabled()
 	var nTrans int64
 	ex := &Exploration{Sigs: make(map[State]Signature), Acts: NewActionSet()}
-	// The walk runs over dense state IDs: a product's (possibly under
-	// hiding or an Atomic wrapper, which share its states and transitions)
-	// come from its state table, so exploring builds no product measures
-	// and encodes each product state once; any other automaton is walked
-	// through its transition measures' sorted supports.
+	// The walk runs over dense state IDs. A product's states, also under
+	// hiding or an Atomic wrapper (which share its states and
+	// transitions), come from its state table, so exploring builds no
+	// product measures and encodes each product state once; any other
+	// automaton is walked through its transition measures' sorted
+	// supports.
 	st := stepperOf(a)
 	w := &walk{limit: limit}
 	start := st.start()
