@@ -178,27 +178,34 @@ func (p *Product) Sig(q State) Signature {
 // otherwise.
 func (p *Product) Trans(q State, a Action) *Dist {
 	p.mu.Lock()
-	id, ok := p.byState[q]
-	if ok {
-		if ent := p.states[id].ent; ent != nil {
-			if k, ok := ent.index(a); ok {
-				if d := p.transLocked(id, k); d != nil {
-					p.mu.Unlock()
-					return d
-				}
+	id, known := p.byState[q]
+	aid, named := p.actIDs[a]
+	if known && named {
+		// A state has measures only once its signature entry is known.
+		if s := &p.states[id]; s.trans != nil {
+			if k := s.ent.pos(aid); k >= 0 && s.trans[k] != nil {
+				d := s.trans[k]
+				p.mu.Unlock()
+				return d
 			}
 		}
 	}
 	p.mu.Unlock()
-	if !ok {
+	if !known {
 		id = p.lookup(q)
 	}
 	s, err := p.prepare(id)
 	if err != nil {
 		panic(err)
 	}
-	k, ok := s.ent.index(a)
-	if !ok {
+	p.mu.Lock()
+	aid, named = p.actIDs[a]
+	p.mu.Unlock()
+	k := -1
+	if named {
+		k = s.ent.pos(aid)
+	}
+	if k < 0 {
 		disabledPanic(p.id, q, a)
 	}
 	return p.buildTrans(id, s, k)

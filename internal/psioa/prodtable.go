@@ -3,6 +3,7 @@ package psioa
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/measure"
@@ -63,18 +64,8 @@ type sigEntry struct {
 // parts returns the components that participate in acts[k].
 func (e *sigEntry) parts(k int) []int32 { return e.part[e.off[k]:e.off[k+1]] }
 
-// index returns the position of a in acts, and whether it is there.
-func (e *sigEntry) index(a Action) (int, bool) {
-	lo, hi := 0, len(e.acts)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); e.acts[m] < a {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo, lo < len(e.acts) && e.acts[lo] == a
-}
+// pos returns the position of the action with ID aid in acts, or -1.
+func (e *sigEntry) pos(aid uint32) int { return slices.Index(e.actID, aid) }
 
 // compTab indexes one component's states.
 type compTab struct {
@@ -546,8 +537,8 @@ func (p *Product) succOf(id, aid uint32) []succ {
 	if err != nil {
 		panic(err)
 	}
-	k, ok := s.ent.index(a)
-	if !ok {
+	k := s.ent.pos(aid)
+	if k < 0 {
 		disabledPanic(p.id, s.q, a)
 	}
 	p.succs(s, k, func(key []byte, pr float64) {
@@ -621,15 +612,6 @@ func (p *Product) splitState(id uint32) []State {
 		out[i] = p.tabs[i].stateLocked(idAt(key, i))
 	}
 	return out
-}
-
-// transLocked returns the measure Trans built for (state id, acts[k]), or
-// nil.
-func (p *Product) transLocked(id uint32, k int) *Dist {
-	if tr := p.states[id].trans; tr != nil {
-		return tr[k]
-	}
-	return nil
 }
 
 // buildTrans builds η_{(P,q,a)} for state s (ID id) and a = s.ent.acts[k],
