@@ -14,6 +14,7 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/bounded"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/insight"
 	"repro/internal/measure"
@@ -447,6 +448,21 @@ func BenchmarkMeasureSortedView(b *testing.B) {
 		b.StartTimer()
 		if em.Len() == 0 {
 			b.Fatal("empty support")
+		}
+	}
+}
+
+// BenchmarkFDistTraceWalk measures an exact trace f-dist the way the
+// measure-kernels workload's trace jobs compute it: a 16-step greedy walk
+// on 13 positions, expanded and imaged through a fresh engine cache per op.
+func BenchmarkFDistTraceWalk(b *testing.B) {
+	w := psioa.MustCompose(testaut.RandomWalk("w", 12, 0.5))
+	s := &sched.Greedy{A: w, Bound: 16, LocalOnly: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d, err := engine.NewCache(0).FDistOpts(context.Background(), w, s, insight.Trace(), 80, nil, sched.Options{})
+		if err != nil || d.Len() == 0 {
+			b.Fatalf("%v support=%d", err, d.Len())
 		}
 	}
 }

@@ -118,15 +118,19 @@ func appendEscaped(b []byte, p string) []byte {
 // without copying it, as strings.Builder does.
 func bytesString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// AppendToTuple extends an existing encoding of a non-empty tuple with
-// further components, in one pass over the new components only:
-// AppendToTuple(EncodeTuple(xs), ys...) == EncodeTuple(append(xs, ys...))
-// whenever xs is non-empty. It is the incremental form of EncodeTuple used
-// by persistent structures (execution fragments) whose keys grow one step
-// at a time from a cached parent key.
+// AppendToTuple extends an existing tuple encoding with further
+// components, in one pass over the new components only:
+// AppendToTuple(EncodeTuple(xs), ys...) == EncodeTuple(append(xs, ys...)).
+// It is the incremental form of EncodeTuple used by persistent structures
+// (execution fragments) whose keys grow one step at a time from a cached
+// parent key, and by insights that grow a trace one action at a time from
+// the empty tuple.
 func AppendToTuple(enc string, parts ...string) string {
 	if len(parts) == 0 {
 		return enc
+	}
+	if enc == emptyTuple {
+		return EncodeTuple(parts)
 	}
 	b := make([]byte, 0, len(enc)+1+tupleLen(parts))
 	b = append(append(b, enc...), sep)

@@ -200,6 +200,9 @@ func TestAppendToTuple(t *testing.T) {
 		{[]string{""}, []string{""}},
 		{[]string{"|", "\\"}, []string{"|\\|", "()"}},
 		{[]string{"x"}, nil},
+		{nil, []string{"a"}},
+		{nil, []string{"()", "b|c"}},
+		{nil, nil},
 	}
 	for _, c := range cases {
 		got := AppendToTuple(EncodeTuple(c.base), c.extra...)
@@ -212,12 +215,6 @@ func TestAppendToTuple(t *testing.T) {
 
 func TestAppendToTupleQuick(t *testing.T) {
 	prop := func(base []string, extra []string) bool {
-		if len(base) == 0 {
-			// The incremental form is only specified for non-empty prefixes:
-			// EncodeTuple(nil) is the sentinel "()", which must not be
-			// extended in place.
-			return true
-		}
 		got := AppendToTuple(EncodeTuple(base), extra...)
 		want := EncodeTuple(append(append([]string(nil), base...), extra...))
 		return got == want

@@ -477,7 +477,7 @@ func (c *Cache) FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler,
 	if err != nil {
 		return nil, err
 	}
-	img := em.Image(func(fr *psioa.Frag) string { return f.Apply(w, fr) })
+	img := insight.Image(w, em, f)
 	c.put(m, key, img)
 	return img, nil
 }

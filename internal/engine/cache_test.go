@@ -106,6 +106,30 @@ func TestCacheHitMissCounters(t *testing.T) {
 	}
 }
 
+// TestCacheFDistCountsProbe: a cached FDist miss on the tree route counts
+// its image in insight.probe.{calls,evals} — one call, one eval per halted
+// execution — as insight.FDist does; a hit images nothing and counts
+// nothing.
+func TestCacheFDistCountsProbe(t *testing.T) {
+	c := engine.NewCache(16)
+	w := testaut.RandomWalk("w", 4, 0.5)
+	s := &sched.Greedy{A: w, Bound: 6, LocalOnly: true}
+	em, err := sched.Measure(w, s, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct{ calls, evals int64 }{{1, int64(em.Len())}, {0, 0}} {
+		calls0, evals0 := obs.C("insight.probe.calls").Value(), obs.C("insight.probe.evals").Value()
+		if _, err := c.FDist(w, s, insight.Trace(), 8); err != nil {
+			t.Fatal(err)
+		}
+		calls, evals := obs.C("insight.probe.calls").Value()-calls0, obs.C("insight.probe.evals").Value()-evals0
+		if calls != want.calls || evals != want.evals {
+			t.Errorf("probe calls/evals = %d/%d, want %d/%d", calls, evals, want.calls, want.evals)
+		}
+	}
+}
+
 // TestCachedIdentity is the memoization regression: every cached accessor
 // must return results identical to the uncached computation.
 func TestCachedIdentity(t *testing.T) {

@@ -418,7 +418,7 @@ func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience
 		if em == nil || !resilience.IsBudget(err) {
 			return nil, err
 		}
-		img := em.Image(func(fr *psioa.Frag) string { return ins.Apply(w, fr) })
+		img := insight.Image(w, em, ins)
 		return &SimulateResult{
 			Exact:      true,
 			InsightID:  ins.ID,

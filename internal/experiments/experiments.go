@@ -978,8 +978,8 @@ func E17SamplingConvergence() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	exact := insight.Image(w, em, insight.Trace())
 	traceOf := func(f *psioa.Frag) string { return f.TraceKey(w) }
-	exact := em.Image(traceOf)
 	stream := rng.New(20260705)
 	ok := true
 	first, last := -1.0, 0.0

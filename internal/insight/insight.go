@@ -13,6 +13,16 @@
 // this framework is flattening (internal/psioa), E‖(B‖A) and (E‖B)‖A are
 // the same automaton, and all these insights are stable by composition in
 // the sense of Def 3.7 — which TestStability verifies empirically.
+//
+// Each of them is defined once, by a step factoring: Init, its value on a
+// zero-length execution, and Step(w, v, lstate(α), a), the value of
+// α⌢(a, q′) computed from v, the value of α — the previous value extended
+// by a when a is external at lstate(α) and passes the insight's filter,
+// else v unchanged. Apply is Step folded along the execution. Image folds
+// Step over an expanded tree instead, one step per tree node, so no
+// execution's trace is rebuilt from its root; an internal step returns its
+// parent's string and allocates nothing. Final is state-local instead
+// (StateLocal) and has no step factoring.
 package insight
 
 import (
@@ -29,9 +39,11 @@ import (
 	"repro/internal/sched"
 )
 
-// Observability instruments: every FDist call applies the insight probe to
-// each execution in the measure's support, so evals counts probe
-// applications across the run.
+// Observability instruments: every image of a measure — FDist's, and any
+// exact image through Image — counts each execution in the measure's
+// support (each (state, depth) class on the DAG route), so evals counts the
+// executions imaged across the run, also when a step factoring folds the
+// image over the tree and applies no probe to a whole execution.
 var (
 	cProbeCalls = obs.C("insight.probe.calls")
 	cProbeEvals = obs.C("insight.probe.evals")
@@ -53,17 +65,56 @@ type Insight struct {
 	// through the state-collapsed DAG kernel, which never materialises
 	// individual fragments. Trace-based insights leave it nil.
 	StateLocal func(w psioa.PSIOA, q psioa.State, depth int) string
+	// Init and Step, when Step is set, are the step factoring of Apply:
+	// Init is the value of every zero-length execution, and
+	// Step(w, v, lstate(α), a) is the value of α⌢(a, q′) given v, the value
+	// of α. Apply must be the fold of Step along the execution from Init.
+	// Image uses it to step each node of the expansion tree once, from its
+	// parent's value, instead of applying Apply to every halted execution.
+	Init string
+	Step func(w psioa.PSIOA, prev string, q psioa.State, a psioa.Action) string
 }
 
-// Trace is the trace insight: the full external trace of the composed
-// system. It is the classic insight of I/O-automata implementation.
-func Trace() Insight {
-	return Insight{
-		ID: "trace",
-		Apply: func(w psioa.PSIOA, alpha *psioa.Frag) string {
-			return alpha.TraceKey(w)
-		},
+// stepped returns the insight defined by its step factoring, with Apply
+// the fold of step along the execution.
+func stepped(id, init string, step func(w psioa.PSIOA, prev string, q psioa.State, a psioa.Action) string) Insight {
+	var fold func(w psioa.PSIOA, f *psioa.Frag) string
+	fold = func(w psioa.PSIOA, f *psioa.Frag) string {
+		p := f.Parent()
+		if p == nil {
+			return init
+		}
+		return step(w, fold(w, p), p.LState(), f.ActionAt(f.Len()-1))
 	}
+	return Insight{ID: id, Apply: fold, Init: init, Step: step}
+}
+
+// external reports whether a is external in w's signature at q: whether an
+// occurrence of a leaving q belongs to the trace (Def 2.2).
+func external(w psioa.PSIOA, q psioa.State, a psioa.Action) bool {
+	sig := w.Sig(q)
+	return sig.In.Has(a) || sig.Out.Has(a)
+}
+
+// noTrace is the encoding of the empty trace.
+var noTrace = codec.EncodeTuple(nil)
+
+// Trace is the trace insight: the full external trace of the composed
+// system, encoded as a codec tuple. It is the classic insight of
+// I/O-automata implementation.
+func Trace() Insight {
+	return subtrace("trace", nil)
+}
+
+// subtrace returns the insight recording the subsequence of trace actions
+// that keep accepts — the whole trace when keep is nil.
+func subtrace(id string, keep func(psioa.Action) bool) Insight {
+	return stepped(id, noTrace, func(w psioa.PSIOA, prev string, q psioa.State, a psioa.Action) string {
+		if keep != nil && !keep(a) || !external(w, q, a) {
+			return prev
+		}
+		return codec.AppendToTuple(prev, string(a))
+	})
 }
 
 // Accept is the accept insight of Canetti et al. [3]: it outputs "1" iff
@@ -72,17 +123,12 @@ func Trace() Insight {
 // environment signalling that it distinguished the real system from the
 // ideal one.
 func Accept(acc psioa.Action) Insight {
-	return Insight{
-		ID: "accept(" + string(acc) + ")",
-		Apply: func(w psioa.PSIOA, alpha *psioa.Frag) string {
-			for _, a := range alpha.Trace(w) {
-				if a == acc {
-					return "1"
-				}
-			}
-			return "0"
-		},
-	}
+	return stepped("accept("+string(acc)+")", "0", func(w psioa.PSIOA, prev string, q psioa.State, a psioa.Action) string {
+		if prev == "0" && a == acc && external(w, q, a) {
+			return "1"
+		}
+		return prev
+	})
 }
 
 // Print is the print insight of [7]: the subsequence of trace actions whose
@@ -90,18 +136,7 @@ func Accept(acc psioa.Action) Insight {
 // insight the paper recommends for extending monotonicity w.r.t. creation
 // to secure emulation.
 func Print(prefix string) Insight {
-	return Insight{
-		ID: "print(" + prefix + ")",
-		Apply: func(w psioa.PSIOA, alpha *psioa.Frag) string {
-			var parts []string
-			for _, a := range alpha.Trace(w) {
-				if strings.HasPrefix(string(a), prefix) {
-					parts = append(parts, string(a))
-				}
-			}
-			return codec.EncodeTuple(parts)
-		},
-	}
+	return subtrace("print("+prefix+")", func(a psioa.Action) bool { return strings.HasPrefix(string(a), prefix) })
 }
 
 // Restrict is the insight that records the subsequence of trace actions
@@ -109,18 +144,7 @@ func Print(prefix string) Insight {
 // environment, giving the "what E itself saw" perception.
 func Restrict(set psioa.ActionSet) Insight {
 	fixed := set.Copy()
-	return Insight{
-		ID: "restrict" + fixed.String(),
-		Apply: func(w psioa.PSIOA, alpha *psioa.Frag) string {
-			var parts []string
-			for _, a := range alpha.Trace(w) {
-				if fixed.Has(a) {
-					parts = append(parts, string(a))
-				}
-			}
-			return codec.EncodeTuple(parts)
-		},
-	}
+	return subtrace("restrict"+fixed.String(), fixed.Has)
 }
 
 // Final is the state-local insight recording the final local state of the
@@ -177,13 +201,28 @@ func FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight,
 	if err != nil {
 		return nil, err
 	}
-	cProbeCalls.Inc()
-	cProbeEvals.Add(int64(em.Len()))
-	img := em.Image(func(fr *psioa.Frag) string { return f.Apply(w, fr) })
+	img := Image(w, em, f)
 	if tr := obs.Active(); tr.Enabled() {
 		tr.Emit(obs.Event{Kind: obs.KindProbe, Name: f.ID, Attr: s.Name(), N: int64(img.Len())})
 	}
 	return img, nil
+}
+
+// Image returns the image of the execution measure em of w under f —
+// f-dist (Def 3.5) on an expanded tree. An insight with a step factoring is
+// folded over the expansion tree (sched.ExecMeasure.ImageFold), one step
+// per tree node; any other is applied to each halted execution. Both give
+// the same keys and the same floats. Every exact tree image goes through
+// here, so the probe counters count each of them.
+func Image(w psioa.PSIOA, em *sched.ExecMeasure, f Insight) *measure.Dist[string] {
+	cProbeCalls.Inc()
+	cProbeEvals.Add(int64(em.Len()))
+	if f.Step != nil {
+		return em.ImageFold(f.Init, func(prev string, q psioa.State, a psioa.Action) string {
+			return f.Step(w, prev, q, a)
+		})
+	}
+	return em.Image(func(fr *psioa.Frag) string { return f.Apply(w, fr) })
 }
 
 // SampleOpts estimates f-dist_{(E,A)}(σ) from n samples with
