@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/... ./internal/sched/... ./internal/psioa/... ./internal/pca/... ./internal/engine/... ./internal/cluster/... ./cmd/dsed/...
+	$(GO) test -race ./internal/obs/... ./internal/sched/... ./internal/psioa/... ./internal/pca/... ./internal/core/... ./internal/insight/... ./internal/engine/... ./internal/cluster/... ./cmd/dsed/...
 
 vet:
 	$(GO) vet ./...

@@ -1,7 +1,7 @@
 // dsecheck decides approximate implementation (Def 4.12) between two
 // systems: for every scheduler of the schema on env‖left it searches a
 // balanced scheduler on env‖right. The check runs on the engine's worker
-// pool with memoized measure expansions; -workers 1 -cache 0 reproduces the
+// pool with memoized f-dist images; -workers 1 -cache 0 reproduces the
 // plain sequential run (the report is byte-identical either way).
 //
 // Usage:

@@ -90,7 +90,7 @@ type Options struct {
 	// Exec fans the per-(environment, scheduler) work out to a worker pool
 	// (see internal/engine.Pool). Nil runs sequentially.
 	Exec Executor
-	// Memo caches measure expansions across repeated checks (see
+	// Memo caches f-dist images across repeated checks (see
 	// internal/engine.Cache). Nil recomputes everything.
 	Memo Memo
 	// Ctx cancels long-running checks. Nil means context.Background().

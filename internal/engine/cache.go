@@ -40,18 +40,21 @@ const DefaultCacheShards = 8
 // exceeded it is dropped wholesale (fingerprints are recomputable).
 const maxFingerprintMemo = 8192
 
-// Cache is a concurrency-safe, size-bounded LRU cache for the expensive
-// intermediate results of implementation checks: exploration results and
-// execution-measure distributions, keyed by a canonical automaton
-// fingerprint (plus scheduler name, insight id and depth). It implements
+// Cache is a concurrency-safe, size-bounded LRU cache of answers: f-dist
+// images (Def 3.5) of implementation checks and simulations, plus the
+// execution measure of an exact simulate job, the one measure that is read
+// again. Keys are a canonical automaton fingerprint plus scheduler name,
+// insight id and depth. Explorations are not memoized: the fingerprint
+// that keys an entry explores the automaton and builds its transition
+// measures, so a hit would save less than its key costs. It implements
 // core.Memo, so it can be plugged into core.Options directly. Storage is
 // lock-striped: keys map to N independent mutex-LRU shards by key hash, so
 // the concurrent callers of the parallel kernels do not serialize on a
 // single mutex, while hit/miss/eviction counters stay aggregated.
 //
 // Cached values are shared between callers and must be treated as
-// read-only; everything the engine caches (Exploration, ExecMeasure,
-// measure.Dist) is immutable after construction.
+// read-only; everything the engine caches (ExecMeasure, measure.Dist) is
+// immutable after construction.
 //
 // Memoization keys schedulers by Scheduler.Name(). Every schema in
 // internal/sched produces structurally-descriptive names (the sequence or
@@ -288,7 +291,6 @@ func (c *Cache) Totals() (hits, misses, evictions, lockWaitUS int64) {
 // scheduler-name or insight-ID length, so shard routing and LRU map probes
 // stop re-hashing long concatenated strings on every cache access.
 const (
-	memoExplore byte = 0x01
 	memoMeasure byte = 0x02
 	memoFDist   byte = 0x03
 )
@@ -369,50 +371,25 @@ func (c *Cache) fingerprintFor(a psioa.PSIOA, call *fpCall) (string, error) {
 	return fp, nil
 }
 
-// Explore is a memoizing psioa.Explore: repeated explorations of
-// structurally identical automata return the cached Exploration. A nil
-// cache passes through.
-func (c *Cache) Explore(a psioa.PSIOA, limit int) (*psioa.Exploration, error) {
-	return c.ExploreCtx(context.Background(), a, limit, nil)
-}
-
-// ExploreCtx is Explore threading cancellation and a budget into the
-// exploration. Results computed under an exhausted budget are partial and
-// are returned to the caller but never cached. The lookup is charged to
-// the meter ctx carries, as are the typed lookups below.
+// ExploreCtx is psioa.ExploreCtx; the cache memoizes no explorations (see
+// Cache). It stays only because bench/describe.go calls it.
 func (c *Cache) ExploreCtx(ctx context.Context, a psioa.PSIOA, limit int, b *resilience.Budget) (*psioa.Exploration, error) {
-	if c == nil {
-		return psioa.ExploreCtx(ctx, a, limit, b)
-	}
-	fp, err := c.Fingerprint(a)
-	if err != nil {
-		return nil, err
-	}
-	m := obs.MeterFrom(ctx)
-	key := memoKey(memoExplore, fp, strconv.Itoa(limit))
-	if v, ok := c.get(m, key); ok {
-		return v.(*psioa.Exploration), nil
-	}
-	ex, err := psioa.ExploreCtx(ctx, a, limit, b)
-	if err != nil {
-		return ex, err
-	}
-	c.put(m, key, ex)
-	return ex, nil
+	return psioa.ExploreCtx(ctx, a, limit, b)
 }
 
 // Measure is a memoizing sched.Measure: the exact execution measure of a
-// (automaton, scheduler, depth) triple is expanded once and reused across
-// checks. A nil cache passes through.
+// (automaton, scheduler, depth) triple is expanded once and reused. A nil
+// cache passes through.
 func (c *Cache) Measure(a psioa.PSIOA, s sched.Scheduler, maxDepth int) (*sched.ExecMeasure, error) {
 	return c.MeasureOpts(context.Background(), a, s, maxDepth, nil, sched.Options{})
 }
 
 // MeasureOpts is Measure threading cancellation, a budget and kernel
-// options into the expansion. Measures are byte-identical at every worker
-// count, so they share cache keys: a measure expanded at one worker count
-// is reused at any other. A budget-bounded partial measure is returned
-// with its error but never cached: only complete expansions are reused.
+// options into the expansion. It is the only writer of measure entries:
+// an exact simulate job reads its measure here and then images it through
+// FDistOpts, and a resent job reads both back. Measures are byte-identical
+// at every worker count, so they share cache keys. A budget-bounded
+// partial measure is returned with its error but never cached.
 func (c *Cache) MeasureOpts(ctx context.Context, a psioa.PSIOA, s sched.Scheduler, maxDepth int, b *resilience.Budget, o sched.Options) (*sched.ExecMeasure, error) {
 	if c == nil {
 		return sched.MeasureOpts(ctx, a, s, maxDepth, b, o)
@@ -422,7 +399,7 @@ func (c *Cache) MeasureOpts(ctx context.Context, a psioa.PSIOA, s sched.Schedule
 		return nil, err
 	}
 	m := obs.MeterFrom(ctx)
-	key := memoKey(memoMeasure, fp, s.Name(), strconv.Itoa(maxDepth))
+	key := measureKey(fp, s, maxDepth)
 	if v, ok := c.get(m, key); ok {
 		return v.(*sched.ExecMeasure), nil
 	}
@@ -434,22 +411,29 @@ func (c *Cache) MeasureOpts(ctx context.Context, a psioa.PSIOA, s sched.Schedule
 	return em, nil
 }
 
+// measureKey is the memo key of the execution measure of (a, s, maxDepth),
+// where fp is a's fingerprint.
+func measureKey(fp string, s sched.Scheduler, maxDepth int) string {
+	return memoKey(memoMeasure, fp, s.Name(), strconv.Itoa(maxDepth))
+}
+
 // FDist is a memoizing insight.FDist, the hot path of Implements: the image
-// distribution is cached per (automaton, scheduler, insight, depth), and a
-// miss reuses a cached execution measure when one exists. A nil cache
-// passes through.
+// distribution is cached per (automaton, scheduler, insight, depth). A nil
+// cache passes through.
 func (c *Cache) FDist(w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int) (*measure.Dist[string], error) {
 	return c.FDistOpts(context.Background(), w, s, f, maxDepth, nil, sched.Options{})
 }
 
 // FDistOpts is FDist threading cancellation, a budget and kernel options
-// into the underlying expansion; it implements core.Memo. Interrupted
-// computations — including budget-bounded partial measures — are never
-// cached. State-local insights under depth-oblivious schedulers compute on
-// the state-collapsed DAG (no tree expansion is performed or cached); other
-// misses reuse or expand the tree measure through MeasureOpts. Both routes
-// fill the same fdist key — the distributions agree — so DAG-computed
-// images are reused by tree-routed callers and vice versa.
+// into the underlying computation; it implements core.Memo. On a miss, an
+// insight without a state-local factoring images the execution measure
+// that MeasureOpts cached for the same (automaton, scheduler, depth), if
+// there is one. Otherwise insight.FDistOpts computes the image on the
+// route it picks: a state-local insight may take the DAG route there,
+// whose floats agree with a tree image only up to summation order. Only
+// the image is cached; the measure a miss expands is dropped, because no
+// later lookup reads it. Interrupted computations, budget-bounded ones
+// included, are never cached.
 func (c *Cache) FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error) {
 	if c == nil {
 		return insight.FDistOpts(ctx, w, s, f, maxDepth, b, o)
@@ -463,21 +447,17 @@ func (c *Cache) FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler,
 	if v, ok := c.get(m, key); ok {
 		return v.(*measure.Dist[string]), nil
 	}
-	if f.StateLocal != nil {
-		if _, ok := sched.AsDepthOblivious(s); ok {
-			img, err := insight.FDistOpts(ctx, w, s, f, maxDepth, b, o)
-			if err != nil {
-				return nil, err
-			}
+	if f.StateLocal == nil {
+		if v, ok := c.get(m, measureKey(fp, s, maxDepth)); ok {
+			img := insight.Image(w, v.(*sched.ExecMeasure), f)
 			c.put(m, key, img)
 			return img, nil
 		}
 	}
-	em, err := c.MeasureOpts(ctx, w, s, maxDepth, b, o)
+	img, err := insight.FDistOpts(ctx, w, s, f, maxDepth, b, o)
 	if err != nil {
 		return nil, err
 	}
-	img := insight.Image(w, em, f)
 	c.put(m, key, img)
 	return img, nil
 }

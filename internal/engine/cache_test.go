@@ -8,12 +8,15 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/insight"
+	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/protocols/channel"
 	"repro/internal/protocols/coin"
 	"repro/internal/psioa"
+	"repro/internal/resilience"
 	"repro/internal/sched"
 	"repro/internal/testaut"
 )
@@ -139,26 +142,11 @@ func TestCachedIdentity(t *testing.T) {
 	f := insight.Trace()
 	const depth = 8
 
-	exPlain, err := psioa.Explore(w, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ { // round 1 exercises the hit path
-		ex, err := c.Explore(w, 10000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ex.States) != len(exPlain.States) || ex.Truncated != exPlain.Truncated {
-			t.Errorf("round %d: cached exploration differs: %d states vs %d",
-				round, len(ex.States), len(exPlain.States))
-		}
-	}
-
 	emPlain, err := sched.Measure(w, s, depth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 2; round++ {
+	for round := 0; round < 2; round++ { // round 1 exercises the hit path
 		em, err := c.Measure(w, s, depth)
 		if err != nil {
 			t.Fatal(err)
@@ -193,7 +181,7 @@ func TestNilCachePassesThrough(t *testing.T) {
 	var c *engine.Cache
 	w := psioa.MustCompose(coin.Fair("x"), coin.Env("x"))
 	s := &sched.Greedy{A: w, Bound: 3, LocalOnly: true}
-	if _, err := c.Explore(w, 1000); err != nil {
+	if _, err := c.ExploreCtx(context.Background(), w, 1000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Measure(w, s, 6); err != nil {
@@ -451,5 +439,108 @@ func TestCachedMeasureConcurrentViews(t *testing.T) {
 		if got[g] != want {
 			t.Fatalf("goroutine %d saw a different measure:\n%.300s\nwant\n%.300s", g, got[g], want)
 		}
+	}
+}
+
+// keyRecorder is a core.Memo that records the distinct f-dist keys a check
+// looks up, by world fingerprint, scheduler, insight and depth, and
+// computes each image uncached.
+type keyRecorder struct {
+	mu   sync.Mutex
+	keys map[string]bool
+}
+
+func (r *keyRecorder) FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error) {
+	fp, err := engine.Fingerprint(w, 0)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	r.keys[fmt.Sprintf("%s|%s|%s|%d", fp, s.Name(), f.ID, maxDepth)] = true
+	r.mu.Unlock()
+	return insight.FDistOpts(ctx, w, s, f, maxDepth, b, o)
+}
+
+// fdistKeys runs the check cs through core.Implements under a keyRecorder
+// and returns the number of distinct f-dist keys it looked up.
+func fdistKeys(t *testing.T, cs *engine.CheckSpec) int {
+	t.Helper()
+	schema, err := engine.SchemaByName(cs.Schema, cs.Templates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := engine.InsightByName(cs.Insight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := make([]psioa.PSIOA, len(cs.Envs))
+	for i, ref := range cs.Envs {
+		envs[i] = mustResolve(t, ref)
+	}
+	rec := &keyRecorder{keys: map[string]bool{}}
+	_, err = core.Implements(mustResolve(t, cs.Left), mustResolve(t, cs.Right), core.Options{
+		Envs: envs, Schema: schema, Insight: ins, Eps: cs.Eps, Q1: cs.Q1, Q2: cs.Q2, MaxDepth: cs.MaxDepth, Memo: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(rec.keys)
+}
+
+// TestCheckCachesImagesOnly: a check job on a fresh runner leaves exactly
+// one f-dist image per distinct f-dist key in the cache, and nothing else:
+// no execution measure of a tree-route image and no exploration.
+func TestCheckCachesImagesOnly(t *testing.T) {
+	for name, cs := range map[string]*engine.CheckSpec{"coin": coinCheck(), "channel": chanCheck()} {
+		c := engine.NewCache(0)
+		job := engine.Job{Kind: engine.KindCheck, Check: cs}
+		if _, err := engine.NewRunner(engine.NewPool(4), c).Run(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.Len(), fdistKeys(t, cs); got != want || want == 0 {
+			t.Errorf("%s: the cache holds %d entries, want one per f-dist key (%d)", name, got, want)
+		}
+		for _, v := range c.Values() {
+			if _, ok := v.(*measure.Dist[string]); !ok {
+				t.Errorf("%s: the cache holds a %T", name, v)
+			}
+		}
+	}
+}
+
+// TestSimulateExpandsOnce: a fresh exact trace simulate expands its
+// execution measure once, and its image reads that cached measure instead
+// of expanding it again; a resend expands nothing. The cache then holds
+// the measure and its image.
+func TestSimulateExpandsOnce(t *testing.T) {
+	c := engine.NewCache(0)
+	r := engine.NewRunner(nil, c)
+	job := engine.Job{Kind: engine.KindSimulate, Simulate: &engine.SimulateSpec{
+		Systems: []string{"chan:real:x", "chan:env:x:1"}, Sched: "priority",
+		Order: []string{"send", "encrypt", "tap", "deliver"}, Bound: 8,
+	}}
+	calls := obs.C("sched.measure.calls")
+	for i, want := range []int64{1, 0} {
+		n0 := calls.Value()
+		if _, err := r.Run(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+		if got := calls.Value() - n0; got != want {
+			t.Errorf("run %d: %d sched.measure calls, want %d", i, got, want)
+		}
+	}
+	var measures, images int
+	for _, v := range c.Values() {
+		switch v.(type) {
+		case *sched.ExecMeasure:
+			measures++
+		case *measure.Dist[string]:
+			images++
+		default:
+			t.Errorf("the cache holds a %T", v)
+		}
+	}
+	if measures != 1 || images != 1 {
+		t.Errorf("the cache holds %d measures and %d images, want 1 and 1", measures, images)
 	}
 }

@@ -23,7 +23,7 @@ var cFingerprints = obs.C("engine.fingerprints")
 // (states, signatures, and transition measures, all in canonical order, the
 // same representation internal/codec's encodings canonicalise). Two automata
 // with equal fingerprints behave identically on their explored fragment, so
-// the fingerprint is a sound memoization key for Explore and Measure
+// the fingerprint is a sound memoization key for Measure and FDist
 // results. limit <= 0 means DefaultFingerprintLimit.
 func Fingerprint(a psioa.PSIOA, limit int) (string, error) {
 	if limit <= 0 {

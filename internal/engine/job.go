@@ -482,7 +482,7 @@ func (r *Runner) describeSystems(ctx context.Context, ds *DescribeSpec, bud *res
 		if err != nil {
 			return nil, err
 		}
-		ex, err := r.Cache.ExploreCtx(ctx, a, limit, bud)
+		ex, err := psioa.ExploreCtx(ctx, a, limit, bud)
 		if err != nil {
 			return nil, err
 		}

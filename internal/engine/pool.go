@@ -1,7 +1,7 @@
 // Package engine is the execution layer of the framework: a bounded worker
 // pool that fans out the embarrassingly-parallel (environment, scheduler)
-// sweeps of the implementation checkers, a memoization cache for the measure
-// expansions they repeat, and a batch job API that expresses check and
+// sweeps of the implementation checkers, a memoization cache for the f-dist
+// images they repeat, and a batch job API that expresses check and
 // simulate requests as values so the same code path backs the CLI tools and
 // the dsed daemon.
 //

@@ -143,31 +143,33 @@ func TestRunReportDepthZeroPhases(t *testing.T) {
 	}
 }
 
-// TestRunReportExplorePhase checks that a describe job's report counts
-// one psioa.explore phase call per ExploreCtx the job made with its
-// context: one per system on a fresh cache, and none when the cache
-// serves every exploration. (Describe's own explorations run without the
-// job's context and are not charged.)
+// TestRunReportExplorePhase checks that every describe job's report counts
+// one psioa.explore phase call per system, the first run and a repeat
+// alike, and that a describe job fingerprints nothing: the cache memoizes
+// no explorations, so describe jobs do not look them up. (Describe's own
+// explorations run without the job's context and are not charged.)
 func TestRunReportExplorePhase(t *testing.T) {
 	ds := &engine.DescribeSpec{Systems: []string{"com:real:x", "com:env:x:1"}}
 	r := engine.NewRunner(nil, engine.NewCache(0))
-	calls := func() int64 {
+	fps := obs.C("engine.fingerprints")
+	for run := 0; run < 2; run++ {
+		fps0 := fps.Value()
 		res, err := r.Run(context.Background(), engine.Job{Kind: engine.KindDescribe, Describe: ds})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var calls int64
 		for _, p := range res.Report.Phases {
 			if p.Name == "psioa.explore" {
-				return p.Calls
+				calls = p.Calls
 			}
 		}
-		return 0
-	}
-	if n := calls(); n != int64(len(ds.Systems)) {
-		t.Errorf("fresh cache: %d psioa.explore calls, want %d", n, len(ds.Systems))
-	}
-	if n := calls(); n != 0 {
-		t.Errorf("warm cache: %d psioa.explore calls, want 0", n)
+		if calls != int64(len(ds.Systems)) {
+			t.Errorf("run %d: %d psioa.explore calls, want %d", run, calls, len(ds.Systems))
+		}
+		if n := fps.Value() - fps0; n != 0 {
+			t.Errorf("run %d: %d fingerprints, want 0", run, n)
+		}
 	}
 }
 

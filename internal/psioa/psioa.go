@@ -12,7 +12,6 @@ package psioa
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/measure"
 )
@@ -88,19 +87,12 @@ func Null(id string) PSIOA {
 type InputEnabled struct {
 	inner    PSIOA
 	universe ActionSet
-
-	mu       sync.Mutex
-	sigCache map[State]Signature
 }
 
 // InputEnable wraps a with ignoring self-loops for the universe's inputs.
 // Actions already in a state's signature keep their behaviour there.
 func InputEnable(a PSIOA, universe ActionSet) *InputEnabled {
-	return &InputEnabled{
-		inner:    a,
-		universe: universe.Copy(),
-		sigCache: make(map[State]Signature),
-	}
+	return &InputEnabled{inner: a, universe: universe.Copy()}
 }
 
 // ID implements PSIOA.
@@ -110,21 +102,12 @@ func (ie *InputEnabled) ID() string { return "ie(" + ie.inner.ID() + ")" }
 func (ie *InputEnabled) Start() State { return ie.inner.Start() }
 
 // Sig implements PSIOA: the inner signature with the missing universe
-// actions added as inputs. Results are cached per state.
+// actions added as inputs.
 func (ie *InputEnabled) Sig(q State) Signature {
-	ie.mu.Lock()
-	if sig, ok := ie.sigCache[q]; ok {
-		ie.mu.Unlock()
-		return sig
-	}
-	ie.mu.Unlock()
 	sig := ie.inner.Sig(q)
 	if missing := ie.universe.Minus(sig.All()); len(missing) > 0 {
 		sig = Signature{In: sig.In.Union(missing), Out: sig.Out.Copy(), Int: sig.Int.Copy()}
 	}
-	ie.mu.Lock()
-	ie.sigCache[q] = sig
-	ie.mu.Unlock()
 	return sig
 }
 

@@ -1,9 +1,6 @@
 package psioa
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Renamed is the action-renaming operator of Def 2.8: r(A) renames, at each
 // state q, the actions of sig(A)(q) through the injective map r(q). States
@@ -11,22 +8,13 @@ import (
 type Renamed struct {
 	inner PSIOA
 	r     func(State, Action) Action
-
-	mu       sync.Mutex
-	sigCache map[State]Signature
-	preCache map[State]map[Action]Action
 }
 
 // Rename applies the state-dependent renaming r to A. For each state q,
 // r(q, ·) must be injective on sig(A)(q)^; Validate checks this on the
 // reachable fragment.
 func Rename(a PSIOA, r func(State, Action) Action) *Renamed {
-	return &Renamed{
-		inner:    a,
-		r:        r,
-		sigCache: make(map[State]Signature),
-		preCache: make(map[State]map[Action]Action),
-	}
+	return &Renamed{inner: a, r: r}
 }
 
 // RenameMap renames via a fixed, state-independent partial map; actions
@@ -56,59 +44,39 @@ func (r *Renamed) Inner() PSIOA { return r.inner }
 // Start implements PSIOA.
 func (r *Renamed) Start() State { return r.inner.Start() }
 
-// Sig implements PSIOA per Def 2.8 item 3. Results are cached per state —
-// r(q, ·) is a function, so the renamed signature at q never changes.
+// Sig implements PSIOA per Def 2.8 item 3. It is not cached: a product
+// over r(A) interns each component signature once per component state.
 func (r *Renamed) Sig(q State) Signature {
-	r.mu.Lock()
-	if sig, ok := r.sigCache[q]; ok {
-		r.mu.Unlock()
-		return sig
-	}
-	r.mu.Unlock()
 	inner := r.inner.Sig(q)
 	f := func(a Action) Action { return r.r(q, a) }
-	sig := Signature{
+	return Signature{
 		In:  inner.In.MapActions(f),
 		Out: inner.Out.MapActions(f),
 		Int: inner.Int.MapActions(f),
 	}
-	r.mu.Lock()
-	r.sigCache[q] = sig
-	r.mu.Unlock()
-	return sig
-}
-
-// preimages returns the inverse renaming at q, built once per state by
-// scanning the (finite) inner signature.
-func (r *Renamed) preimages(q State) map[Action]Action {
-	r.mu.Lock()
-	if pre, ok := r.preCache[q]; ok {
-		r.mu.Unlock()
-		return pre
-	}
-	r.mu.Unlock()
-	innerSig := r.inner.Sig(q).All()
-	pre := make(map[Action]Action, len(innerSig))
-	for a := range innerSig {
-		b := r.r(q, a)
-		if _, dup := pre[b]; dup {
-			panic(fmt.Sprintf("psioa: renaming of %q is not injective at state %q: two pre-images of %q", r.inner.ID(), q, b))
-		}
-		pre[b] = a
-	}
-	r.mu.Lock()
-	r.preCache[q] = pre
-	r.mu.Unlock()
-	return pre
 }
 
 // Trans implements PSIOA per Def 2.8 item 4: dtrans(r(A)) =
 // {(q, r(a), η) | (q, a, η) ∈ dtrans(A)}. The pre-image of the requested
-// action comes from the per-state inverse map.
+// action comes from a scan of the inner signature at q; two pre-images
+// (a renaming that is not injective at q) panic.
 func (r *Renamed) Trans(q State, b Action) *Dist {
-	pre, found := r.preimages(q)[b]
-	if !found {
+	sig := r.inner.Sig(q)
+	var pre Action
+	n := 0
+	for _, set := range [...]ActionSet{sig.In, sig.Out, sig.Int} {
+		for a := range set {
+			if r.r(q, a) == b {
+				pre = a
+				n++
+			}
+		}
+	}
+	switch {
+	case n == 0:
 		disabledPanic(r.ID(), q, b)
+	case n > 1:
+		panic(fmt.Sprintf("psioa: renaming of %q is not injective at state %q: two pre-images of %q", r.inner.ID(), q, b))
 	}
 	return r.inner.Trans(q, pre)
 }

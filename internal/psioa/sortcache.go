@@ -13,9 +13,9 @@ import (
 // Explore, Greedy/Random schedulers and the engine fingerprint all need
 // "the actions of sig(A)(q), sorted" at every visited state, and the naive
 // rendering (sig.All().Sorted()) allocates two union sets and re-sorts on
-// every call. Signatures, however, are stable values in this codebase:
-// Table automata store one Signature per state and Product/wrapper automata
-// cache the composed Signature per state, so the identity of a signature's
+// every call. Signatures, however, are mostly stable values in this
+// codebase: Table automata store one Signature per state, and Product and
+// Hidden cache theirs per state, so the identity of a signature's
 // underlying sets is a faithful memo key. Automata that build fresh
 // signature maps per call only lose the memoization (every lookup misses
 // and falls back to the sort), never correctness — distinct maps with equal
