@@ -8,8 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The bounded package runs in short mode: its three-subchain differential
+# against the built encodings takes a minute under the race detector and
+# races nothing; `make test` runs it in full.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/sched/... ./internal/psioa/... ./internal/pca/... ./internal/core/... ./internal/insight/... ./internal/engine/... ./internal/cluster/... ./cmd/dsed/...
+	$(GO) test -race -short ./internal/bounded/...
 
 vet:
 	$(GO) vet ./...
@@ -28,7 +32,7 @@ bench:
 # line). Compare two recordings with scripts/bench_compare.sh; see
 # docs/PERFORMANCE.md.
 bench-json:
-	$(GO) run ./cmd/dsebench -json BENCH_14.json
+	$(GO) run ./cmd/dsebench -json BENCH_15.json
 
 # bench-par runs the kernels across worker counts (1, 2, 4, 8) at GOMAXPROCS
 # 1 and at the host default: the sharded expansion, the DAG collapse, and
@@ -38,10 +42,10 @@ bench-par:
 	GOMAXPROCS=1 $(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
 
-# bench-compare fails when the current recording (BENCH_14.json) regresses
-# more than 20% against the previous PR's baseline (BENCH_13.json).
+# bench-compare fails when the current recording (BENCH_15.json) regresses
+# more than 20% against the previous PR's baseline (BENCH_14.json).
 bench-compare:
-	sh scripts/bench_compare.sh BENCH_13.json BENCH_14.json
+	sh scripts/bench_compare.sh BENCH_14.json BENCH_15.json
 
 # no-string-keys guards the interned measure core's representation
 # boundary: string-keyed maps are banned from the kernel files and allowed

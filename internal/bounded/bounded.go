@@ -15,6 +15,12 @@
 //     Sig/Trans evaluation the number of bits it touches — the analogue of
 //     the machines' running time.
 //
+// The lengths of ⟨tr⟩ and of the created set are counted, not built:
+// escaping is local, so TransBits derives |⟨tr⟩| from each component's
+// escaped size (codec.EscapedSize). EncodeTransition stays the definition;
+// the tests hold the counted lengths equal to the encodings' bit lengths,
+// on generated hostile components and on the automata of E1–E3.
+//
 // The lemma checks (CompositionBound, HidingBound) then verify the paper's
 // linear bounds B(A₁‖A₂) ≤ c·(B₁+B₂) with explicit empirical constants.
 package bounded
@@ -51,13 +57,14 @@ type Desc struct {
 // B returns the overall bound: the maximum of all component bit lengths —
 // the least b for which the automaton is b-bounded in the description sense.
 func (d *Desc) B() int {
-	b := d.MaxStateBits
-	for _, v := range []int{d.MaxActionBits, d.MaxTransBits, d.MaxConfigBits, d.MaxCreatedBits, d.MaxHiddenBits} {
-		if v > b {
-			b = v
-		}
-	}
-	return b
+	return max(d.PSIOABound(), d.MaxConfigBits, d.MaxCreatedBits, d.MaxHiddenBits)
+}
+
+// PSIOABound returns the bound of Def 4.1 alone: the maximum of the state,
+// action and transition lengths. It is B of the same automaton described
+// as a plain PSIOA, without the PCA components of Def 4.2.
+func (d *Desc) PSIOABound() int {
+	return max(d.MaxStateBits, d.MaxActionBits, d.MaxTransBits)
 }
 
 // String renders the report.
@@ -76,7 +83,8 @@ func truncStr(t bool) string {
 
 // EncodeTransition produces ⟨tr⟩: the canonical bit-string representation
 // of a transition (q, a, η), with the measure rendered as sorted
-// (state, probability) pairs.
+// (state, probability) pairs. It is the definition TransBits counts; the
+// tests hold the two equal.
 func EncodeTransition(q psioa.State, a psioa.Action, eta *psioa.Dist) string {
 	support := eta.Support()
 	sort.Slice(support, func(i, j int) bool { return support[i] < support[j] })
@@ -85,6 +93,39 @@ func EncodeTransition(q psioa.State, a psioa.Action, eta *psioa.Dist) string {
 		pairs[i] = codec.EncodeTuple([]string{string(s), strconv.FormatFloat(eta.P(s), 'g', 17, 64)})
 	}
 	return codec.EncodeTuple([]string{string(q), string(a), codec.EncodeTuple(pairs)})
+}
+
+// TransBits returns |⟨tr⟩| = codec.BitLen(EncodeTransition(q, a, eta)),
+// counted from each component's escaped size without building the
+// encoding. Order does not change a length, so η's weights are read in map
+// order through ForEach, and the measure's sorted view is never built.
+// ForEach visits supp(η), the elements of positive mass; EncodeTransition
+// renders the same pairs for every measure built by Add or FromMap, which
+// drop zero weights.
+func TransBits(q psioa.State, a psioa.Action, eta *psioa.Dist) int {
+	// Each pair ⟨s, p⟩ is one component of the measure tuple ⟨η⟩. Its
+	// special (sep or esc) bytes are its separator and the escaped state's;
+	// the formatted mass has none. Escaped into ⟨η⟩, the pair grows by one
+	// byte per special byte, and each special byte becomes two.
+	var buf [32]byte
+	pairs, etaLen, etaSpecial := 0, 0, 0
+	eta.ForEach(func(s psioa.State, p float64) {
+		sn, ss := codec.EscapedSize(string(s))
+		special := ss + 1
+		etaLen += sn + 1 + len(strconv.AppendFloat(buf[:0], p, 'g', 17, 64)) + special
+		etaSpecial += 2 * special
+		pairs++
+	})
+	// ⟨η⟩ itself, escaped as the third component of ⟨tr⟩: the empty tuple
+	// "()" escapes to 4 bytes; otherwise add the separators between pairs,
+	// once as bytes and once more as their escapes.
+	etaEsc := 4
+	if pairs > 0 {
+		etaEsc = etaLen + etaSpecial + 2*(pairs-1)
+	}
+	qn, _ := codec.EscapedSize(string(q))
+	an, _ := codec.EscapedSize(string(a))
+	return 8 * (qn + an + etaEsc + 2)
 }
 
 // pcaLike exposes the PCA attributes needed by Def 4.2 without importing
@@ -123,19 +164,31 @@ func Describe(a psioa.PSIOA, limit int) (*Desc, error) {
 			if n := codec.BitLen(string(act)); n > d.MaxActionBits {
 				d.MaxActionBits = n
 			}
-			eta := a.Trans(q, act)
-			if n := codec.BitLen(EncodeTransition(q, act, eta)); n > d.MaxTransBits {
+			if n := TransBits(q, act, a.Trans(q, act)); n > d.MaxTransBits {
 				d.MaxTransBits = n
 			}
 			if isPCA {
-				created := pl.CreatedIDs(q, act)
-				if n := codec.BitLen(codec.EncodeSortedSet(created)); n > d.MaxCreatedBits {
+				if n := setBits(pl.CreatedIDs(q, act)); n > d.MaxCreatedBits {
 					d.MaxCreatedBits = n
 				}
 			}
 		}
 	}
 	return d, nil
+}
+
+// setBits returns codec.BitLen(codec.EncodeSortedSet(elems)), counted
+// without the sorted copy: a tuple's length does not depend on its order.
+func setBits(elems []string) int {
+	if len(elems) == 0 {
+		return codec.BitLen(codec.EncodeTuple(nil))
+	}
+	n := len(elems) - 1
+	for _, e := range elems {
+		en, _ := codec.EscapedSize(e)
+		n += en
+	}
+	return 8 * n
 }
 
 // BoundReport is the result of an empirical linear-bound check for
@@ -165,6 +218,12 @@ func CompositionBound(a1, a2 psioa.PSIOA, limit int) (*BoundReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	return CompositionBoundFrom(d1.B(), d2.B(), a1, a2, limit)
+}
+
+// CompositionBoundFrom is CompositionBound for components whose bounds
+// b1 = B(A₁) and b2 = B(A₂) are already known: it describes only A₁‖A₂.
+func CompositionBoundFrom(b1, b2 int, a1, a2 psioa.PSIOA, limit int) (*BoundReport, error) {
 	p, err := psioa.Compose(a1, a2)
 	if err != nil {
 		return nil, err
@@ -173,9 +232,9 @@ func CompositionBound(a1, a2 psioa.PSIOA, limit int) (*BoundReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &BoundReport{B1: d1.B(), B2: d2.B(), B12: d12.B()}
-	if s := d1.B() + d2.B(); s > 0 {
-		r.C = float64(d12.B()) / float64(s)
+	r := &BoundReport{B1: b1, B2: b2, B12: d12.B()}
+	if s := b1 + b2; s > 0 {
+		r.C = float64(r.B12) / float64(s)
 	}
 	return r, nil
 }

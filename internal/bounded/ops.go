@@ -68,7 +68,7 @@ func (i *Instrumented) Sig(q psioa.State) psioa.Signature {
 // produced transition representation.
 func (i *Instrumented) Trans(q psioa.State, a psioa.Action) *psioa.Dist {
 	eta := i.inner.Trans(q, a)
-	bits := int64(codec.BitLen(EncodeTransition(q, a, eta)))
+	bits := int64(TransBits(q, a, eta))
 	i.c.TransQueries.Add(1)
 	i.c.charge(bits)
 	return eta

@@ -83,16 +83,26 @@ func tupleLen(parts []string) int {
 
 // escapedLen is the length of one component after escaping.
 func escapedLen(p string) int {
+	n, _ := EscapedSize(p)
+	return n
+}
+
+// EscapedSize reports the length n of p once escaped as a tuple component,
+// and how many of those n bytes are sep or esc, so would be escaped again
+// if the enclosing tuple were itself a component. Escaping doubles every
+// sep and esc byte; the empty-tuple sentinel escapes to 4 bytes, 2 of them
+// esc. Lengths of nested encodings follow from these two counts without
+// building them.
+func EscapedSize(p string) (n, special int) {
 	if p == emptyTuple {
-		return 4
+		return 4, 2
 	}
-	n := len(p)
 	for j := 0; j < len(p); j++ {
 		if c := p[j]; c == sep || c == esc {
-			n++
+			special++
 		}
 	}
-	return n
+	return len(p) + special, 2 * special
 }
 
 // appendEscaped appends one component with sep/esc escaping, copying the

@@ -461,6 +461,10 @@ func (r *Runner) describeSystems(ctx context.Context, ds *DescribeSpec, bud *res
 	}
 	out := &DescribeResult{}
 	auts := make([]psioa.PSIOA, 0, len(ds.Systems))
+	// bs[i] is B(auts[i]) as a plain PSIOA, the component bound of the
+	// composition report: the adapter exposes Def 4.2's PCA components
+	// but leaves Sig and Trans as they are.
+	bs := make([]int, 0, len(ds.Systems))
 	for _, ref := range ds.Systems {
 		if err := resilience.CtxError(ctx); err != nil {
 			return nil, err
@@ -478,6 +482,7 @@ func (r *Runner) describeSystems(ctx context.Context, ds *DescribeSpec, bud *res
 		if err != nil {
 			return nil, err
 		}
+		bs = append(bs, d.PSIOABound())
 		maxQ, total, err := bounded.QueryWork(a, limit)
 		if err != nil {
 			return nil, err
@@ -497,7 +502,7 @@ func (r *Runner) describeSystems(ctx context.Context, ds *DescribeSpec, bud *res
 		})
 	}
 	if len(auts) == 2 {
-		cb, err := bounded.CompositionBound(auts[0], auts[1], limit)
+		cb, err := bounded.CompositionBoundFrom(bs[0], bs[1], auts[0], auts[1], limit)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bounded"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/insight"
@@ -200,6 +201,38 @@ func TestRunnerDescribe(t *testing.T) {
 	}
 	if res.CompositionBound == "" {
 		t.Error("two systems should report a composition bound")
+	}
+}
+
+// TestRunnerDescribeCompositionBound: the describe job reuses the bounds
+// of the components it has described, and its composition report equals
+// bounded.CompositionBound, which describes them again.
+func TestRunnerDescribeCompositionBound(t *testing.T) {
+	for _, systems := range [][]string{
+		{"coin:fair:x", "chan:real:y"},
+		{"ledger:direct:a:1", "ledger:parity:b:1"},
+		{"ledger:direct:a:2", "ledger:parity:b:2"},
+	} {
+		r := engine.NewRunner(nil, engine.NewCache(0))
+		res, err := r.DescribeSystems(context.Background(), &engine.DescribeSpec{Systems: systems})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a1, err := spec.Resolve(systems[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		a2, err := spec.Resolve(systems[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := bounded.CompositionBound(a1, a2, 100000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CompositionBound != want.String() {
+			t.Errorf("%v: composition bound %q, want %q", systems, res.CompositionBound, want)
+		}
 	}
 }
 
