@@ -74,6 +74,22 @@ func BenchmarkE3HidingBound(b *testing.B) {
 	}
 }
 
+// BenchmarkDescribeJob measures one engine describe job on the
+// describe-ledger workload's pair of three-subchain ledger hosts: each
+// system described, the composite described for Lemma 4.3's report.
+// Profile the layer with -cpuprofile.
+func BenchmarkDescribeJob(b *testing.B) {
+	job := engine.Job{Kind: engine.KindDescribe, Describe: &engine.DescribeSpec{
+		Systems: []string{"ledger:direct:a:3", "ledger:parity:b:3"}}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := engine.NewRunner(nil, engine.NewCache(0))
+		if _, err := r.Run(context.Background(), job); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkE4Transitivity measures a full witness-checked transitivity
 // instance (Theorem 4.16).
 func BenchmarkE4Transitivity(b *testing.B) {

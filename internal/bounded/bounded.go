@@ -21,17 +21,27 @@
 // the tests hold the counted lengths equal to the encodings' bit lengths,
 // on generated hostile components and on the automata of E1–E3.
 //
+// Describe is one exploration walk (psioa.Walk). It counts ⟨q⟩, ⟨a⟩ and
+// ⟨tr⟩ from the states, sorted actions and successor lists the walk
+// visits, and totals the query work of the same walk, so it never calls
+// Trans itself; a product supplies its successors from its state table and
+// builds no product measure. QueryWork, which explores an Instrumented
+// wrapper and is charged by its Sig and Trans, is the reference the tests
+// hold Describe's query work equal to.
+//
 // The lemma checks (CompositionBound, HidingBound) then verify the paper's
 // linear bounds B(A₁‖A₂) ≤ c·(B₁+B₂) with explicit empirical constants.
 package bounded
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
 
 	"repro/internal/codec"
 	"repro/internal/psioa"
+	"repro/internal/resilience"
 )
 
 // Desc is the description-length report of an automaton: the bit lengths of
@@ -48,8 +58,13 @@ type Desc struct {
 	MaxConfigBits  int
 	MaxCreatedBits int
 	MaxHiddenBits  int
-	// States is the number of reachable states inspected.
-	States int
+	// States is the number of reachable states inspected, and Actions the
+	// number of distinct actions in their signatures.
+	States, Actions int
+	// QueryMaxBits and QueryTotalBits are the query work of the walk: the
+	// largest single charge and the sum of the charges that Instrumented
+	// makes for the same walk (see QueryWork).
+	QueryMaxBits, QueryTotalBits int64
 	// Truncated reports whether the exploration hit its limit.
 	Truncated bool
 }
@@ -103,28 +118,41 @@ func EncodeTransition(q psioa.State, a psioa.Action, eta *psioa.Dist) string {
 // renders the same pairs for every measure built by Add or FromMap, which
 // drop zero weights.
 func TransBits(q psioa.State, a psioa.Action, eta *psioa.Dist) int {
-	// Each pair ⟨s, p⟩ is one component of the measure tuple ⟨η⟩. Its
-	// special (sep or esc) bytes are its separator and the escaped state's;
-	// the formatted mass has none. Escaped into ⟨η⟩, the pair grows by one
-	// byte per special byte, and each special byte becomes two.
-	var buf [32]byte
-	pairs, etaLen, etaSpecial := 0, 0, 0
+	var t transLen
 	eta.ForEach(func(s psioa.State, p float64) {
 		sn, ss := codec.EscapedSize(string(s))
-		special := ss + 1
-		etaLen += sn + 1 + len(strconv.AppendFloat(buf[:0], p, 'g', 17, 64)) + special
-		etaSpecial += 2 * special
-		pairs++
+		t.pair(sn, ss, p)
 	})
+	qn, _ := codec.EscapedSize(string(q))
+	an, _ := codec.EscapedSize(string(a))
+	return t.bits(qn, an)
+}
+
+// transLen counts |⟨tr⟩| one pair ⟨s, p⟩ of η at a time.
+type transLen struct{ pairs, etaLen, etaSpecial int }
+
+// pair counts ⟨s, p⟩, where s has escaped size sn with ss special bytes.
+// Each pair is one component of the measure tuple ⟨η⟩. Its special (sep
+// or esc) bytes are its separator and the escaped state's; the formatted
+// mass has none. Escaped into ⟨η⟩, the pair grows by one byte per special
+// byte, and each special byte becomes two.
+func (t *transLen) pair(sn, ss int, p float64) {
+	var buf [32]byte
+	special := ss + 1
+	t.etaLen += sn + 1 + len(strconv.AppendFloat(buf[:0], p, 'g', 17, 64)) + special
+	t.etaSpecial += 2 * special
+	t.pairs++
+}
+
+// bits returns |⟨tr⟩| for a state and action of escaped sizes qn and an.
+func (t *transLen) bits(qn, an int) int {
 	// ⟨η⟩ itself, escaped as the third component of ⟨tr⟩: the empty tuple
 	// "()" escapes to 4 bytes; otherwise add the separators between pairs,
 	// once as bytes and once more as their escapes.
 	etaEsc := 4
-	if pairs > 0 {
-		etaEsc = etaLen + etaSpecial + 2*(pairs-1)
+	if t.pairs > 0 {
+		etaEsc = t.etaLen + t.etaSpecial + 2*(t.pairs-1)
 	}
-	qn, _ := codec.EscapedSize(string(q))
-	an, _ := codec.EscapedSize(string(a))
 	return 8 * (qn + an + etaEsc + 2)
 }
 
@@ -138,43 +166,99 @@ type pcaLike interface {
 
 // Describe computes the description-length report of the automaton over its
 // reachable fragment (bounded by limit states). If the automaton implements
-// the PCA attribute accessors (see PCAAdapter), the configuration, created
-// and hidden-actions encodings of Def 4.2 are measured as well.
+// the PCA attribute accessors (see pca.DescAdapter), the configuration,
+// created and hidden-actions encodings of Def 4.2 are measured as well.
 func Describe(a psioa.PSIOA, limit int) (*Desc, error) {
-	ex, err := psioa.Explore(a, limit)
+	return DescribeCtx(nil, a, limit, nil)
+}
+
+// DescribeCtx is Describe under ctx and the work budget b, which the walk
+// polls and charges as psioa.ExploreCtx does. It returns no report when
+// the walk stops early: on cancellation, on a deadline or when b runs out.
+func DescribeCtx(ctx context.Context, a psioa.PSIOA, limit int, b *resilience.Budget) (*Desc, error) {
+	v := &describer{d: &Desc{}}
+	v.pl, _ = a.(pcaLike)
+	ex, err := psioa.Walk(ctx, a, limit, b, v)
 	if err != nil {
 		return nil, err
 	}
-	d := &Desc{States: len(ex.States), Truncated: ex.Truncated}
-	pl, isPCA := a.(pcaLike)
-	for _, q := range ex.States {
-		if n := codec.BitLen(string(q)); n > d.MaxStateBits {
-			d.MaxStateBits = n
-		}
-		sig := ex.Sigs[q]
-		if isPCA {
-			if n := codec.BitLen(pl.ConfigKey(q)); n > d.MaxConfigBits {
-				d.MaxConfigBits = n
-			}
-			if n := codec.BitLen(pl.HiddenSet(q).Key()); n > d.MaxHiddenBits {
-				d.MaxHiddenBits = n
-			}
-		}
-		for act := range sig.All() {
-			if n := codec.BitLen(string(act)); n > d.MaxActionBits {
-				d.MaxActionBits = n
-			}
-			if n := TransBits(q, act, a.Trans(q, act)); n > d.MaxTransBits {
-				d.MaxTransBits = n
-			}
-			if isPCA {
-				if n := setBits(pl.CreatedIDs(q, act)); n > d.MaxCreatedBits {
-					d.MaxCreatedBits = n
-				}
-			}
-		}
-	}
+	d := v.d
+	d.States, d.Actions, d.Truncated = len(ex.States), len(ex.Acts), ex.Truncated
 	return d, nil
+}
+
+// describer is Describe's visitor. It counts the lengths of each state and
+// transition the walk visits, and charges the query work that Instrumented
+// charges for the Sig and Trans evaluations of the same walk.
+type describer struct {
+	d    *Desc
+	pl   pcaLike // nil unless the automaton is a PCA
+	q    psioa.State
+	qn   int // escaped size of q
+	acts []psioa.Action
+	// sizes holds each state's escaped size by walk ID, so a state is
+	// counted once however many transitions lead to it.
+	sizes []escSize
+}
+
+// escSize is codec.EscapedSize of a state: n is one more than the size,
+// and 0 marks a state not yet counted.
+type escSize struct{ n, special int32 }
+
+func (v *describer) charge(bits int) {
+	v.d.QueryTotalBits += int64(bits)
+	v.d.QueryMaxBits = max(v.d.QueryMaxBits, int64(bits))
+}
+
+// escaped returns codec.EscapedSize(q) for the state with walk ID id.
+func (v *describer) escaped(id uint32, q psioa.State) (n, special int) {
+	if int(id) >= len(v.sizes) {
+		v.sizes = append(v.sizes, make([]escSize, int(id)+1-len(v.sizes))...)
+	}
+	e := &v.sizes[id]
+	if e.n == 0 {
+		n, special := codec.EscapedSize(string(q))
+		e.n, e.special = int32(n+1), int32(special)
+	}
+	return int(e.n - 1), int(e.special)
+}
+
+// State counts ⟨q⟩, the actions of q and, for a PCA, ⟨C⟩ and ⟨h⟩; its
+// query work is Sig's: the bits of q and of every action of sig(q).
+func (v *describer) State(id uint32, q psioa.State, _ psioa.Signature, acts []psioa.Action) {
+	d := v.d
+	v.q, v.acts = q, acts
+	v.qn, _ = v.escaped(id, q)
+	work := codec.BitLen(string(q))
+	d.MaxStateBits = max(d.MaxStateBits, work)
+	for _, act := range acts {
+		n := codec.BitLen(string(act))
+		d.MaxActionBits = max(d.MaxActionBits, n)
+		work += n
+	}
+	v.charge(work)
+	if v.pl != nil {
+		d.MaxConfigBits = max(d.MaxConfigBits, codec.BitLen(v.pl.ConfigKey(q)))
+		d.MaxHiddenBits = max(d.MaxHiddenBits, codec.BitLen(v.pl.HiddenSet(q).Key()))
+	}
+}
+
+// Trans counts ⟨tr⟩ for (q, acts[k], η), whose support and masses are
+// succ, and, for a PCA, the created set; its query work is Trans's: |⟨tr⟩|.
+func (v *describer) Trans(k int, succ []psioa.Succ) {
+	d, act := v.d, v.acts[k]
+	var t transLen
+	for _, s := range succ {
+		sn, ss := v.escaped(s.ID, s.Q)
+		t.pair(sn, ss, s.P)
+	}
+	an, _ := codec.EscapedSize(string(act))
+	n := t.bits(v.qn, an)
+	d.MaxTransBits = max(d.MaxTransBits, n)
+	v.charge(n)
+	if v.pl != nil {
+		d.MaxCreatedBits = max(d.MaxCreatedBits, setBits(v.pl.CreatedIDs(v.q, act)))
+	}
 }
 
 // setBits returns codec.BitLen(codec.EncodeSortedSet(elems)), counted

@@ -85,14 +85,16 @@ func TestTransBitsNoAllocs(t *testing.T) {
 }
 
 // refDescribe is Describe as defined: every length is the bit length of a
-// built encoding.
+// built encoding, and the query work is refInstrumented's on the same walk.
 func refDescribe(t *testing.T, a psioa.PSIOA, limit int) *bounded.Desc {
 	t.Helper()
-	ex, err := psioa.Explore(a, limit)
+	ref := &refInstrumented{PSIOA: a}
+	ex, err := psioa.Explore(ref, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &bounded.Desc{States: len(ex.States), Truncated: ex.Truncated}
+	d := &bounded.Desc{States: len(ex.States), Actions: len(ex.Acts), Truncated: ex.Truncated,
+		QueryMaxBits: ref.max, QueryTotalBits: ref.work}
 	grow := func(m *int, n int) {
 		if n > *m {
 			*m = n
@@ -154,10 +156,10 @@ func (r *refInstrumented) CompatAt(q psioa.State) error {
 }
 
 // describeCase is one automaton of TestDescribeMatchesEncodings; the slow
-// ones take seconds against the built encodings.
+// ones take seconds against the built encodings. mk builds it afresh.
 type describeCase struct {
 	name string
-	a    psioa.PSIOA
+	mk   func() psioa.PSIOA
 	slow bool
 }
 
@@ -169,66 +171,113 @@ func describeCases(t *testing.T) []describeCase {
 	t.Helper()
 	var cases []describeCase
 	for _, n := range []int{1, 2, 3} {
-		x1, _ := ledger.Host("a", n, ledger.Direct)
-		x2, _ := ledger.Host("b", n, ledger.Parity)
-		comp, err := pca.ComposePCA(x1, x2)
-		if err != nil {
+		hosts := func() (pca.PCA, pca.PCA) {
+			x1, _ := ledger.Host("a", n, ledger.Direct)
+			x2, _ := ledger.Host("b", n, ledger.Parity)
+			return x1, x2
+		}
+		if _, err := pca.ComposePCA(hosts()); err != nil {
 			t.Fatal(err)
 		}
 		cases = append(cases,
-			describeCase{fmt.Sprintf("ledger-direct-%d", n), pca.DescAdapter{PCA: x1}, false},
-			describeCase{fmt.Sprintf("ledger-parity-%d", n), pca.DescAdapter{PCA: x2}, false},
-			describeCase{fmt.Sprintf("ledger-pca-composite-%d", n), pca.DescAdapter{PCA: comp}, n == 3},
-			describeCase{fmt.Sprintf("ledger-product-%d", n), psioa.MustCompose(x1, x2), n == 3})
+			describeCase{fmt.Sprintf("ledger-direct-%d", n), func() psioa.PSIOA {
+				x1, _ := hosts()
+				return pca.DescAdapter{PCA: x1}
+			}, false},
+			describeCase{fmt.Sprintf("ledger-parity-%d", n), func() psioa.PSIOA {
+				_, x2 := hosts()
+				return pca.DescAdapter{PCA: x2}
+			}, false},
+			describeCase{fmt.Sprintf("ledger-pca-composite-%d", n), func() psioa.PSIOA {
+				comp, _ := pca.ComposePCA(hosts())
+				return pca.DescAdapter{PCA: comp}
+			}, n == 3},
+			describeCase{fmt.Sprintf("ledger-product-%d", n), func() psioa.PSIOA {
+				x1, x2 := hosts()
+				return psioa.MustCompose(x1, x2)
+			}, n == 3})
 	}
 	for _, n := range []int{2, 8, 32} {
-		a1, a2 := testaut.Counter("a1", n), testaut.Counter("a2", 2*n)
-		cases = append(cases, describeCase{fmt.Sprintf("counters-%d-%d", n, 2*n), psioa.MustCompose(a1, a2), false})
+		cases = append(cases, describeCase{fmt.Sprintf("counters-%d-%d", n, 2*n), func() psioa.PSIOA {
+			return psioa.MustCompose(testaut.Counter("a1", n), testaut.Counter("a2", 2*n))
+		}, false})
 	}
 	for _, n := range []int{4, 16} {
-		a := testaut.Counter("a", n)
-		cases = append(cases, describeCase{fmt.Sprintf("hidden-counter-%d", n), psioa.HideSet(a, psioa.NewActionSet("done_a", "tick")), false})
+		cases = append(cases, describeCase{fmt.Sprintf("hidden-counter-%d", n), func() psioa.PSIOA {
+			return psioa.HideSet(testaut.Counter("a", n), psioa.NewActionSet("done_a", "tick"))
+		}, false})
 	}
 	return cases
 }
 
+// checkDescribe holds Describe of a fresh automaton from mk equal to
+// refDescribe, and its query work equal to QueryWork's (the Instrumented
+// reference), at limit.
+func checkDescribe(t *testing.T, mk func() psioa.PSIOA, limit int) *bounded.Desc {
+	t.Helper()
+	got, err := bounded.Describe(mk(), limit)
+	if err != nil {
+		t.Fatalf("limit %d: %v", limit, err)
+	}
+	if want := refDescribe(t, mk(), limit); *got != *want {
+		t.Errorf("limit %d: Describe = %+v, want %+v", limit, got, want)
+	}
+	maxQ, total, err := bounded.QueryWork(mk(), limit)
+	if err != nil {
+		t.Fatalf("limit %d: %v", limit, err)
+	}
+	if got.QueryMaxBits != maxQ || got.QueryTotalBits != total {
+		t.Errorf("limit %d: Describe's query work (%d, %d), QueryWork's (%d, %d)",
+			limit, got.QueryMaxBits, got.QueryTotalBits, maxQ, total)
+	}
+	return got
+}
+
+// checkDescribeLimits runs checkDescribe at the full limit and at the
+// truncating limits 1, 7 and the reachable count − 1.
+func checkDescribeLimits(t *testing.T, mk func() psioa.PSIOA) {
+	t.Helper()
+	full := checkDescribe(t, mk, 100000)
+	for _, limit := range []int{1, 7, full.States - 1} {
+		if limit > 0 && limit < full.States {
+			checkDescribe(t, mk, limit)
+		}
+	}
+}
+
 // TestDescribeMatchesEncodings: Describe and QueryWork, which count
-// lengths, agree with the definitions that build every encoding. The slow
-// cases are left out in -short mode.
+// lengths, agree with the definitions that build every encoding, whole and
+// truncated. The slow cases are left out in -short mode.
 func TestDescribeMatchesEncodings(t *testing.T) {
-	const limit = 100000
 	for _, c := range describeCases(t) {
 		if testing.Short() && c.slow {
 			continue
 		}
-		a := c.a
 		t.Run(c.name, func(t *testing.T) {
-			got, err := bounded.Describe(a, limit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := refDescribe(t, a, limit); *got != *want {
-				t.Errorf("Describe = %v, want %v", got, want)
-			}
-			maxQ, total, err := bounded.QueryWork(a, limit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := &refInstrumented{PSIOA: a}
-			if _, err := psioa.Explore(ref, limit); err != nil {
-				t.Fatal(err)
-			}
-			if maxQ != ref.max || total != ref.work {
-				t.Errorf("QueryWork = (%d, %d), want (%d, %d)", maxQ, total, ref.max, ref.work)
-			}
+			t.Parallel()
+			checkDescribeLimits(t, c.mk)
 		})
 	}
 }
 
+// TestDescribeSyncWorlds runs the same differential on testaut's generated
+// worlds: escape-laden state names, products bare, hidden, nested under
+// Atomic and under a state-dependent hiding.
+func TestDescribeSyncWorlds(t *testing.T) {
+	for _, w := range testaut.SyncWorlds() {
+		for seed := uint64(1); seed <= w.Seeds; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", w.Name, seed), func(t *testing.T) {
+				checkDescribeLimits(t, func() psioa.PSIOA { return w.Make(seed) })
+			})
+		}
+	}
+}
+
 // TestDescribeConcurrent runs Describe and QueryWork on one shared, cold
-// ledger pair from several goroutines; under -race it covers the PCA memo
-// filling up and the Instrumented counters. The answers come from a second
-// pair walked alone.
+// ledger pair, and Describe on the pair's product, whole and truncated,
+// from several goroutines; under -race it covers the PCA memo and the
+// product table filling up and the Instrumented counters. The answers come
+// from a second pair walked alone.
 func TestDescribeConcurrent(t *testing.T) {
 	const limit = 100000
 	hosts := func() []pca.PCA {
@@ -255,18 +304,36 @@ func TestDescribeConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	product := func(xs []pca.PCA) psioa.PSIOA { return psioa.MustCompose(xs[0], xs[1]) }
+	wantProd := map[int]bounded.Desc{}
+	for _, l := range []int{limit, 7} {
+		d, err := bounded.Describe(product(hosts()), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantProd[l] = *d
+	}
 	pair := hosts()
+	shared := product(pair)
 	// One Counter shared by every walk sums their work.
-	var shared bounded.Counter
+	var counter bounded.Counter
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if _, err := psioa.Explore(bounded.Instrument(pair[0], &shared), limit); err != nil {
+			if _, err := psioa.Explore(bounded.Instrument(pair[0], &counter), limit); err != nil {
 				t.Error(err)
 			}
 		}()
+		go func(l int) {
+			defer wg.Done()
+			if d, err := bounded.Describe(shared, l); err != nil {
+				t.Error(err)
+			} else if *d != wantProd[l] {
+				t.Errorf("concurrent product answer %+v at limit %d, want %+v", d, l, wantProd[l])
+			}
+		}([]int{limit, 7}[g%2])
 		for i, x := range pair {
 			wg.Add(1)
 			go func(i int, x pca.PCA) {
@@ -281,10 +348,10 @@ func TestDescribeConcurrent(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got := shared.Work.Load(); got != 4*want[0].work {
+	if got := counter.Work.Load(); got != 4*want[0].work {
 		t.Errorf("shared counter work %d, want 4×%d", got, want[0].work)
 	}
-	if got := shared.MaxQueryWork.Load(); got != want[0].maxQ {
+	if got := counter.MaxQueryWork.Load(); got != want[0].maxQ {
 		t.Errorf("shared counter max %d, want %d", got, want[0].maxQ)
 	}
 }

@@ -478,27 +478,21 @@ func (r *Runner) describeSystems(ctx context.Context, ds *DescribeSpec, bud *res
 		if x, ok := a.(pca.PCA); ok {
 			target = pca.DescAdapter{PCA: x}
 		}
-		d, err := bounded.Describe(target, limit)
+		// One walk under the job's context and budget describes the
+		// system, measures its query work and counts what it reaches.
+		d, err := bounded.DescribeCtx(ctx, target, limit, bud)
 		if err != nil {
 			return nil, err
 		}
 		bs = append(bs, d.PSIOABound())
-		maxQ, total, err := bounded.QueryWork(a, limit)
-		if err != nil {
-			return nil, err
-		}
-		ex, err := psioa.ExploreCtx(ctx, a, limit, bud)
-		if err != nil {
-			return nil, err
-		}
 		out.Systems = append(out.Systems, SystemDescription{
 			Ref:            ref,
 			Description:    d.String(),
-			QueryMaxBits:   maxQ,
-			QueryTotalBits: total,
-			States:         len(ex.States),
-			Actions:        len(ex.Acts),
-			Truncated:      ex.Truncated,
+			QueryMaxBits:   d.QueryMaxBits,
+			QueryTotalBits: d.QueryTotalBits,
+			States:         d.States,
+			Actions:        d.Actions,
+			Truncated:      d.Truncated,
 		})
 	}
 	if len(auts) == 2 {

@@ -156,6 +156,52 @@ func TestCheckBudgetFails(t *testing.T) {
 	}
 }
 
+// TestDescribeBudgetFails: a describe job whose state budget is smaller
+// than its system's reachable set fails classified, as check jobs do.
+func TestDescribeBudgetFails(t *testing.T) {
+	r := engine.NewRunner(nil, engine.NewCache(0))
+	_, err := r.Run(context.Background(), engine.Job{
+		Kind: engine.KindDescribe, Describe: &engine.DescribeSpec{Systems: []string{"ledger:direct:a:2", "ledger:parity:b:2"}},
+		BudgetStates: 10,
+	})
+	if !errors.Is(err, resilience.ErrBudgetExceeded) {
+		t.Fatalf("budgeted describe = %v, want ErrBudgetExceeded", err)
+	}
+}
+
+// cancelOnSig cancels a context at its first Sig call and counts the calls.
+type cancelOnSig struct {
+	psioa.PSIOA
+	cancel context.CancelFunc
+	calls  atomic.Int64
+}
+
+func (c *cancelOnSig) Sig(q psioa.State) psioa.Signature {
+	if c.calls.Add(1) == 1 {
+		c.cancel()
+	}
+	return c.PSIOA.Sig(q)
+}
+
+// TestDescribeCancelStopsWalk: a describe job's walk polls the job's
+// context, so cancelling it mid-walk stops the walk within one checkpoint
+// interval with an ErrCancelled-classified error, long before the system's
+// 2002 states are walked.
+func TestDescribeCancelStopsWalk(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	a := &cancelOnSig{PSIOA: testaut.Counter("c", 2000), cancel: cancel}
+	r := engine.NewRunner(nil, engine.NewCache(0))
+	r.Resolve = func(string) (psioa.PSIOA, error) { return a, nil }
+	_, err := r.Run(ctx, engine.Job{Kind: engine.KindDescribe, Describe: &engine.DescribeSpec{Systems: []string{"counter"}}})
+	if !errors.Is(err, resilience.ErrCancelled) {
+		t.Fatalf("cancelled describe = %v, want ErrCancelled", err)
+	}
+	if n := a.calls.Load(); n > 500 {
+		t.Errorf("the walk read %d signatures after its context was cancelled, want at most 500", n-1)
+	}
+}
+
 // TestRunSafeIsolatesPanics pins the runner's isolation boundary.
 func TestRunSafeIsolatesPanics(t *testing.T) {
 	restore := resilience.InstallInjector(

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/insight"
 	"repro/internal/obs"
+	"repro/internal/pca"
 	"repro/internal/protocols/coin"
 	"repro/internal/psioa"
 	"repro/internal/sched"
@@ -232,6 +233,56 @@ func TestRunnerDescribeCompositionBound(t *testing.T) {
 		}
 		if res.CompositionBound != want.String() {
 			t.Errorf("%v: composition bound %q, want %q", systems, res.CompositionBound, want)
+		}
+	}
+}
+
+// TestRunnerDescribeOneWalk: a describe job walks each system once and
+// the composite once, so a two-system job moves psioa.explore.calls by 3.
+// Each system's row is what the three walks it replaced report: Describe
+// of the PCA adapter, QueryWork and Explore of the system.
+func TestRunnerDescribeOneWalk(t *testing.T) {
+	const limit = 100000
+	calls := obs.C("psioa.explore.calls")
+	for _, systems := range [][]string{
+		{"coin:fair:x", "chan:real:y"},
+		{"ledger:direct:a:2", "ledger:parity:b:2"},
+	} {
+		r := engine.NewRunner(nil, engine.NewCache(0))
+		calls0 := calls.Value()
+		res, err := r.Run(context.Background(), engine.Job{Kind: engine.KindDescribe, Describe: &engine.DescribeSpec{Systems: systems}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := calls.Value() - calls0; n != 3 {
+			t.Errorf("%v: %d psioa.explore calls, want 3", systems, n)
+		}
+		for i, ref := range systems {
+			a, err := spec.Resolve(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := a
+			if x, ok := a.(pca.PCA); ok {
+				target = pca.DescAdapter{PCA: x}
+			}
+			d, err := bounded.Describe(target, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxQ, total, err := bounded.QueryWork(a, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err := psioa.Explore(a, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := engine.SystemDescription{Ref: ref, Description: d.String(), QueryMaxBits: maxQ, QueryTotalBits: total,
+				States: len(ex.States), Actions: len(ex.Acts), Truncated: ex.Truncated}
+			if got := res.Describe.Systems[i]; got != want {
+				t.Errorf("%s: %+v, want %+v", ref, got, want)
+			}
 		}
 	}
 }

@@ -146,8 +146,9 @@ func TestRunReportDepthZeroPhases(t *testing.T) {
 // TestRunReportExplorePhase checks that every describe job's report counts
 // one psioa.explore phase call per system, the first run and a repeat
 // alike, and that a describe job fingerprints nothing: the cache memoizes
-// no explorations, so describe jobs do not look them up. (Describe's own
-// explorations run without the job's context and are not charged.)
+// no explorations, so describe jobs do not look them up. (The composite's
+// describe for the Lemma 4.3 report runs without the job's context and is
+// not charged.)
 func TestRunReportExplorePhase(t *testing.T) {
 	ds := &engine.DescribeSpec{Systems: []string{"com:real:x", "com:env:x:1"}}
 	r := engine.NewRunner(nil, engine.NewCache(0))

@@ -52,8 +52,39 @@ func Explore(a PSIOA, limit int) (*Exploration, error) {
 // budget-bounded stop the exploration found so far is returned — marked
 // Truncated — alongside the ErrBudgetExceeded-classified error; on context
 // termination the result is nil with an ErrCancelled/ErrDeadline error.
-// Explore(a, limit) is exactly ExploreCtx(nil, a, limit, nil).
+// Explore(a, limit) is exactly ExploreCtx(nil, a, limit, nil), and
+// ExploreCtx is Walk with no visitor.
 func ExploreCtx(ctx context.Context, a PSIOA, limit int, b *resilience.Budget) (*Exploration, error) {
+	return Walk(ctx, a, limit, b, nil)
+}
+
+// Succ is one successor of a transition the walk visits: its state's walk
+// ID, the state and its mass.
+type Succ struct {
+	ID uint32
+	Q  State
+	P  float64
+}
+
+// A Visitor sees an exploration walk as it goes, in BFS order. Every state
+// it sees, dequeued or only a successor, has a walk ID, which names that
+// state for the whole walk. IDs are dense: the state IDs of the product's
+// table, or of the walk's own index for any other automaton.
+type Visitor interface {
+	// State is called for each state the walk dequeues, with its
+	// signature and its sorted actions (shared: do not modify).
+	State(id uint32, q State, sig Signature, acts []Action)
+	// Trans is called after State, for each k in order, with the support
+	// of η_{(q, acts[k])} and its masses: seen successors and those beyond
+	// the limit included. succ is reused once Trans returns.
+	Trans(k int, succ []Succ)
+}
+
+// Walk is ExploreCtx with a visitor v, which may be nil. A product, also
+// under Hidden and Atomic wrappers, supplies the visited successors from
+// its state table, so visiting builds no product measure either; any
+// other automaton supplies them from Trans(q, a).
+func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visitor) (*Exploration, error) {
 	sp := obs.Begin("psioa.explore", a.ID())
 	defer sp.End()
 	// One clock read pair times the call for the process histogram and,
@@ -79,7 +110,7 @@ func ExploreCtx(ctx context.Context, a PSIOA, limit int, b *resilience.Budget) (
 	// automaton is walked through its transition measures' sorted
 	// supports.
 	st := stepperOf(a)
-	w := &walk{limit: limit}
+	w := &walk{limit: limit, visit: v != nil}
 	start := st.start()
 	w.mark(start)
 	queue := []uint32{start}
@@ -95,6 +126,9 @@ func ExploreCtx(ctx context.Context, a PSIOA, limit int, b *resilience.Budget) (
 		}
 		ex.States = append(ex.States, q)
 		ex.Sigs[q] = sig
+		if v != nil {
+			v.State(id, q, sig, acts)
+		}
 		if traced {
 			tr.Emit(obs.Event{Kind: obs.KindStateFound, Name: a.ID(), Attr: string(q), N: int64(len(ex.States))})
 		}
@@ -112,8 +146,11 @@ func ExploreCtx(ctx context.Context, a PSIOA, limit int, b *resilience.Budget) (
 			if traced {
 				tr.Emit(obs.Event{Kind: obs.KindTransition, Name: a.ID(), Attr: string(act)})
 			}
-			w.fresh = w.fresh[:0]
+			w.fresh, w.succ = w.fresh[:0], w.succ[:0]
 			st.fresh(w, id, k)
+			if v != nil {
+				v.Trans(k, w.succ)
+			}
 			for _, id2 := range w.fresh {
 				if w.n >= limit {
 					w.truncated = true
@@ -252,6 +289,7 @@ type stepper interface {
 	state(id uint32) (State, Signature, []Action, error)
 	// fresh sets w.fresh to the successors of (id, acts[k]) that w has
 	// not seen, sorted by encoding; it stops collecting at w's limit.
+	// When w.visit is set it also sets w.succ to every successor.
 	fresh(w *walk, id uint32, k int)
 }
 
@@ -261,6 +299,8 @@ type walk struct {
 	n, limit  int
 	truncated bool
 	fresh     []uint32
+	visit     bool
+	succ      []Succ
 }
 
 func (w *walk) has(id uint32) bool {
@@ -295,9 +335,17 @@ type foundState struct {
 
 func newProdStepper(p *Product, a PSIOA) *prodStepper {
 	s := &prodStepper{p: p, a: a}
-	s.emit = func(key []byte, _ float64) {
+	s.emit = func(key []byte, pr float64) {
 		w := s.w
 		id, ok := p.byTuple[string(key)]
+		if w.visit {
+			// A visited successor needs its ID and encoding even when it
+			// lies beyond the limit.
+			if !ok {
+				id, ok = p.idLocked(key), true
+			}
+			w.succ = append(w.succ, Succ{id, p.states[id].q, pr})
+		}
 		if ok && w.has(id) {
 			return
 		}
@@ -374,8 +422,19 @@ func (s *autStepper) state(id uint32) (State, Signature, []Action, error) {
 }
 
 func (s *autStepper) fresh(w *walk, id uint32, k int) {
-	for _, q2 := range s.a.Trans(s.states[id], s.acts[k]).SortedSupport() {
+	qs, ps := s.a.Trans(s.states[id], s.acts[k]).SupportAndProbs()
+	for j, q2 := range qs {
 		id2, ok := s.ids[q2]
+		if w.visit {
+			// As in prodStepper's emit, a visited successor is interned
+			// even beyond the limit.
+			if !ok {
+				id2, ok = s.intern(q2), true
+			}
+			if ps[j] > 0 {
+				w.succ = append(w.succ, Succ{id2, q2, ps[j]})
+			}
+		}
 		if ok && w.has(id2) {
 			continue
 		}

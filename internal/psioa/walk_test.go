@@ -1,14 +1,17 @@
 package psioa_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/bounded"
 	"repro/internal/core"
 	"repro/internal/measure"
 	"repro/internal/protocols/dynchannel"
+	"repro/internal/protocols/ledger"
 	"repro/internal/psioa"
 	"repro/internal/rng"
 	"repro/internal/testaut"
@@ -121,55 +124,19 @@ func walkWorlds() []struct {
 	}
 }
 
-// nestedWorlds are products with a product component under Hidden and
-// Atomic wrappers, whose successors come from the nested product's table:
-// x‖hide(u‖v), x‖Atom(hide(u‖v)‖w), a state-dependent hiding inside a
-// product, and the dynamic channel world env‖hide(host‖adv) at one
-// session. u, v, w and x are random synchronising automata (see syncAut).
-func nestedWorlds() []struct {
-	name  string
-	seeds uint64 // how many seeds give distinct worlds
-	mk    func(seed uint64) psioa.PSIOA
-} {
-	m := []psioa.Action{"m0", "m1"}
-	n := []psioa.Action{"n0", "n1"}
-	o := []psioa.Action{"o0"}
-	uv := func(seed uint64) *psioa.Product {
-		return psioa.MustCompose(syncAut("u", m, append(n, o...), 4*seed), syncAut("v", n, append(m, o...), 4*seed+1))
-	}
-	x := func(seed uint64) *psioa.Table { return syncAut("x", o, []psioa.Action{"m1", "n0"}, 4*seed+2) }
-	hidden := psioa.NewActionSet("m0", "n1")
-	return []struct {
-		name  string
-		seeds uint64
-		mk    func(seed uint64) psioa.PSIOA
-	}{
-		{"x||hide(u||v)", 8, func(seed uint64) psioa.PSIOA {
-			return psioa.MustCompose(x(seed), psioa.HideSet(uv(seed), hidden))
-		}},
-		{"x||Atom(hide(u||v)||w)", 8, func(seed uint64) psioa.PSIOA {
-			w := syncAut("w", []psioa.Action{"p0"}, o, 4*seed+3)
-			return psioa.MustCompose(x(seed), psioa.Atom(psioa.MustCompose(psioa.HideSet(uv(seed), hidden), w)))
-		}},
-		{"x||hide_q(u||v)", 8, func(seed uint64) psioa.PSIOA {
-			// The hidden set depends on the state: m0 at states whose
-			// encoding has even length, n1 at the others.
-			return psioa.MustCompose(x(seed), psioa.Hide(uv(seed), func(q psioa.State) psioa.ActionSet {
-				if len(q)%2 == 0 {
-					return psioa.NewActionSet("m0")
-				}
-				return psioa.NewActionSet("n1")
-			}))
-		}},
-		{"env||hide(host||adv)", 1, func(uint64) psioa.PSIOA {
-			host := dynchannel.Host("d", 1, dynchannel.RealKind)
-			left, err := core.HideAAct(host, dynchannel.Adversary("d", 1), 1000)
-			if err != nil {
-				panic(err)
-			}
-			return psioa.MustCompose(dynchannel.Env("d", []int{1}), left)
-		}},
-	}
+// syncWorlds are testaut's generated worlds (three flat, three with a
+// nested product under Hidden and Atomic wrappers, whose successors come
+// from the nested tables) and the dynamic channel world
+// env‖hide(host‖adv) at one session.
+func syncWorlds() []testaut.SyncWorld {
+	return append(testaut.SyncWorlds(), testaut.SyncWorld{Name: "env||hide(host||adv)", Seeds: 1, Make: func(uint64) psioa.PSIOA {
+		host := dynchannel.Host("d", 1, dynchannel.RealKind)
+		left, err := core.HideAAct(host, dynchannel.Adversary("d", 1), 1000)
+		if err != nil {
+			panic(err)
+		}
+		return psioa.MustCompose(dynchannel.Env("d", []int{1}), left)
+	}})
 }
 
 // noProductMeasures fails t if exploring a built a transition measure in
@@ -229,86 +196,30 @@ func TestExploreWalkMatchesReference(t *testing.T) {
 	}
 }
 
-// TestExploreWalkNestedWorlds runs the differential check on worlds with
-// nested products, whose successors come from the nested tables.
+// TestExploreWalkNestedWorlds runs the differential check on the generated
+// worlds, whose nested products supply their successors from the nested
+// tables, and on the dynamic channel world.
 func TestExploreWalkNestedWorlds(t *testing.T) {
-	for _, w := range nestedWorlds() {
-		for seed := uint64(1); seed <= w.seeds; seed++ {
-			mk := func() psioa.PSIOA { return w.mk(seed) }
+	for _, w := range syncWorlds() {
+		for seed := uint64(1); seed <= w.Seeds; seed++ {
+			mk := func() psioa.PSIOA { return w.Make(seed) }
 			full, err := refExplore(mk(), 100000)
 			if err != nil {
-				t.Fatalf("%s/seed=%d: reference: %v", w.name, seed, err)
+				t.Fatalf("%s/seed=%d: reference: %v", w.Name, seed, err)
 			}
 			for _, limit := range []int{100000, 2, 5, 17, len(full.States) / 2} {
-				checkWalk(t, fmt.Sprintf("%s/seed=%d/limit=%d", w.name, seed, limit), mk, limit)
+				checkWalk(t, fmt.Sprintf("%s/seed=%d/limit=%d", w.Name, seed, limit), mk, limit)
 			}
 		}
 	}
 }
 
-// syncAut generates a random automaton that outputs only from out and
-// takes inputs only from in, with one private internal action. Components
-// with disjoint out sets are compatible everywhere, and they synchronise
-// wherever one's output is another's current input. State names contain
-// the tuple codec's separator, its escape and its empty-tuple sentinel, so
-// product states exercise every escape path.
-func syncAut(id string, out, in []psioa.Action, seed uint64) *psioa.Table {
-	r := rng.New(seed)
-	pick := func(n int) int { return int(r.Uint64() % uint64(n)) }
-	states := []psioa.State{"()", "s|1", `s\2`, "s3", `|\|`}
-	acts := append(append([]psioa.Action{psioa.Action("int_" + id)}, out...), in...)
-	b := psioa.NewBuilder(id, states[0])
-	for _, q := range states {
-		var sig [3][]psioa.Action
-		var enabled []psioa.Action
-		for k, a := range acts {
-			if pick(2) == 0 {
-				continue
-			}
-			role := 2 // internal
-			if k > len(out) {
-				role = 0
-			} else if k > 0 {
-				role = 1
-			}
-			sig[role] = append(sig[role], a)
-			enabled = append(enabled, a)
-		}
-		b.AddState(q, psioa.NewSignature(sig[0], sig[1], sig[2]))
-		for _, a := range enabled {
-			d := measure.New[psioa.State]()
-			mass := 1.0
-			for j := pick(3); j > 0; j-- {
-				mass /= 2
-				d.Add(states[pick(len(states))], mass)
-			}
-			d.Add(states[pick(len(states))], mass)
-			b.AddTrans(q, a, d)
-		}
-	}
-	return b.MustBuild()
-}
-
-// TestExploreWalkRandomProducts runs the differential check over products
-// of random synchronising automata, bare and wrapped.
+// TestExploreWalkRandomProducts runs the differential check over u‖v‖w
+// for 40 seeds, bare, hidden or with u‖v under Atomic by seed.
 func TestExploreWalkRandomProducts(t *testing.T) {
-	m := []psioa.Action{"m0", "m1"}
-	n := []psioa.Action{"n0", "n1"}
-	o := []psioa.Action{"o0"}
+	worlds := testaut.SyncWorlds()
 	for seed := uint64(1); seed <= 40; seed++ {
-		mk := func() psioa.PSIOA {
-			u := syncAut("u", m, append(n, o...), 3*seed)
-			v := syncAut("v", n, append(m, o...), 3*seed+1)
-			w := syncAut("w", o, m, 3*seed+2)
-			switch seed % 3 {
-			case 0:
-				return psioa.MustCompose(u, v, w)
-			case 1:
-				return psioa.HideSet(psioa.MustCompose(u, v, w), psioa.NewActionSet("m0", "n1"))
-			default:
-				return psioa.MustCompose(psioa.Atom(psioa.MustCompose(u, v)), w)
-			}
-		}
+		mk := func() psioa.PSIOA { return worlds[seed%3].Make(seed) }
 		for _, limit := range []int{100000, 2, 5, 17} {
 			what := fmt.Sprintf("seed=%d/limit=%d", seed, limit)
 			want, err := refExplore(mk(), limit)
@@ -322,6 +233,112 @@ func TestExploreWalkRandomProducts(t *testing.T) {
 			sameExploration(t, what, got, want)
 		}
 	}
+}
+
+// recorder is a Visitor that renders each visited transition's successors
+// and fails on a walk ID naming two states.
+type recorder struct {
+	t      *testing.T
+	what   string
+	names  map[uint32]psioa.State
+	states []psioa.State
+	q      psioa.State
+	acts   []psioa.Action
+	trans  map[string]string
+}
+
+func (r *recorder) name(id uint32, q psioa.State) {
+	if old, ok := r.names[id]; ok && old != q {
+		r.t.Fatalf("%s: walk ID %d names %q and %q", r.what, id, old, q)
+	}
+	r.names[id] = q
+}
+
+func (r *recorder) State(id uint32, q psioa.State, _ psioa.Signature, acts []psioa.Action) {
+	r.name(id, q)
+	r.q, r.acts = q, acts
+	r.states = append(r.states, q)
+}
+
+func (r *recorder) Trans(k int, succ []psioa.Succ) {
+	d := measure.New[psioa.State]()
+	for _, s := range succ {
+		r.name(s.ID, s.Q)
+		d.Add(s.Q, s.P)
+	}
+	if d.Len() != len(succ) {
+		r.t.Fatalf("%s: (%q, %q) visited a successor twice: %v", r.what, r.q, r.acts[k], succ)
+	}
+	qs, ps := d.SupportAndProbs()
+	r.trans[string(r.q)+" "+string(r.acts[k])] = fmt.Sprint(qs, ps)
+}
+
+// TestWalkVisitsTransitions: on every world and limit, Walk visits the
+// states Explore returns, in order, and for each of their actions exactly
+// the support and masses of Trans, without building a product measure;
+// its exploration equals Explore's.
+func TestWalkVisitsTransitions(t *testing.T) {
+	worlds := walkWorlds()
+	for _, w := range syncWorlds() {
+		worlds = append(worlds, struct {
+			name string
+			mk   func() psioa.PSIOA
+		}{w.Name, func() psioa.PSIOA { return w.Make(1) }})
+	}
+	for _, w := range worlds {
+		for _, limit := range []int{100000, 1, 5} {
+			what := fmt.Sprintf("%s/limit=%d", w.name, limit)
+			r := &recorder{t: t, what: what, names: map[uint32]psioa.State{}, trans: map[string]string{}}
+			a := w.mk()
+			got, err := psioa.Walk(context.Background(), a, limit, nil, r)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			noProductMeasures(t, what, a)
+			b := w.mk()
+			want, err := psioa.Explore(b, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameExploration(t, what, got, want)
+			if !reflect.DeepEqual(r.states, want.States) {
+				t.Fatalf("%s: visited %q, want %q", what, r.states, want.States)
+			}
+			n := 0
+			for _, q := range want.States {
+				for _, act := range psioa.SortedAll(want.Sigs[q]) {
+					qs, ps := b.Trans(q, act).SupportAndProbs()
+					if got, want := r.trans[string(q)+" "+string(act)], fmt.Sprint(qs, ps); got != want {
+						t.Fatalf("%s: (%q, %q) visited %s, want %s", what, q, act, got, want)
+					}
+					n++
+				}
+			}
+			if n != len(r.trans) {
+				t.Fatalf("%s: visited %d transitions, want %d", what, len(r.trans), n)
+			}
+		}
+	}
+}
+
+// TestDescribeBuildsNoProductMeasures: describing a product, bare, wrapped
+// or nested, reads its successors from the state tables and caches no
+// transition measure.
+func TestDescribeBuildsNoProductMeasures(t *testing.T) {
+	for _, w := range syncWorlds() {
+		a := w.Make(1)
+		if _, err := bounded.Describe(a, 100000); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		noProductMeasures(t, w.Name, a)
+	}
+	x1, _ := ledger.Host("a", 1, ledger.Direct)
+	x2, _ := ledger.Host("b", 1, ledger.Parity)
+	p := psioa.MustCompose(x1, x2)
+	if _, err := bounded.Describe(p, 100000); err != nil {
+		t.Fatal(err)
+	}
+	noProductMeasures(t, "ledger pair", p)
 }
 
 // TestExploreWalkIncompatibleWorld pins the error for a world that becomes
@@ -439,10 +456,11 @@ func TestProductTransConcurrent(t *testing.T) {
 		mk   func() *psioa.Product
 	}{
 		{"flat", func() *psioa.Product {
-			return psioa.MustCompose(syncAut("u", []psioa.Action{"m0"}, []psioa.Action{"n0"}, 5),
-				syncAut("v", []psioa.Action{"n0"}, []psioa.Action{"m0"}, 6), testaut.Coin("c", 0.25))
+			return psioa.MustCompose(testaut.SyncAut("u", []psioa.Action{"m0"}, []psioa.Action{"n0"}, 5),
+				testaut.SyncAut("v", []psioa.Action{"n0"}, []psioa.Action{"m0"}, 6), testaut.Coin("c", 0.25))
 		}},
-		{"nested", func() *psioa.Product { return nestedWorlds()[1].mk(3).(*psioa.Product) }},
+		// x‖Atom(hide(u‖v)‖w)
+		{"nested", func() *psioa.Product { return testaut.SyncWorlds()[4].Make(3).(*psioa.Product) }},
 	} {
 		type tr struct {
 			q psioa.State

@@ -169,13 +169,6 @@ func RandomWalk(id string, n int, p float64) *psioa.Table {
 	return b.MustBuild()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // RandomSpec parameterises RandomAutomaton.
 type RandomSpec struct {
 	// States is the number of states (≥ 1).
