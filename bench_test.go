@@ -90,6 +90,29 @@ func BenchmarkDescribeJob(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckJob measures one engine check job of the dsed-mix "chan"
+// template: a leaky secure channel against the real one, two environments,
+// the priority schema, Q1 = 6. One runner serves every iteration, as the
+// daemon does, and each iteration names its automata afresh, so no answer
+// is cached: every iteration enumerates, fingerprints and measures its
+// worlds. Profile the check path with -cpuprofile.
+func BenchmarkCheckJob(b *testing.B) {
+	r := engine.NewRunner(nil, engine.NewCache(0))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		id := fmt.Sprintf("c%d", i)
+		job := engine.Job{Kind: engine.KindCheck, Check: &engine.CheckSpec{
+			Left: "chan:leaky:" + id + ":0.5", Right: "chan:real:" + id,
+			Envs:   []string{"chan:env:" + id + ":0", "chan:env:" + id + ":1"},
+			Schema: "priority", Templates: [][]string{{"send", "encrypt", "tap", "deliver"}},
+			Eps: 0.25, Q1: 6,
+		}}
+		if _, err := r.Run(context.Background(), job); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkE4Transitivity measures a full witness-checked transitivity
 // instance (Theorem 4.16).
 func BenchmarkE4Transitivity(b *testing.B) {

@@ -52,6 +52,7 @@ func promValue(body, name string) float64 {
 type debugResponse struct {
 	UptimeMS   int64 `json:"uptime_ms"`
 	Goroutines int   `json:"goroutines"`
+	HeapBytes  int64 `json:"heap_bytes"`
 	Workers    int   `json:"workers"`
 	Busy       int   `json:"busy"`
 	InFlight   int   `json:"inflight"`
@@ -134,8 +135,8 @@ func TestDebugEndpoint(t *testing.T) {
 	if d.Workers != 2 || d.QueueLimit != 8 || d.InFlight != 1 {
 		t.Errorf("workers/queue/inflight = %d/%d/%d, want 2/8/1", d.Workers, d.QueueLimit, d.InFlight)
 	}
-	if d.UptimeMS < 0 || d.Goroutines < 1 {
-		t.Errorf("uptime=%d goroutines=%d", d.UptimeMS, d.Goroutines)
+	if d.UptimeMS < 0 || d.Goroutines < 1 || d.HeapBytes < 1 {
+		t.Errorf("uptime=%d goroutines=%d heap_bytes=%d", d.UptimeMS, d.Goroutines, d.HeapBytes)
 	}
 	if d.Jobs[0].ElapsedMS < 0 {
 		t.Errorf("running job elapsed = %d", d.Jobs[0].ElapsedMS)

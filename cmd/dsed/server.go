@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"time"
 
@@ -69,7 +70,7 @@ type budgetDefaults struct {
 //	PUT  /v1/store/{key} — publish a content-addressed result (204)
 //	GET  /v1/metrics    — obs metrics snapshot (JSON; ?format=prom for
 //	                      Prometheus text exposition format 0.0.4)
-//	GET  /v1/debug      — live introspection: uptime, pool occupancy,
+//	GET  /v1/debug      — live introspection: uptime, heap bytes, pool occupancy,
 //	                      in-flight jobs with elapsed time, breaker states,
 //	                      cache shard occupancy, sort-memo stats
 //	GET  /healthz       — liveness probe
@@ -159,6 +160,10 @@ type debugState struct {
 	WorkerID   string `json:"worker_id"`
 	UptimeMS   int64  `json:"uptime_ms"`
 	Goroutines int    `json:"goroutines"`
+	// HeapBytes is the heap held by objects: the live ones plus any dead
+	// ones the collector has not swept yet. It is read from runtime/metrics,
+	// which does not stop the world.
+	HeapBytes uint64 `json:"heap_bytes"`
 	// Pool occupancy: Busy of Workers tasks running right now.
 	Workers int `json:"workers"`
 	Busy    int `json:"busy"`
@@ -202,6 +207,7 @@ func (s *server) debugInfo() debugState {
 		WorkerID:    s.runner.WorkerID,
 		UptimeMS:    time.Since(s.started).Milliseconds(),
 		Goroutines:  runtime.NumGoroutine(),
+		HeapBytes:   heapBytes(),
 		Workers:     s.runner.Pool.Workers(),
 		Busy:        s.runner.Pool.Busy(),
 		InFlight:    s.store.InFlight(),
@@ -236,6 +242,13 @@ func (s *server) debugInfo() debugState {
 	}
 	d.Durable = s.durable.Debug()
 	return d
+}
+
+// heapBytes reads /memory/classes/heap/objects:bytes.
+func heapBytes() uint64 {
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // recovered is the last-resort panic boundary of the HTTP layer.

@@ -302,17 +302,18 @@ func CompositionBound(a1, a2 psioa.PSIOA, limit int) (*BoundReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return CompositionBoundFrom(d1.B(), d2.B(), a1, a2, limit)
+	return CompositionBoundFrom(nil, d1.B(), d2.B(), a1, a2, limit, nil)
 }
 
 // CompositionBoundFrom is CompositionBound for components whose bounds
-// b1 = B(A₁) and b2 = B(A₂) are already known: it describes only A₁‖A₂.
-func CompositionBoundFrom(b1, b2 int, a1, a2 psioa.PSIOA, limit int) (*BoundReport, error) {
+// b1 = B(A₁) and b2 = B(A₂) are already known: it describes only A₁‖A₂,
+// under ctx and the work budget bud as DescribeCtx does.
+func CompositionBoundFrom(ctx context.Context, b1, b2 int, a1, a2 psioa.PSIOA, limit int, bud *resilience.Budget) (*BoundReport, error) {
 	p, err := psioa.Compose(a1, a2)
 	if err != nil {
 		return nil, err
 	}
-	d12, err := Describe(p, limit)
+	d12, err := DescribeCtx(ctx, p, limit, bud)
 	if err != nil {
 		return nil, err
 	}

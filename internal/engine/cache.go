@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"hash/fnv"
-	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -36,21 +35,20 @@ const DefaultCacheSize = 4096
 // striping by key hash keeps them from serializing on a single mutex.
 const DefaultCacheShards = 8
 
-// maxFingerprintMemo bounds the identity-keyed fingerprint memo; when
-// exceeded it is dropped wholesale (fingerprints are recomputable).
-const maxFingerprintMemo = 8192
-
 // Cache is a concurrency-safe, size-bounded LRU cache of answers: f-dist
 // images (Def 3.5) of implementation checks and simulations, plus the
 // execution measure of an exact simulate job, the one measure that is read
-// again. Keys are a canonical automaton fingerprint plus scheduler name,
-// insight id and depth. Explorations are not memoized: the fingerprint
-// that keys an entry explores the automaton and builds its transition
-// measures, so a hit would save less than its key costs. It implements
-// core.Memo, so it can be plugged into core.Options directly. Storage is
-// lock-striped: keys map to N independent mutex-LRU shards by key hash, so
-// the concurrent callers of the parallel kernels do not serialize on a
-// single mutex, while hit/miss/eviction counters stay aggregated.
+// again. It holds answers only, never an automaton: keys are a canonical
+// automaton fingerprint, which each product keeps itself (see Fingerprint),
+// plus scheduler name, insight id and depth, so a world the cache has
+// served is collected once its job drops it. Explorations are not
+// memoized: the fingerprint that keys an entry explores the automaton and
+// builds its transition measures, so a hit would save less than its key
+// costs. It implements core.Memo, so it can be plugged into core.Options
+// directly. Storage is lock-striped: keys map to N independent mutex-LRU
+// shards by key hash, so the concurrent callers of the parallel kernels do
+// not serialize on a single mutex, while hit/miss/eviction counters stay
+// aggregated.
 //
 // Cached values are shared between callers and must be treated as
 // read-only; everything the engine caches (ExecMeasure, measure.Dist) is
@@ -65,8 +63,6 @@ const maxFingerprintMemo = 8192
 type Cache struct {
 	shards []cacheShard
 	size   atomic.Int64 // total entries across shards (feeds gCacheSize)
-	fpMu   sync.Mutex
-	fps    map[psioa.PSIOA]*fpCall
 }
 
 // cacheShard is one mutex-striped LRU unit. Keys map to shards by fnv-1a
@@ -146,7 +142,6 @@ func NewCacheSharded(capacity, shards int) *Cache {
 	per := (capacity + shards - 1) / shards
 	c := &Cache{
 		shards: make([]cacheShard, shards),
-		fps:    make(map[psioa.PSIOA]*fpCall),
 	}
 	for i := range c.shards {
 		c.shards[i].cap = per
@@ -310,65 +305,16 @@ func memoKey(kind byte, parts ...string) string {
 	return string(h.Sum(b))
 }
 
-// Fingerprint returns the canonical fingerprint of a, memoized by identity
-// for automata with comparable dynamic types (compositions produce fresh
-// pointers per check, so the identity memo is bounded and periodically
-// dropped rather than LRU-managed). Concurrent callers that miss on the
-// same automaton wait for one computation. A failed computation is not
-// memoized: its waiters retry.
+// Fingerprint returns the canonical fingerprint of a. A product keeps its
+// own (psioa.Product.Keyed): it is computed once, however many callers
+// ask, and dies with the product. Any other automaton is fingerprinted on
+// each call. A nil cache fingerprints too.
 func (c *Cache) Fingerprint(a psioa.PSIOA) (string, error) {
-	if !reflect.TypeOf(a).Comparable() {
-		return Fingerprint(a, DefaultFingerprintLimit)
+	compute := func() (string, error) { return Fingerprint(a, DefaultFingerprintLimit) }
+	if p, ok := a.(*psioa.Product); ok {
+		return p.Keyed(compute)
 	}
-	for {
-		c.fpMu.Lock()
-		call, inFlight := c.fps[a]
-		if !inFlight {
-			if len(c.fps) >= maxFingerprintMemo {
-				c.fps = make(map[psioa.PSIOA]*fpCall)
-			}
-			call = &fpCall{done: make(chan struct{})}
-			c.fps[a] = call
-		}
-		c.fpMu.Unlock()
-		if !inFlight {
-			return c.fingerprintFor(a, call)
-		}
-		<-call.done
-		if call.ok {
-			return call.fp, nil
-		}
-	}
-}
-
-// fpCall is one fingerprint computation in the identity memo: done closes
-// when it finishes, and fp is valid once done is closed if ok is set.
-type fpCall struct {
-	done chan struct{}
-	fp   string
-	ok   bool
-}
-
-// fingerprintFor computes the fingerprint that call's waiters share. If the
-// computation errs or panics, the memo entry is removed before the waiters
-// wake, so each of them retries.
-func (c *Cache) fingerprintFor(a psioa.PSIOA, call *fpCall) (string, error) {
-	defer func() {
-		if !call.ok {
-			c.fpMu.Lock()
-			if c.fps[a] == call {
-				delete(c.fps, a)
-			}
-			c.fpMu.Unlock()
-		}
-		close(call.done)
-	}()
-	fp, err := Fingerprint(a, DefaultFingerprintLimit)
-	if err != nil {
-		return "", err
-	}
-	call.fp, call.ok = fp, true
-	return fp, nil
+	return compute()
 }
 
 // ExploreCtx is psioa.ExploreCtx; the cache memoizes no explorations (see

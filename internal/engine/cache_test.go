@@ -352,9 +352,10 @@ func TestFingerprintFailureNotMemoized(t *testing.T) {
 	}
 }
 
-// TestFingerprintGolden pins fingerprint values, which durable stores and
-// clusters use as keys: a change to how the hash input is written must not
-// change them.
+// TestFingerprintGolden pins fingerprint values, which key the engine
+// cache's answers: a change to how the hash input is written must not
+// change them. (Durable stores and clusters key by Job.Fingerprint, a hash
+// of the job's kind, spec and budget, not by these.)
 func TestFingerprintGolden(t *testing.T) {
 	cases := []struct {
 		a     psioa.PSIOA

@@ -496,7 +496,7 @@ func (r *Runner) describeSystems(ctx context.Context, ds *DescribeSpec, bud *res
 		})
 	}
 	if len(auts) == 2 {
-		cb, err := bounded.CompositionBoundFrom(bs[0], bs[1], auts[0], auts[1], limit)
+		cb, err := bounded.CompositionBoundFrom(ctx, bs[0], bs[1], auts[0], auts[1], limit, bud)
 		if err != nil {
 			return nil, err
 		}

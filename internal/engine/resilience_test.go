@@ -169,6 +169,43 @@ func TestDescribeBudgetFails(t *testing.T) {
 	}
 }
 
+// TestDescribeCompositeBudgetFails: the composite walk of a two-system
+// describe job draws on the job's state budget too, so a budget the two
+// system walks fit in fails the job once the composite outgrows it.
+func TestDescribeCompositeBudgetFails(t *testing.T) {
+	r := engine.NewRunner(nil, engine.NewCache(0))
+	systems := []string{"ledger:direct:a:2", "ledger:parity:b:2"} // 21 and 43 states, 903 composed
+	const budget = 200
+	for _, sys := range systems {
+		if _, err := r.Run(context.Background(), engine.Job{
+			Kind: engine.KindDescribe, Describe: &engine.DescribeSpec{Systems: []string{sys}}, BudgetStates: budget,
+		}); err != nil {
+			t.Fatalf("%s alone: %v", sys, err)
+		}
+	}
+	_, err := r.Run(context.Background(), engine.Job{
+		Kind: engine.KindDescribe, Describe: &engine.DescribeSpec{Systems: systems}, BudgetStates: budget,
+	})
+	if !errors.Is(err, resilience.ErrBudgetExceeded) {
+		t.Fatalf("budgeted describe = %v, want ErrBudgetExceeded", err)
+	}
+}
+
+// TestDescribeCompositeDeadline: the composite walk of a two-system
+// describe job, 22,015 states here and most of the job's work, stops at
+// the job's deadline.
+func TestDescribeCompositeDeadline(t *testing.T) {
+	r := engine.NewRunner(nil, engine.NewCache(0))
+	_, err := r.Run(context.Background(), engine.Job{
+		Kind:      engine.KindDescribe,
+		Describe:  &engine.DescribeSpec{Systems: []string{"ledger:direct:a:3", "ledger:parity:b:3"}},
+		TimeoutMS: 80,
+	})
+	if !errors.Is(err, resilience.ErrDeadline) {
+		t.Fatalf("describe with an 80 ms timeout = %v, want ErrDeadline", err)
+	}
+}
+
 // cancelOnSig cancels a context at its first Sig call and counts the calls.
 type cancelOnSig struct {
 	psioa.PSIOA

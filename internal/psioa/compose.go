@@ -56,6 +56,12 @@ type Product struct {
 	buf, sbuf, enc []byte
 	parts          []string
 	lists          [][]succ
+
+	// The Keyed slot. keyMu is not mu: computing the key walks the
+	// product, and the walk takes mu.
+	keyMu sync.Mutex
+	key   string
+	keyOK bool
 }
 
 // Compose builds the partial composition of the given automata (Def 2.18).
@@ -111,6 +117,25 @@ func MustCompose(auts ...PSIOA) *Product {
 
 // ID implements PSIOA.
 func (p *Product) ID() string { return p.id }
+
+// Keyed returns the product's key, calling compute for it on the first call
+// only; concurrent callers wait for that one computation. Only a success is
+// kept: if compute errs or panics the slot stays empty and the next call
+// computes again. compute runs under the slot's lock, so it must not call
+// Keyed on p. The slot holds one key, the engine's fingerprint, so a
+// product carries its own cache key and the key dies with it.
+func (p *Product) Keyed(compute func() (string, error)) (string, error) {
+	p.keyMu.Lock()
+	defer p.keyMu.Unlock()
+	if !p.keyOK {
+		k, err := compute()
+		if err != nil {
+			return "", err
+		}
+		p.key, p.keyOK = k, true
+	}
+	return p.key, nil
+}
 
 // Components returns the (flattened) component automata.
 func (p *Product) Components() []PSIOA { return p.comps }

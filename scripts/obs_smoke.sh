@@ -6,7 +6,8 @@
 #      carry a kind from the documented event-kind table
 #      (docs/OBSERVABILITY.md).
 #   2. dsed: /v1/metrics?format=prom must pass scripts/prom_check.sh and
-#      /v1/debug must answer a JSON introspection snapshot.
+#      /v1/debug must answer a JSON introspection snapshot with a positive
+#      heap_bytes.
 set -eu
 
 TMP="${TMPDIR:-/tmp}/obs-smoke.$$"
@@ -94,5 +95,11 @@ for field in '"workers"' '"uptime_ms"' '"cache_shards"' '"sort_memo"'; do
         exit 1
     }
 done
+# The heap figure is a positive byte count.
+grep -Eq '"heap_bytes": *[1-9]' "$TMP/debug.json" || {
+    echo "obs-smoke: /v1/debug has no positive heap_bytes:" >&2
+    cat "$TMP/debug.json" >&2
+    exit 1
+}
 
 echo "obs-smoke: ok"
