@@ -25,7 +25,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/psioa"
 	"repro/internal/resilience"
 )
 
@@ -133,12 +132,10 @@ func emitJSON(path string, tables []*experiments.Table) {
 // (which keys benchmark rows on "id" + "elapsed_us") skips it.
 func telemetryLine() map[string]any {
 	snap := obs.Default.Snapshot()
-	memo := psioa.SortMemoSnapshot()
 	rr := map[string]any{
 		"cache_hits":      snap.Counters["engine.cache.hits"],
 		"cache_misses":    snap.Counters["engine.cache.misses"],
 		"cache_evictions": snap.Counters["engine.cache.evictions"],
-		"sort_memo":       memo,
 		"pool_tasks":      snap.Counters["engine.pool.tasks"],
 		"pool_busy_max":   snap.Gauges["engine.pool.busy.max"],
 	}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/psioa"
 	"repro/internal/resilience"
 )
 
@@ -136,13 +135,6 @@ func main() {
 	}
 	if *explain && res.Report != nil {
 		fmt.Print(res.Report.String())
-		if *clusterURL == "" {
-			// The sort memo is process-wide, so only a local run's
-			// snapshot describes this job.
-			m := psioa.SortMemoSnapshot()
-			fmt.Printf("  sort memo   hits=%d misses=%d resets=%d entries=%d (process)\n",
-				m.Hits, m.Misses, m.Resets, m.Entries)
-		}
 	}
 	if !rep.Holds {
 		exit(1)

@@ -16,7 +16,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/psioa"
 	"repro/internal/resilience"
 )
 
@@ -179,8 +178,6 @@ type debugState struct {
 	// occupancy and contention counters.
 	CacheLen    int                     `json:"cache_len"`
 	CacheShards []engine.CacheShardStat `json:"cache_shards"`
-	// SortMemo is the psioa canonical-sort memo.
-	SortMemo psioa.SortMemoStats `json:"sort_memo"`
 	// Cluster is the coordinator's per-worker account (coordinator mode
 	// only): each worker's liveness, traffic and store counters plus the
 	// dispatch/re-route/store-hit totals.
@@ -215,7 +212,6 @@ func (s *server) debugInfo() debugState {
 		Jobs:        []debugJob{},
 		Breakers:    s.store.Breaker().Snapshot(),
 		CacheShards: s.runner.Cache.ShardStats(),
-		SortMemo:    psioa.SortMemoSnapshot(),
 	}
 	now := time.Now()
 	for _, rec := range s.store.List() {

@@ -42,9 +42,8 @@ const DefaultCacheShards = 8
 // automaton fingerprint, which each product keeps itself (see Fingerprint),
 // plus scheduler name, insight id and depth, so a world the cache has
 // served is collected once its job drops it. Explorations are not
-// memoized: the fingerprint that keys an entry explores the automaton and
-// builds its transition measures, so a hit would save less than its key
-// costs. It implements core.Memo, so it can be plugged into core.Options
+// memoized: the fingerprint that keys an entry is itself a full walk of
+// the automaton, so a hit would save less than its key costs. It implements core.Memo, so it can be plugged into core.Options
 // directly. Storage is lock-striped: keys map to N independent mutex-LRU
 // shards by key hash, so the concurrent callers of the parallel kernels do
 // not serialize on a single mutex, while hit/miss/eviction counters stay

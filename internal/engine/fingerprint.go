@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/psioa"
@@ -25,57 +27,35 @@ var cFingerprints = obs.C("engine.fingerprints")
 // with equal fingerprints behave identically on their explored fragment, so
 // the fingerprint is a sound memoization key for Measure and FDist
 // results. limit <= 0 means DefaultFingerprintLimit.
+//
+// It is one psioa.Walk: the visitor renders each state's part of the hash
+// input as the walk reaches it, from the successors the walk supplies, so
+// fingerprinting a product builds no transition measure.
 func Fingerprint(a psioa.PSIOA, limit int) (string, error) {
 	if limit <= 0 {
 		limit = DefaultFingerprintLimit
 	}
-	ex, err := psioa.Explore(a, limit)
+	v := &fingerprinter{}
+	ex, err := psioa.Walk(nil, a, limit, nil, v)
 	if err != nil {
 		return "", err
 	}
 	cFingerprints.Inc()
-	// The hash input is staged in one buffer and flushed in chunks, so
-	// writing a field allocates nothing; FNV is a streaming hash, so the
-	// chunking does not change the sum.
+	for i := range v.chunks {
+		if i+1 < len(v.chunks) {
+			v.chunks[i].end = v.chunks[i+1].start
+		} else {
+			v.chunks[i].end = len(v.buf)
+		}
+	}
+	slices.SortFunc(v.chunks, func(x, y fpChunk) int { return strings.Compare(string(x.q), string(y.q)) })
+	// FNV is a streaming hash, so writing the input chunk by chunk does
+	// not change the sum.
 	h := fnv.New128a()
-	var buf []byte
-	wr := func(s string) {
-		buf = append(append(buf, s...), 0)
+	h.Write([]byte(a.ID() + "\x00" + string(a.Start()) + "\x00"))
+	for _, c := range v.chunks {
+		h.Write(v.buf[c.start:c.end])
 	}
-	wr(a.ID())
-	wr(string(a.Start()))
-	for _, q := range ex.SortedStates() {
-		sig := ex.Sigs[q]
-		wr("q")
-		wr(string(q))
-		for _, part := range []struct {
-			tag  string
-			acts psioa.ActionSet
-		}{{"in", sig.In}, {"out", sig.Out}, {"int", sig.Int}} {
-			wr(part.tag)
-			for _, act := range part.acts.Sorted() {
-				wr(string(act))
-			}
-		}
-		for _, act := range psioa.SortedAll(sig) {
-			wr("t")
-			wr(string(act))
-			d := a.Trans(q, act)
-			// Lexicographic successor order, shared with the transition
-			// measure's cached sorted view instead of copied and re-sorted
-			// per call.
-			succs, ps := d.SupportAndProbs()
-			for i, q2 := range succs {
-				wr(string(q2))
-				buf = append(strconv.AppendFloat(buf, ps[i], 'g', -1, 64), 0)
-			}
-		}
-		if len(buf) >= 1<<12 {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-	}
-	h.Write(buf)
 	fp := fmt.Sprintf("%x", h.Sum(nil))
 	if ex.Truncated {
 		// A truncated exploration identifies only the explored fragment;
@@ -83,4 +63,56 @@ func Fingerprint(a psioa.PSIOA, limit int) (string, error) {
 		fp += "!trunc"
 	}
 	return fp, nil
+}
+
+// fingerprinter is Fingerprint's visitor. It renders each dequeued
+// state's hash input into buf in walk order: the state, its signature's
+// in, out and int actions, and per sorted action the transition's support
+// in encoding order with masses, every field NUL-terminated. Fingerprint
+// then hashes the chunks in sorted-state order.
+type fingerprinter struct {
+	buf    []byte
+	chunks []fpChunk
+	acts   []psioa.Action
+	succ   []psioa.Succ // one successor list, sorted by encoding
+}
+
+// fpChunk is the rendering of state q: buf[start:end].
+type fpChunk struct {
+	q          psioa.State
+	start, end int
+}
+
+func (v *fingerprinter) wr(s string) { v.buf = append(append(v.buf, s...), 0) }
+
+// State renders q and its signature. acts is sig^ sorted, so filtering it
+// by each set yields that set sorted.
+func (v *fingerprinter) State(_ uint32, q psioa.State, sig psioa.Signature, acts []psioa.Action) {
+	v.chunks = append(v.chunks, fpChunk{q: q, start: len(v.buf)})
+	v.acts = acts
+	v.wr("q")
+	v.wr(string(q))
+	for _, part := range [...]struct {
+		tag string
+		set psioa.ActionSet
+	}{{"in", sig.In}, {"out", sig.Out}, {"int", sig.Int}} {
+		v.wr(part.tag)
+		for _, act := range acts {
+			if part.set.Has(act) {
+				v.wr(string(act))
+			}
+		}
+	}
+}
+
+// Trans renders (q, acts[k]) and its successors in encoding order.
+func (v *fingerprinter) Trans(k int, succ []psioa.Succ) {
+	v.wr("t")
+	v.wr(string(v.acts[k]))
+	v.succ = append(v.succ[:0], succ...)
+	slices.SortFunc(v.succ, func(x, y psioa.Succ) int { return strings.Compare(string(x.Q), string(y.Q)) })
+	for _, s := range v.succ {
+		v.wr(string(s.Q))
+		v.buf = append(strconv.AppendFloat(v.buf, s.P, 'g', -1, 64), 0)
+	}
 }

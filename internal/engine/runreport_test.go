@@ -8,14 +8,12 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/psioa"
 )
 
-// runCheckReport runs the coin check job on a fresh runner (fresh cache,
-// reset sort memo) and returns its run report.
+// runCheckReport runs the coin check job on a fresh runner (fresh cache)
+// and returns its run report.
 func runCheckReport(t *testing.T) *obs.RunReport {
 	t.Helper()
-	psioa.ResetSortMemo()
 	r := engine.NewRunner(engine.NewPool(4), engine.NewCache(0))
 	res, err := r.Run(context.Background(), engine.Job{Kind: engine.KindCheck, Check: coinCheck()})
 	if err != nil {
@@ -61,7 +59,6 @@ func TestRunReportDeterministic(t *testing.T) {
 // work was metered, the kernels were observed, and the derived statistics
 // are consistent with their parts.
 func TestRunReportAccounts(t *testing.T) {
-	psioa.ResetSortMemo()
 	r := engine.NewRunner(engine.NewPool(4), engine.NewCache(0))
 	job := engine.Job{Kind: engine.KindCheck, Check: coinCheck()}
 	cold, err := r.Run(context.Background(), job)

@@ -197,14 +197,11 @@ func AllParallel(ctx context.Context, pool *engine.Pool) ([]*Table, error) {
 	ids, byID := Runners()
 	out := make([]*Table, len(ids))
 	err := pool.Map(ctx, len(ids), func(i int) error {
-		// Reset process-global memo state and collect before each timed
-		// experiment so its elapsed time matches an isolated run: leftover
-		// memo entries pin the predecessor's spans (re-swept by every GC
-		// cycle of this experiment), and leftover garbage would be collected
-		// on this experiment's clock. Per-experiment timings feed
-		// BENCH_*.json and bench_compare.sh, which flags >20% drifts, so
-		// they must not depend on suite ordering.
-		psioa.ResetSortMemo()
+		// Collect before each timed experiment so its elapsed time matches
+		// an isolated run: leftover garbage would be collected on this
+		// experiment's clock. Per-experiment timings feed BENCH_*.json and
+		// bench_compare.sh, which flags >20% drifts, so they must not
+		// depend on suite ordering.
 		runtime.GC()
 		tbl, err := byID[ids[i]]()
 		out[i] = tbl

@@ -25,8 +25,9 @@ import (
 //     each action and the compatibility verdict of Def 2.3 depend only on
 //     the component signatures (Def 2.4), so they live in one sigEntry
 //     shared by every product state with the same tuple of component
-//     signature IDs. Sig returns the entry's signature, so the states
-//     sharing it share one SortedAll memo entry too.
+//     signature IDs. Each component signature is sorted once, when it
+//     is interned, and an entry's sorted actions merge those lists, so
+//     no product state sorts its signature again.
 //
 // A component that is a Product under Hidden and Atomic wrappers (which
 // share its states and transitions) is indexed by that product's state

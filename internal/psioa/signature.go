@@ -2,6 +2,7 @@ package psioa
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Signature is a state signature sig(A)(q) = (in, out, int): three mutually
@@ -44,6 +45,43 @@ func (s Signature) ForEachAction(f func(Action)) {
 		f(a)
 	}
 }
+
+// SortedAll returns sig^ = in ∪ out ∪ int in lexicographic order, in a
+// fresh slice. Nothing is memoized: a product's table calls it once per
+// interned component signature, and the walk once per other visited state.
+func SortedAll(sig Signature) []Action { return sortedActs(sig, false) }
+
+// SortedLocal returns the locally controlled actions out ∪ int in
+// lexicographic order, in a fresh slice.
+func SortedLocal(sig Signature) []Action { return sortedActs(sig, true) }
+
+func sortedActs(sig Signature, local bool) []Action {
+	n := len(sig.Out) + len(sig.Int)
+	if !local {
+		n += len(sig.In)
+	}
+	acts := make([]Action, 0, n)
+	if !local {
+		for a := range sig.In {
+			acts = append(acts, a)
+		}
+	}
+	for a := range sig.Out {
+		acts = append(acts, a)
+	}
+	for a := range sig.Int {
+		acts = append(acts, a)
+	}
+	slices.Sort(acts)
+	// Valid signatures are disjoint; compact duplicates anyway so invalid
+	// ones (checked later by Validate) still yield set semantics.
+	return slices.Compact(acts)
+}
+
+// ResetSortMemo does nothing. Sorted signatures are no longer memoized
+// process-wide, so there is nothing to reset; it is kept because the
+// benchmark harness (bench/harness.go) still calls it between workloads.
+func ResetSortMemo() {}
 
 // Ext returns the external actions in ∪ out.
 func (s Signature) Ext() ActionSet { return s.In.Union(s.Out) }

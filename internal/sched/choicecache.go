@@ -6,19 +6,16 @@ import (
 	"repro/internal/psioa"
 )
 
-// Shared-choice caches for the simulation hot path.
+// Shared choices for the simulation hot path.
 //
 // The deterministic schedulers (Greedy, Sequence, Priority) return a Dirac
-// choice on every step, and Random returns the uniform choice over the
-// memoized enabled-action slice of the current signature. Sample draws one
-// scheduler choice per executed action, so building a fresh distribution
-// (map, Dist, CDF) per step dominates sampling. Choices returned by
-// Scheduler.Choose are read-only by contract — every consumer in this
-// module only reads them (Measure, Sample, Mixture, FactorsThrough) — so
-// identical choices can be shared. Both caches are read-mostly concurrent
-// maps (steady-state hits take no lock, so parallel shards stop
-// serializing on an RWMutex per step), bounded and dropped wholesale when
-// full, like the psioa sort memo.
+// choice on every step. Choices returned by Scheduler.Choose are read-only
+// by contract — every consumer in this module only reads them (Measure,
+// Sample, Mixture, FactorsThrough) — so one Dirac per action is shared,
+// keyed by the action itself. The cache is a read-mostly concurrent map
+// (steady-state hits take no lock), bounded and dropped wholesale when
+// full. Random's uniform choice is built per call: the step table compiles
+// it once per (state, depth).
 
 const choiceCacheLimit = 1 << 16
 
@@ -39,33 +36,5 @@ func diracChoice(a psioa.Action) *Choice {
 	}
 	c := measure.Dirac(a)
 	diracChoices.Set(a, c)
-	return c
-}
-
-// uniformKey identifies an enabled-action slice by identity. The entry pins
-// the slice, so a live key's backing array can never be recycled for a
-// different slice (same soundness argument as the psioa sort memo).
-type uniformKey struct {
-	first *psioa.Action
-	n     int
-}
-
-type uniformEntry struct {
-	acts []psioa.Action
-	c    *Choice
-}
-
-var uniformChoices = intern.NewRM[uniformKey, uniformEntry](choiceCacheLimit)
-
-// uniformChoice returns the shared uniform choice over the non-empty acts
-// slice, which must be immutable (the sort-memo slices are). The result
-// must be treated as read-only.
-func uniformChoice(acts []psioa.Action) *Choice {
-	key := uniformKey{first: &acts[0], n: len(acts)}
-	if ent, ok := uniformChoices.Get(key); ok {
-		return ent.c
-	}
-	c := measure.Uniform(acts)
-	uniformChoices.Set(key, uniformEntry{acts: acts, c: c})
 	return c
 }

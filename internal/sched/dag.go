@@ -90,7 +90,7 @@ func (r *Random) chooseSig(sig psioa.Signature, _ int) *Choice {
 	if len(enabled) == 0 {
 		return haltChoice
 	}
-	return uniformChoice(enabled)
+	return measure.Uniform(enabled)
 }
 
 // ChooseAt implements DepthOblivious: the first enabled action of the
@@ -127,11 +127,11 @@ func (g *Greedy) sigAut() psioa.PSIOA  { return g.A }
 func (g *Greedy) horizon() (int, bool) { return g.Bound, true }
 
 func (g *Greedy) chooseSig(sig psioa.Signature, _ int) *Choice {
-	enabled := enabledSorted(sig, g.LocalOnly)
-	if len(enabled) == 0 {
+	least, ok := leastEnabled(sig, g.LocalOnly)
+	if !ok {
 		return haltChoice
 	}
-	return diracChoice(enabled[0])
+	return diracChoice(least)
 }
 
 // boundedOblivious adapts Bounded over a depth-oblivious inner scheduler:

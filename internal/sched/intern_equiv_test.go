@@ -384,9 +384,9 @@ func TestInternedDAGMatchesReferenceQuick(t *testing.T) {
 }
 
 // TestSharedCachesConcurrentMeasure drives concurrent measures of one
-// shared composed product through the shared memo tables (read-mostly
-// sort memo and choice caches, mutex-guarded product caches). Under -race
-// this is the soundness check for the lock-free snapshot reads the
+// shared composed product through the shared memo tables (the read-mostly
+// Dirac choice cache and the product's mutex-guarded state table). Under
+// -race this is the soundness check for the lock-free snapshot reads the
 // interned core introduced.
 func TestSharedCachesConcurrentMeasure(t *testing.T) {
 	c1 := testaut.RandomAutomaton("c1", testaut.RandomSpec{States: 4, Actions: 3, Branch: 2, InputShare: 0.3}, rng.New(7).Uint64)

@@ -31,19 +31,17 @@ type Schema interface {
 //
 // The enumeration is exponential in the bound; MaxCount caps it (an error
 // is returned when the cap would be exceeded, so checks never silently
-// under-cover).
+// under-cover). The schedulers fire locally controlled actions only: in a
+// closed environment‖system world a scheduler injecting phantom inputs
+// can fake any perception, which trivialises implementation checks.
 type ObliviousSchema struct {
 	// MaxCount caps the number of enumerated schedulers (default 100000).
 	MaxCount int
-	// ExploreLimit bounds the reachability analysis that discovers the
-	// action alphabet (default 10000 states).
-	ExploreLimit int
-	// AllowOrphanInputs lets the enumerated schedulers fire input actions
-	// with no outputting participant. Off by default: in a closed
-	// environment‖system world a scheduler injecting phantom inputs can
-	// fake any perception, which trivialises implementation checks.
-	AllowOrphanInputs bool
 }
+
+// alphabetLimit bounds the reachability analysis by which the enumerating
+// schemas discover the action alphabet.
+const alphabetLimit = 10000
 
 // Name implements Schema.
 func (o *ObliviousSchema) Name() string { return "oblivious" }
@@ -54,11 +52,7 @@ func (o *ObliviousSchema) Enumerate(a psioa.PSIOA, bound int) ([]Scheduler, erro
 	if maxCount == 0 {
 		maxCount = 100000
 	}
-	limit := o.ExploreLimit
-	if limit == 0 {
-		limit = 10000
-	}
-	acts, err := psioa.ActsUniverse(a, limit)
+	acts, err := psioa.ActsUniverse(a, alphabetLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +73,7 @@ func (o *ObliviousSchema) Enumerate(a psioa.PSIOA, bound int) ([]Scheduler, erro
 	var rec func(prefix []psioa.Action)
 	rec = func(prefix []psioa.Action) {
 		seq := append([]psioa.Action(nil), prefix...)
-		out = append(out, &Sequence{A: a, Acts: seq, LocalOnly: !o.AllowOrphanInputs})
+		out = append(out, &Sequence{A: a, Acts: seq, LocalOnly: true})
 		if len(prefix) == bound {
 			return
 		}
@@ -153,8 +147,6 @@ func (f *FixedSchema) Enumerate(a psioa.PSIOA, bound int) ([]Scheduler, error) {
 // exhaustive checker quantifies over all of them on both sides.
 type PrefixPrioritySchema struct {
 	Templates [][]string
-	// ExploreLimit bounds alphabet discovery (default 10000 states).
-	ExploreLimit int
 }
 
 // Name implements Schema.
@@ -162,11 +154,7 @@ func (p *PrefixPrioritySchema) Name() string { return "prefix-priority" }
 
 // Enumerate implements Schema.
 func (p *PrefixPrioritySchema) Enumerate(a psioa.PSIOA, bound int) ([]Scheduler, error) {
-	limit := p.ExploreLimit
-	if limit == 0 {
-		limit = 10000
-	}
-	acts, err := psioa.ActsUniverse(a, limit)
+	acts, err := psioa.ActsUniverse(a, alphabetLimit)
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ grep -q '^dse_dsed_http_requests ' "$TMP/metrics.prom" || {
 }
 
 curl -sf "$BASE/v1/debug" > "$TMP/debug.json"
-for field in '"workers"' '"uptime_ms"' '"cache_shards"' '"sort_memo"'; do
+for field in '"workers"' '"uptime_ms"' '"cache_shards"'; do
     grep -q "$field" "$TMP/debug.json" || {
         echo "obs-smoke: /v1/debug missing $field:" >&2
         cat "$TMP/debug.json" >&2
