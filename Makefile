@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-json bench-par bench-compare bench-smoke loc no-string-keys daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
+.PHONY: build test race vet fmt bench bench-json bench-par bench-compare bench-smoke fuzz-smoke loc no-string-keys daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,13 @@ bench-smoke:
 	sh scripts/bench_compare.sh .bench_smoke.json .bench_smoke.json
 	rm -f .bench_smoke.json
 
+# fuzz-smoke runs the priority-template fuzz target for ten seconds past
+# its checked-in corpus (internal/sched/testdata/fuzz), which plain
+# `go test` already replays: the prefix-ranked Priority against a
+# reference that expands each template over the world's whole alphabet.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz=FuzzPriorityTemplates -fuzztime=10s ./internal/sched/
+
 # daemon-smoke starts dsed on a scratch port and runs a check through the
 # HTTP API twice, asserting the second run hits the memoization cache.
 daemon-smoke:
@@ -102,9 +109,10 @@ loc:
 
 # check is the tier-1 gate plus static analysis and formatting, the
 # race-sensitive packages, the chaos suite, the bench tooling smoke, the
-# parallel-kernel smoke, the baseline comparison, and the daemon, cluster,
-# and durability end-to-end smokes; run before every commit.
-check: build vet fmt no-string-keys test race chaos bench-smoke bench-par bench-compare daemon-smoke obs-smoke cluster-smoke durable-smoke
+# priority-template fuzz smoke, the parallel-kernel smoke, the baseline
+# comparison, and the daemon, cluster, and durability end-to-end smokes;
+# run before every commit.
+check: build vet fmt no-string-keys test race chaos bench-smoke fuzz-smoke bench-par bench-compare daemon-smoke obs-smoke cluster-smoke durable-smoke
 
 clean:
 	$(GO) clean ./...

@@ -573,7 +573,8 @@ func BenchmarkConeLookup(b *testing.B) {
 
 // BenchmarkExploreWarm measures repeated reachability analysis of one
 // composed system (warm signature/transition caches), the pattern of
-// Validate + ActsUniverse + fingerprinting over a shared automaton.
+// Validate + an oblivious schema's alphabet walk + fingerprinting over a
+// shared automaton.
 func BenchmarkExploreWarm(b *testing.B) {
 	w := psioa.MustCompose(channel.Env("x", 1), channel.Real("x"), channel.Eavesdropper("x"))
 	if _, err := psioa.Explore(w, 100000); err != nil {

@@ -195,7 +195,7 @@ func (d *DummyAdv) Sig(q psioa.State) psioa.Signature {
 // All transitions are Dirac.
 func (d *DummyAdv) Trans(q psioa.State, a psioa.Action) *psioa.Dist {
 	sig := d.Sig(q)
-	if !sig.All().Has(a) {
+	if !sig.Has(a) {
 		panic(fmt.Sprintf("adversary: dummy %q: action %q not enabled at %q", d.id, a, q))
 	}
 	if sig.In.Has(a) && !sig.Out.Has(a) {

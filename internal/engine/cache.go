@@ -54,9 +54,9 @@ const DefaultCacheShards = 8
 // immutable after construction.
 //
 // Memoization keys schedulers by Scheduler.Name(). Every schema in
-// internal/sched produces structurally-descriptive names (the sequence or
-// priority order is part of the name), which makes the name canonical per
-// automaton; hand-built FuncSched values that reuse an ID for different
+// internal/sched produces structurally-descriptive names (the sequence, or
+// the priority template of prefixes with its bound, is part of the name),
+// which makes the name canonical per automaton; hand-built FuncSched values that reuse an ID for different
 // behaviour on the same automaton would alias and must not be mixed with a
 // shared cache.
 type Cache struct {

@@ -570,15 +570,7 @@ func SchedByName(w psioa.PSIOA, name string, order []string, bound int) (sched.S
 	case "random":
 		return &sched.Random{A: w, Bound: bound, LocalOnly: true}, nil
 	case "priority":
-		tmpl := make([]string, len(acts))
-		for i, a := range acts {
-			tmpl[i] = string(a)
-		}
-		ss, err := (&sched.PrefixPrioritySchema{Templates: [][]string{tmpl}}).Enumerate(w, bound)
-		if err != nil {
-			return nil, err
-		}
-		return ss[0], nil
+		return &sched.Priority{A: w, Order: acts, Bound: bound, LocalOnly: true}, nil
 	case "sequence":
 		return &sched.Sequence{A: w, Acts: acts, LocalOnly: true}, nil
 	default:

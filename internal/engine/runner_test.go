@@ -164,6 +164,34 @@ func TestRunnerSimulateMatchesDirect(t *testing.T) {
 	}
 }
 
+// sigCounter counts the signature reads of the automaton it wraps.
+type sigCounter struct {
+	psioa.PSIOA
+	n int
+}
+
+func (c *sigCounter) Sig(q psioa.State) psioa.Signature {
+	c.n++
+	return c.PSIOA.Sig(q)
+}
+
+// TestSchedByNamePriorityReadsNoSignature: the priority scheduler keeps
+// its trimmed order entries as prefixes and reads no signature until it
+// chooses.
+func TestSchedByNamePriorityReadsNoSignature(t *testing.T) {
+	w := &sigCounter{PSIOA: psioa.MustCompose(mustResolve(t, "coin:fair:x"), mustResolve(t, "coin:env:x"))}
+	s, err := engine.SchedByName(w, "priority", []string{" fl", "res "}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.n != 0 {
+		t.Errorf("SchedByName read %d signatures, want 0", w.n)
+	}
+	if got, want := s.Name(), "priority[3][fl res]"; got != want {
+		t.Errorf("name %q, want %q", got, want)
+	}
+}
+
 func TestRunnerSimulateSampled(t *testing.T) {
 	r := engine.NewRunner(nil, nil)
 	res, err := r.Simulate(context.Background(), &engine.SimulateSpec{

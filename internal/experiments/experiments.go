@@ -399,20 +399,17 @@ func E7DummyInsertion() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mk := func(name string, order []string) sched.Scheduler {
-		ss, err := (&sched.PrefixPrioritySchema{Templates: [][]string{order}}).Enumerate(ctx.W1, 8)
-		if err != nil {
-			panic(err)
-		}
-		return &sched.FuncSched{ID: name, Fn: ss[0].Choose}
+	mk := func(name string, order ...psioa.Action) sched.Scheduler {
+		p := &sched.Priority{A: ctx.W1, Order: order, Bound: 8, LocalOnly: true}
+		return &sched.FuncSched{ID: name, Fn: p.Choose}
 	}
 	cases := []struct {
 		name string
 		s    sched.Scheduler
 	}{
-		{"observe-then-deliver", mk("otd", []string{"send", "encrypt", "g_tap", "guess", "deliver"})},
-		{"deliver-only", mk("d", []string{"send", "encrypt", "deliver"})},
-		{"block-early", mk("be", []string{"send", "encrypt", "g_tap", "g_block", "deliver"})},
+		{"observe-then-deliver", mk("otd", "send", "encrypt", "g_tap", "guess", "deliver")},
+		{"deliver-only", mk("d", "send", "encrypt", "deliver")},
+		{"block-early", mk("be", "send", "encrypt", "g_tap", "g_block", "deliver")},
 		{"uniform-random", &sched.Random{A: ctx.W1, Bound: 6, LocalOnly: true}},
 	}
 	ok := true

@@ -217,7 +217,7 @@ func PreservingTrans(reg Registry, c *Config, a psioa.Action) (*measure.Dist[str
 	if err != nil {
 		return nil, err
 	}
-	if !sig.All().Has(a) {
+	if !sig.Has(a) {
 		return nil, fmt.Errorf("pca: action %q not in sig(C) for C=%v", a, c)
 	}
 	ids := c.Auts()
@@ -225,7 +225,7 @@ func PreservingTrans(reg Registry, c *Config, a psioa.Action) (*measure.Dist[str
 	for i, id := range ids {
 		aut, _ := reg.Lookup(id)
 		q := c.states[id]
-		if aut.Sig(q).All().Has(a) {
+		if aut.Sig(q).Has(a) {
 			d := measure.New[string]()
 			aut.Trans(q, a).ForEach(func(q2 psioa.State, p float64) { d.Add(string(q2), p) })
 			factors[i] = d

@@ -45,7 +45,7 @@ func (h *HiddenPCA) Sig(q psioa.State) psioa.Signature {
 
 // Trans implements PSIOA (transitions are unchanged by hiding).
 func (h *HiddenPCA) Trans(q psioa.State, a psioa.Action) *psioa.Dist {
-	if !h.Sig(q).All().Has(a) {
+	if !h.Sig(q).Has(a) {
 		panic(fmt.Sprintf("pca: %q: action %q not enabled at %q", h.ID(), a, q))
 	}
 	return h.inner.Trans(q, a)
@@ -164,7 +164,7 @@ func (p *Product) Created(q psioa.State, a psioa.Action) []string {
 	seen := map[string]bool{}
 	var out []string
 	for i, x := range p.pcas {
-		if !x.Sig(qs[i]).All().Has(a) {
+		if !x.Sig(qs[i]).Has(a) {
 			continue // convention: created(Xi)(qi)(a) = ∅ when a ∉ sig
 		}
 		for _, id := range x.Created(qs[i], a) {

@@ -246,16 +246,6 @@ func Validate(a PSIOA, limit int) error {
 	return nil
 }
 
-// ActsUniverse returns the reachable part of acts(A) =
-// ∪_q sig(A)(q)^, computed by bounded exploration.
-func ActsUniverse(a PSIOA, limit int) (ActionSet, error) {
-	ex, err := Explore(a, limit)
-	if err != nil {
-		return nil, err
-	}
-	return ex.Acts, nil
-}
-
 // CheckPartiallyCompatible verifies that the automata are partially
 // compatible (§2.6): every reachable state of their composition is
 // compatible. It is the executable rendering of Def 3.3's requirement for

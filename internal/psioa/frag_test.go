@@ -196,18 +196,6 @@ func TestReachable(t *testing.T) {
 	}
 }
 
-func TestActsUniverse(t *testing.T) {
-	c := testaut.Coin("c", 0.5)
-	acts, err := psioa.ActsUniverse(c, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := psioa.NewActionSet("flip_c", "heads_c", "tails_c")
-	if !acts.Equal(want) {
-		t.Errorf("ActsUniverse = %v, want %v", acts, want)
-	}
-}
-
 func TestStepsAndEnabled(t *testing.T) {
 	c := testaut.Coin("c", 0.5)
 	if !psioa.Enabled(c, "q0", "flip_c") || psioa.Enabled(c, "q0", "heads_c") {

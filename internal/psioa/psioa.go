@@ -152,7 +152,7 @@ func (f *Func) Sig(q State) Signature { return f.SigFn(q) }
 
 // Trans implements PSIOA.
 func (f *Func) Trans(q State, a Action) *Dist {
-	if !f.SigFn(q).All().Has(a) {
+	if !f.SigFn(q).Has(a) {
 		disabledPanic(f.Name, q, a)
 	}
 	return f.TransFn(q, a)

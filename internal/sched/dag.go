@@ -93,8 +93,9 @@ func (r *Random) chooseSig(sig psioa.Signature, _ int) *Choice {
 	return measure.Uniform(enabled)
 }
 
-// ChooseAt implements DepthOblivious: the first enabled action of the
-// priority order at q, halting at the bound.
+// ChooseAt implements DepthOblivious: the least enabled action with the
+// first prefix of the order that any enabled action has, halting at the
+// bound.
 func (p *Priority) ChooseAt(q psioa.State, depth int) *Choice {
 	if depth >= p.Bound {
 		return haltChoice
@@ -106,8 +107,8 @@ func (p *Priority) sigAut() psioa.PSIOA  { return p.A }
 func (p *Priority) horizon() (int, bool) { return p.Bound, true }
 
 func (p *Priority) chooseSig(sig psioa.Signature, _ int) *Choice {
-	for _, a := range p.Order {
-		if enabledHas(sig, a, p.LocalOnly) {
+	for _, prefix := range p.Order {
+		if a, ok := leastEnabled(sig, string(prefix), p.LocalOnly); ok {
 			return diracChoice(a)
 		}
 	}
@@ -127,7 +128,7 @@ func (g *Greedy) sigAut() psioa.PSIOA  { return g.A }
 func (g *Greedy) horizon() (int, bool) { return g.Bound, true }
 
 func (g *Greedy) chooseSig(sig psioa.Signature, _ int) *Choice {
-	least, ok := leastEnabled(sig, g.LocalOnly)
+	least, ok := leastEnabled(sig, "", g.LocalOnly)
 	if !ok {
 		return haltChoice
 	}

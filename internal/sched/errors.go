@@ -24,7 +24,8 @@ var (
 	// mass below 1 encountered while sampling.
 	ErrSubStochastic = errors.New("sub-stochastic transition measure")
 	// ErrEnumerationCap reports a schema whose enumeration would exceed
-	// the package's safety cap.
+	// one of the package's safety caps: on the schedulers it enumerates,
+	// or on the states of the walk that finds its alphabet.
 	ErrEnumerationCap = errors.New("schema enumeration exceeds cap")
 	// ErrNotOblivious reports a scheduler that does not factor through the
 	// view it claims obliviousness with respect to.

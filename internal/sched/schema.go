@@ -31,16 +31,19 @@ type Schema interface {
 //
 // The enumeration is exponential in the bound; MaxCount caps it (an error
 // is returned when the cap would be exceeded, so checks never silently
-// under-cover). The schedulers fire locally controlled actions only: in a
-// closed environment‖system world a scheduler injecting phantom inputs
-// can fake any perception, which trivialises implementation checks.
+// under-cover). So is the alphabet: a world with more than alphabetLimit
+// reachable states is an error too, since actions first enabled past the
+// limit would be missing from every sequence. The schedulers fire locally
+// controlled actions only: in a closed environment‖system world a
+// scheduler injecting phantom inputs can fake any perception, which
+// trivialises implementation checks.
 type ObliviousSchema struct {
 	// MaxCount caps the number of enumerated schedulers (default 100000).
 	MaxCount int
 }
 
-// alphabetLimit bounds the reachability analysis by which the enumerating
-// schemas discover the action alphabet.
+// alphabetLimit bounds the reachability analysis by which ObliviousSchema
+// discovers the action alphabet.
 const alphabetLimit = 10000
 
 // Name implements Schema.
@@ -52,11 +55,14 @@ func (o *ObliviousSchema) Enumerate(a psioa.PSIOA, bound int) ([]Scheduler, erro
 	if maxCount == 0 {
 		maxCount = 100000
 	}
-	acts, err := psioa.ActsUniverse(a, alphabetLimit)
+	ex, err := psioa.Explore(a, alphabetLimit)
 	if err != nil {
 		return nil, err
 	}
-	alpha := acts.Sorted()
+	if ex.Truncated {
+		return nil, fmt.Errorf("sched: oblivious alphabet of %q: more than %d reachable states: %w", a.ID(), alphabetLimit, ErrEnumerationCap)
+	}
+	alpha := ex.Acts.Sorted()
 	// Count Σ_{l=0..bound} |alpha|^l against the cap before materialising.
 	total, pow := 0, 1
 	for l := 0; l <= bound; l++ {
@@ -135,11 +141,12 @@ func (f *FixedSchema) Enumerate(a psioa.PSIOA, bound int) ([]Scheduler, error) {
 }
 
 // PrefixPrioritySchema enumerates deterministic run-to-completion
-// schedulers, one per template. A template is an ordered list of action-name
-// prefixes; the scheduler's priority order ranks the automaton's reachable
-// actions by the first template entry that prefix-matches them (ties broken
-// lexicographically), and actions matching no entry are never scheduled.
-// All schedulers are locally controlled and bound-bounded.
+// schedulers, one Priority per template. A template is an ordered list of
+// action-name prefixes, which becomes the scheduler's Order unchanged: at
+// each state the scheduler fires the least enabled action with the first
+// entry that matches one, and actions matching no entry are never
+// scheduled. Ranking happens at choice time, so enumeration never walks
+// the automaton. All schedulers are locally controlled and bound-bounded.
 //
 // This is the pragmatic schema for protocol-sized systems, where the fully
 // oblivious enumeration explodes: each template expresses one adversarial
@@ -154,20 +161,11 @@ func (p *PrefixPrioritySchema) Name() string { return "prefix-priority" }
 
 // Enumerate implements Schema.
 func (p *PrefixPrioritySchema) Enumerate(a psioa.PSIOA, bound int) ([]Scheduler, error) {
-	acts, err := psioa.ActsUniverse(a, alphabetLimit)
-	if err != nil {
-		return nil, err
-	}
-	sorted := acts.Sorted()
 	out := make([]Scheduler, 0, len(p.Templates))
 	for _, tmpl := range p.Templates {
-		var order []psioa.Action
-		for _, prefix := range tmpl {
-			for _, act := range sorted {
-				if len(act) >= len(prefix) && string(act[:len(prefix)]) == prefix {
-					order = append(order, act)
-				}
-			}
+		order := make([]psioa.Action, len(tmpl))
+		for i, prefix := range tmpl {
+			order[i] = psioa.Action(prefix)
 		}
 		out = append(out, &Priority{A: a, Order: order, Bound: bound, LocalOnly: true})
 	}
