@@ -62,12 +62,15 @@ bench-smoke:
 	sh scripts/bench_compare.sh .bench_smoke.json .bench_smoke.json
 	rm -f .bench_smoke.json
 
-# fuzz-smoke runs the priority-template fuzz target for ten seconds past
-# its checked-in corpus (internal/sched/testdata/fuzz), which plain
-# `go test` already replays: the prefix-ranked Priority against a
-# reference that expands each template over the world's whole alphabet.
+# fuzz-smoke runs each fuzz target for ten seconds past its checked-in
+# corpus (testdata/fuzz in its package), which plain `go test` already
+# replays: the prefix-ranked Priority against a reference that expands
+# each template over the world's whole alphabet, and the walk of every
+# automaton that shares a product's table against the same automaton
+# walked through Sig and Trans.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzPriorityTemplates -fuzztime=10s ./internal/sched/
+	$(GO) test -run '^$$' -fuzz=FuzzSharedWalk -fuzztime=10s ./internal/psioa/
 
 # daemon-smoke starts dsed on a scratch port and runs a check through the
 # HTTP API twice, asserting the second run hits the memoization cache.
@@ -109,9 +112,9 @@ loc:
 
 # check is the tier-1 gate plus static analysis and formatting, the
 # race-sensitive packages, the chaos suite, the bench tooling smoke, the
-# priority-template fuzz smoke, the parallel-kernel smoke, the baseline
-# comparison, and the daemon, cluster, and durability end-to-end smokes;
-# run before every commit.
+# fuzz smokes, the parallel-kernel smoke, the baseline comparison, and the
+# daemon, cluster, and durability end-to-end smokes; run before every
+# commit.
 check: build vet fmt no-string-keys test race chaos bench-smoke fuzz-smoke bench-par bench-compare daemon-smoke obs-smoke cluster-smoke durable-smoke
 
 clean:

@@ -56,7 +56,7 @@ func BenchmarkE2PCACompositionBound(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := bounded.Describe(pca.DescAdapter{PCA: comp}, 100000); err != nil {
+		if _, err := bounded.Describe(comp, 100000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,8 +39,8 @@ func InterfaceOf(s structured.SPSIOA, limit int) (*Interface, error) {
 	aiAll := psioa.NewActionSet()
 	aoAll := psioa.NewActionSet()
 	for _, q := range ex.States {
-		aiAll = aiAll.Union(structured.AI(s, q))
-		aoAll = aoAll.Union(structured.AO(s, q))
+		aiAll.AddAll(structured.AI(s, q))
+		aoAll.AddAll(structured.AO(s, q))
 	}
 	return &Interface{AI: aiAll.Minus(aoAll), AO: aoAll}, nil
 }
@@ -72,17 +72,34 @@ func IsAdversaryFor(adv psioa.PSIOA, s structured.SPSIOA, limit int) error {
 	if err != nil {
 		return fmt.Errorf("adversary: %q not partially compatible with %q: %w", adv.ID(), s.ID(), err)
 	}
+	// AI_A, AO_A and EAct_A depend only on the host's state q_A, and
+	// sig(Adv) only on q_Adv, so each is evaluated once per distinct
+	// component state; the overlap is still checked at every product
+	// state, in BFS order.
 	aiUnion := psioa.NewActionSet()
 	aoUnion := psioa.NewActionSet()
 	advOutUnion := psioa.NewActionSet()
+	eact := make(map[psioa.State]psioa.ActionSet)
+	advActs := make(map[psioa.State]psioa.ActionSet)
 	for _, q := range ex.States {
 		qs := p.Split(q)
 		qa, qadv := qs[0], qs[1]
-		aiUnion = aiUnion.Union(structured.AI(s, qa))
-		aoUnion = aoUnion.Union(structured.AO(s, qa))
-		advOutUnion = advOutUnion.Union(adv.Sig(qadv).Out)
-		if overlap := s.EAct(qa).Intersect(adv.Sig(qadv).All()); len(overlap) > 0 {
-			return fmt.Errorf("adversary: %q touches environment actions %v of %q at state %q", adv.ID(), overlap, s.ID(), q)
+		env, ok := eact[qa]
+		if !ok {
+			aiUnion.AddAll(structured.AI(s, qa))
+			aoUnion.AddAll(structured.AO(s, qa))
+			env = s.EAct(qa)
+			eact[qa] = env
+		}
+		acts, ok := advActs[qadv]
+		if !ok {
+			sig := adv.Sig(qadv)
+			advOutUnion.AddAll(sig.Out)
+			acts = sig.All()
+			advActs[qadv] = acts
+		}
+		if !env.Disjoint(acts) {
+			return fmt.Errorf("adversary: %q touches environment actions %v of %q at state %q", adv.ID(), env.Intersect(acts), s.ID(), q)
 		}
 	}
 	// Genuine adversary commands are the adversary inputs never produced by

@@ -1,12 +1,17 @@
 package adversary_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/core"
 	"repro/internal/insight"
 	"repro/internal/measure"
+	"repro/internal/protocols/channel"
+	"repro/internal/protocols/coinflip"
+	"repro/internal/protocols/dynchannel"
 	"repro/internal/psioa"
 	"repro/internal/sched"
 	"repro/internal/structured"
@@ -440,5 +445,116 @@ func TestForwardSchedHaltProbabilityPreserved(t *testing.T) {
 	}
 	if math.Abs(em2.P(psioa.NewFrag(ctx.W2.Start()))-0.5) > 1e-9 {
 		t.Error("halting mass not preserved")
+	}
+}
+
+// refIsAdversaryFor is IsAdversaryFor as it was first written: every
+// structure function of the host and the adversary's signature evaluated
+// again at each product state, and the unions rebuilt at each state.
+func refIsAdversaryFor(adv psioa.PSIOA, s structured.SPSIOA, limit int) error {
+	p, err := psioa.Compose(psioa.Atom(s), psioa.Atom(adv))
+	if err != nil {
+		return err
+	}
+	ex, err := psioa.Explore(p, limit)
+	if err != nil {
+		return fmt.Errorf("adversary: %q not partially compatible with %q: %w", adv.ID(), s.ID(), err)
+	}
+	aiUnion := psioa.NewActionSet()
+	aoUnion := psioa.NewActionSet()
+	advOutUnion := psioa.NewActionSet()
+	for _, q := range ex.States {
+		qs := p.Split(q)
+		qa, qadv := qs[0], qs[1]
+		aiUnion = aiUnion.Union(structured.AI(s, qa))
+		aoUnion = aoUnion.Union(structured.AO(s, qa))
+		advOutUnion = advOutUnion.Union(adv.Sig(qadv).Out)
+		if overlap := s.EAct(qa).Intersect(adv.Sig(qadv).All()); len(overlap) > 0 {
+			return fmt.Errorf("adversary: %q touches environment actions %v of %q at state %q", adv.ID(), overlap, s.ID(), q)
+		}
+	}
+	if missing := aiUnion.Minus(aoUnion).Minus(advOutUnion); len(missing) > 0 {
+		return fmt.Errorf("adversary: %q does not drive adversary inputs %v of %q", adv.ID(), missing, s.ID())
+	}
+	return nil
+}
+
+// TestIsAdversaryForMatchesReference: on the adversary and simulator
+// checks of E7, E8, E11 and E14, and on two failing adversaries, the
+// check that evaluates each component state once gives the per-state
+// reference's verdict and error text.
+func TestIsAdversaryForMatchesReference(t *testing.T) {
+	type check struct {
+		name   string
+		adv    psioa.PSIOA
+		s      structured.SPSIOA
+		limit  int
+		failed bool
+	}
+	var checks []check
+	add := func(name string, adv psioa.PSIOA, s structured.SPSIOA, limit int) {
+		checks = append(checks, check{name, adv, s, limit, false})
+	}
+	// E7: the eavesdropper and the dummy adversary NewForwardCtx inserts.
+	iface, err := adversary.InterfaceOf(channel.Real("x"), 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("E7/eavesdropper", channel.Eavesdropper("x"), channel.Real("x"), 10000)
+	add("E7/dummy", adversary.MustDummy("dummy(x)", iface, channel.G("x")), channel.Real("x"), 10000)
+	// E8: the leak sweep and Theorem 4.30's composed instance.
+	for _, leak := range []float64{0, 0.125, 0.25, 0.5} {
+		add(fmt.Sprintf("E8/leak=%v", leak), channel.Eavesdropper("x"), channel.LeakyReal("x", leak), 50000)
+	}
+	add("E8/sim", channel.SimFor("x"), channel.Ideal("x"), 50000)
+	g := channel.G("a")
+	for k, v := range channel.G("b") {
+		g[k] = v
+	}
+	adv := psioa.MustCompose(channel.Eavesdropper("a"), channel.Eavesdropper("b"))
+	sim, err := core.ComposedSimulator(g, []psioa.PSIOA{channel.DummySim("a"), channel.DummySim("b")}, adv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("E8/composed-adv", adv, structured.MustCompose(channel.Real("a"), channel.Real("b")), 10000)
+	add("E8/composed-sim", sim, structured.MustCompose(channel.Ideal("a"), channel.Ideal("b")), 10000)
+	// E11: one and two run-time-created sessions.
+	for _, n := range []int{1, 2} {
+		add(fmt.Sprintf("E11/adv-%d", n), dynchannel.Adversary("d", n), dynchannel.Host("d", n, dynchannel.RealKind), 20000)
+		add(fmt.Sprintf("E11/sim-%d", n), dynchannel.Simulator("d", n), dynchannel.Host("d", n, dynchannel.IdealKind), 20000)
+	}
+	// E14: the passive, rushing and weak-coin scenarios.
+	add("E14/passive-adv", coinflip.PassiveAdv("x", 2), coinflip.Real("x", 2), 50000)
+	add("E14/passive-sim", coinflip.PassiveSim("x"), coinflip.Ideal("x"), 50000)
+	add("E14/rushing-adv", coinflip.RushingAdv("x"), coinflip.RealCorrupt("x", 2), 50000)
+	add("E14/null-sim", coinflip.NullSim("x"), coinflip.Ideal("x"), 50000)
+	add("E14/rush-sim", coinflip.RushSim("x"), coinflip.WeakIdeal("x"), 50000)
+	// An adversary that listens to the environment action recv once it
+	// has seen a leak, so the overlap shows first at a later state.
+	nosy := psioa.NewBuilder("nosy", "a0").
+		AddState("a0", psioa.NewSignature([]psioa.Action{"leak"}, []psioa.Action{"drop"}, nil)).
+		AddState("a1", psioa.NewSignature([]psioa.Action{"leak", "recv"}, []psioa.Action{"drop"}, nil)).
+		AddDet("a0", "leak", "a1").
+		AddDet("a0", "drop", "a0").
+		AddDet("a1", "leak", "a1").
+		AddDet("a1", "recv", "a1").
+		AddDet("a1", "drop", "a1").
+		MustBuild()
+	checks = append(checks, check{"touches-environment", nosy, leakyChannel(), 1000, true})
+	// An adversary that never drives the adversary input drop.
+	lazy := psioa.NewBuilder("lazy", "a0").
+		AddState("a0", psioa.NewSignature([]psioa.Action{"leak"}, nil, nil)).
+		AddDet("a0", "leak", "a0").
+		MustBuild()
+	checks = append(checks, check{"undriven-input", lazy, leakyChannel(), 1000, true})
+	for _, c := range checks {
+		want := refIsAdversaryFor(c.adv, c.s, c.limit)
+		got := adversary.IsAdversaryFor(c.adv, c.s, c.limit)
+		if (want != nil) != c.failed {
+			t.Fatalf("%s: reference verdict %v, want failure %v", c.name, want, c.failed)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: IsAdversaryFor = %v, reference %v", c.name, got, want)
+		}
 	}
 }

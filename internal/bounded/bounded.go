@@ -24,10 +24,14 @@
 // Describe is one exploration walk (psioa.Walk). It counts ⟨q⟩, ⟨a⟩ and
 // ⟨tr⟩ from the states, sorted actions and successor lists the walk
 // visits, and totals the query work of the same walk, so it never calls
-// Trans itself; a product supplies its successors from its state table and
-// builds no product measure. QueryWork, which explores an Instrumented
-// wrapper and is charged by its Sig and Trans, is the reference the tests
-// hold Describe's query work equal to.
+// Trans itself. An automaton that shares a product's state table (the
+// product, a PCA or structured composition embedding it, and hiding or
+// Atomic over any of these) supplies its successors from that table and
+// builds no product measure; a wrapper that shares no table, such as
+// Instrumented, is walked through its Trans. A pca.PCA is described
+// directly, with the PCA components of Def 4.2. QueryWork, which explores
+// an Instrumented wrapper and is charged by its Sig and Trans, is the
+// reference the tests hold Describe's query work equal to.
 //
 // The lemma checks (CompositionBound, HidingBound) then verify the paper's
 // linear bounds B(A₁‖A₂) ≤ c·(B₁+B₂) with explicit empirical constants.
@@ -40,6 +44,7 @@ import (
 	"strconv"
 
 	"repro/internal/codec"
+	"repro/internal/pca"
 	"repro/internal/psioa"
 	"repro/internal/resilience"
 )
@@ -156,18 +161,10 @@ func (t *transLen) bits(qn, an int) int {
 	return 8 * (qn + an + etaEsc + 2)
 }
 
-// pcaLike exposes the PCA attributes needed by Def 4.2 without importing
-// the pca package (avoiding a dependency cycle: pca builds on psioa only).
-type pcaLike interface {
-	ConfigKey(q psioa.State) string
-	CreatedIDs(q psioa.State, a psioa.Action) []string
-	HiddenSet(q psioa.State) psioa.ActionSet
-}
-
 // Describe computes the description-length report of the automaton over its
-// reachable fragment (bounded by limit states). If the automaton implements
-// the PCA attribute accessors (see pca.DescAdapter), the configuration,
-// created and hidden-actions encodings of Def 4.2 are measured as well.
+// reachable fragment (bounded by limit states). If the automaton is a
+// pca.PCA, the configuration, created and hidden-actions encodings of
+// Def 4.2 are measured as well.
 func Describe(a psioa.PSIOA, limit int) (*Desc, error) {
 	return DescribeCtx(nil, a, limit, nil)
 }
@@ -177,7 +174,7 @@ func Describe(a psioa.PSIOA, limit int) (*Desc, error) {
 // the walk stops early: on cancellation, on a deadline or when b runs out.
 func DescribeCtx(ctx context.Context, a psioa.PSIOA, limit int, b *resilience.Budget) (*Desc, error) {
 	v := &describer{d: &Desc{}}
-	v.pl, _ = a.(pcaLike)
+	v.x, _ = a.(pca.PCA)
 	ex, err := psioa.Walk(ctx, a, limit, b, v)
 	if err != nil {
 		return nil, err
@@ -192,7 +189,7 @@ func DescribeCtx(ctx context.Context, a psioa.PSIOA, limit int, b *resilience.Bu
 // charges for the Sig and Trans evaluations of the same walk.
 type describer struct {
 	d    *Desc
-	pl   pcaLike // nil unless the automaton is a PCA
+	x    pca.PCA // nil unless the automaton is a PCA
 	q    psioa.State
 	qn   int // escaped size of q
 	acts []psioa.Action
@@ -237,9 +234,9 @@ func (v *describer) State(id uint32, q psioa.State, _ psioa.Signature, acts []ps
 		work += n
 	}
 	v.charge(work)
-	if v.pl != nil {
-		d.MaxConfigBits = max(d.MaxConfigBits, codec.BitLen(v.pl.ConfigKey(q)))
-		d.MaxHiddenBits = max(d.MaxHiddenBits, codec.BitLen(v.pl.HiddenSet(q).Key()))
+	if v.x != nil {
+		d.MaxConfigBits = max(d.MaxConfigBits, codec.BitLen(v.x.Config(q).Key()))
+		d.MaxHiddenBits = max(d.MaxHiddenBits, codec.BitLen(v.x.HiddenActions(q).Key()))
 	}
 }
 
@@ -256,8 +253,8 @@ func (v *describer) Trans(k int, succ []psioa.Succ) {
 	n := t.bits(v.qn, an)
 	d.MaxTransBits = max(d.MaxTransBits, n)
 	v.charge(n)
-	if v.pl != nil {
-		d.MaxCreatedBits = max(d.MaxCreatedBits, setBits(v.pl.CreatedIDs(v.q, act)))
+	if v.x != nil {
+		d.MaxCreatedBits = max(d.MaxCreatedBits, setBits(v.x.Created(v.q, act)))
 	}
 }
 

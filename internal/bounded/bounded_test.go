@@ -47,7 +47,7 @@ func TestDescribePCAComponents(t *testing.T) {
 	reg := pca.MapRegistry{}.Register(testaut.Coin("c1", 0.5))
 	init := pca.NewConfig(map[string]psioa.State{"c1": "q0"})
 	x := pca.MustNew("X", reg, init)
-	d, err := bounded.Describe(pca.DescAdapter{PCA: x}, 100)
+	d, err := bounded.Describe(x, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +90,10 @@ func TestCompositionBoundPCA(t *testing.T) {
 		return pca.MustNew("X_"+id, reg, init)
 	}
 	x1, x2 := mk("a"), mk("b")
-	d1, _ := bounded.Describe(pca.DescAdapter{PCA: x1}, 1000)
-	d2, _ := bounded.Describe(pca.DescAdapter{PCA: x2}, 1000)
+	d1, _ := bounded.Describe(x1, 1000)
+	d2, _ := bounded.Describe(x2, 1000)
 	comp := pca.MustComposePCA(x1, x2)
-	d12, err := bounded.Describe(pca.DescAdapter{PCA: comp}, 1000)
+	d12, err := bounded.Describe(comp, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,18 +100,18 @@ func refDescribe(t *testing.T, a psioa.PSIOA, limit int) *bounded.Desc {
 			*m = n
 		}
 	}
-	pl, isPCA := a.(pca.DescAdapter)
+	x, isPCA := a.(pca.PCA)
 	for _, q := range ex.States {
 		grow(&d.MaxStateBits, codec.BitLen(string(q)))
 		if isPCA {
-			grow(&d.MaxConfigBits, codec.BitLen(pl.ConfigKey(q)))
-			grow(&d.MaxHiddenBits, codec.BitLen(pl.HiddenSet(q).Key()))
+			grow(&d.MaxConfigBits, codec.BitLen(x.Config(q).Key()))
+			grow(&d.MaxHiddenBits, codec.BitLen(x.HiddenActions(q).Key()))
 		}
 		for act := range ex.Sigs[q].All() {
 			grow(&d.MaxActionBits, codec.BitLen(string(act)))
 			grow(&d.MaxTransBits, codec.BitLen(bounded.EncodeTransition(q, act, a.Trans(q, act))))
 			if isPCA {
-				grow(&d.MaxCreatedBits, codec.BitLen(codec.EncodeSortedSet(pl.CreatedIDs(q, act))))
+				grow(&d.MaxCreatedBits, codec.BitLen(codec.EncodeSortedSet(x.Created(q, act))))
 			}
 		}
 	}
@@ -165,8 +165,9 @@ type describeCase struct {
 
 // describeCases are the automata of E1, E2 and E3 and of the
 // describe-ledger workload: ledger host pairs with one to three subchains,
-// their PCA composite and their plain product, and counters composed and
-// hidden.
+// their PCA composite (bare, which shares its product's table, and in a
+// DescAdapter, which does not) and their plain product, and counters
+// composed and hidden.
 func describeCases(t *testing.T) []describeCase {
 	t.Helper()
 	var cases []describeCase
@@ -182,13 +183,17 @@ func describeCases(t *testing.T) []describeCase {
 		cases = append(cases,
 			describeCase{fmt.Sprintf("ledger-direct-%d", n), func() psioa.PSIOA {
 				x1, _ := hosts()
-				return pca.DescAdapter{PCA: x1}
+				return x1
 			}, false},
 			describeCase{fmt.Sprintf("ledger-parity-%d", n), func() psioa.PSIOA {
 				_, x2 := hosts()
-				return pca.DescAdapter{PCA: x2}
+				return x2
 			}, false},
 			describeCase{fmt.Sprintf("ledger-pca-composite-%d", n), func() psioa.PSIOA {
+				comp, _ := pca.ComposePCA(hosts())
+				return comp
+			}, n == 3},
+			describeCase{fmt.Sprintf("ledger-adapted-composite-%d", n), func() psioa.PSIOA {
 				comp, _ := pca.ComposePCA(hosts())
 				return pca.DescAdapter{PCA: comp}
 			}, n == 3},
@@ -290,7 +295,7 @@ func TestDescribeConcurrent(t *testing.T) {
 		maxQ, work int64
 	}
 	run := func(x pca.PCA) (answer, error) {
-		d, err := bounded.Describe(pca.DescAdapter{PCA: x}, limit)
+		d, err := bounded.Describe(x, limit)
 		if err != nil {
 			return answer{}, err
 		}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/insight"
 	"repro/internal/measure"
 	"repro/internal/obs"
-	"repro/internal/pca"
 	"repro/internal/psioa"
 	"repro/internal/resilience"
 	"repro/internal/rng"
@@ -462,8 +461,8 @@ func (r *Runner) describeSystems(ctx context.Context, ds *DescribeSpec, bud *res
 	out := &DescribeResult{}
 	auts := make([]psioa.PSIOA, 0, len(ds.Systems))
 	// bs[i] is B(auts[i]) as a plain PSIOA, the component bound of the
-	// composition report: the adapter exposes Def 4.2's PCA components
-	// but leaves Sig and Trans as they are.
+	// composition report: a PCA's description adds Def 4.2's components
+	// to the lengths Def 4.1 counts.
 	bs := make([]int, 0, len(ds.Systems))
 	for _, ref := range ds.Systems {
 		if err := resilience.CtxError(ctx); err != nil {
@@ -474,13 +473,9 @@ func (r *Runner) describeSystems(ctx context.Context, ds *DescribeSpec, bud *res
 			return nil, err
 		}
 		auts = append(auts, a)
-		target := a
-		if x, ok := a.(pca.PCA); ok {
-			target = pca.DescAdapter{PCA: x}
-		}
 		// One walk under the job's context and budget describes the
 		// system, measures its query work and counts what it reaches.
-		d, err := bounded.DescribeCtx(ctx, target, limit, bud)
+		d, err := bounded.DescribeCtx(ctx, a, limit, bud)
 		if err != nil {
 			return nil, err
 		}

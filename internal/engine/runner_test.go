@@ -11,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/insight"
 	"repro/internal/obs"
-	"repro/internal/pca"
 	"repro/internal/protocols/coin"
 	"repro/internal/psioa"
 	"repro/internal/sched"
@@ -290,11 +289,7 @@ func TestRunnerDescribeOneWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			target := a
-			if x, ok := a.(pca.PCA); ok {
-				target = pca.DescAdapter{PCA: x}
-			}
-			d, err := bounded.Describe(target, limit)
+			d, err := bounded.Describe(a, limit)
 			if err != nil {
 				t.Fatal(err)
 			}

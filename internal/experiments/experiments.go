@@ -194,11 +194,11 @@ func E2PCACompositionBound() (*Table, error) {
 	for _, n := range []int{1, 2, 3} {
 		x1, _ := ledger.Host("a", n, ledger.Direct)
 		x2, _ := ledger.Host("b", n, ledger.Parity)
-		d1, err := bounded.Describe(pca.DescAdapter{PCA: x1}, 100000)
+		d1, err := bounded.Describe(x1, 100000)
 		if err != nil {
 			return nil, err
 		}
-		d2, err := bounded.Describe(pca.DescAdapter{PCA: x2}, 100000)
+		d2, err := bounded.Describe(x2, 100000)
 		if err != nil {
 			return nil, err
 		}
@@ -206,7 +206,7 @@ func E2PCACompositionBound() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		d12, err := bounded.Describe(pca.DescAdapter{PCA: comp}, 100000)
+		d12, err := bounded.Describe(comp, 100000)
 		if err != nil {
 			return nil, err
 		}

@@ -130,15 +130,6 @@ func TestConfigAutomatonPanicsOnBadState(t *testing.T) {
 func TestDescAdapterDelegation(t *testing.T) {
 	x, _ := factory("f", 1, 0.5)
 	d := pca.DescAdapter{PCA: x}
-	if d.ConfigKey(x.Start()) != x.Config(x.Start()).Key() {
-		t.Error("ConfigKey mismatch")
-	}
-	if got := d.CreatedIDs(x.Start(), "spawn_f"); len(got) != 1 {
-		t.Errorf("CreatedIDs = %v", got)
-	}
-	if d.HiddenSet(x.Start()) == nil {
-		t.Error("HiddenSet nil")
-	}
 	if err := d.CompatAt(x.Start()); err != nil {
 		t.Errorf("CompatAt: %v", err)
 	}

@@ -70,7 +70,7 @@ func TestConfigAutomatonDecodesEachStateOnce(t *testing.T) {
 			trans += int64(len(ex.Sigs[q].All()))
 		}
 	}
-	if _, err := bounded.CompositionBound(pca.DescAdapter{PCA: x1}, pca.DescAdapter{PCA: x2}, limit); err != nil {
+	if _, err := bounded.CompositionBound(x1, x2, limit); err != nil {
 		t.Fatal(err)
 	}
 	if got := hidden1.Load() + hidden2.Load(); got != states {
@@ -100,7 +100,7 @@ func TestConfigAutomatonConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDesc, err := bounded.Describe(pca.DescAdapter{PCA: ref}, limit)
+	wantDesc, err := bounded.Describe(ref, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestConfigAutomatonConcurrentQueries(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			d, err := bounded.Describe(pca.DescAdapter{PCA: shared}, limit)
+			d, err := bounded.Describe(shared, limit)
 			if err != nil {
 				t.Error(err)
 				return

@@ -9,17 +9,18 @@ import (
 	"repro/internal/psioa"
 )
 
-// HiddenPCA is PCA hiding (Def 2.17): hide(X, h) differs from X only in its
-// signature (hiding h(q) at each state) and its hidden-actions mapping
-// (extended by h(q)).
+// HiddenPCA is PCA hiding (Def 2.17): hide(X, h) is the PSIOA hiding
+// hide(psioa(X), h) of Def 2.7, whose hidden-actions mapping extends X's
+// by h(q). It embeds that psioa.Hidden, so it shares the table of any
+// product X is.
 type HiddenPCA struct {
-	inner PCA
-	h     func(q psioa.State) psioa.ActionSet
+	*psioa.Hidden
+	x PCA
 }
 
 // HidePCA hides the state-dependent output set h on PCA X.
 func HidePCA(x PCA, h func(q psioa.State) psioa.ActionSet) *HiddenPCA {
-	return &HiddenPCA{inner: x, h: h}
+	return &HiddenPCA{Hidden: psioa.Hide(x, h), x: x}
 }
 
 // HidePCASet hides a fixed output set at every state. Def 2.17 requires
@@ -27,53 +28,26 @@ func HidePCA(x PCA, h func(q psioa.State) psioa.ActionSet) *HiddenPCA {
 // actually present at each state.
 func HidePCASet(x PCA, s psioa.ActionSet) *HiddenPCA {
 	fixed := s.Copy()
-	return &HiddenPCA{inner: x, h: func(q psioa.State) psioa.ActionSet {
+	return HidePCA(x, func(q psioa.State) psioa.ActionSet {
 		return fixed.Intersect(x.Sig(q).Out.Union(x.HiddenActions(q)))
-	}}
-}
-
-// ID implements PSIOA.
-func (h *HiddenPCA) ID() string { return "hide(" + h.inner.ID() + ")" }
-
-// Start implements PSIOA.
-func (h *HiddenPCA) Start() psioa.State { return h.inner.Start() }
-
-// Sig implements PSIOA per Def 2.17.
-func (h *HiddenPCA) Sig(q psioa.State) psioa.Signature {
-	return psioa.HideSignature(h.inner.Sig(q), h.h(q))
-}
-
-// Trans implements PSIOA (transitions are unchanged by hiding).
-func (h *HiddenPCA) Trans(q psioa.State, a psioa.Action) *psioa.Dist {
-	if !h.Sig(q).Has(a) {
-		panic(fmt.Sprintf("pca: %q: action %q not enabled at %q", h.ID(), a, q))
-	}
-	return h.inner.Trans(q, a)
+	})
 }
 
 // Config implements PCA.
-func (h *HiddenPCA) Config(q psioa.State) *Config { return h.inner.Config(q) }
+func (h *HiddenPCA) Config(q psioa.State) *Config { return h.x.Config(q) }
 
 // Created implements PCA.
 func (h *HiddenPCA) Created(q psioa.State, a psioa.Action) []string {
-	return h.inner.Created(q, a)
+	return h.x.Created(q, a)
 }
 
 // HiddenActions implements PCA per Def 2.17: hidden(X)(q) ∪ h(q).
 func (h *HiddenPCA) HiddenActions(q psioa.State) psioa.ActionSet {
-	return h.inner.HiddenActions(q).Union(h.h(q))
+	return h.x.HiddenActions(q).Union(h.HiddenAt(q))
 }
 
 // Registry implements PCA.
-func (h *HiddenPCA) Registry() Registry { return h.inner.Registry() }
-
-// CompatAt delegates compatibility checking.
-func (h *HiddenPCA) CompatAt(q psioa.State) error {
-	if cc, ok := h.inner.(interface{ CompatAt(psioa.State) error }); ok {
-		return cc.CompatAt(q)
-	}
-	return nil
-}
+func (h *HiddenPCA) Registry() Registry { return h.x.Registry() }
 
 // unionRegistry resolves identifiers across several registries.
 type unionRegistry []Registry
@@ -182,7 +156,7 @@ func (p *Product) HiddenActions(q psioa.State) psioa.ActionSet {
 	qs := p.Split(q)
 	out := psioa.NewActionSet()
 	for i, x := range p.pcas {
-		out = out.Union(x.HiddenActions(qs[i]))
+		out.AddAll(x.HiddenActions(qs[i]))
 	}
 	return out
 }
@@ -290,22 +264,11 @@ func ValidatePCA(x PCA, limit int) (err error) {
 	return nil
 }
 
-// DescAdapter exposes a PCA's configuration, creation and hidden-actions
-// encodings under the attribute-accessor interface consumed by
-// internal/bounded.Describe, so Def 4.2's PCA-specific description lengths
-// are measured without a package dependency cycle.
+// DescAdapter wraps a PCA without changing it: it is still a PCA, and
+// bounded.Describe measures it as one, but it shares no product table.
+// Describe takes a PCA directly; the adapter is kept only because
+// bench/describe.go builds it.
 type DescAdapter struct{ PCA }
-
-// ConfigKey returns ⟨config(X)(q)⟩.
-func (d DescAdapter) ConfigKey(q psioa.State) string { return d.PCA.Config(q).Key() }
-
-// CreatedIDs returns created(X)(q)(a).
-func (d DescAdapter) CreatedIDs(q psioa.State, a psioa.Action) []string {
-	return d.PCA.Created(q, a)
-}
-
-// HiddenSet returns hidden-actions(X)(q).
-func (d DescAdapter) HiddenSet(q psioa.State) psioa.ActionSet { return d.PCA.HiddenActions(q) }
 
 // CompatAt delegates to the wrapped PCA when it supports compatibility
 // checking, so exploration of a DescAdapter behaves like the PCA itself.

@@ -37,6 +37,14 @@ func (s ActionSet) Has(a Action) bool {
 // Add inserts a into s.
 func (s ActionSet) Add(a Action) { s[a] = struct{}{} }
 
+// AddAll inserts every action of t into s: s becomes s ∪ t. Use it only
+// on a set the caller owns, never on one a callee returned.
+func (s ActionSet) AddAll(t ActionSet) {
+	for a := range t {
+		s[a] = struct{}{}
+	}
+}
+
 // Copy returns an independent copy.
 func (s ActionSet) Copy() ActionSet {
 	c := make(ActionSet, len(s))
@@ -49,9 +57,7 @@ func (s ActionSet) Copy() ActionSet {
 // Union returns s ∪ t.
 func (s ActionSet) Union(t ActionSet) ActionSet {
 	u := s.Copy()
-	for a := range t {
-		u[a] = struct{}{}
-	}
+	u.AddAll(t)
 	return u
 }
 

@@ -27,6 +27,11 @@ var (
 // nose: Compose(Compose(a,b),c), Compose(a,Compose(b,c)) and Compose(a,b,c)
 // are literally the same automaton (same states, same measures). The
 // composability proofs of Section 4 use this associativity freely.
+//
+// A type that embeds a Product (as the PCA and structured compositions
+// of Defs 2.19 and 4.19 do) is that product as a PSIOA, so it shares the
+// product's state table: walks, descriptions and fingerprints read it,
+// and so does every product it is a component of (see sharedProduct).
 type Product struct {
 	id    string
 	comps []PSIOA
@@ -48,7 +53,7 @@ type Product struct {
 	actIDs  map[Action]uint32
 	actList []Action // by action ID
 	// succ keeps the successor lists of (state ID<<32 | action ID) for the
-	// products this one is a component of (under Hidden or Atomic).
+	// products this one is a component of, directly or through a sharer.
 	succ     map[uint64][]succ
 	start    uint32
 	hasStart bool
@@ -117,6 +122,18 @@ func MustCompose(auts ...PSIOA) *Product {
 
 // ID implements PSIOA.
 func (p *Product) ID() string { return p.id }
+
+// sharedProduct returns the Product whose state table an automaton shares:
+// walks, descriptions and fingerprints of the automaton read that table,
+// and a product the automaton is a component of takes the automaton's
+// successor lists from it instead of calling its Trans. A Product returns
+// itself; Hidden and Atomic return what their inner automaton shares, or
+// nil. Go promotes the method to every type that embeds one of the three,
+// so such an embedder shares the table too. That holds only because an
+// embedder may reclassify actions (as hiding does) but must not change
+// the action set or the transitions; a wrapper that does (renaming,
+// input enabling, instrumentation) must not embed one of them.
+func (p *Product) sharedProduct() *Product { return p }
 
 // Keyed returns the product's key, calling compute for it on the first call
 // only; concurrent callers wait for that one computation. Only a success is
@@ -260,6 +277,8 @@ func (a *Atomic) Sig(q State) Signature { return a.inner.Sig(q) }
 
 // Trans implements PSIOA.
 func (a *Atomic) Trans(q State, act Action) *Dist { return a.inner.Trans(q, act) }
+
+func (a *Atomic) sharedProduct() *Product { return productOf(a.inner) }
 
 // CompatAt delegates compatibility checking.
 func (a *Atomic) CompatAt(q State) error {

@@ -80,10 +80,11 @@ type Visitor interface {
 	Trans(k int, succ []Succ)
 }
 
-// Walk is ExploreCtx with a visitor v, which may be nil. A product, also
-// under Hidden and Atomic wrappers, supplies the visited successors from
-// its state table, so visiting builds no product measure either; any
-// other automaton supplies them from Trans(q, a).
+// Walk is ExploreCtx with a visitor v, which may be nil. An automaton that
+// shares a product's table (Product.sharedProduct: the product itself,
+// Hidden, Atomic and every type embedding one of them) supplies the
+// visited successors from that table, so visiting builds no product
+// measure either; any other automaton supplies them from Trans(q, a).
 func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visitor) (*Exploration, error) {
 	sp := obs.Begin("psioa.explore", a.ID())
 	defer sp.End()
@@ -103,10 +104,9 @@ func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visit
 	traced := tr.Enabled()
 	var nTrans int64
 	ex := &Exploration{Sigs: make(map[State]Signature), Acts: NewActionSet()}
-	// The walk runs over dense state IDs. A product's states, also under
-	// hiding or an Atomic wrapper (which share its states and
-	// transitions), come from its state table, so exploring builds no
-	// product measures and encodes each product state once; any other
+	// The walk runs over dense state IDs. The states of an automaton that
+	// shares a product's table come from that table, so exploring builds
+	// no product measures and encodes each product state once; any other
 	// automaton is walked through its transition measures' sorted
 	// supports.
 	st := stepperOf(a)
@@ -174,22 +174,13 @@ func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visit
 	return ex, nil
 }
 
-// productOf returns the Product whose states and transitions a shares: a
-// itself, or the product under Hidden and Atomic wrappers. It returns nil
-// for every other automaton.
+// productOf returns the Product whose states and transitions a shares, or
+// nil when a shares none (see Product.sharedProduct).
 func productOf(a PSIOA) *Product {
-	for {
-		switch w := a.(type) {
-		case *Product:
-			return w
-		case *Hidden:
-			a = w.inner
-		case *Atomic:
-			a = w.inner
-		default:
-			return nil
-		}
+	if s, ok := a.(interface{ sharedProduct() *Product }); ok {
+		return s.sharedProduct()
 	}
+	return nil
 }
 
 // exploreStopped finalises an exploration interrupted by a checkpoint. A
@@ -307,7 +298,7 @@ func (w *walk) mark(id uint32) {
 }
 
 // prodStepper walks a product's table. a is the explored automaton: the
-// product itself, or a Hidden/Atomic wrapper sharing its states.
+// product itself, or an automaton sharing its table.
 type prodStepper struct {
 	p     *Product
 	a     PSIOA
@@ -361,8 +352,8 @@ func (s *prodStepper) state(id uint32) (State, Signature, []Action, error) {
 	s.cur = st
 	sig := st.ent.sig
 	if s.a != PSIOA(s.p) {
-		// Hiding reclassifies actions but keeps the action set, so the
-		// product's sorted actions are the wrapper's too.
+		// A sharer may reclassify actions but keeps the action set, so
+		// the product's sorted actions are the sharer's too.
 		sig = s.a.Sig(st.q)
 	}
 	return st.q, sig, st.ent.acts, nil

@@ -34,6 +34,8 @@ func (h *Hidden) Inner() PSIOA { return h.inner }
 // HiddenAt returns the hiding set h(q).
 func (h *Hidden) HiddenAt(q State) ActionSet { return h.h(q) }
 
+func (h *Hidden) sharedProduct() *Product { return productOf(h.inner) }
+
 // Start implements PSIOA.
 func (h *Hidden) Start() State { return h.inner.Start() }
 

@@ -29,11 +29,11 @@ import (
 //     is interned, and an entry's sorted actions merge those lists, so
 //     no product state sorts its signature again.
 //
-// A component that is a Product under Hidden and Atomic wrappers (which
-// share its states and transitions) is indexed by that product's state
-// IDs, and its successor lists come from that product's table, which keeps
-// them for every product it is a component of: walking a nested world
-// builds no nested transition measure.
+// A component that shares a product's table (Product.sharedProduct) is
+// indexed by that product's state IDs, and its successor lists come from
+// that product's table, which keeps them for every product it is a
+// component of: walking a nested world builds no nested transition
+// measure.
 //
 // Every field is guarded by the product's mutex, and no pointer into the
 // table is kept across an unlock. Component methods (Sig, Trans, CompatAt)

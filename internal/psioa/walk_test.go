@@ -4,16 +4,19 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/bounded"
 	"repro/internal/core"
 	"repro/internal/measure"
+	"repro/internal/pca"
 	"repro/internal/protocols/dynchannel"
 	"repro/internal/protocols/ledger"
 	"repro/internal/psioa"
 	"repro/internal/rng"
+	"repro/internal/structured"
 	"repro/internal/testaut"
 )
 
@@ -82,15 +85,41 @@ func randomAut(id string, seed uint64) *psioa.Table {
 	}, rng.New(seed).Uint64)
 }
 
+// ledgerPCA is E2's one-subchain ledger composite, a PCA product of two
+// ledger hosts.
+func ledgerPCA() *pca.Product {
+	x1, _ := ledger.Host("a", 1, ledger.Direct)
+	x2, _ := ledger.Host("b", 1, ledger.Parity)
+	return pca.MustComposePCA(x1, x2)
+}
+
+// openCoinS is OpenCoin(x)‖CoinEnv(x) as a structured product, whose coin
+// shows go_x to the environment and its outcome to the adversary.
+func openCoinS(id string) *structured.Product {
+	return structured.MustCompose(
+		structured.NewSet(testaut.OpenCoin(id, 0.5), psioa.NewActionSet(psioa.Action("go_"+id))),
+		structured.New(testaut.CoinEnv(id), nil))
+}
+
 // walkWorlds are products from testaut, bare and under the Hidden and
-// Atomic wrappers, plus a Renamed product, which Explore does not unwrap.
-// Each call builds fresh automata, so no two explorations share caches.
+// Atomic wrappers; the automata that embed a product (a PCA composite,
+// PCA hiding over it, a structured product and structured hiding over it),
+// bare, under Atomic and as components; and a Renamed product, which
+// Explore does not unwrap. Each call builds fresh automata, so no two
+// explorations share caches.
 func walkWorlds() []struct {
 	name string
 	mk   func() psioa.PSIOA
 } {
 	openCoin := func(id string) *psioa.Product {
 		return psioa.MustCompose(testaut.OpenCoin(id, 0.5), testaut.CoinEnv(id))
+	}
+	hiddenPCA := func() psioa.PSIOA {
+		x := ledgerPCA()
+		return pca.HidePCASet(x, x.Sig(x.Start()).Out)
+	}
+	hiddenS := func() psioa.PSIOA {
+		return structured.HideSet(openCoinS("x"), psioa.NewActionSet("heads_x", "tails_x"))
 	}
 	return []struct {
 		name string
@@ -120,6 +149,17 @@ func walkWorlds() []struct {
 		}},
 		{"renamed", func() psioa.PSIOA {
 			return psioa.RenameMap(openCoin("x"), map[psioa.Action]psioa.Action{"go_x": "start_x"})
+		}},
+		{"pca-product", func() psioa.PSIOA { return ledgerPCA() }},
+		{"atomic-pca-product", func() psioa.PSIOA { return psioa.Atom(ledgerPCA()) }},
+		{"pca-hidden", hiddenPCA},
+		{"atomic-pca-hidden", func() psioa.PSIOA { return psioa.Atom(hiddenPCA()) }},
+		{"structured-product", func() psioa.PSIOA { return openCoinS("x") }},
+		{"atomic-structured-product", func() psioa.PSIOA { return psioa.Atom(openCoinS("x")) }},
+		{"structured-hidden", hiddenS},
+		{"atomic-structured-hidden", func() psioa.PSIOA { return psioa.Atom(hiddenS()) }},
+		{"nested-embedders", func() psioa.PSIOA {
+			return psioa.MustCompose(hiddenPCA(), hiddenS(), testaut.Coin("z", 0.25))
 		}},
 	}
 }
@@ -273,6 +313,22 @@ func (r *recorder) Trans(k int, succ []psioa.Succ) {
 	r.trans[string(r.q)+" "+string(r.acts[k])] = fmt.Sprint(qs, ps)
 }
 
+// recordWalk walks a with a recorder. It returns the exploration and the
+// rendered successor lists by "state action", and fails t unless the
+// visited states are the explored ones, in order.
+func recordWalk(t *testing.T, what string, a psioa.PSIOA, limit int) (*psioa.Exploration, map[string]string) {
+	t.Helper()
+	r := &recorder{t: t, what: what, names: map[uint32]psioa.State{}, trans: map[string]string{}}
+	ex, err := psioa.Walk(context.Background(), a, limit, nil, r)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if !reflect.DeepEqual(r.states, ex.States) {
+		t.Fatalf("%s: visited %q, explored %q", what, r.states, ex.States)
+	}
+	return ex, r.trans
+}
+
 // TestWalkVisitsTransitions: on every world and limit, Walk visits the
 // states Explore returns, in order, and for each of their actions exactly
 // the support and masses of Trans, without building a product measure;
@@ -288,12 +344,8 @@ func TestWalkVisitsTransitions(t *testing.T) {
 	for _, w := range worlds {
 		for _, limit := range []int{100000, 1, 5} {
 			what := fmt.Sprintf("%s/limit=%d", w.name, limit)
-			r := &recorder{t: t, what: what, names: map[uint32]psioa.State{}, trans: map[string]string{}}
 			a := w.mk()
-			got, err := psioa.Walk(context.Background(), a, limit, nil, r)
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
+			got, trans := recordWalk(t, what, a, limit)
 			noProductMeasures(t, what, a)
 			b := w.mk()
 			want, err := psioa.Explore(b, limit)
@@ -301,21 +353,18 @@ func TestWalkVisitsTransitions(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameExploration(t, what, got, want)
-			if !reflect.DeepEqual(r.states, want.States) {
-				t.Fatalf("%s: visited %q, want %q", what, r.states, want.States)
-			}
 			n := 0
 			for _, q := range want.States {
 				for _, act := range psioa.SortedAll(want.Sigs[q]) {
 					qs, ps := b.Trans(q, act).SupportAndProbs()
-					if got, want := r.trans[string(q)+" "+string(act)], fmt.Sprint(qs, ps); got != want {
+					if got, want := trans[string(q)+" "+string(act)], fmt.Sprint(qs, ps); got != want {
 						t.Fatalf("%s: (%q, %q) visited %s, want %s", what, q, act, got, want)
 					}
 					n++
 				}
 			}
-			if n != len(r.trans) {
-				t.Fatalf("%s: visited %d transitions, want %d", what, len(r.trans), n)
+			if n != len(trans) {
+				t.Fatalf("%s: visited %d transitions, want %d", what, len(trans), n)
 			}
 		}
 	}
@@ -339,6 +388,53 @@ func TestDescribeBuildsNoProductMeasures(t *testing.T) {
 		t.Fatal(err)
 	}
 	noProductMeasures(t, "ledger pair", p)
+	// E2's composite is a PCA that embeds its product; the check reads
+	// the embedded product directly, so it does not rely on the sharing
+	// it tests.
+	x := pca.MustComposePCA(x1, x2)
+	if _, err := bounded.Describe(x, 100000); err != nil {
+		t.Fatal(err)
+	}
+	noProductMeasures(t, "ledger PCA composite", x.Product)
+}
+
+// TestProductOf: the automata that embed a product, or hide or wrap one
+// in Atomic, share its table; wrappers that change the action set or the
+// transitions, or that count or adapt what they wrap, share none.
+func TestProductOf(t *testing.T) {
+	p := psioa.MustCompose(testaut.OpenCoin("x", 0.5), testaut.CoinEnv("x"))
+	x := ledgerPCA()
+	sp := openCoinS("y")
+	for _, c := range []struct {
+		name string
+		a    psioa.PSIOA
+		want *psioa.Product
+	}{
+		{"product", p, p},
+		{"hidden", psioa.HideSet(p, psioa.NewActionSet("heads_x")), p},
+		{"atomic", psioa.Atom(p), p},
+		{"atomic-hidden-atomic", psioa.Atom(psioa.HideSet(psioa.Atom(p), psioa.NewActionSet("heads_x"))), p},
+		{"pca-product", x, x.Product},
+		{"pca-hidden", pca.HidePCASet(x, psioa.NewActionSet()), x.Product},
+		{"atomic-pca-hidden", psioa.Atom(pca.HidePCASet(x, psioa.NewActionSet())), x.Product},
+		{"structured-product", sp, sp.Product},
+		{"structured-hidden", structured.HideSet(sp, psioa.NewActionSet("heads_y")), sp.Product},
+		{"table", testaut.Coin("c", 0.5), nil},
+		{"hidden-table", psioa.HideSet(testaut.Coin("c", 0.5), psioa.NewActionSet()), nil},
+		{"pca-config-automaton", x.PCAs()[0], nil},
+		{"pca-hidden-config-automaton", pca.HidePCASet(x.PCAs()[0], psioa.NewActionSet()), nil},
+		// Instrumented is charged through Trans (QueryWork), so it must
+		// be walked through Trans.
+		{"instrumented", bounded.Instrument(p, &bounded.Counter{}), nil},
+		{"input-enabled", psioa.InputEnable(p, psioa.NewActionSet("go_x")), nil},
+		{"renamed", psioa.RenameMap(p, map[psioa.Action]psioa.Action{"go_x": "start_x"}), nil},
+		{"desc-adapter", pca.DescAdapter{PCA: x}, nil},
+		{"structured-over-product", structured.New(p, nil), nil},
+	} {
+		if got := psioa.ProductOf(c.a); got != c.want {
+			t.Errorf("%s: ProductOf = %p, want %p", c.name, got, c.want)
+		}
+	}
 }
 
 // TestExploreWalkIncompatibleWorld pins the error for a world that becomes
@@ -524,4 +620,95 @@ func TestProductTransConcurrent(t *testing.T) {
 		}
 		wg.Wait()
 	}
+}
+
+// opaque is the automaton it wraps, behind a type that shares no product
+// table, so Walk takes it through Sig and Trans.
+type opaque struct{ psioa.PSIOA }
+
+func (o opaque) CompatAt(q psioa.State) error {
+	if cc, ok := o.PSIOA.(interface{ CompatAt(psioa.State) error }); ok {
+		return cc.CompatAt(q)
+	}
+	return nil
+}
+
+// onePCA is the PCA whose configurations hold the one automaton a; it
+// creates and hides nothing. It fails when a's start signature is empty,
+// as that configuration is not reduced.
+func onePCA(a psioa.PSIOA) (pca.PCA, error) {
+	return pca.New("X_"+a.ID(), pca.MapRegistry{}.Register(a), pca.NewConfig(map[string]psioa.State{a.ID(): a.Start()}))
+}
+
+// sharers wrap a world in each kind of automaton that shares a product's
+// table: Atomic and hiding, and the PCA and structured compositions and
+// their hiding, which embed them.
+var sharers = []struct {
+	name string
+	wrap func(w psioa.PSIOA, h psioa.ActionSet) (psioa.PSIOA, error)
+}{
+	{"atomic", func(w psioa.PSIOA, _ psioa.ActionSet) (psioa.PSIOA, error) { return psioa.Atom(w), nil }},
+	{"hidden", func(w psioa.PSIOA, h psioa.ActionSet) (psioa.PSIOA, error) { return psioa.HideSet(w, h), nil }},
+	{"pca-product", func(w psioa.PSIOA, _ psioa.ActionSet) (psioa.PSIOA, error) {
+		x, err := onePCA(w)
+		if err != nil {
+			return nil, err
+		}
+		return pca.ComposePCA(x)
+	}},
+	{"pca-hidden", func(w psioa.PSIOA, h psioa.ActionSet) (psioa.PSIOA, error) {
+		x, err := onePCA(w)
+		if err != nil {
+			return nil, err
+		}
+		return pca.HidePCASet(pca.MustComposePCA(x), h), nil
+	}},
+	{"structured-product", func(w psioa.PSIOA, _ psioa.ActionSet) (psioa.PSIOA, error) {
+		return structured.Compose(structured.New(w, nil))
+	}},
+	{"structured-hidden", func(w psioa.PSIOA, h psioa.ActionSet) (psioa.PSIOA, error) {
+		return structured.HideSet(structured.MustCompose(structured.New(w, nil)), h), nil
+	}},
+}
+
+// FuzzSharedWalk: a testaut world under each sharer, alone or as a
+// component of a product, walks through the shared table exactly as the
+// same automaton behind an opaque wrapper walks through Sig and Trans:
+// the same states in order, signatures, successor lists and truncation,
+// at the fuzzed limit.
+func FuzzSharedWalk(f *testing.F) {
+	worlds := testaut.SyncWorlds()
+	f.Fuzz(func(t *testing.T, world, wrap, hide uint8, seed uint64, limit uint16, nest bool) {
+		w := worlds[int(world)%len(worlds)]
+		s := sharers[int(wrap)%len(sharers)]
+		// The nesting component y listens to m1 and o0, so they stay
+		// outputs when it is there: hiding one would make y incompatible.
+		yIn := []psioa.Action{"m1", "o0"}
+		h := psioa.NewActionSet()
+		for i, a := range []psioa.Action{"m0", "m1", "n0", "n1", "o0", "p0"} {
+			if hide&(1<<i) != 0 && !(nest && slices.Contains(yIn, a)) {
+				h.Add(a)
+			}
+		}
+		mk := func(outer func(psioa.PSIOA) psioa.PSIOA) psioa.PSIOA {
+			a, err := s.wrap(w.Make(seed), h)
+			if err != nil {
+				t.Skipf("%s over %s: %v", s.name, w.Name, err)
+			}
+			a = outer(a)
+			if nest {
+				y := testaut.SyncAut("y", []psioa.Action{"q0"}, yIn, seed+1)
+				return psioa.MustCompose(y, a)
+			}
+			return a
+		}
+		n := 1 + int(limit)%700
+		what := fmt.Sprintf("%s over %s/seed=%d, nest %v, limit %d", s.name, w.Name, seed, nest, n)
+		got, gotTrans := recordWalk(t, what, mk(func(a psioa.PSIOA) psioa.PSIOA { return a }), n)
+		want, wantTrans := recordWalk(t, what+"/opaque", mk(func(a psioa.PSIOA) psioa.PSIOA { return opaque{a} }), n)
+		sameExploration(t, what, got, want)
+		if !reflect.DeepEqual(gotTrans, wantTrans) {
+			t.Fatalf("%s: successor lists differ:\n got %v\nwant %v", what, gotTrans, wantTrans)
+		}
+	})
 }

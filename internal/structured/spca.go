@@ -43,14 +43,14 @@ func (s *StructuredPCA) ConfigEAct(c *pca.Config) psioa.ActionSet {
 	for _, id := range c.Auts() {
 		q, _ := c.StateOf(id)
 		if f, ok := s.eacts[id]; ok {
-			out = out.Union(f(q))
+			out.AddAll(f(q))
 			continue
 		}
 		aut, ok := s.PCA.Registry().Lookup(id)
 		if !ok {
 			panic(fmt.Sprintf("structured: constituent %q not in registry", id))
 		}
-		out = out.Union(aut.Sig(q).Ext())
+		out.AddAll(aut.Sig(q).Ext())
 	}
 	return out
 }

@@ -103,7 +103,7 @@ func AActUniverse(s SPSIOA, limit int) (psioa.ActionSet, error) {
 	}
 	out := psioa.NewActionSet()
 	for _, q := range ex.States {
-		out = out.Union(AAct(s, q))
+		out.AddAll(AAct(s, q))
 	}
 	return out, nil
 }
@@ -116,7 +116,7 @@ func EActUniverse(s SPSIOA, limit int) (psioa.ActionSet, error) {
 	}
 	out := psioa.NewActionSet()
 	for _, q := range ex.States {
-		out = out.Union(s.EAct(q))
+		out.AddAll(s.EAct(q))
 	}
 	return out, nil
 }
@@ -201,7 +201,7 @@ func (p *Product) EAct(q psioa.State) psioa.ActionSet {
 	qs := p.Split(q)
 	out := psioa.NewActionSet()
 	for i, s := range p.comps {
-		out = out.Union(s.EAct(qs[i]))
+		out.AddAll(s.EAct(qs[i]))
 	}
 	return out
 }
