@@ -32,7 +32,7 @@ bench:
 # line). Compare two recordings with scripts/bench_compare.sh; see
 # docs/PERFORMANCE.md.
 bench-json:
-	$(GO) run ./cmd/dsebench -json BENCH_15.json
+	$(GO) run ./cmd/dsebench -json BENCH_16.json
 
 # bench-par runs the kernels across worker counts (1, 2, 4, 8) at GOMAXPROCS
 # 1 and at the host default: the sharded expansion, the DAG collapse, and
@@ -42,15 +42,15 @@ bench-par:
 	GOMAXPROCS=1 $(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='Parallel|DAG' -benchtime=1x -run='^$$' .
 
-# bench-compare fails when the current recording (BENCH_15.json) regresses
-# more than 20% against the previous PR's baseline (BENCH_14.json).
+# bench-compare fails when the current recording (BENCH_16.json) regresses
+# more than 20% against the previous baseline (BENCH_15.json).
 bench-compare:
-	sh scripts/bench_compare.sh BENCH_14.json BENCH_15.json
+	sh scripts/bench_compare.sh BENCH_15.json BENCH_16.json
 
 # no-string-keys guards the interned measure core's representation
-# boundary: string-keyed maps are banned from the kernel files and allowed
-# in the measure's view layer only on annotated lines. See
-# docs/PERFORMANCE.md ("The interned core").
+# boundary: string-keyed maps are banned from the kernel files, the
+# execution measure's views included. See docs/PERFORMANCE.md ("The
+# interned core", "A pointer-free expansion tree").
 no-string-keys:
 	sh scripts/no_string_keys.sh
 
@@ -65,11 +65,13 @@ bench-smoke:
 # fuzz-smoke runs each fuzz target for ten seconds past its checked-in
 # corpus (testdata/fuzz in its package), which plain `go test` already
 # replays: the prefix-ranked Priority against a reference that expands
-# each template over the world's whole alphabet, and the walk of every
-# automaton that shares a product's table against the same automaton
-# walked through Sig and Trans.
+# each template over the world's whole alphabet, the column-held
+# expansion tree against a reference tree of fragments sorted by key, and
+# the walk of every automaton that shares a product's table against the
+# same automaton walked through Sig and Trans.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzPriorityTemplates -fuzztime=10s ./internal/sched/
+	$(GO) test -run '^$$' -fuzz=FuzzExpansionTree -fuzztime=10s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz=FuzzSharedWalk -fuzztime=10s ./internal/psioa/
 
 # daemon-smoke starts dsed on a scratch port and runs a check through the

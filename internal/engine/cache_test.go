@@ -404,7 +404,7 @@ func TestCachedMeasureConcurrentViews(t *testing.T) {
 		}
 		return b.String()
 	}
-	// Foreign fragments (no intern ID) take the key-indexed fallback.
+	// Fragments decoded from keys, not the measure's own views.
 	var foreign []*psioa.Frag
 	ref.ForEachPrefix(func(f *psioa.Frag) {
 		if g, err := psioa.FragFromKey(f.Key()); err == nil && len(foreign) < 64 {

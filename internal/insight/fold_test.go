@@ -179,8 +179,8 @@ func (c *sigCounter) Sig(q psioa.State) psioa.Signature {
 }
 
 // TestTraceImageSigCalls: a trace image reads a signature at most once per
-// step of the expansion tree — len(prefList)−1 times — not once per step of
-// every halted execution.
+// step of the expansion tree — once per node but the root — not once per
+// step of every halted execution.
 func TestTraceImageSigCalls(t *testing.T) {
 	walk := testaut.RandomWalk("w", 6, 0.5)
 	esc := escAut()

@@ -24,13 +24,7 @@ type Frag struct {
 	act    Action
 	last   State
 	key    atomic.Pointer[string] // write-once canonical key, nil until keyed
-	// depth is Len(); int32 packs it with ord, keeping a Frag at 64 bytes.
-	depth int32
-	// ord+1, where ord is the dense per-expansion intern ID assigned by the
-	// measure kernels (retention order); 0 means unassigned. Unlike key it
-	// is unsynchronized: the kernel assigns it once, single-threaded, before
-	// the fragment is shared.
-	ord uint32
+	depth  int32                  // Len()
 }
 
 // NewFrag returns the zero-length fragment at q0.
@@ -107,23 +101,6 @@ func (f *Frag) StateAt(i int) State { return f.at(i).last }
 
 // ActionAt returns aⁱ⁺¹ (the action leaving state i).
 func (f *Frag) ActionAt(i int) Action { return f.at(i + 1).act }
-
-// SetInternID assigns the fragment's dense per-expansion intern ID. The
-// measure kernels call it exactly once per retained fragment, from the
-// single-threaded retention path (the level merge), before the fragment escapes to concurrent readers; the ID then
-// indexes slice-backed views (cone masses, halt indexes) so the interior of
-// a measure never hashes the fragment's string key. IDs are meaningful only
-// relative to the expansion that assigned them — consumers must check
-// identity against that expansion's fragment list before trusting one.
-func (f *Frag) SetInternID(id uint32) { f.ord = id + 1 }
-
-// InternID returns the dense per-expansion intern ID, if one was assigned.
-func (f *Frag) InternID() (uint32, bool) {
-	if f.ord == 0 {
-		return 0, false
-	}
-	return f.ord - 1, true
-}
 
 // Extend returns the fragment α⌢(a, q′) = α lstate(α) a q′ in O(1), sharing
 // α as the new fragment's prefix.

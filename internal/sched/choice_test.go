@@ -8,33 +8,9 @@ import (
 
 	"repro/internal/measure"
 	"repro/internal/psioa"
-	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/testaut"
 )
-
-// sigAut is a one-state automaton with a fixed signature, which may break
-// Def 2.1's disjointness; the schedulers only read its signature.
-type sigAut struct{ sig psioa.Signature }
-
-func (a sigAut) ID() string                                      { return "sig" }
-func (a sigAut) Start() psioa.State                              { return "q" }
-func (a sigAut) Sig(psioa.State) psioa.Signature                 { return a.sig }
-func (a sigAut) Trans(q psioa.State, _ psioa.Action) *psioa.Dist { return measure.Dirac(q) }
-
-// randomSig draws each of six actions into each of in, out and int
-// independently, so the sets overlap about as often as not.
-func randomSig(seed uint64) psioa.Signature {
-	r := rng.New(seed)
-	var parts [3][]psioa.Action
-	for _, act := range []psioa.Action{"a0", "a1", "b", "b0", "c", "z"} {
-		for i := range parts {
-			if r.Uint64()%3 == 0 {
-				parts[i] = append(parts[i], act)
-			}
-		}
-	}
-	return psioa.NewSignature(parts[0], parts[1], parts[2])
-}
 
 // referenceEnabled sorts the candidate actions of sig, without duplicates.
 func referenceEnabled(sig psioa.Signature, localOnly bool) []psioa.Action {
@@ -77,7 +53,7 @@ func checkChoices(t *testing.T, sig psioa.Signature) bool {
 	t.Helper()
 	ok := true
 	for _, local := range []bool{false, true} {
-		a := sigAut{sig}
+		a := testaut.SigAut{S: sig}
 		ref := referenceEnabled(sig, local)
 		g := (&sched.Greedy{A: a, Bound: 1, LocalOnly: local}).ChooseAt(a.Start(), 0)
 		r := (&sched.Random{A: a, Bound: 1, LocalOnly: local}).ChooseAt(a.Start(), 0)
@@ -103,7 +79,7 @@ func checkChoices(t *testing.T, sig psioa.Signature) bool {
 func TestChoicesMatchReferenceSort(t *testing.T) {
 	checkChoices(t, psioa.EmptySignature())
 	checkChoices(t, psioa.Signature{})
-	prop := func(seed uint64) bool { return checkChoices(t, randomSig(seed)) }
+	prop := func(seed uint64) bool { return checkChoices(t, testaut.RandomSig(seed)) }
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}

@@ -1,0 +1,10 @@
+package sched
+
+// TreeColumns returns the parent and step IDs of em's expansion tree,
+// indexed by node ID.
+func TreeColumns(em *ExecMeasure) (parent, step []uint32) {
+	for _, nd := range em.tree {
+		parent, step = append(parent, nd.parent), append(step, nd.step)
+	}
+	return parent, step
+}

@@ -145,9 +145,8 @@ func internEquivScheduler(a *psioa.Table, pick uint8) sched.Scheduler {
 
 // TestInternedMeasureMatchesReferenceQuick: the interned tree kernel
 // agrees bitwise with the string-keyed reference — support keys, halted
-// masses, total, and every cone mass, queried both through retained
-// fragments (dense fast path) and re-decoded foreign fragments (key
-// fallback).
+// masses, total, and every cone mass, queried both through the measure's
+// own fragment views and through fragments decoded from their keys.
 func TestInternedMeasureMatchesReferenceQuick(t *testing.T) {
 	prop := func(seed uint64, pick uint8) bool {
 		a := randomAut(seed)
@@ -168,8 +167,8 @@ func TestInternedMeasureMatchesReferenceQuick(t *testing.T) {
 		}
 		ok := true
 		em.ForEachPrefix(func(f *psioa.Frag) {
-			// Foreign fragment with no intern ID: must take the key-indexed
-			// fallback and agree exactly.
+			// A fragment decoded from its key, not one of the measure's
+			// views: found by descending the tree, it must agree exactly.
 			re, err := psioa.FragFromKey(f.Key())
 			if err != nil {
 				t.Logf("seed %d: FragFromKey: %v", seed, err)
@@ -188,10 +187,11 @@ func TestInternedMeasureMatchesReferenceQuick(t *testing.T) {
 	}
 }
 
-// TestInternIDAssignmentQuick: every retained fragment carries a dense
-// intern ID consistent with retention order — the round-trip contract of
-// the per-expansion interning (IDs are positions, positions resolve back
-// to the same fragment).
+// TestInternIDAssignmentQuick: the measure's node IDs are dense and
+// consistent with its columns — every parent precedes its children, each
+// node's children are contiguous (the parent column never decreases),
+// siblings end in distinct steps, and there is one node per fragment that
+// ForEachPrefix visits.
 func TestInternIDAssignmentQuick(t *testing.T) {
 	prop := func(seed uint64, pick uint8) bool {
 		a := randomAut(seed)
@@ -199,27 +199,36 @@ func TestInternIDAssignmentQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ids := map[uint32]bool{}
-		ok := true
-		n := 0
-		em.ForEachPrefix(func(f *psioa.Frag) {
-			n++
-			id, has := f.InternID()
-			if !has {
-				t.Logf("seed %d: retained fragment %q has no intern ID", seed, f.Key())
-				ok = false
-				return
-			}
-			if ids[id] {
-				t.Logf("seed %d: duplicate intern ID %d", seed, id)
-				ok = false
-			}
-			ids[id] = true
-		})
-		if n != len(ids) {
-			ok = false
+		parent, step := sched.TreeColumns(em)
+		if len(step) != len(parent) {
+			t.Logf("seed %d: %d parents, %d steps", seed, len(parent), len(step))
+			return false
 		}
-		return ok
+		for c := 1; c < len(parent); c++ {
+			if parent[c] >= uint32(c) {
+				t.Logf("seed %d: node %d has parent %d", seed, c, parent[c])
+				return false
+			}
+			if c > 1 && parent[c] < parent[c-1] {
+				t.Logf("seed %d: node %d's parent %d follows %d: siblings not contiguous", seed, c, parent[c], parent[c-1])
+				return false
+			}
+			if c > 1 && parent[c] == parent[c-1] {
+				for d := c - 1; d >= 1 && parent[d] == parent[c]; d-- {
+					if step[d] == step[c] {
+						t.Logf("seed %d: siblings %d and %d share step %d", seed, d, c, step[c])
+						return false
+					}
+				}
+			}
+		}
+		n := 0
+		em.ForEachPrefix(func(*psioa.Frag) { n++ })
+		if n != len(parent) {
+			t.Logf("seed %d: %d prefixes visited, %d nodes", seed, n, len(parent))
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

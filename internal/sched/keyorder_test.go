@@ -8,11 +8,10 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/measure"
 	"repro/internal/psioa"
 	"repro/internal/resilience"
-	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/testaut"
 )
 
 // The ordered views of an ExecMeasure come from a walk over the expansion
@@ -20,75 +19,10 @@ import (
 // sort.Strings over Key() on automata whose names attack the key order:
 // sibling names where one is a prefix of the other (x1/x10), names holding
 // the tuple separator or the escape byte, the empty-tuple sentinel, the
-// empty name, and bytes on either side of '|'.
+// empty name, and bytes on either side of '|' (testaut.AdversarialAut).
 
-// adversarialNames are state and action names chosen so that escaping,
-// prefixes and separator-adjacent bytes all decide some comparison.
-var adversarialNames = []string{
-	"x1", "x10", "x1|0", "x1|", "x", "", "()", "(", "|", "||", `\`, `x\`,
-	`\|`, "x1 ", " ", "*", "x*", "}", "~", "x~", "é", "x1é", "0",
-}
-
-// adversarialAut builds a random PSIOA over adversarial names. Every state
-// enables one to three locally controlled actions; each transition has one
-// to three successors, and one in five carries a branch of mass 1e-16,
-// which the expansion prunes.
-func adversarialAut(seed uint64) *psioa.Table {
-	r := rng.New(seed)
-	rnd := func(n int) int { return int(r.Uint64() % uint64(n)) }
-	names := slices.Clone(adversarialNames)
-	perm := func() {
-		for i := len(names) - 1; i > 0; i-- {
-			j := rnd(i + 1)
-			names[i], names[j] = names[j], names[i]
-		}
-	}
-	perm()
-	states := make([]psioa.State, 6+rnd(6))
-	for i := range states {
-		states[i] = psioa.State(names[i])
-	}
-	perm()
-	acts := make([]psioa.Action, 3+rnd(4))
-	for i := range acts {
-		acts[i] = psioa.Action(names[i])
-	}
-	b := psioa.NewBuilder("adv", states[0])
-	for _, q := range states {
-		var out, internal []psioa.Action
-		trans := map[psioa.Action]*psioa.Dist{}
-		for n := 1 + rnd(3); n > 0; n-- {
-			a := acts[rnd(len(acts))]
-			if trans[a] != nil {
-				continue
-			}
-			if rnd(2) == 0 {
-				out = append(out, a)
-			} else {
-				internal = append(internal, a)
-			}
-			d := measure.New[psioa.State]()
-			rest := 1.0
-			if rnd(5) == 0 {
-				d.Add(states[rnd(len(states))], 1e-16)
-			}
-			for k := 1 + rnd(3); k > 0; k-- {
-				p := rest
-				if k > 1 {
-					p = rest * float64(1+rnd(9)) / 10
-				}
-				d.Add(states[rnd(len(states))], p)
-				rest -= p
-			}
-			trans[a] = d
-		}
-		b.AddState(q, psioa.NewSignature(nil, out, internal))
-		for a, d := range trans {
-			b.AddTrans(q, a, d)
-		}
-	}
-	return b.MustBuild()
-}
+// adversarialAut is the generator the key-order tests run on.
+func adversarialAut(seed uint64) *psioa.Table { return testaut.AdversarialAut(seed) }
 
 // adversarialScheds covers uniform branching over actions, a deterministic
 // pick, and a mixture whose deficit makes interior nodes halt too.

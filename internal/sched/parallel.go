@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -87,10 +88,14 @@ func splitSpans(dst []span, n, parts int) []span {
 	return dst
 }
 
-// parItem is one frontier node of the level-synchronous expansion.
+// parItem is one frontier item of the level-synchronous expansion: its
+// node in the measure's tree, the step-table ID of its last state (on a
+// level that reads compiled steps), and its reach mass. It holds no
+// pointer; a scheduler that is not depth-oblivious reads a fragment, which
+// the frontier keeps in a parallel slice.
 type parItem struct {
-	f *psioa.Frag
-	p float64
+	node, sid uint32
+	p         float64
 }
 
 // parShard is the output of one shard's frontier range: completed work in
@@ -98,28 +103,33 @@ type parItem struct {
 // tagged with its global frontier index so the merge can pick a
 // deterministic winner across any worker count.
 type parShard struct {
-	prefixes []*psioa.Frag
-	halts    []weightedFrag
-	events   []obs.Event
-	next     []parItem
-	nextIDs  []uint32 // step-table state IDs aligned with next
-	steps    int64
-	haltn    int64
-	wallUS   int64
-	err      error
-	errIdx   int
-	stop     error
-	stopIdx  int
+	halts  []nodeMass
+	events []obs.Event
+	// nodes holds the children's node records; next the children as
+	// frontier items, each numbered by its position in nodes; and, for a
+	// scheduler that is not depth-oblivious, frags their fragments. Shard
+	// 0 appends to the measure's own nodes and halts, so its positions are
+	// node IDs; the merge renumbers the other shards' children.
+	nodes   []treeNode
+	next    []parItem
+	frags   []*psioa.Frag
+	steps   int64
+	haltn   int64
+	wallUS  int64
+	err     error
+	errIdx  int
+	stop    error
+	stopIdx int
 }
 
 // reset clears the shard for the next level, keeping its buffers. Each
 // buffer is truncated in its own statement, which writes only its length.
 func (sh *parShard) reset() {
-	sh.prefixes = sh.prefixes[:0]
 	sh.halts = sh.halts[:0]
 	sh.events = sh.events[:0]
 	sh.next = sh.next[:0]
-	sh.nextIDs = sh.nextIDs[:0]
+	sh.nodes = sh.nodes[:0]
+	sh.frags = sh.frags[:0]
 	sh.steps, sh.haltn, sh.wallUS = 0, 0, 0
 	sh.err, sh.stop = nil, nil
 }
@@ -132,14 +142,16 @@ const parMinFrontier = 8
 
 // MeasureOpts computes ε_σ exactly by a level-synchronous expansion of the
 // scheduler tree from the start state. Each depth's frontier is split into
-// contiguous index ranges, one per shard; shard 0 writes straight into the
-// measure and the next frontier, the others into private buffers that the
-// merge appends in frontier-index order. Fragment retention order, float
-// summation order and trace emission are therefore fixed by the frontier
-// alone, and every view of the measure is byte-identical for any worker
-// count. maxDepth guards against unbounded schedulers: if the scheduler
-// still assigns mass to actions at depth maxDepth, an error is returned
-// identifying the offending fragment.
+// contiguous index ranges, one per shard, and the shards write their
+// children and halts to private buffers that a single-threaded merge
+// appends in frontier-index order, numbering the children as the next
+// level's nodes. Node order, float summation order and trace emission are
+// therefore fixed by the frontier alone, and every view of the measure is
+// byte-identical for any worker count. The tree lives in pointer-free
+// node records (see ExecMeasure), grown at most once per level. maxDepth
+// guards against unbounded schedulers: if the scheduler still assigns
+// mass to actions at depth maxDepth, an error is returned identifying the
+// offending fragment.
 //
 // Cancellation and budgets thread through per-shard checkpoints sharing b
 // (one state per expanded fragment, one transition per scheduled (action,
@@ -168,15 +180,12 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 	if timed {
 		callStart = time.Now()
 	}
-	em := &ExecMeasure{}
-	root := psioa.NewFrag(a.Start())
+	em := &ExecMeasure{root: a.Start(), tree: make([]treeNode, 1, 8)} // the root, and room for a small tree
 	if maxDepth <= 0 {
 		// Depth 0 admits only the empty execution: the scheduler is never
 		// consulted and ε_σ is the Dirac measure on the start fragment, so
 		// Total() == 1 regardless of σ.
-		root.SetInternID(0)
-		em.prefList = []*psioa.Frag{root}
-		em.halts = []weightedFrag{{frag: root, p: 1}}
+		em.halts = []nodeMass{{0, 1}}
 		cMeasureCalls.Inc()
 		cMeasureHalts.Inc()
 		cMeasureFrags.Inc()
@@ -188,30 +197,46 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 		return em, nil
 	}
 	// The shards read the call and the level being expanded through k. A
-	// depth-oblivious scheduler's steps come from its step source: a
-	// level whose items end in distinct states compiles each step in
-	// place, as no (state, depth) repeats in it, and from the first level
-	// that may repeat one (repeatsState) the call compiles its steps into
-	// a step table, with each frontier item's last-state ID in k.ids (a
-	// parallel slice keeps parItem at 16 bytes).
+	// depth-oblivious scheduler's steps come from its step source: a level
+	// whose items end in distinct states compiles each step in place, as
+	// no (state, depth) repeats in it, and from the first level that may
+	// repeat one (repeatsState) the call compiles its steps into a step
+	// table, with each item's last state as a table ID. Any other
+	// scheduler's items carry fragments for Choose.
 	k := &treeCall{ctx: ctx, s: s, src: newStepSource(a, s, maxDepth, true), b: b,
-		traced: traced, timed: timed, frontier: []parItem{{root, 1}}}
+		traced: traced, timed: timed, em: em,
+		frontier: []parItem{{0, 0, 1}}}
 	expand := k.expand // one func value for every level
 	oblivious := k.src.s != nil
+	if !oblivious {
+		k.frags = []*psioa.Frag{psioa.NewFrag(em.root)}
+	}
 	defer func() {
 		if k.tbl != nil {
 			k.tbl.release()
 		}
 	}()
 	var spare []parItem
-	var spareIDs []uint32
+	var spareFrags []*psioa.Frag
 	var steps, halts int64
 	var err, stopped error
 	lastLevel := -1
+	// The frontier's nodes are [frontStart, len(em.tree)).
+	frontStart := 0
 	for lvl := 0; len(k.frontier) > 0; lvl++ {
 		frontier := k.frontier
+		if oblivious && k.tbl == nil && k.repeatsState() {
+			k.tbl = newStepTable(k.src)
+			k.tbl.steps = &k.steps
+			for i := range frontier {
+				frontier[i].sid = k.tbl.intern(k.lastState(frontier[i].node))
+			}
+		}
+		// A level compiled in place reads its items' states from the
+		// steps without a lock, so one shard expands it. It has fewer than
+		// tableMinFrontier items anyway.
 		parts := workers
-		if len(frontier) < parMinFrontier {
+		if len(frontier) < parMinFrontier || oblivious && k.tbl == nil {
 			parts = 1
 		}
 		k.spans = splitSpans(k.spans, len(frontier), parts)
@@ -223,19 +248,14 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 		for i := range outs {
 			outs[i].reset()
 		}
-		if oblivious && k.tbl == nil && repeatsState(frontier) {
-			k.tbl = newStepTable(k.src)
-			k.ids = make([]uint32, len(frontier))
-			for i := range frontier {
-				k.ids[i] = k.tbl.intern(frontier[i].f.LState())
-			}
-		}
+		k.depth = lvl
 		// The next frontier reuses the buffer of the level before last; when
 		// that is too small it is replaced by one sized for a doubling
 		// frontier, so growing trees allocate one buffer per level instead
 		// of a chain of append regrowths. At a scheduler's horizon nothing
 		// is scheduled, so the last level of a bounded tree — its widest —
-		// allocates nothing.
+		// allocates nothing. Shard 0 appends to it in place: its output
+		// leads the merge order, so it needs no private copy.
 		want := 2 * len(frontier)
 		if k.src.haltsFrom(lvl) {
 			want = 0 // every item halts: there is no next level
@@ -243,13 +263,30 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 		if cap(spare) < want {
 			spare = make([]parItem, 0, want)
 		}
-		if k.tbl != nil && cap(spareIDs) < want {
-			spareIDs = make([]uint32, 0, want)
+		// The measure's nodes grow once for the level, and so do its
+		// halts at the horizon, where every item halts. The other shards'
+		// own buffers are sized alike, for their spans.
+		if want > 0 {
+			em.tree = slices.Grow(em.tree, want)
+		} else {
+			em.halts = slices.Grow(em.halts, len(frontier))
 		}
-		// Shard 0 appends in place: its output leads the merge order, so it
-		// needs no private copy.
-		outs[0].prefixes, outs[0].halts = em.prefList, em.halts
-		outs[0].next, outs[0].nextIDs = spare[:0], spareIDs[:0]
+		outs[0].nodes, outs[0].halts, outs[0].next = em.tree, em.halts, spare[:0]
+		for i := 1; i < len(outs); i++ {
+			w := spans[i].hi - spans[i].lo
+			if want == 0 {
+				outs[i].halts = slices.Grow(outs[i].halts, w)
+				continue
+			}
+			outs[i].nodes = slices.Grow(outs[i].nodes, 2*w)
+			outs[i].next = slices.Grow(outs[i].next, 2*w)
+		}
+		if k.frags != nil {
+			if cap(spareFrags) < want {
+				spareFrags = make([]*psioa.Frag, 0, want)
+			}
+			outs[0].frags = spareFrags[:0]
+		}
 		runErr := runShards(len(spans), expand)
 		// Deterministic winner: the validation error or checkpoint stop
 		// with the smallest global frontier index, independent of worker
@@ -276,26 +313,14 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 			} else {
 				err = nil
 			}
-			// The interrupted level is dropped whole: em still holds the
-			// slice headers of the last completed level, so the partial
-			// does not depend on how the level was split.
+			// The interrupted level is dropped whole, its nodes with it, so
+			// the partial does not depend on how the level was split.
+			em.tree = em.tree[:frontStart]
 			break
 		}
-		// Index-ordered merge after shard 0's in-place output. The merge is
-		// the single-threaded retention path, so it owns intern-ID
-		// assignment.
-		lvlStart := len(em.prefList)
-		em.prefList, em.halts = outs[0].prefixes, outs[0].halts
-		next, nextIDs := outs[0].next, outs[0].nextIDs
-		for i := 1; i < len(outs); i++ {
-			em.prefList = append(em.prefList, outs[i].prefixes...)
-			em.halts = append(em.halts, outs[i].halts...)
-			next = append(next, outs[i].next...)
-			nextIDs = append(nextIDs, outs[i].nextIDs...)
-		}
-		for id := lvlStart; id < len(em.prefList); id++ {
-			em.prefList[id].SetInternID(uint32(id))
-		}
+		done := k.frags
+		k.merge(outs)
+		frontStart = len(em.tree) - len(k.frontier)
 		if traced {
 			for i := range outs {
 				for _, ev := range outs[i].events {
@@ -320,9 +345,14 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 			m.Level(widths, items, walls)
 		}
 		lastLevel = lvl
-		k.frontier, spare = next, frontier[:0]
-		k.ids, spareIDs = nextIDs, k.ids[:0]
+		spare = frontier[:0]
+		if done != nil {
+			// The level's fragments are dropped: nothing retains one.
+			clear(done)
+			spareFrags = done[:0]
+		}
 	}
+	em.steps = k.steps.steps
 	if m != nil {
 		m.Call(obs.PhaseMeasure, time.Since(callStart).Microseconds())
 		m.Depth(lastLevel)
@@ -332,7 +362,7 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 	cMeasureHalts.Add(halts)
 	// Shards partition each level's frontier, so merged halts are distinct
 	// fragments and the halt count is exactly the support size.
-	cMeasureFrags.Add(int64(len(em.prefList)))
+	cMeasureFrags.Add(int64(len(em.tree)))
 	gMeasureSupport.SetMax(int64(len(em.halts)))
 	obs.H("sched.measure.support").Observe(float64(len(em.halts)))
 	if err != nil {
@@ -347,17 +377,44 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 	return em, nil
 }
 
-// repeatsState reports whether two items of a tree-kernel level may end
-// in the same state: certainly from tableMinFrontier items on, and below
-// that when two of them do.
-func repeatsState(items []parItem) bool {
+// merge takes the level's output into the measure: shard 0's, which is
+// in place, then the other shards' nodes and halts in frontier-index
+// order, renumbering their children. The children become the next
+// frontier. The merge is the single-threaded retention path, so it owns
+// node numbering.
+func (k *treeCall) merge(outs []parShard) {
+	em := k.em
+	em.tree, em.halts = outs[0].nodes, outs[0].halts
+	next, frags := outs[0].next, outs[0].frags
+	for i := 1; i < len(outs); i++ {
+		base := uint32(len(em.tree))
+		em.tree = append(em.tree, outs[i].nodes...)
+		em.halts = append(em.halts, outs[i].halts...)
+		for j := range outs[i].next {
+			outs[i].next[j].node += base
+		}
+		next = append(next, outs[i].next...)
+		frags = append(frags, outs[i].frags...)
+		clear(outs[i].frags)
+	}
+	k.frontier = next
+	if k.frags != nil {
+		k.frags = frags
+	}
+}
+
+// repeatsState reports whether two items of the frontier may end in the
+// same state: certainly from tableMinFrontier items on, and below that
+// when two of them do.
+func (k *treeCall) repeatsState() bool {
+	items := k.frontier
 	if len(items) >= tableMinFrontier {
 		return true
 	}
 	for i := 1; i < len(items); i++ {
-		q := items[i].f.LState()
+		q := k.lastState(items[i].node)
 		for _, it := range items[:i] {
-			if it.f.LState() == q {
+			if k.lastState(it.node) == q {
 				return true
 			}
 		}
@@ -372,17 +429,21 @@ func repeatsState(items []parItem) bool {
 const tableMinFrontier = 8
 
 // treeCall is what the shards of one MeasureOpts call read: the call's
-// arguments, its step source and table, and the level being expanded.
+// arguments, its step source, table and step set, the measure being built
+// and the level being expanded.
 type treeCall struct {
 	ctx      context.Context
 	s        Scheduler
 	src      stepSource // the automaton and depth bound; src.s is nil unless s is depth-oblivious
 	tbl      *stepTable // nil until a level may repeat a state
+	steps    stepSet
 	b        *resilience.Budget
 	traced   bool
 	timed    bool
+	em       *ExecMeasure
+	depth    int // the level being expanded: every item's length
 	frontier []parItem
-	ids      []uint32 // with tbl, the state IDs of frontier's last states
+	frags    []*psioa.Frag // for a scheduler that is not depth-oblivious, frontier's fragments
 	spans    []span
 	outs     []parShard
 }
@@ -399,40 +460,64 @@ func (k *treeCall) expand(i int) {
 	}
 }
 
+// lastState returns lstate of node n's fragment while the call runs.
+func (k *treeCall) lastState(n uint32) psioa.State {
+	if n == 0 {
+		return k.em.root
+	}
+	return k.steps.steps[k.em.tree[n].step].q
+}
+
+// fragOf returns the fragment of frontier item j, for an error message:
+// the one the frontier keeps, or else a view built from the node records.
+func (k *treeCall) fragOf(j int) *psioa.Frag {
+	if k.frags != nil {
+		return k.frags[j]
+	}
+	em := k.em
+	var chain []uint32
+	for n := k.frontier[j].node; n != 0; n = em.tree[n].parent {
+		chain = append(chain, em.tree[n].step)
+	}
+	k.steps.mu.Lock()
+	defer k.steps.mu.Unlock()
+	f := psioa.NewFrag(em.root)
+	for i := len(chain) - 1; i >= 0; i-- {
+		st := k.steps.steps[chain[i]]
+		f = f.Extend(st.act, st.q)
+	}
+	return f
+}
+
 // expandShard expands frontier items [lo, hi) into out, appending to its
 // buffers: same pruning, same validation errors, same (action, successor)
-// child order and same checkpoint charges for every shard. A
-// depth-oblivious scheduler's steps come from the step source: with a
-// step table, each step is a table read and out.nextIDs receives the
-// children's IDs; without one, each step is compiled in place. Scheduler
+// child order and same checkpoint charges for every shard. A child whose
+// reach mass falls below pruneBelow is charged but not kept. A
+// depth-oblivious scheduler's steps come from the step source: with a step
+// table, each step is a table read that also gives the children's state
+// and step IDs; without one, each step is compiled in place. Scheduler
 // choices and automaton transitions must be safe for concurrent use (all
 // built-in schedulers are; their choice caches are read-mostly concurrent
-// maps and their identifying fields are read-only). Fragment string keys
-// are never touched here: retention is interned, the measure's ordered
-// views walk the tree without keys, and a key materializes only when a
+// maps and their identifying fields are read-only). No fragment is built
+// here for a depth-oblivious scheduler, and no key for any: the measure's
+// ordered views walk its node records, and a key materializes only when a
 // caller asks for it.
 func (k *treeCall) expandShard(lo, hi int, out *parShard) {
-	src, s, tbl, traced := &k.src, k.s, k.tbl, k.traced
+	src, s, tbl, traced, depth := &k.src, k.s, k.tbl, k.traced, k.depth
 	a, maxDepth := src.a, src.maxDepth
 	items := k.frontier[lo:hi]
-	var ids []uint32
-	if tbl != nil {
-		ids = k.ids[lo:hi]
-	}
 	ck := resilience.NewCheckpoint(k.ctx, k.b)
 	for j := range items {
-		f, p := items[j].f, items[j].p
-		if p < pruneBelow {
-			continue
-		}
+		node, p := items[j].node, items[j].p
 		if stop := ck.Step(1, 0); stop != nil {
 			out.stop, out.stopIdx = stop, lo+j
 			return
 		}
-		out.prefixes = append(out.prefixes, f)
 		var (
 			sl       *stateSlot
 			e        *stepEntry
+			f        *psioa.Frag
+			q        psioa.State
 			sig      sigMemo
 			choice   *Choice
 			acts     []psioa.Action
@@ -441,72 +526,94 @@ func (k *treeCall) expandShard(lo, hi int, out *parShard) {
 		)
 		switch {
 		case tbl != nil:
-			sl = tbl.slot(ids[j])
-			e = tbl.at(sl, f.Len())
+			sl = tbl.slot(items[j].sid)
+			e = tbl.at(sl, depth)
 			choice, acts, aps, disabled = e.choice, e.acts, e.aps, e.disabled
 		case src.s != nil:
-			choice, acts, aps, disabled = src.choose(f.LState(), f.Len(), &sig)
+			q = k.lastState(node)
+			choice, acts, aps, disabled = src.choose(q, depth, &sig)
 		default:
+			f = k.frags[lo+j]
+			q = f.LState()
 			choice = s.Choose(f)
 			acts, aps = choice.SupportAndProbs()
 		}
 		out.steps++
 		if !choice.IsSubProb() {
-			out.err = fmt.Errorf("sched: scheduler %q returned mass %v > 1 at %v: %w", s.Name(), choice.Total(), f, ErrOverMass)
+			out.err = fmt.Errorf("sched: scheduler %q returned mass %v > 1 at %v: %w", s.Name(), choice.Total(), k.fragOf(lo+j), ErrOverMass)
 			out.errIdx = lo + j
 			return
 		}
 		if halt := choice.Deficit(); halt > pruneBelow {
-			out.halts = append(out.halts, weightedFrag{frag: f, p: p * halt})
+			out.halts = append(out.halts, nodeMass{node, p * halt})
 			out.haltn++
 			if traced {
-				out.events = append(out.events, obs.Event{Kind: obs.KindSchedHalt, Name: s.Name(), N: int64(f.Len()), V: p * halt})
+				out.events = append(out.events, obs.Event{Kind: obs.KindSchedHalt, Name: s.Name(), N: int64(depth), V: p * halt})
 			}
 		}
 		if choice.Total() <= pruneBelow {
 			continue
 		}
-		if f.Len() >= maxDepth {
-			out.err = fmt.Errorf("sched: scheduler %q schedules past depth %d at fragment %v: %w", s.Name(), maxDepth, f, ErrDepthExceeded)
+		if depth >= maxDepth {
+			out.err = fmt.Errorf("sched: scheduler %q schedules past depth %d at fragment %v: %w", s.Name(), maxDepth, k.fragOf(lo+j), ErrDepthExceeded)
 			out.errIdx = lo + j
 			return
 		}
 		if src.s == nil {
-			disabled = firstDisabled(a.Sig(f.LState()), acts, aps)
+			disabled = firstDisabled(a.Sig(q), acts, aps)
 		}
-		kidStart := len(out.next)
+		var kids int64
 		for ai, act := range acts {
 			pa := aps[ai]
 			if pa <= 0 {
 				continue
 			}
 			if ai == disabled {
-				out.err = fmt.Errorf("sched: scheduler %q chose disabled action %q at %v: %w", s.Name(), act, f, ErrDisabledAction)
+				out.err = fmt.Errorf("sched: scheduler %q chose disabled action %q at %v: %w", s.Name(), act, k.fragOf(lo+j), ErrDisabledAction)
 				out.errIdx = lo + j
 				return
 			}
 			if traced {
-				out.events = append(out.events, obs.Event{Kind: obs.KindSchedStep, Name: s.Name(), Attr: string(act), N: int64(f.Len()), V: p * pa})
+				out.events = append(out.events, obs.Event{Kind: obs.KindSchedStep, Name: s.Name(), Attr: string(act), N: int64(depth), V: p * pa})
 			}
 			resilience.FirePanic(resilience.FaultTransitionPanic)
 			if tbl != nil {
 				st := tbl.trans(sl, e, ai)
-				for qi, q2 := range st.qs {
-					if pq := st.ps[qi]; pq > 0 {
-						out.next = append(out.next, parItem{f.Extend(act, q2), p * pa * pq})
-						out.nextIDs = append(out.nextIDs, st.ids[qi])
+				for qi, pq := range st.ps {
+					if pq <= 0 {
+						continue
+					}
+					kids++
+					if pk := p * pa * pq; pk >= pruneBelow {
+						out.next = append(out.next, parItem{uint32(len(out.nodes)), st.ids[qi], pk})
+						out.nodes = append(out.nodes, treeNode{node, st.steps[qi]})
 					}
 				}
 				continue
 			}
-			qs, qps := a.Trans(f.LState(), act).SupportAndProbs()
+			qs, qps := a.Trans(q, act).SupportAndProbs()
 			for qi, q2 := range qs {
-				if pq := qps[qi]; pq > 0 {
-					out.next = append(out.next, parItem{f.Extend(act, q2), p * pa * pq})
+				pq := qps[qi]
+				if pq <= 0 {
+					continue
 				}
+				kids++
+				pk := p * pa * pq
+				if pk < pruneBelow {
+					continue
+				}
+				out.next = append(out.next, parItem{uint32(len(out.nodes)), 0, pk})
+				if f == nil {
+					out.nodes = append(out.nodes, treeNode{node, k.steps.add(act, q2)})
+					continue
+				}
+				// Every level of this tree runs here, so its steps are
+				// interned: added per child, they would number one per node.
+				out.nodes = append(out.nodes, treeNode{node, k.steps.intern(act, q2)})
+				out.frags = append(out.frags, f.Extend(act, q2))
 			}
 		}
-		if stop := ck.Step(0, int64(len(out.next)-kidStart)); stop != nil {
+		if stop := ck.Step(0, kids); stop != nil {
 			out.stop, out.stopIdx = stop, lo+j
 			return
 		}

@@ -322,3 +322,26 @@ func TestParallelMeasureRace(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestMeasureAllocsPerLevel: the tree kernel and its key-ordered view
+// allocate per level, not per node. A 16-step walk on 13 positions has 17
+// levels and about 2^17 nodes, 65465 of them halted; a heap object per
+// node would put the count in the hundreds of thousands.
+func TestMeasureAllocsPerLevel(t *testing.T) {
+	w := testaut.RandomWalk("w", 12, 0.5)
+	s := &sched.Greedy{A: w, Bound: 16}
+	for _, workers := range []int{1, 2} {
+		var nodes int
+		allocs := testing.AllocsPerRun(2, func() {
+			em, err := sched.MeasureOpts(context.Background(), w, s, 18, nil, sched.Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = em.Len()
+		})
+		t.Logf("workers %d: %.0f allocations for %d halted executions", workers, allocs, nodes)
+		if nodes != 65465 || allocs > 400 {
+			t.Errorf("workers %d: %.0f allocations for %d halted executions, want at most 400 for 65465", workers, allocs, nodes)
+		}
+	}
+}

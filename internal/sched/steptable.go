@@ -1,12 +1,15 @@
 package sched
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/codec"
 	"repro/internal/intern"
 	"repro/internal/obs"
 	"repro/internal/psioa"
@@ -59,8 +62,11 @@ type stepTable struct {
 	slotArena  arena[stateSlot]
 	entryArena arena[stepEntry]
 	transArena arena[stepTrans]
-	idChunk    []uint32 // backs the transitions' successor IDs
+	idChunk    []uint32 // backs the transitions' successor and step IDs
 	idUsed     int
+	// steps, when set, numbers each compiled successor's step for the
+	// tree kernel (stepTrans.steps).
+	steps *stepSet
 }
 
 // stepSource is how one kernel call compiles the steps of a
@@ -237,6 +243,9 @@ type stepTrans struct {
 	qs  []psioa.State // η's sorted support
 	ps  []float64     // aligned masses
 	ids []uint32      // aligned successor IDs
+	// steps holds the aligned step IDs of (act, successor) in the table's
+	// stepSet; nil without one.
+	steps []uint32
 }
 
 // haltEntry is the step of every state from the horizon of a table's
@@ -263,7 +272,7 @@ func (t *stepTable) release() {
 	if t.slotArena.n > pooledFills || t.entryArena.n > pooledFills || t.transArena.n > pooledFills {
 		return
 	}
-	t.stepSource = stepSource{}
+	t.stepSource, t.steps = stepSource{}, nil
 	clear((*t.slots.Load())[:t.ids.Len()])
 	t.ids.Reset()
 	t.slotArena.reset()
@@ -401,18 +410,30 @@ func (t *stepTable) trans(sl *stateSlot, e *stepEntry, i int) *stepTrans {
 		} else {
 			sl.trans = append(sl.trans, st)
 		}
-		if t.idUsed+len(qs) > len(t.idChunk) {
-			t.idChunk, t.idUsed = make([]uint32, max(len(qs), 4*arenaChunk)), 0
-		}
-		st.ids = t.idChunk[t.idUsed : t.idUsed+len(qs) : t.idUsed+len(qs)]
-		t.idUsed += len(qs)
+		st.ids = t.carve(len(qs))
 		for j, q2 := range qs {
 			st.ids[j] = t.intern(q2)
+		}
+		if t.steps != nil {
+			st.steps = t.carve(len(qs))
+			for j, q2 := range qs {
+				st.steps[j] = t.steps.add(act, q2)
+			}
 		}
 		cStepFills.Inc()
 	}
 	e.trans[i].Store(st)
 	return st
+}
+
+// carve returns n IDs' worth of idChunk. The caller holds the mutex.
+func (t *stepTable) carve(n int) []uint32 {
+	if t.idUsed+n > len(t.idChunk) {
+		t.idChunk, t.idUsed = make([]uint32, max(n, 4*arenaChunk)), 0
+	}
+	ids := t.idChunk[t.idUsed : t.idUsed+n : t.idUsed+n]
+	t.idUsed += n
+	return ids
 }
 
 // compiled returns sl's compiled transition of act, or nil. The caller
@@ -463,4 +484,83 @@ func (t *stepTable) sample(stream *rng.Stream, maxDepth int, build bool) (*state
 		sl = t.slot(st.ids[j])
 		depth++
 	}
+}
+
+// stepSet numbers the steps of one tree-kernel call. A step is an
+// (action, successor state) pair: the last step of an execution fragment,
+// which with its parent's node identifies a node of the expansion tree.
+// Shards add steps concurrently, under mu. A step table adds each compiled
+// successor once and in-place compilation each child, while fragments of a
+// scheduler that is not depth-oblivious intern theirs, so that the tree's
+// repeated steps share one ID. Two IDs may name one (action, state) pair,
+// but never two siblings.
+type stepSet struct {
+	mu    sync.Mutex
+	ids   *intern.Table // enc(a)|enc(q) -> step ID, for intern; nil until used
+	buf   []byte
+	steps []treeStep // by step ID
+}
+
+// add returns a new ID for the step (a, q).
+func (s *stepSet) add(a psioa.Action, q psioa.State) uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.addLocked(a, q)
+}
+
+func (s *stepSet) addLocked(a psioa.Action, q psioa.State) uint32 {
+	s.steps = append(s.steps, treeStep{a, q})
+	return uint32(len(s.steps) - 1)
+}
+
+// intern returns the ID of the step (a, q), the same for every call.
+func (s *stepSet) intern(a psioa.Action, q psioa.State) uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ids == nil {
+		s.ids = intern.NewTable(0)
+	}
+	s.buf = codec.AppendTuple(s.buf[:0], string(a), string(q))
+	if id, ok := s.ids.Lookup(string(s.buf)); ok {
+		return id
+	}
+	s.ids.ID(string(s.buf))
+	return s.addLocked(a, q)
+}
+
+// ranks orders the key items of the steps marked in need, for keyOrder. A
+// fragment key is the codec tuple q0|a1|q1|…, so every key below a child
+// c of α starts with key(α)|enc(a)|enc(q), where (a, q) is c's last step
+// s. Among c's siblings, c stands for two items: self, enc(a)|enc(q),
+// standing for key(c) itself, ranked rank[2s]; and subtree, self followed
+// by '|', standing for every key below c, ranked rank[2s+1]. Ranks are the
+// items' positions in bytewise order over all the marked steps, computed
+// once per step, so they order every sibling group as sorting its items'
+// bytes would. Unmarked steps rank 0.
+func ranks(steps []treeStep, need []bool) []uint32 {
+	type item struct {
+		id       uint32 // 2s, or 2s+1 for subtree
+		off, end int    // the item's bytes in buf
+	}
+	var (
+		items []item
+		buf   []byte
+	)
+	for s, st := range steps {
+		if !need[s] {
+			continue
+		}
+		off := len(buf)
+		buf = codec.AppendTuple(buf, string(st.act), string(st.q))
+		buf = append(buf, '|')
+		items = append(items, item{uint32(2 * s), off, len(buf) - 1}, item{uint32(2*s + 1), off, len(buf)})
+	}
+	slices.SortFunc(items, func(x, y item) int {
+		return bytes.Compare(buf[x.off:x.end], buf[y.off:y.end])
+	})
+	rank := make([]uint32, 2*len(steps))
+	for r, it := range items {
+		rank[it.id] = uint32(r)
+	}
+	return rank
 }

@@ -61,7 +61,7 @@ type stepCase struct {
 
 // stepCases builds the differential workloads on one random automaton
 // (intern_equiv_test.go's) and one adversarially named one
-// (keyorder_test.go's): every built-in schema, a Bounded wrapper, a
+// (testaut.AdversarialAut): every built-in schema, a Bounded wrapper, a
 // scheduler reading another automaton's signatures, schedulers that go
 // over mass or choose a disabled action at one (state, depth), and one
 // that schedules past maxDepth.
