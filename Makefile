@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-json bench-par bench-compare bench-smoke fuzz-smoke loc no-string-keys daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
+.PHONY: build test race vet fmt bench bench-json bench-par bench-compare bench-smoke fuzz-smoke loc no-string-keys one-forwarding-rule daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,14 @@ bench-compare:
 # interned core", "A pointer-free expansion tree").
 no-string-keys:
 	sh scripts/no_string_keys.sh
+
+# one-forwarding-rule guards the one rule for automaton views: a view
+# says what it views with Inner(), psioa follows Inner to the shared
+# product table and to the compatibility checker (psioa.CompatAt), and no
+# other code probes for CompatAt. See docs/PERFORMANCE.md ("One
+# table-sharing rule").
+one-forwarding-rule:
+	sh scripts/one_forwarding_rule.sh
 
 # bench-smoke is the short-mode wiring for check: one fast experiment
 # through the -json path, self-compared through bench_compare.sh, so the
@@ -117,7 +125,7 @@ loc:
 # fuzz smokes, the parallel-kernel smoke, the baseline comparison, and the
 # daemon, cluster, and durability end-to-end smokes; run before every
 # commit.
-check: build vet fmt no-string-keys test race chaos bench-smoke fuzz-smoke bench-par bench-compare daemon-smoke obs-smoke cluster-smoke durable-smoke
+check: build vet fmt no-string-keys one-forwarding-rule test race chaos bench-smoke fuzz-smoke bench-par bench-compare daemon-smoke obs-smoke cluster-smoke durable-smoke
 
 clean:
 	$(GO) clean ./...

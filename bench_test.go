@@ -28,7 +28,6 @@ import (
 	"repro/internal/psioa"
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/structured"
 	"repro/internal/testaut"
 )
 
@@ -399,10 +398,11 @@ func BenchmarkExplore(b *testing.B) {
 // the world shape whose schema enumeration dominates E11 and the
 // emulate-sessions workload. Its hidden component is itself a product.
 func BenchmarkExploreNestedWorld(b *testing.B) {
-	aact, err := structured.AActUniverse(dynchannel.Host("d", 2, dynchannel.RealKind), 20000)
+	ai, err := adversary.InterfaceOf(dynchannel.Host("d", 2, dynchannel.RealKind), 20000)
 	if err != nil {
 		b.Fatal(err)
 	}
+	aact := ai.AAct()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		host := dynchannel.Host("d", 2, dynchannel.RealKind)

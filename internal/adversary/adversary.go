@@ -39,13 +39,23 @@ func InterfaceOf(s structured.SPSIOA, limit int) (*Interface, error) {
 	aiAll := psioa.NewActionSet()
 	aoAll := psioa.NewActionSet()
 	for _, q := range ex.States {
-		aiAll.AddAll(structured.AI(s, q))
-		aoAll.AddAll(structured.AO(s, q))
+		// AAct(q) ⊆ ext(q) = in(q) ∪ out(q), so what is not an output is
+		// an input.
+		out := ex.Sigs[q].Out
+		for a := range structured.AAct(s, q) {
+			if out.Has(a) {
+				aoAll.Add(a)
+			} else {
+				aiAll.Add(a)
+			}
+		}
 	}
 	return &Interface{AI: aiAll.Minus(aoAll), AO: aoAll}, nil
 }
 
-// AAct returns the universal adversary action set AI ∪ AO.
+// AAct returns the universal adversary action set AI ∪ AO, which is the
+// union of AAct(q) over the reachable states (the AAct_A of
+// hide(A‖Adv, AAct_A)).
 func (i *Interface) AAct() psioa.ActionSet { return i.AI.Union(i.AO) }
 
 // IsAdversaryFor checks Def 4.24 on the reachable fragment of A‖Adv:

@@ -148,12 +148,7 @@ func (r *refInstrumented) Trans(q psioa.State, a psioa.Action) *psioa.Dist {
 	return eta
 }
 
-func (r *refInstrumented) CompatAt(q psioa.State) error {
-	if cc, ok := r.PSIOA.(interface{ CompatAt(psioa.State) error }); ok {
-		return cc.CompatAt(q)
-	}
-	return nil
-}
+func (r *refInstrumented) CompatAt(q psioa.State) error { return psioa.CompatAt(r.PSIOA, q) }
 
 // describeCase is one automaton of TestDescribeMatchesEncodings; the slow
 // ones take seconds against the built encodings. mk builds it afresh.

@@ -74,13 +74,10 @@ func (i *Instrumented) Trans(q psioa.State, a psioa.Action) *psioa.Dist {
 	return eta
 }
 
-// CompatAt delegates compatibility checking to the wrapped automaton.
-func (i *Instrumented) CompatAt(q psioa.State) error {
-	if cc, ok := i.inner.(interface{ CompatAt(psioa.State) error }); ok {
-		return cc.CompatAt(q)
-	}
-	return nil
-}
+// CompatAt is the wrapped automaton's compatibility. Instrumented is not
+// a view (it defines no Inner): QueryWork charges it through Trans, so
+// it must be walked through Trans.
+func (i *Instrumented) CompatAt(q psioa.State) error { return psioa.CompatAt(i.inner, q) }
 
 // QueryWork runs one full exploration of the automaton (bounded by limit
 // states) under instrumentation and reports the maximum per-query work —

@@ -54,7 +54,7 @@ func (r *EmulationReport) String() string {
 // automaton's universal adversary actions hidden — the construction
 // Def 4.26 compares on both sides.
 func HideAAct(s structured.SPSIOA, other psioa.PSIOA, limit int) (psioa.PSIOA, error) {
-	aact, err := structured.AActUniverse(s, limit)
+	ai, err := adversary.InterfaceOf(s, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func HideAAct(s structured.SPSIOA, other psioa.PSIOA, limit int) (psioa.PSIOA, e
 	if err != nil {
 		return nil, err
 	}
-	return psioa.HideSet(comp, aact), nil
+	return psioa.HideSet(comp, ai.AAct()), nil
 }
 
 // SecureEmulates checks Def 4.26 on the given adversary/simulator pairs:
@@ -168,8 +168,7 @@ func (r *FamilyEmulationReport) String() string {
 // adversary/simulator family pair, with the per-index options (whose Eps
 // should follow the intended negligible function).
 func SecureEmulatesFamily(real, ideal SFamily, cases []AdvSimFamily, optFor func(k int) Options, kmin, kmax, limit int) (*FamilyEmulationReport, error) {
-	out := &FamilyEmulationReport{Holds: true, PerK: make(map[int]*EmulationReport)}
-	for k := kmin; k <= kmax; k++ {
+	per, holds, err := perIndex(kmin, kmax, func(k int) (*EmulationReport, error) {
 		inst := make([]AdvSim, len(cases))
 		for i, c := range cases {
 			inst[i] = AdvSim{Adv: c.Adv(k), Sim: c.Sim(k)}
@@ -177,32 +176,19 @@ func SecureEmulatesFamily(real, ideal SFamily, cases []AdvSimFamily, optFor func
 				inst[i].Witness = c.Witness(k)
 			}
 		}
-		rep, err := SecureEmulates(real(k), ideal(k), inst, optFor(k), limit)
-		if err != nil {
-			return nil, fmt.Errorf("core: family index %d: %w", k, err)
-		}
-		out.PerK[k] = rep
-		if !rep.Holds {
-			out.Holds = false
-		}
+		return SecureEmulates(real(k), ideal(k), inst, optFor(k), limit)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &FamilyEmulationReport{Holds: holds, PerK: per}, nil
 }
 
 // NegPtEmulation checks that a family emulation report's measured distances
 // are dominated by the given negligible function on [kmin, kmax] — the
 // executable ≤_{neg,pt} conclusion of Def 4.26.
 func NegPtEmulation(rep *FamilyEmulationReport, negl bounded.Fn, kmin, kmax int) error {
-	if !rep.Holds {
-		return fmt.Errorf("core: family emulation: %w", ErrDoesNotHold)
-	}
-	f := rep.MaxDistFn()
-	for k := kmin; k <= kmax; k++ {
-		if f(k) > negl(k)+1e-12 {
-			return fmt.Errorf("core: index %d: distance %v exceeds negligible bound %v: %w", k, f(k), negl(k), ErrExceedsNegligible)
-		}
-	}
-	return nil
+	return negBound("family emulation", rep.Holds, rep.MaxDistFn(), negl, kmin, kmax)
 }
 
 // ComposedSimulator implements the constructive step of Theorem 4.30: given

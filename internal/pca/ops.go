@@ -108,6 +108,9 @@ func MustComposePCA(xs ...PCA) *Product {
 // PCAs returns the (flattened) component PCAs.
 func (p *Product) PCAs() []PCA { return p.pcas }
 
+// Inner returns the embedded product, which p is a view of.
+func (p *Product) Inner() psioa.PSIOA { return p.Product }
+
 // Registry implements PCA.
 func (p *Product) Registry() Registry { return p.reg }
 
@@ -265,19 +268,14 @@ func ValidatePCA(x PCA, limit int) (err error) {
 }
 
 // DescAdapter wraps a PCA without changing it: it is still a PCA, and
-// bounded.Describe measures it as one, but it shares no product table.
-// Describe takes a PCA directly; the adapter is kept only because
-// bench/describe.go builds it.
+// bounded.Describe measures it as one, but it is not a view (it defines
+// no Inner), so it shares no product table and is walked through its
+// PCA's own Sig, Trans and CompatAt. Describe takes a PCA directly; the
+// adapter is kept only because bench/describe.go builds it.
 type DescAdapter struct{ PCA }
 
-// CompatAt delegates to the wrapped PCA when it supports compatibility
-// checking, so exploration of a DescAdapter behaves like the PCA itself.
-func (d DescAdapter) CompatAt(q psioa.State) error {
-	if cc, ok := d.PCA.(interface{ CompatAt(psioa.State) error }); ok {
-		return cc.CompatAt(q)
-	}
-	return nil
-}
+// CompatAt is the wrapped PCA's compatibility.
+func (d DescAdapter) CompatAt(q psioa.State) error { return psioa.CompatAt(d.PCA, q) }
 
 // CreationMaskView renders the creation-oblivious view of an execution
 // fragment of a PCA (§4.4): the sequence of actions interleaved with the

@@ -30,8 +30,9 @@ var (
 //
 // A type that embeds a Product (as the PCA and structured compositions
 // of Defs 2.19 and 4.19 do) is that product as a PSIOA, so it shares the
-// product's state table: walks, descriptions and fingerprints read it,
-// and so does every product it is a component of (see sharedProduct).
+// product's state table when it returns the product from Inner (see
+// view): walks, descriptions and fingerprints read it, and so does every
+// product it is a component of.
 type Product struct {
 	id    string
 	comps []PSIOA
@@ -122,18 +123,6 @@ func MustCompose(auts ...PSIOA) *Product {
 
 // ID implements PSIOA.
 func (p *Product) ID() string { return p.id }
-
-// sharedProduct returns the Product whose state table an automaton shares:
-// walks, descriptions and fingerprints of the automaton read that table,
-// and a product the automaton is a component of takes the automaton's
-// successor lists from it instead of calling its Trans. A Product returns
-// itself; Hidden and Atomic return what their inner automaton shares, or
-// nil. Go promotes the method to every type that embeds one of the three,
-// so such an embedder shares the table too. That holds only because an
-// embedder may reclassify actions (as hiding does) but must not change
-// the action set or the transitions; a wrapper that does (renaming,
-// input enabling, instrumentation) must not embed one of them.
-func (p *Product) sharedProduct() *Product { return p }
 
 // Keyed returns the product's key, calling compute for it on the first call
 // only; concurrent callers wait for that one computation. Only a success is
@@ -257,7 +246,8 @@ func (p *Product) Trans(q State, a Action) *Dist {
 // component even when it is itself a Product. Analyses that need to project
 // a composite state onto a known pair — e.g. the adversary predicate, which
 // inspects (q_A, q_Adv) — wrap their arguments in Atom so the flattening
-// behaviour of Compose cannot regroup components underneath them.
+// behaviour of Compose cannot regroup components underneath them. Atomic
+// is a view of what it wraps (Inner).
 type Atomic struct{ inner PSIOA }
 
 // Atom wraps a to suppress composition flattening.
@@ -277,13 +267,3 @@ func (a *Atomic) Sig(q State) Signature { return a.inner.Sig(q) }
 
 // Trans implements PSIOA.
 func (a *Atomic) Trans(q State, act Action) *Dist { return a.inner.Trans(q, act) }
-
-func (a *Atomic) sharedProduct() *Product { return productOf(a.inner) }
-
-// CompatAt delegates compatibility checking.
-func (a *Atomic) CompatAt(q State) error {
-	if cc, ok := a.inner.(compatAtChecker); ok {
-		return cc.CompatAt(q)
-	}
-	return nil
-}

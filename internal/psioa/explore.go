@@ -80,10 +80,10 @@ type Visitor interface {
 	Trans(k int, succ []Succ)
 }
 
-// Walk is ExploreCtx with a visitor v, which may be nil. An automaton that
-// shares a product's table (Product.sharedProduct: the product itself,
-// Hidden, Atomic and every type embedding one of them) supplies the
-// visited successors from that table, so visiting builds no product
+// Walk is ExploreCtx with a visitor v, which may be nil. A product, and
+// every view of one (see view: Hidden, Atomic, the structured automata
+// and the compositions that embed a product), supplies the visited
+// successors from the product's table, so visiting builds no product
 // measure either; any other automaton supplies them from Trans(q, a).
 func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visitor) (*Exploration, error) {
 	sp := obs.Begin("psioa.explore", a.ID())
@@ -174,13 +174,19 @@ func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visit
 	return ex, nil
 }
 
-// productOf returns the Product whose states and transitions a shares, or
-// nil when a shares none (see Product.sharedProduct).
+// productOf returns the Product a is, following Inner through views (see
+// view), or nil when a views no product.
 func productOf(a PSIOA) *Product {
-	if s, ok := a.(interface{ sharedProduct() *Product }); ok {
-		return s.sharedProduct()
+	for {
+		if p, ok := a.(*Product); ok {
+			return p
+		}
+		v, ok := a.(view)
+		if !ok {
+			return nil
+		}
+		a = v.Inner()
 	}
-	return nil
 }
 
 // exploreStopped finalises an exploration interrupted by a checkpoint. A
@@ -436,7 +442,5 @@ func stepperOf(a PSIOA) stepper {
 	if p := productOf(a); p != nil {
 		return newProdStepper(p, a)
 	}
-	s := &autStepper{a: a, ids: make(map[State]uint32)}
-	s.cc, _ = a.(compatAtChecker)
-	return s
+	return &autStepper{a: a, cc: checkerOf(a), ids: make(map[State]uint32)}
 }

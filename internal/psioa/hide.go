@@ -1,21 +1,18 @@
 package psioa
 
-import "sync"
-
 // Hidden is the hiding operator of Def 2.7: hide(A, h) reclassifies, at each
 // state q, the output actions h(q) as internal actions. States and
-// transitions are untouched.
+// transitions are untouched, so Hidden is a view of A (Inner): it walks
+// A's product table, if A is or views a product, and its compatibility
+// is A's.
 type Hidden struct {
 	inner PSIOA
 	h     func(State) ActionSet
-
-	mu       sync.Mutex
-	sigCache map[State]Signature
 }
 
 // Hide applies the state-dependent hiding function h to A.
 func Hide(a PSIOA, h func(State) ActionSet) *Hidden {
-	return &Hidden{inner: a, h: h, sigCache: make(map[State]Signature)}
+	return &Hidden{inner: a, h: h}
 }
 
 // HideSet hides a fixed set of output actions at every state — the common
@@ -34,38 +31,18 @@ func (h *Hidden) Inner() PSIOA { return h.inner }
 // HiddenAt returns the hiding set h(q).
 func (h *Hidden) HiddenAt(q State) ActionSet { return h.h(q) }
 
-func (h *Hidden) sharedProduct() *Product { return productOf(h.inner) }
-
 // Start implements PSIOA.
 func (h *Hidden) Start() State { return h.inner.Start() }
 
-// Sig implements PSIOA per Def 2.6. Results are cached per state.
-func (h *Hidden) Sig(q State) Signature {
-	h.mu.Lock()
-	if sig, ok := h.sigCache[q]; ok {
-		h.mu.Unlock()
-		return sig
-	}
-	h.mu.Unlock()
-	sig := HideSignature(h.inner.Sig(q), h.h(q))
-	h.mu.Lock()
-	h.sigCache[q] = sig
-	h.mu.Unlock()
-	return sig
-}
+// Sig implements PSIOA per Def 2.6. It is not cached: a product over
+// hide(A) interns each component signature once per component state.
+func (h *Hidden) Sig(q State) Signature { return HideSignature(h.inner.Sig(q), h.h(q)) }
 
-// Trans implements PSIOA: transitions are unchanged by hiding.
+// Trans implements PSIOA: transitions are unchanged by hiding, and so is
+// the set of enabled actions.
 func (h *Hidden) Trans(q State, a Action) *Dist {
-	if !h.Sig(q).Has(a) {
+	if !h.inner.Sig(q).Has(a) {
 		disabledPanic(h.ID(), q, a)
 	}
 	return h.inner.Trans(q, a)
-}
-
-// CompatAt delegates to the wrapped automaton.
-func (h *Hidden) CompatAt(q State) error {
-	if cc, ok := h.inner.(compatAtChecker); ok {
-		return cc.CompatAt(q)
-	}
-	return nil
 }

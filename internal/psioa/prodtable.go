@@ -29,11 +29,10 @@ import (
 //     is interned, and an entry's sorted actions merge those lists, so
 //     no product state sorts its signature again.
 //
-// A component that shares a product's table (Product.sharedProduct) is
-// indexed by that product's state IDs, and its successor lists come from
-// that product's table, which keeps them for every product it is a
-// component of: walking a nested world builds no nested transition
-// measure.
+// A component that is or views a product (productOf) is indexed by that
+// product's state IDs, and its successor lists come from that product's
+// table, which keeps them for every product it is a component of: walking
+// a nested world builds no nested transition measure.
 //
 // Every field is guarded by the product's mutex, and no pointer into the
 // table is kept across an unlock. Component methods (Sig, Trans, CompatAt)
@@ -77,7 +76,7 @@ type compTab struct {
 	// (ID+1; 0 until known).
 	inner    *Product
 	innerAct []uint32
-	check    compatAtChecker // c's own CompatAt (components without inner)
+	check    compatAtChecker // c's checker (checkerOf; components without inner)
 	ids      map[State]uint32
 	cs       []cstate // by component state ID
 	sigs     []Signature
@@ -108,7 +107,7 @@ func newCompTab(c PSIOA) compTab {
 	if t.inner == nil {
 		t.ids = make(map[State]uint32)
 		t.succ = make(map[uint64][]succ)
-		t.check, _ = c.(compatAtChecker)
+		t.check = checkerOf(c)
 	}
 	return t
 }
@@ -293,7 +292,7 @@ func (p *Product) readyEntry(q State) *sigEntry {
 // and returns the state with its signature entry. The checks report what
 // CompatAt always has, in its order: a nested product's incompatibility
 // when the component's signature is read (component order), then the
-// component signatures (Def 2.3), then each component's own CompatAt.
+// component signatures (Def 2.3), then each component's checker (CompatAt).
 func (p *Product) prepare(id uint32) (pstate, error) {
 	p.mu.Lock()
 	s := p.states[id]
@@ -359,7 +358,7 @@ func (p *Product) compSig(i int, cid uint32) (int32, error) {
 	return sid - 1, nil
 }
 
-// compCheck runs component i's own CompatAt at state cid until it passes.
+// compCheck runs component i's checker at state cid until it passes.
 func (p *Product) compCheck(i int, cid uint32) error {
 	t := &p.tabs[i]
 	p.mu.Lock()

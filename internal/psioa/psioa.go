@@ -42,11 +42,53 @@ type PSIOA interface {
 	Trans(q State, a Action) *Dist
 }
 
-// compatAtChecker is implemented by composite automata whose signature
-// computation can fail when components are incompatible at a state. Explore
-// uses it to report incompatibility as an error rather than a panic.
+// compatAtChecker is implemented by automata whose signature computation
+// can fail at a state: a product whose components are incompatible there,
+// a PCA whose configuration is not compatible, a renaming that is not
+// injective. Explore uses it to report the failure as an error rather
+// than a panic.
 type compatAtChecker interface {
 	CompatAt(q State) error
+}
+
+// A view is the automaton its Inner returns, with the same states, action
+// set and transitions, seen with some actions reclassified (hiding, Defs
+// 2.7 and 2.17) or with extra structure (Atomic; structured automata, Def
+// 4.17; the compositions that embed a Product, Defs 2.19 and 4.19). A
+// view adds no compatibility condition of its own. What the two share is
+// found by following Inner: the product whose table a walk reads
+// (productOf) and the compatibility checker (CompatAt). A wrapper that
+// changes the action set or the transitions (renaming, input enabling),
+// or that must be walked through its own Trans (instrumentation), is not
+// a view and must not define Inner.
+type view interface {
+	Inner() PSIOA
+}
+
+// checkerOf returns a's own compatibility checker if it has one, else
+// that of the automaton a views, else nil.
+func checkerOf(a PSIOA) compatAtChecker {
+	for {
+		if cc, ok := a.(compatAtChecker); ok {
+			return cc
+		}
+		v, ok := a.(view)
+		if !ok {
+			return nil
+		}
+		a = v.Inner()
+	}
+}
+
+// CompatAt reports a's compatibility at q: a's own CompatAt if it has
+// one, else that of the automaton a views (following Inner), else nil. A
+// wrapper that is not a view forwards its compatibility as
+// CompatAt(inner, q).
+func CompatAt(a PSIOA, q State) error {
+	if cc := checkerOf(a); cc != nil {
+		return cc.CompatAt(q)
+	}
+	return nil
 }
 
 // Steps returns the support of the transition measure, i.e. the states q′
@@ -122,13 +164,8 @@ func (ie *InputEnabled) Trans(q State, a Action) *Dist {
 	return measure.Dirac(q)
 }
 
-// CompatAt delegates to the wrapped automaton.
-func (ie *InputEnabled) CompatAt(q State) error {
-	if cc, ok := ie.inner.(compatAtChecker); ok {
-		return cc.CompatAt(q)
-	}
-	return nil
-}
+// CompatAt is the wrapped automaton's compatibility.
+func (ie *InputEnabled) CompatAt(q State) error { return CompatAt(ie.inner, q) }
 
 // Func is a PSIOA defined by closures, for automata whose state space is
 // large or unbounded (only reachable states under bounded schedulers are

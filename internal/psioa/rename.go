@@ -38,9 +38,6 @@ func RenameMap(a PSIOA, m map[Action]Action) *Renamed {
 // ID implements PSIOA.
 func (r *Renamed) ID() string { return "ren(" + r.inner.ID() + ")" }
 
-// Inner returns the wrapped automaton.
-func (r *Renamed) Inner() PSIOA { return r.inner }
-
 // Start implements PSIOA.
 func (r *Renamed) Start() State { return r.inner.Start() }
 
@@ -93,10 +90,7 @@ func (r *Renamed) CompatAt(q State) error {
 		}
 		seen[b] = a
 	}
-	if cc, ok := r.inner.(compatAtChecker); ok {
-		return cc.CompatAt(q)
-	}
-	return nil
+	return CompatAt(r.inner, q)
 }
 
 // FreshRenaming builds an injective map sending every action in s to a fresh

@@ -2,6 +2,7 @@ package psioa_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -31,10 +32,8 @@ func refExplore(a psioa.PSIOA, limit int) (*psioa.Exploration, error) {
 	for len(queue) > 0 {
 		q := queue[0]
 		queue = queue[1:]
-		if cc, ok := a.(interface{ CompatAt(psioa.State) error }); ok {
-			if err := cc.CompatAt(q); err != nil {
-				return nil, err
-			}
+		if err := psioa.CompatAt(a, q); err != nil {
+			return nil, err
 		}
 		sig := a.Sig(q)
 		ex.States = append(ex.States, q)
@@ -398,9 +397,11 @@ func TestDescribeBuildsNoProductMeasures(t *testing.T) {
 	noProductMeasures(t, "ledger PCA composite", x.Product)
 }
 
-// TestProductOf: the automata that embed a product, or hide or wrap one
-// in Atomic, share its table; wrappers that change the action set or the
-// transitions, or that count or adapt what they wrap, share none.
+// TestProductOf: the views of a product (the automata that embed it, hide
+// it, wrap it in Atomic or give it structure, and views of those) share
+// its table; wrappers that change the action set or the transitions, or
+// that count or adapt what they wrap, share none, and neither does a view
+// of one of them.
 func TestProductOf(t *testing.T) {
 	p := psioa.MustCompose(testaut.OpenCoin("x", 0.5), testaut.CoinEnv("x"))
 	x := ledgerPCA()
@@ -429,7 +430,16 @@ func TestProductOf(t *testing.T) {
 		{"input-enabled", psioa.InputEnable(p, psioa.NewActionSet("go_x")), nil},
 		{"renamed", psioa.RenameMap(p, map[psioa.Action]psioa.Action{"go_x": "start_x"}), nil},
 		{"desc-adapter", pca.DescAdapter{PCA: x}, nil},
-		{"structured-over-product", structured.New(p, nil), nil},
+		{"structured-over-product", structured.New(p, nil), p},
+		{"atomic-structured-over-product", psioa.Atom(structured.New(p, nil)), p},
+		{"structured-pca-over-pca-product", structured.StructurePCA(x), x.Product},
+		{"hidden-structured-pca", psioa.HideSet(structured.StructurePCA(x), psioa.NewActionSet()), x.Product},
+		{"structured-pca-over-config-automaton", structured.StructurePCA(x.PCAs()[0]), nil},
+		{"renamed-atomic", psioa.RenameMap(psioa.Atom(p), map[psioa.Action]psioa.Action{"go_x": "start_x"}), nil},
+		{"input-enabled-hidden", psioa.InputEnable(psioa.HideSet(p, psioa.NewActionSet("heads_x")), psioa.NewActionSet("go_x")), nil},
+		{"instrumented-structured", bounded.Instrument(structured.New(p, nil), &bounded.Counter{}), nil},
+		{"desc-adapter-structured-pca", pca.DescAdapter{PCA: structured.StructurePCA(x)}, nil},
+		{"hidden-renamed", psioa.HideSet(psioa.RenameMap(p, map[psioa.Action]psioa.Action{"go_x": "start_x"}), psioa.NewActionSet()), nil},
 	} {
 		if got := psioa.ProductOf(c.a); got != c.want {
 			t.Errorf("%s: ProductOf = %p, want %p", c.name, got, c.want)
@@ -468,6 +478,75 @@ func TestExploreWalkIncompatibleWorld(t *testing.T) {
 		}
 		if _, rerr := refExplore(a, 100); rerr == nil || rerr.Error() != want.Error() {
 			t.Fatalf("%s: reference error %v, want %q", a.ID(), rerr, want)
+		}
+	}
+}
+
+// TestCompatErrThroughViews: an automaton's own incompatibility (a Func's
+// CompatErr, a ConfigAutomaton whose configuration turns incompatible once
+// a ticks) surfaces unchanged through the views Hidden(Atom(Structured(x)))
+// and Hidden(Atom(StructurePCA(x))): from CompatAt at the failing state, from
+// Explore, and from Explore of a product the view is a component of.
+func TestCompatErrThroughViews(t *testing.T) {
+	broken := errors.New("f: broken at 1")
+	f := &psioa.Func{
+		Name:    "f",
+		StartSt: "0",
+		SigFn: func(q psioa.State) psioa.Signature {
+			if q == "0" {
+				return psioa.NewSignature(nil, nil, []psioa.Action{"tick_f"})
+			}
+			return psioa.NewSignature(nil, []psioa.Action{"x"}, nil)
+		},
+		TransFn: func(psioa.State, psioa.Action) *psioa.Dist { return measure.Dirac(psioa.State("1")) },
+		CompatErr: func(q psioa.State) error {
+			if q == "1" {
+				return broken
+			}
+			return nil
+		},
+	}
+	steady := func(id string, o psioa.Action) *psioa.Table {
+		return psioa.NewBuilder(id, "0").
+			AddState("0", psioa.NewSignature(nil, []psioa.Action{o}, nil)).
+			AddDet("0", o, "0").
+			MustBuild()
+	}
+	a := psioa.NewBuilder("a", "0").
+		AddState("0", psioa.NewSignature(nil, nil, []psioa.Action{"tick_a"})).
+		AddState("1", psioa.NewSignature(nil, []psioa.Action{"x"}, nil)).
+		AddDet("0", "tick_a", "1").
+		AddDet("1", "x", "1").
+		MustBuild()
+	b := steady("b", "x")
+	cfg, err := pca.New("X", pca.MapRegistry{}.Register(a, b), pca.NewConfig(map[string]psioa.State{"a": "0", "b": "0"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clash := pca.NewConfig(map[string]psioa.State{"a": "1", "b": "0"}).Key()
+	for _, c := range []struct {
+		name string
+		x    psioa.PSIOA
+		q    psioa.State
+		view psioa.PSIOA
+	}{
+		{"func", f, "1", structured.New(f, nil)},
+		{"config-automaton", cfg, psioa.State(clash), structured.New(cfg, nil)},
+		{"config-automaton-spca", cfg, psioa.State(clash), structured.StructurePCA(cfg)},
+	} {
+		want := psioa.CompatAt(c.x, c.q)
+		if want == nil {
+			t.Fatalf("%s: fixture is compatible at %q", c.name, c.q)
+		}
+		v := psioa.HideSet(psioa.Atom(c.view), psioa.NewActionSet("x"))
+		if got := psioa.CompatAt(v, c.q); got == nil || got.Error() != want.Error() {
+			t.Errorf("%s: CompatAt(%s, %q) = %v, want %v", c.name, v.ID(), c.q, got, want)
+		}
+		for _, a := range []psioa.PSIOA{c.x, v, psioa.MustCompose(steady("z", "zz"), v)} {
+			ex, err := psioa.Explore(a, 100)
+			if ex != nil || err == nil || err.Error() != want.Error() {
+				t.Errorf("%s: Explore(%s) = (%v, %v), want error %q", c.name, a.ID(), ex, err, want)
+			}
 		}
 	}
 }
@@ -626,12 +705,7 @@ func TestProductTransConcurrent(t *testing.T) {
 // table, so Walk takes it through Sig and Trans.
 type opaque struct{ psioa.PSIOA }
 
-func (o opaque) CompatAt(q psioa.State) error {
-	if cc, ok := o.PSIOA.(interface{ CompatAt(psioa.State) error }); ok {
-		return cc.CompatAt(q)
-	}
-	return nil
-}
+func (o opaque) CompatAt(q psioa.State) error { return psioa.CompatAt(o.PSIOA, q) }
 
 // onePCA is the PCA whose configurations hold the one automaton a; it
 // creates and hides nothing. It fails when a's start signature is empty,
@@ -641,8 +715,9 @@ func onePCA(a psioa.PSIOA) (pca.PCA, error) {
 }
 
 // sharers wrap a world in each kind of automaton that shares a product's
-// table: Atomic and hiding, and the PCA and structured compositions and
-// their hiding, which embed them.
+// table: Atomic and hiding, the PCA and structured compositions and their
+// hiding, which embed them, and the structured views of the world and of
+// its PCA composite.
 var sharers = []struct {
 	name string
 	wrap func(w psioa.PSIOA, h psioa.ActionSet) (psioa.PSIOA, error)
@@ -668,6 +743,16 @@ var sharers = []struct {
 	}},
 	{"structured-hidden", func(w psioa.PSIOA, h psioa.ActionSet) (psioa.PSIOA, error) {
 		return structured.HideSet(structured.MustCompose(structured.New(w, nil)), h), nil
+	}},
+	{"structured-over-product", func(w psioa.PSIOA, _ psioa.ActionSet) (psioa.PSIOA, error) {
+		return structured.New(w, nil), nil
+	}},
+	{"structured-pca", func(w psioa.PSIOA, _ psioa.ActionSet) (psioa.PSIOA, error) {
+		x, err := onePCA(w)
+		if err != nil {
+			return nil, err
+		}
+		return structured.StructurePCA(pca.MustComposePCA(x)), nil
 	}},
 }
 

@@ -3,6 +3,7 @@ package structured_test
 import (
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/pca"
 	"repro/internal/psioa"
 	"repro/internal/structured"
@@ -39,24 +40,36 @@ func TestCheckCompatibleThreeWay(t *testing.T) {
 
 func TestEActUniverseOnProduct(t *testing.T) {
 	p := structured.MustCompose(server("a"), server("b"))
-	ea, err := structured.EActUniverse(p, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ea := eactUnion(t, p, 5000)
 	for _, want := range []psioa.Action{"req_a", "rsp_a", "req_b", "rsp_b"} {
 		if !ea.Has(want) {
-			t.Errorf("EActUniverse missing %s: %v", want, ea)
+			t.Errorf("EAct union missing %s: %v", want, ea)
 		}
 	}
-	aa, err := structured.AActUniverse(p, 5000)
+	ai, err := adversary.InterfaceOf(p, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	aa := ai.AAct()
 	for _, want := range []psioa.Action{"leak_a", "corrupt_a", "leak_b", "corrupt_b"} {
 		if !aa.Has(want) {
-			t.Errorf("AActUniverse missing %s: %v", want, aa)
+			t.Errorf("AAct universe missing %s: %v", want, aa)
 		}
 	}
+}
+
+// eactUnion is the union of s's EAct over its reachable states.
+func eactUnion(t *testing.T, s structured.SPSIOA, limit int) psioa.ActionSet {
+	t.Helper()
+	ex, err := psioa.Explore(s, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := psioa.NewActionSet()
+	for _, q := range ex.States {
+		out.AddAll(s.EAct(q))
+	}
+	return out
 }
 
 func TestStructuredWrapsComposite(t *testing.T) {

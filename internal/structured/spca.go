@@ -61,13 +61,8 @@ func (s *StructuredPCA) EAct(q psioa.State) psioa.ActionSet {
 	return s.ConfigEAct(s.PCA.Config(q)).Minus(s.PCA.HiddenActions(q))
 }
 
-// CompatAt delegates compatibility checking to the wrapped PCA.
-func (s *StructuredPCA) CompatAt(q psioa.State) error {
-	if cc, ok := s.PCA.(interface{ CompatAt(psioa.State) error }); ok {
-		return cc.CompatAt(q)
-	}
-	return nil
-}
+// Inner returns the wrapped PCA, which s is a view of.
+func (s *StructuredPCA) Inner() psioa.PSIOA { return s.PCA }
 
 // ComposeSPCA composes structured PCAs (Lemma 4.23: the composition of
 // partially-compatible structured PCAs is a structured PCA). The underlying

@@ -50,13 +50,9 @@ func (s *Structured) EAct(q psioa.State) psioa.ActionSet {
 	return s.EActFn(q)
 }
 
-// CompatAt delegates to the wrapped automaton.
-func (s *Structured) CompatAt(q psioa.State) error {
-	if cc, ok := s.PSIOA.(interface{ CompatAt(psioa.State) error }); ok {
-		return cc.CompatAt(q)
-	}
-	return nil
-}
+// Inner returns the wrapped automaton: a Structured is a view of it, so
+// it walks its product table and its compatibility is its.
+func (s *Structured) Inner() psioa.PSIOA { return s.PSIOA }
 
 // AAct returns the adversary action mapping AAct(q) = ext(q) \ EAct(q)
 // (Def 4.17).
@@ -92,33 +88,6 @@ func Validate(s SPSIOA, limit int) error {
 		}
 	}
 	return nil
-}
-
-// AActUniverse returns the union of AAct over the reachable states — the
-// AAct_A set used by hide(A‖Adv, AAct_A) in the secure-emulation layer.
-func AActUniverse(s SPSIOA, limit int) (psioa.ActionSet, error) {
-	ex, err := psioa.Explore(s, limit)
-	if err != nil {
-		return nil, err
-	}
-	out := psioa.NewActionSet()
-	for _, q := range ex.States {
-		out.AddAll(AAct(s, q))
-	}
-	return out, nil
-}
-
-// EActUniverse returns the union of EAct over the reachable states.
-func EActUniverse(s SPSIOA, limit int) (psioa.ActionSet, error) {
-	ex, err := psioa.Explore(s, limit)
-	if err != nil {
-		return nil, err
-	}
-	out := psioa.NewActionSet()
-	for _, q := range ex.States {
-		out.AddAll(s.EAct(q))
-	}
-	return out, nil
 }
 
 // CheckCompatible verifies structured partial compatibility (Def 4.18) on
@@ -194,6 +163,9 @@ func MustCompose(ss ...SPSIOA) *Product {
 
 // Components returns the flattened structured components.
 func (p *Product) Components() []SPSIOA { return p.comps }
+
+// Inner returns the embedded product, which p is a view of.
+func (p *Product) Inner() psioa.PSIOA { return p.Product }
 
 // EAct implements SPSIOA per Def 4.19: the union of the component
 // environment actions at the projected states.

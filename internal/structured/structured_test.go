@@ -3,6 +3,7 @@ package structured_test
 import (
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/pca"
 	"repro/internal/psioa"
 	"repro/internal/structured"
@@ -87,19 +88,15 @@ func TestValidateStructured(t *testing.T) {
 
 func TestUniverses(t *testing.T) {
 	s := server("s")
-	aa, err := structured.AActUniverse(s, 100)
+	ai, err := adversary.InterfaceOf(s, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !aa.Equal(psioa.NewActionSet("leak_s", "corrupt_s")) {
-		t.Errorf("AActUniverse = %v", aa)
+	if aa := ai.AAct(); !aa.Equal(psioa.NewActionSet("leak_s", "corrupt_s")) {
+		t.Errorf("AAct universe = %v", aa)
 	}
-	ea, err := structured.EActUniverse(s, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ea.Equal(psioa.NewActionSet("req_s", "rsp_s")) {
-		t.Errorf("EActUniverse = %v", ea)
+	if ea := eactUnion(t, s, 100); !ea.Equal(psioa.NewActionSet("req_s", "rsp_s")) {
+		t.Errorf("EAct union = %v", ea)
 	}
 }
 
