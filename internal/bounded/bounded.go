@@ -126,7 +126,7 @@ func TransBits(q psioa.State, a psioa.Action, eta *psioa.Dist) int {
 	var t transLen
 	eta.ForEach(func(s psioa.State, p float64) {
 		sn, ss := codec.EscapedSize(string(s))
-		t.pair(sn, ss, p)
+		t.pair(sn, ss, massLen(p))
 	})
 	qn, _ := codec.EscapedSize(string(q))
 	an, _ := codec.EscapedSize(string(a))
@@ -136,15 +136,20 @@ func TransBits(q psioa.State, a psioa.Action, eta *psioa.Dist) int {
 // transLen counts |⟨tr⟩| one pair ⟨s, p⟩ of η at a time.
 type transLen struct{ pairs, etaLen, etaSpecial int }
 
-// pair counts ⟨s, p⟩, where s has escaped size sn with ss special bytes.
-// Each pair is one component of the measure tuple ⟨η⟩. Its special (sep
-// or esc) bytes are its separator and the escaped state's; the formatted
-// mass has none. Escaped into ⟨η⟩, the pair grows by one byte per special
-// byte, and each special byte becomes two.
-func (t *transLen) pair(sn, ss int, p float64) {
+// massLen is the length of p as EncodeTransition formats it.
+func massLen(p float64) int {
 	var buf [32]byte
+	return len(strconv.AppendFloat(buf[:0], p, 'g', 17, 64))
+}
+
+// pair counts ⟨s, p⟩, where s has escaped size sn with ss special bytes
+// and massLen(p) = pn. Each pair is one component of the tuple ⟨η⟩. Its
+// special (sep or esc) bytes are its separator and the escaped state's;
+// the mass has none. Escaped into ⟨η⟩, the pair grows by one byte per
+// special byte, and each special byte becomes two.
+func (t *transLen) pair(sn, ss, pn int) {
 	special := ss + 1
-	t.etaLen += sn + 1 + len(strconv.AppendFloat(buf[:0], p, 'g', 17, 64)) + special
+	t.etaLen += sn + 1 + pn + special
 	t.etaSpecial += 2 * special
 	t.pairs++
 }
@@ -173,7 +178,7 @@ func Describe(a psioa.PSIOA, limit int) (*Desc, error) {
 // polls and charges as psioa.ExploreCtx does. It returns no report when
 // the walk stops early: on cancellation, on a deadline or when b runs out.
 func DescribeCtx(ctx context.Context, a psioa.PSIOA, limit int, b *resilience.Budget) (*Desc, error) {
-	v := &describer{d: &Desc{}}
+	v := &describer{d: &Desc{}, massLens: make(map[float64]int)}
 	v.x, _ = a.(pca.PCA)
 	ex, err := psioa.Walk(ctx, a, limit, b, v)
 	if err != nil {
@@ -195,7 +200,8 @@ type describer struct {
 	acts []psioa.Action
 	// sizes holds each state's escaped size by walk ID, so a state is
 	// counted once however many transitions lead to it.
-	sizes []escSize
+	sizes    []escSize
+	massLens map[float64]int // massLen of the walk's masses, dropped with it
 }
 
 // escSize is codec.EscapedSize of a state: n is one more than the size,
@@ -222,7 +228,7 @@ func (v *describer) escaped(id uint32, q psioa.State) (n, special int) {
 
 // State counts ⟨q⟩, the actions of q and, for a PCA, ⟨C⟩ and ⟨h⟩; its
 // query work is Sig's: the bits of q and of every action of sig(q).
-func (v *describer) State(id uint32, q psioa.State, _ psioa.Signature, acts []psioa.Action) {
+func (v *describer) State(id uint32, q psioa.State, acts []psioa.Action) {
 	d := v.d
 	v.q, v.acts = q, acts
 	v.qn, _ = v.escaped(id, q)
@@ -247,7 +253,12 @@ func (v *describer) Trans(k int, succ []psioa.Succ) {
 	var t transLen
 	for _, s := range succ {
 		sn, ss := v.escaped(s.ID, s.Q)
-		t.pair(sn, ss, s.P)
+		pn, ok := v.massLens[s.P]
+		if !ok {
+			pn = massLen(s.P)
+			v.massLens[s.P] = pn
+		}
+		t.pair(sn, ss, pn)
 	}
 	an, _ := codec.EscapedSize(string(act))
 	n := t.bits(v.qn, an)

@@ -35,7 +35,7 @@ func Fingerprint(a psioa.PSIOA, limit int) (string, error) {
 	if limit <= 0 {
 		limit = DefaultFingerprintLimit
 	}
-	v := &fingerprinter{}
+	v := &fingerprinter{a: a}
 	ex, err := psioa.Walk(nil, a, limit, nil, v)
 	if err != nil {
 		return "", err
@@ -71,6 +71,7 @@ func Fingerprint(a psioa.PSIOA, limit int) (string, error) {
 // in encoding order with masses, every field NUL-terminated. Fingerprint
 // then hashes the chunks in sorted-state order.
 type fingerprinter struct {
+	a      psioa.PSIOA
 	buf    []byte
 	chunks []fpChunk
 	acts   []psioa.Action
@@ -87,7 +88,8 @@ func (v *fingerprinter) wr(s string) { v.buf = append(append(v.buf, s...), 0) }
 
 // State renders q and its signature. acts is sig^ sorted, so filtering it
 // by each set yields that set sorted.
-func (v *fingerprinter) State(_ uint32, q psioa.State, sig psioa.Signature, acts []psioa.Action) {
+func (v *fingerprinter) State(_ uint32, q psioa.State, acts []psioa.Action) {
+	sig := v.a.Sig(q)
 	v.chunks = append(v.chunks, fpChunk{q: q, start: len(v.buf)})
 	v.acts = acts
 	v.wr("q")

@@ -8,7 +8,9 @@ package pca
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/codec"
 	"repro/internal/measure"
@@ -120,25 +122,26 @@ func FromKey(key string) (*Config, error) {
 	return &Config{states: states}, nil
 }
 
-// signatures returns the constituents' identifiers (sorted, as Auts) and
-// their signatures at the configuration's states, in the same order.
-func (c *Config) signatures(reg Registry) ([]string, []psioa.Signature, error) {
+// signatures returns the constituents' identifiers (sorted, as Auts),
+// automata and signatures at the configuration's states, in that order.
+func (c *Config) signatures(reg Registry) ([]string, []psioa.PSIOA, []psioa.Signature, error) {
 	ids := c.Auts()
+	auts := make([]psioa.PSIOA, len(ids))
 	sigs := make([]psioa.Signature, len(ids))
 	for i, id := range ids {
 		a, ok := reg.Lookup(id)
 		if !ok {
-			return nil, nil, fmt.Errorf("pca: automaton %q not in registry", id)
+			return nil, nil, nil, fmt.Errorf("pca: automaton %q not in registry", id)
 		}
-		sigs[i] = a.Sig(c.states[id])
+		auts[i], sigs[i] = a, a.Sig(c.states[id])
 	}
-	return ids, sigs, nil
+	return ids, auts, sigs, nil
 }
 
 // Compatible checks Def 2.10: the automata are compatible at the
 // configuration's states (their signatures form a compatible set).
 func (c *Config) Compatible(reg Registry) error {
-	ids, sigs, err := c.signatures(reg)
+	ids, _, sigs, err := c.signatures(reg)
 	if err != nil {
 		return err
 	}
@@ -156,7 +159,7 @@ func compatible(ids []string, sigs []psioa.Signature) error {
 // Sig returns the intrinsic signature sig(C) of Def 2.11:
 // out = ∪ out_i, int = ∪ int_i, in = (∪ in_i) \ out.
 func (c *Config) Sig(reg Registry) (psioa.Signature, error) {
-	_, sigs, err := c.signatures(reg)
+	_, _, sigs, err := c.signatures(reg)
 	if err != nil {
 		return psioa.Signature{}, err
 	}
@@ -166,7 +169,7 @@ func (c *Config) Sig(reg Registry) (psioa.Signature, error) {
 // Reduce implements Def 2.12: drop the automata whose current signature is
 // empty (the destruction mechanism).
 func (c *Config) Reduce(reg Registry) (*Config, error) {
-	ids, sigs, err := c.signatures(reg)
+	ids, _, sigs, err := c.signatures(reg)
 	if err != nil {
 		return nil, err
 	}
@@ -179,13 +182,13 @@ func (c *Config) Reduce(reg Registry) (*Config, error) {
 	return out, nil
 }
 
-// IsReduced reports whether C = reduce(C).
+// IsReduced reports whether C = reduce(C): no signature in C is empty.
 func (c *Config) IsReduced(reg Registry) (bool, error) {
-	r, err := c.Reduce(reg)
+	_, _, sigs, err := c.signatures(reg)
 	if err != nil {
 		return false, err
 	}
-	return r.Key() == c.Key(), nil
+	return !slices.ContainsFunc(sigs, psioa.Signature.IsEmpty), nil
 }
 
 // Equal reports whether two configurations have the same automata in the
@@ -210,40 +213,7 @@ func (c *Config) String() string {
 // transition measure; the others stay put. The result is a distribution
 // over configuration keys (all with the same automaton set).
 func PreservingTrans(reg Registry, c *Config, a psioa.Action) (*measure.Dist[string], error) {
-	if err := c.Compatible(reg); err != nil {
-		return nil, err
-	}
-	sig, err := c.Sig(reg)
-	if err != nil {
-		return nil, err
-	}
-	if !sig.Has(a) {
-		return nil, fmt.Errorf("pca: action %q not in sig(C) for C=%v", a, c)
-	}
-	ids := c.Auts()
-	factors := make([]*measure.Dist[string], len(ids))
-	for i, id := range ids {
-		aut, _ := reg.Lookup(id)
-		q := c.states[id]
-		if aut.Sig(q).Has(a) {
-			d := measure.New[string]()
-			aut.Trans(q, a).ForEach(func(q2 psioa.State, p float64) { d.Add(string(q2), p) })
-			factors[i] = d
-		} else {
-			factors[i] = measure.Dirac(string(q))
-		}
-	}
-	joint := measure.ProductN(factors, codec.EncodeTuple)
-	out := measure.New[string]()
-	joint.ForEach(func(tuple string, p float64) {
-		parts := codec.MustDecodeTuple(tuple)
-		next := EmptyConfig()
-		for i, id := range ids {
-			next.states[id] = psioa.State(parts[i])
-		}
-		out.Add(next.Key(), p)
-	})
-	return out, nil
+	return successors[string](reg, c, a, nil, false)
 }
 
 // IntrinsicTrans implements Def 2.14: the dynamic transition
@@ -252,11 +222,23 @@ func PreservingTrans(reg Registry, c *Config, a psioa.Action) (*measure.Dist[str
 // are destroyed via reduction. c must be reduced and compatible, and
 // φ ∩ auts(C) = ∅.
 func IntrinsicTrans(reg Registry, c *Config, a psioa.Action, created []string) (*measure.Dist[string], error) {
-	reduced, err := c.IsReduced(reg)
+	return successors[string](reg, c, a, created, true)
+}
+
+// successors is the kernel of PreservingTrans and, when intrinsic, of
+// IntrinsicTrans: it checks their preconditions in that order, then
+// builds the measure over the successors' keys. Each constituent with a
+// in its signature moves by its transition measure, masses multiplying
+// in constituent order as in measure.ProductN; the others stay put. An
+// intrinsic successor also holds the created automata at their starts and
+// drops those with an empty signature (Def 2.12), which, as c is reduced,
+// only automata that moved or were created can have.
+func successors[K ~string](reg Registry, c *Config, a psioa.Action, created []string, intrinsic bool) (*measure.Dist[K], error) {
+	ids, auts, sigs, err := c.signatures(reg)
 	if err != nil {
 		return nil, err
 	}
-	if !reduced {
+	if intrinsic && slices.ContainsFunc(sigs, psioa.Signature.IsEmpty) {
 		return nil, fmt.Errorf("pca: intrinsic transition from non-reduced configuration %v", c)
 	}
 	for _, id := range created {
@@ -267,36 +249,65 @@ func IntrinsicTrans(reg Registry, c *Config, a psioa.Action, created []string) (
 			return nil, fmt.Errorf("pca: created automaton %q not in registry", id)
 		}
 	}
-	etaP, err := PreservingTrans(reg, c, a)
-	if err != nil {
+	if err := compatible(ids, sigs); err != nil {
 		return nil, err
 	}
-	out := measure.New[string]()
-	var ierr error
-	etaP.ForEach(func(key string, p float64) {
-		if ierr != nil {
-			return
-		}
-		next, err := FromKey(key)
-		if err != nil {
-			ierr = err
-			return
-		}
-		// η_nr: φ is created with probability 1, each at its start state.
-		for _, id := range created {
-			aut, _ := reg.Lookup(id)
-			next = next.With(id, aut.Start())
-		}
-		// η_r: reduce (destruction of empty-signature automata).
-		red, err := next.Reduce(reg)
-		if err != nil {
-			ierr = err
-			return
-		}
-		out.Add(red.Key(), p)
-	})
-	if ierr != nil {
-		return nil, ierr
+	if !slices.ContainsFunc(sigs, func(s psioa.Signature) bool { return s.Has(a) }) {
+		return nil, fmt.Errorf("pca: action %q not in sig(C) for C=%v", a, c)
 	}
+	// A slot is one automaton of the successors, with its choices of
+	// EncodePairs entry and mass, and whether reduction drops it there.
+	type choice struct {
+		entry string
+		p     float64
+		gone  bool
+	}
+	type slot struct {
+		id      string
+		choices []choice
+	}
+	slots := make([]slot, 0, len(ids)+len(created))
+	add := func(id string, aut psioa.PSIOA, qs []psioa.State, ps []float64, moved bool) {
+		s := slot{id: id}
+		for k, q := range qs {
+			if ps[k] > 0 {
+				gone := moved && intrinsic && aut.Sig(q).IsEmpty()
+				s.choices = append(s.choices, choice{codec.EncodeTuple([]string{id, string(q)}), ps[k], gone})
+			}
+		}
+		slots = append(slots, s)
+	}
+	for _, id := range created {
+		aut, _ := reg.Lookup(id)
+		add(id, aut, []psioa.State{aut.Start()}, []float64{1}, true)
+	}
+	for i, id := range ids {
+		if q := c.states[id]; sigs[i].Has(a) {
+			qs, ps := auts[i].Trans(q, a).SupportAndProbs()
+			add(id, auts[i], qs, ps, true)
+		} else {
+			add(id, auts[i], []psioa.State{q}, []float64{1}, false)
+		}
+	}
+	// Key order; creating an automaton twice creates it once.
+	slices.SortFunc(slots, func(x, y slot) int { return strings.Compare(x.id, y.id) })
+	slots = slices.CompactFunc(slots, func(x, y slot) bool { return x.id == y.id })
+	out, entries := measure.New[K](), make([]string, 0, len(slots))
+	var walk func(i int, p float64)
+	walk = func(i int, p float64) {
+		if i == len(slots) {
+			out.Add(K(codec.EncodeTuple(entries)), p)
+			return
+		}
+		for _, ch := range slots[i].choices {
+			n := len(entries)
+			if !ch.gone {
+				entries = append(entries, ch.entry)
+			}
+			walk(i+1, p*ch.p)
+			entries = entries[:n]
+		}
+	}
+	walk(0, 1)
 	return out, nil
 }

@@ -3,6 +3,7 @@ package pca
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/measure"
@@ -211,20 +212,17 @@ func ValidatePCA(x PCA, limit int) (err error) {
 	}
 	for _, q := range ex.States {
 		c := x.Config(q)
-		if err := c.Compatible(reg); err != nil {
+		ids, _, sigs, err := c.signatures(reg)
+		if err == nil {
+			err = compatible(ids, sigs)
+		}
+		if err != nil {
 			return fmt.Errorf("pca: %q state %q: %w", x.ID(), q, err)
 		}
-		red, err := c.IsReduced(reg)
-		if err != nil {
-			return err
-		}
-		if !red {
+		if slices.ContainsFunc(sigs, psioa.Signature.IsEmpty) {
 			return fmt.Errorf("pca: %q state %q: configuration %v not reduced", x.ID(), q, c)
 		}
-		cSig, err := c.Sig(reg)
-		if err != nil {
-			return err
-		}
+		cSig := psioa.ComposeSignatures(sigs)
 		hidden := x.HiddenActions(q)
 		// hidden(q) ⊆ out(config(q)).
 		if extra := hidden.Minus(cSig.Out); len(extra) > 0 {

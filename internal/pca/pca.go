@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/intern"
-	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/psioa"
 )
@@ -200,7 +199,7 @@ func (x *ConfigAutomaton) state(q psioa.State) *stateMemo {
 	if x.hiddenFn != nil {
 		m.hidden = x.hiddenFn(c)
 	}
-	ids, sigs, err := c.signatures(x.reg)
+	ids, _, sigs, err := c.signatures(x.reg)
 	if err != nil {
 		m.sigErr, m.compatErr = err, err
 		return m
@@ -276,12 +275,10 @@ func (x *ConfigAutomaton) Trans(q psioa.State, a psioa.Action) *psioa.Dist {
 	if d := s.trans.Load(); d != nil {
 		return d
 	}
-	eta, err := IntrinsicTrans(x.reg, m.cfg, a, x.created(m, a))
+	out, err := successors[psioa.State](x.reg, m.cfg, a, x.created(m, a), true)
 	if err != nil {
 		invalidf("pca: %q: intrinsic transition at %q on %q: %v", x.id, q, a, err)
 	}
-	out := measure.New[psioa.State]()
-	eta.ForEach(func(key string, p float64) { out.Add(psioa.State(key), p) })
 	s.trans.Store(out)
 	return out
 }

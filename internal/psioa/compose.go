@@ -194,14 +194,15 @@ func (p *Product) CompatAt(q State) error {
 // incompatible at q; use CompatAt (or Explore/Validate) to check
 // compatibility without panicking.
 func (p *Product) Sig(q State) Signature {
-	if ent := p.readyEntry(q); ent != nil {
-		return ent.sig
+	ent := p.readyEntry(q)
+	if ent == nil {
+		s, err := p.prepare(p.lookup(q))
+		if err != nil {
+			panic(err)
+		}
+		ent = s.ent
 	}
-	s, err := p.prepare(p.lookup(q))
-	if err != nil {
-		panic(err)
-	}
-	return s.ent.sig
+	return p.sigOf(ent)
 }
 
 // Trans implements PSIOA per Def 2.5: η_{(A,q,a)} = η₁ ⊗ ... ⊗ ηₙ with

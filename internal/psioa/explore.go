@@ -27,7 +27,7 @@ var (
 type Exploration struct {
 	// States are the reachable states in BFS discovery order.
 	States []State
-	// Sigs maps each reachable state to its signature.
+	// Sigs maps each reachable state to its signature (nil under a Visitor).
 	Sigs map[State]Signature
 	// Acts is the union of all reachable signatures: the reachable part of
 	// acts(A).
@@ -71,20 +71,21 @@ type Succ struct {
 // state for the whole walk. IDs are dense: the state IDs of the product's
 // table, or of the walk's own index for any other automaton.
 type Visitor interface {
-	// State is called for each state the walk dequeues, with its
-	// signature and its sorted actions (shared: do not modify).
-	State(id uint32, q State, sig Signature, acts []Action)
+	// State is called for each state the walk dequeues, with its sorted
+	// actions (shared: do not modify); its signature is the automaton's Sig.
+	State(id uint32, q State, acts []Action)
 	// Trans is called after State, for each k in order, with the support
 	// of η_{(q, acts[k])} and its masses: seen successors and those beyond
 	// the limit included. succ is reused once Trans returns.
 	Trans(k int, succ []Succ)
 }
 
-// Walk is ExploreCtx with a visitor v, which may be nil. A product, and
-// every view of one (see view: Hidden, Atomic, the structured automata
-// and the compositions that embed a product), supplies the visited
-// successors from the product's table, so visiting builds no product
-// measure either; any other automaton supplies them from Trans(q, a).
+// Walk is ExploreCtx with a visitor v, which may be nil; under a visitor
+// it leaves Sigs nil. A product, and every view of one (see view: Hidden,
+// Atomic, the structured automata and the compositions that embed a
+// product), supplies the visited successors from the product's table, so
+// visiting builds no product measure or signature either; any other
+// automaton supplies them from Trans(q, a).
 func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visitor) (*Exploration, error) {
 	sp := obs.Begin("psioa.explore", a.ID())
 	defer sp.End()
@@ -103,7 +104,10 @@ func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visit
 	tr := obs.Active()
 	traced := tr.Enabled()
 	var nTrans int64
-	ex := &Exploration{Sigs: make(map[State]Signature), Acts: NewActionSet()}
+	ex := &Exploration{Acts: NewActionSet()}
+	if v == nil {
+		ex.Sigs = make(map[State]Signature)
+	}
 	// The walk runs over dense state IDs. The states of an automaton that
 	// shares a product's table come from that table, so exploring builds
 	// no product measures and encodes each product state once; any other
@@ -120,14 +124,15 @@ func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visit
 		if err := ck.Step(1, 0); err != nil {
 			return exploreStopped(ex, nTrans, err)
 		}
-		q, sig, acts, err := st.state(id)
+		q, acts, err := st.state(id)
 		if err != nil {
 			return nil, err
 		}
 		ex.States = append(ex.States, q)
-		ex.Sigs[q] = sig
 		if v != nil {
-			v.State(id, q, sig, acts)
+			v.State(id, q, acts)
+		} else {
+			ex.Sigs[q] = st.sig()
 		}
 		if traced {
 			tr.Emit(obs.Event{Kind: obs.KindStateFound, Name: a.ID(), Attr: string(q), N: int64(len(ex.States))})
@@ -267,13 +272,15 @@ func Reachable(a PSIOA, q State, limit int) (bool, error) {
 }
 
 // stepper is what Explore's breadth-first walk needs of an automaton:
-// dense state IDs, each state's signature and sorted actions, and the
+// dense state IDs, each state's sorted actions and signature, and the
 // unseen successors of one of its transitions.
 type stepper interface {
 	start() uint32
-	// state checks compatibility at id and returns its state, signature
-	// and sorted actions.
-	state(id uint32) (State, Signature, []Action, error)
+	// state checks compatibility at id and returns its state and sorted
+	// actions.
+	state(id uint32) (State, []Action, error)
+	// sig returns the signature of the state the last state call returned.
+	sig() Signature
 	// fresh sets w.fresh to the successors of (id, acts[k]) that w has
 	// not seen, sorted by encoding; it stops collecting at w's limit.
 	// When w.visit is set it also sets w.succ to every successor.
@@ -350,19 +357,21 @@ func newProdStepper(p *Product, a PSIOA) *prodStepper {
 
 func (s *prodStepper) start() uint32 { return s.p.startID() }
 
-func (s *prodStepper) state(id uint32) (State, Signature, []Action, error) {
+// state returns the product's sorted actions, which are a sharer's too.
+func (s *prodStepper) state(id uint32) (State, []Action, error) {
 	st, err := s.p.prepare(id)
 	if err != nil {
-		return "", Signature{}, nil, err
+		return "", nil, err
 	}
 	s.cur = st
-	sig := st.ent.sig
+	return st.q, st.ent.acts, nil
+}
+
+func (s *prodStepper) sig() Signature {
 	if s.a != PSIOA(s.p) {
-		// A sharer may reclassify actions but keeps the action set, so
-		// the product's sorted actions are the sharer's too.
-		sig = s.a.Sig(st.q)
+		return s.a.Sig(s.cur.q)
 	}
-	return st.q, sig, st.ent.acts, nil
+	return s.p.sigOf(s.cur.ent)
 }
 
 func (s *prodStepper) fresh(w *walk, _ uint32, k int) {
@@ -381,6 +390,7 @@ type autStepper struct {
 	cc     compatAtChecker
 	ids    map[State]uint32
 	states []State
+	cur    Signature
 	acts   []Action
 }
 
@@ -396,17 +406,19 @@ func (s *autStepper) intern(q State) uint32 {
 
 func (s *autStepper) start() uint32 { return s.intern(s.a.Start()) }
 
-func (s *autStepper) state(id uint32) (State, Signature, []Action, error) {
+func (s *autStepper) state(id uint32) (State, []Action, error) {
 	q := s.states[id]
 	if s.cc != nil {
 		if err := s.cc.CompatAt(q); err != nil {
-			return "", Signature{}, nil, err
+			return "", nil, err
 		}
 	}
-	sig := s.a.Sig(q)
-	s.acts = SortedAll(sig)
-	return q, sig, s.acts, nil
+	s.cur = s.a.Sig(q)
+	s.acts = SortedAll(s.cur)
+	return q, s.acts, nil
 }
+
+func (s *autStepper) sig() Signature { return s.cur }
 
 func (s *autStepper) fresh(w *walk, id uint32, k int) {
 	qs, ps := s.a.Trans(s.states[id], s.acts[k]).SupportAndProbs()

@@ -17,3 +17,17 @@ func (p *Product) TransCacheLen() int {
 	}
 	return n
 }
+
+// SigEntries reports how many signature entries p holds and how many of
+// them have composed their signature.
+func (p *Product) SigEntries() (entries, composed int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, e := range p.entries {
+		entries++
+		if e.sig.Load() != nil {
+			composed++
+		}
+	}
+	return entries, composed
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/codec"
 	"repro/internal/measure"
@@ -27,7 +28,9 @@ import (
 //     shared by every product state with the same tuple of component
 //     signature IDs. Each component signature is sorted once, when it
 //     is interned, and an entry's sorted actions merge those lists, so
-//     no product state sorts its signature again.
+//     no product state sorts its signature again. The composed signature
+//     maps are built on first read (sigOf): a walk under a visitor reads
+//     only the sorted actions, so describing a product composes none.
 //
 // A component that is or views a product (productOf) is indexed by that
 // product's state IDs, and its successor lists come from that product's
@@ -52,10 +55,11 @@ type pstate struct {
 // sigEntry is what a product derives from one tuple of component
 // signatures.
 type sigEntry struct {
-	err   error     // CompatibleSignatures' verdict (Def 2.3); nil: compatible
-	sig   Signature // Def 2.4 composition (compatible entries only)
-	acts  []Action  // SortedAll(sig)
-	actID []uint32  // product-wide ID of acts[k]
+	err   error                     // CompatibleSignatures' verdict (Def 2.3); nil: compatible
+	comps []Signature               // the component signatures
+	sig   atomic.Pointer[Signature] // Def 2.4 composition, built by sigOf
+	acts  []Action                  // SortedAll of the composition
+	actID []uint32                  // product-wide ID of acts[k]
 	// part[off[k]:off[k+1]] are the components whose signature has acts[k].
 	part []int32
 	off  []int32
@@ -388,17 +392,30 @@ func (p *Product) entry(sigIDs []int32) *sigEntry {
 	if e := p.entries[string(key)]; e != nil {
 		return e
 	}
-	sigs := make([]Signature, len(sigIDs))
+	e := &sigEntry{comps: make([]Signature, len(sigIDs))}
 	for i, s := range sigIDs {
-		sigs[i] = p.tabs[i].sigs[s]
+		e.comps[i] = p.tabs[i].sigs[s]
 	}
-	e := &sigEntry{err: CompatibleSignatures(sigs)}
-	if e.err == nil {
-		e.sig = ComposeSignatures(sigs)
+	if e.err = CompatibleSignatures(e.comps); e.err == nil {
 		p.mergeActsLocked(e, sigIDs)
 	}
 	p.entries[string(key)] = e
 	return e
+}
+
+// sigOf returns the signature of a compatible entry, composing it on the
+// first call; later calls read it without taking the product's mutex.
+func (p *Product) sigOf(e *sigEntry) Signature {
+	if s := e.sig.Load(); s != nil {
+		return *s
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e.sig.Load() == nil {
+		s := ComposeSignatures(e.comps)
+		e.sig.Store(&s)
+	}
+	return *e.sig.Load()
 }
 
 // mergeActsLocked fills e's sorted actions, their IDs and participants by

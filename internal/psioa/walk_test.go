@@ -59,9 +59,7 @@ func refExplore(a psioa.PSIOA, limit int) (*psioa.Exploration, error) {
 // signatures, reachable actions and truncation.
 func sameExploration(t *testing.T, what string, got, want *psioa.Exploration) {
 	t.Helper()
-	if !reflect.DeepEqual(got.States, want.States) {
-		t.Fatalf("%s: States differ:\n got %q\nwant %q", what, got.States, want.States)
-	}
+	sameWalk(t, what, got, want)
 	for _, q := range want.States {
 		if !got.Sigs[q].Equal(want.Sigs[q]) {
 			t.Fatalf("%s: Sigs[%q] = %v, want %v", what, q, got.Sigs[q], want.Sigs[q])
@@ -69,6 +67,15 @@ func sameExploration(t *testing.T, what string, got, want *psioa.Exploration) {
 	}
 	if len(got.Sigs) != len(want.Sigs) {
 		t.Fatalf("%s: %d signatures, want %d", what, len(got.Sigs), len(want.Sigs))
+	}
+}
+
+// sameWalk fails t unless got and want agree on discovery order, reachable
+// actions and truncation: all a walk under a visitor reports.
+func sameWalk(t *testing.T, what string, got, want *psioa.Exploration) {
+	t.Helper()
+	if !reflect.DeepEqual(got.States, want.States) {
+		t.Fatalf("%s: States differ:\n got %q\nwant %q", what, got.States, want.States)
 	}
 	if !reflect.DeepEqual(got.Acts.Sorted(), want.Acts.Sorted()) {
 		t.Fatalf("%s: Acts = %v, want %v", what, got.Acts, want.Acts)
@@ -274,8 +281,9 @@ func TestExploreWalkRandomProducts(t *testing.T) {
 	}
 }
 
-// recorder is a Visitor that renders each visited transition's successors
-// and fails on a walk ID naming two states.
+// recorder is a Visitor that keeps each visited state's sorted actions,
+// renders each visited transition's successors and fails on a walk ID
+// naming two states.
 type recorder struct {
 	t      *testing.T
 	what   string
@@ -283,6 +291,7 @@ type recorder struct {
 	states []psioa.State
 	q      psioa.State
 	acts   []psioa.Action
+	sorted map[psioa.State][]psioa.Action
 	trans  map[string]string
 }
 
@@ -293,10 +302,11 @@ func (r *recorder) name(id uint32, q psioa.State) {
 	r.names[id] = q
 }
 
-func (r *recorder) State(id uint32, q psioa.State, _ psioa.Signature, acts []psioa.Action) {
+func (r *recorder) State(id uint32, q psioa.State, acts []psioa.Action) {
 	r.name(id, q)
 	r.q, r.acts = q, acts
 	r.states = append(r.states, q)
+	r.sorted[q] = slices.Clone(acts)
 }
 
 func (r *recorder) Trans(k int, succ []psioa.Succ) {
@@ -313,11 +323,13 @@ func (r *recorder) Trans(k int, succ []psioa.Succ) {
 }
 
 // recordWalk walks a with a recorder. It returns the exploration and the
-// rendered successor lists by "state action", and fails t unless the
-// visited states are the explored ones, in order.
-func recordWalk(t *testing.T, what string, a psioa.PSIOA, limit int) (*psioa.Exploration, map[string]string) {
+// recorder, whose sorted holds the visited states' sorted actions and
+// trans the rendered successor lists by "state action", and fails t
+// unless the visited states are the explored ones, in order, and the walk
+// left Sigs unfilled.
+func recordWalk(t *testing.T, what string, a psioa.PSIOA, limit int) (*psioa.Exploration, *recorder) {
 	t.Helper()
-	r := &recorder{t: t, what: what, names: map[uint32]psioa.State{}, trans: map[string]string{}}
+	r := &recorder{t: t, what: what, names: map[uint32]psioa.State{}, sorted: map[psioa.State][]psioa.Action{}, trans: map[string]string{}}
 	ex, err := psioa.Walk(context.Background(), a, limit, nil, r)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
@@ -325,13 +337,17 @@ func recordWalk(t *testing.T, what string, a psioa.PSIOA, limit int) (*psioa.Exp
 	if !reflect.DeepEqual(r.states, ex.States) {
 		t.Fatalf("%s: visited %q, explored %q", what, r.states, ex.States)
 	}
-	return ex, r.trans
+	if ex.Sigs != nil {
+		t.Fatalf("%s: a walk under a visitor filled %d signatures", what, len(ex.Sigs))
+	}
+	return ex, r
 }
 
 // TestWalkVisitsTransitions: on every world and limit, Walk visits the
-// states Explore returns, in order, and for each of their actions exactly
-// the support and masses of Trans, without building a product measure;
-// its exploration equals Explore's.
+// states Explore returns, in order, with the sorted actions of their
+// signatures, and for each of their actions exactly the support and
+// masses of Trans, without building a product measure; its states,
+// reachable actions and truncation equal Explore's.
 func TestWalkVisitsTransitions(t *testing.T) {
 	worlds := walkWorlds()
 	for _, w := range syncWorlds() {
@@ -344,16 +360,20 @@ func TestWalkVisitsTransitions(t *testing.T) {
 		for _, limit := range []int{100000, 1, 5} {
 			what := fmt.Sprintf("%s/limit=%d", w.name, limit)
 			a := w.mk()
-			got, trans := recordWalk(t, what, a, limit)
+			got, r := recordWalk(t, what, a, limit)
+			trans := r.trans
 			noProductMeasures(t, what, a)
 			b := w.mk()
 			want, err := psioa.Explore(b, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameExploration(t, what, got, want)
+			sameWalk(t, what, got, want)
 			n := 0
 			for _, q := range want.States {
+				if acts := psioa.SortedAll(want.Sigs[q]); !reflect.DeepEqual(r.sorted[q], acts) {
+					t.Fatalf("%s: %q visited with actions %q, want %q", what, q, r.sorted[q], acts)
+				}
 				for _, act := range psioa.SortedAll(want.Sigs[q]) {
 					qs, ps := b.Trans(q, act).SupportAndProbs()
 					if got, want := trans[string(q)+" "+string(act)], fmt.Sprint(qs, ps); got != want {
@@ -759,8 +779,8 @@ var sharers = []struct {
 // FuzzSharedWalk: a testaut world under each sharer, alone or as a
 // component of a product, walks through the shared table exactly as the
 // same automaton behind an opaque wrapper walks through Sig and Trans:
-// the same states in order, signatures, successor lists and truncation,
-// at the fuzzed limit.
+// the same states in order, sorted actions, successor lists and
+// truncation, at the fuzzed limit, and the same signatures afterwards.
 func FuzzSharedWalk(f *testing.F) {
 	worlds := testaut.SyncWorlds()
 	f.Fuzz(func(t *testing.T, world, wrap, hide uint8, seed uint64, limit uint16, nest bool) {
@@ -789,11 +809,21 @@ func FuzzSharedWalk(f *testing.F) {
 		}
 		n := 1 + int(limit)%700
 		what := fmt.Sprintf("%s over %s/seed=%d, nest %v, limit %d", s.name, w.Name, seed, nest, n)
-		got, gotTrans := recordWalk(t, what, mk(func(a psioa.PSIOA) psioa.PSIOA { return a }), n)
-		want, wantTrans := recordWalk(t, what+"/opaque", mk(func(a psioa.PSIOA) psioa.PSIOA { return opaque{a} }), n)
-		sameExploration(t, what, got, want)
-		if !reflect.DeepEqual(gotTrans, wantTrans) {
-			t.Fatalf("%s: successor lists differ:\n got %v\nwant %v", what, gotTrans, wantTrans)
+		shared := mk(func(a psioa.PSIOA) psioa.PSIOA { return a })
+		walked := mk(func(a psioa.PSIOA) psioa.PSIOA { return opaque{a} })
+		got, gotR := recordWalk(t, what, shared, n)
+		want, wantR := recordWalk(t, what+"/opaque", walked, n)
+		sameWalk(t, what, got, want)
+		if !reflect.DeepEqual(gotR.sorted, wantR.sorted) {
+			t.Fatalf("%s: sorted actions differ:\n got %v\nwant %v", what, gotR.sorted, wantR.sorted)
+		}
+		if !reflect.DeepEqual(gotR.trans, wantR.trans) {
+			t.Fatalf("%s: successor lists differ:\n got %v\nwant %v", what, gotR.trans, wantR.trans)
+		}
+		for _, q := range got.States {
+			if g, w := shared.Sig(q), walked.Sig(q); !g.Equal(w) {
+				t.Fatalf("%s: Sig(%q) = %v, want %v", what, q, g, w)
+			}
 		}
 	})
 }
