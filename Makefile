@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-json bench-par bench-compare bench-smoke fuzz-smoke loc no-string-keys one-forwarding-rule daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
+.PHONY: build test race vet fmt bench bench-json bench-par bench-compare bench-smoke fuzz-smoke loc no-string-keys one-forwarding-rule one-clock daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,13 @@ no-string-keys:
 # table-sharing rule").
 one-forwarding-rule:
 	sh scripts/one_forwarding_rule.sh
+
+# one-clock guards the one timing mechanism: outside internal/obs a timed
+# layer is timed by an obs.Call (obs.Enter … End) alone, whose one clock
+# read pair feeds the span, the "<layer>.us" histogram and the job meter.
+# See docs/OBSERVABILITY.md ("Timed layers").
+one-clock:
+	sh scripts/one_clock.sh
 
 # bench-smoke is the short-mode wiring for check: one fast experiment
 # through the -json path, self-compared through bench_compare.sh, so the
@@ -128,7 +135,7 @@ loc:
 # fuzz smokes, the parallel-kernel smoke, the baseline comparison, and the
 # daemon, cluster, and durability end-to-end smokes; run before every
 # commit.
-check: build vet fmt no-string-keys one-forwarding-rule test race chaos bench-smoke fuzz-smoke bench-par bench-compare daemon-smoke obs-smoke cluster-smoke durable-smoke
+check: build vet fmt no-string-keys one-forwarding-rule one-clock test race chaos bench-smoke fuzz-smoke bench-par bench-compare daemon-smoke obs-smoke cluster-smoke durable-smoke
 
 clean:
 	$(GO) clean ./...

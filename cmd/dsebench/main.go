@@ -142,13 +142,15 @@ func telemetryLine() map[string]any {
 	if tot := snap.Counters["engine.cache.hits"] + snap.Counters["engine.cache.misses"]; tot > 0 {
 		rr["cache_hit_ratio"] = float64(snap.Counters["engine.cache.hits"]) / float64(tot)
 	}
-	phases := map[string]string{
-		"measure_us":     "sched.measure.us",
-		"measure_dag_us": "sched.measure.dag.us",
-		"sample_par_us":  "sched.sample.par.us",
+	// The keys predate the layer names: sample_par_us is the sched.sample
+	// layer's histogram.
+	phases := map[string]obs.Layer{
+		"measure_us":     obs.LayerMeasure,
+		"measure_dag_us": obs.LayerDAG,
+		"sample_par_us":  obs.LayerSample,
 	}
-	for key, hist := range phases {
-		if h, ok := snap.Histograms[hist]; ok && h.Count > 0 {
+	for key, layer := range phases {
+		if h, ok := snap.Histograms[layer.Hist()]; ok && h.Count > 0 {
 			rr[key] = h
 		}
 	}

@@ -71,9 +71,8 @@ func HideAAct(s structured.SPSIOA, other psioa.PSIOA, limit int) (psioa.PSIOA, e
 // hide(ideal‖Sim, AAct_ideal) must hold. limit bounds the reachability
 // analyses.
 func SecureEmulates(real, ideal structured.SPSIOA, cases []AdvSim, opt Options, limit int) (*EmulationReport, error) {
-	sp := obs.Begin("core.emulation", real.ID()+" ~> "+ideal.ID())
-	defer sp.End()
-	defer obs.Time("core.emulation.us")()
+	c := obs.Enter(opt.ctx(), obs.LayerEmulation, real.ID()+" ~> "+ideal.ID())
+	defer c.End()
 	tr := obs.Active()
 	out := &EmulationReport{Holds: true, PerAdv: make(map[string]*Report, len(cases))}
 	for _, cs := range cases {

@@ -289,12 +289,11 @@ func setup(a, b psioa.PSIOA, opt Options, needRight bool) ([]*envWork, error) {
 // (environment, left scheduler) pair is decided independently. The report
 // is identical to the sequential one.
 func Implements(a, b psioa.PSIOA, opt Options) (*Report, error) {
-	sp := obs.Begin("core.implements", a.ID()+" <= "+b.ID())
-	defer sp.End()
-	defer obs.Time("core.implements.us")()
+	ctx := opt.ctx()
+	c := obs.Enter(ctx, obs.LayerImplements, a.ID()+" <= "+b.ID())
+	defer c.End()
 	cImplCalls.Inc()
 	tr := obs.Active()
-	ctx := opt.ctx()
 	works, err := setup(a, b, opt, true)
 	if err != nil {
 		return nil, err
@@ -399,12 +398,11 @@ func IdentityWitness() Witness {
 // verifies σ S^{≤ε}_{E,f} w(σ). Like Implements, the per-pair balance
 // checks fan out through opt.Exec when set.
 func ImplementsWitness(a, b psioa.PSIOA, w Witness, opt Options) (*Report, error) {
-	sp := obs.Begin("core.implements.witness", a.ID()+" <= "+b.ID())
-	defer sp.End()
-	defer obs.Time("core.implements.us")()
+	ctx := opt.ctx()
+	c := obs.Enter(ctx, obs.LayerImplements, a.ID()+" <= "+b.ID()+" (witness)")
+	defer c.End()
 	cImplCalls.Inc()
 	tr := obs.Active()
-	ctx := opt.ctx()
 	works, err := setup(a, b, opt, false)
 	if err != nil {
 		return nil, err

@@ -101,7 +101,8 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(i int) error) error {
 		return nil
 	}
 	cPoolMaps.Inc()
-	defer obs.Time("engine.pool.map.us")()
+	c := obs.Enter(ctx, obs.LayerPoolMap, "")
+	defer c.End()
 	if p == nil || p.workers <= 1 || n == 1 {
 		cPoolTasks.Add(int64(n))
 		for i := 0; i < n; i++ {

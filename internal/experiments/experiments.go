@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -102,25 +103,24 @@ func (t *Table) Result() Result {
 	}
 }
 
-// Instrumented wraps an experiment runner with observability: a trace
-// span, a per-experiment wall-time histogram in the default metrics
-// registry, the table's Elapsed field, and a trace event carrying the
-// verdict.
+// Instrumented wraps an experiment runner with observability: one
+// experiment-layer Call, whose one clock read pair feeds the trace span,
+// the experiment.us histogram and the table's Elapsed field, and a trace
+// event carrying the verdict.
 func Instrumented(id string, run func() (*Table, error)) func() (*Table, error) {
-	return func() (*Table, error) {
-		sp := obs.Begin("experiment", id)
-		defer sp.End()
-		defer obs.Time("experiment." + id + ".us")()
-		start := time.Now()
-		t, err := run()
-		if err != nil || t == nil {
-			return t, err
-		}
-		t.Elapsed = time.Since(start)
-		if tr := obs.Active(); tr.Enabled() {
-			tr.Emit(obs.Event{Kind: obs.KindExperiment, Name: id, Attr: t.Verdict, Dur: t.Elapsed.Microseconds()})
-		}
-		return t, nil
+	return func() (t *Table, err error) {
+		c := obs.Enter(context.Background(), obs.LayerExperiment, id)
+		defer func() {
+			elapsed := c.End()
+			if err != nil || t == nil {
+				return
+			}
+			t.Elapsed = elapsed
+			if tr := obs.Active(); tr.Enabled() {
+				tr.Emit(obs.Event{Kind: obs.KindExperiment, Name: id, Attr: t.Verdict, Dur: elapsed.Microseconds()})
+			}
+		}()
+		return run()
 	}
 }
 

@@ -181,7 +181,8 @@ func FDist(w psioa.PSIOA, s sched.Scheduler, f Insight, maxDepth int) (*measure.
 // the perception, so any interruption — budget included — returns nil with
 // the classified error.
 func FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error) {
-	defer obs.Time("insight.fdist.us")()
+	c := obs.Enter(ctx, obs.LayerFDist, f.ID)
+	defer c.End()
 	if f.StateLocal != nil {
 		if dob, ok := sched.AsDepthOblivious(s); ok {
 			dm, err := sched.MeasureDAGOpts(ctx, w, dob, maxDepth, b, o)

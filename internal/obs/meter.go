@@ -6,28 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// Phase names a kernel family whose calls a Meter times.
-type Phase int
-
-// The kernel phases, in run-report order.
-const (
-	PhaseMeasure Phase = iota // sched.measure: tree expansion
-	PhaseSample               // sched.sample: Monte-Carlo sampling
-	PhaseDAG                  // sched.measure.dag: state-collapsed propagation
-	PhaseExplore              // psioa.explore: bounded reachability analysis
-	numPhases
-)
-
-var phaseNames = [numPhases]string{"sched.measure", "sched.sample", "sched.measure.dag", "psioa.explore"}
-
 // Meter is the work account of one job. engine.Runner.Run puts one in the
 // job's context (WithMeter), and every layer that receives the context
 // charges it directly: resilience checkpoints the states and transitions
-// they flush, the engine cache its hits, misses, evictions and lock wait,
-// and the measure kernels their levels, per-shard rows, depth and call
-// times. A meter is charged by its own job only, so its account is exact
-// under any amount of concurrent traffic. A nil *Meter is valid: every
-// charging method is then a no-op.
+// they flush, and the engine cache its hits, misses, evictions and lock
+// wait. Timed layers charge it through their Call: its wall time as a
+// phase row, and a kernel's levels, per-shard rows and depth. A meter is
+// charged by its own job only, so its account is exact under any amount
+// of concurrent traffic. A nil *Meter is valid: every charging method is
+// then a no-op.
 type Meter struct {
 	states, trans                       atomic.Int64
 	hits, misses, evictions, lockWaitUS atomic.Int64
@@ -37,7 +24,7 @@ type Meter struct {
 	depth  int
 	shards []ShardStat
 
-	phases [numPhases]Histogram // per-call wall µs of each kernel family
+	phases [numLayers]Histogram // per-call wall µs of each layer
 }
 
 type meterKey struct{}
@@ -78,14 +65,15 @@ func (m *Meter) Cache(hits, misses, evictions, lockWaitUS int64) {
 	m.lockWaitUS.Add(lockWaitUS)
 }
 
-// Level folds one kernel level into the per-shard rows. widths[i] is the
-// index-span width handed to shard i, items[i] the frontier items it
-// expanded, wallUS[i] its busy time. A shard's barrier wait at this level
-// is the gap to the slowest shard of the level (max wall - own wall): the
-// wall time lost to work imbalance, excluding the single-threaded merge
-// that follows the barrier. Rows are keyed by shard index, so shard i of
-// every level and every call accumulates into one row.
-func (m *Meter) Level(widths, items, wallUS []int64) {
+// level folds level lvl of one kernel call into the per-shard rows and
+// raises the depth high-water mark to lvl. widths[i] is the index-span
+// width handed to shard i, items[i] the frontier items it expanded,
+// wallUS[i] its busy time. A shard's barrier wait at this level is the
+// gap to the slowest shard of the level (max wall - own wall): the wall
+// time lost to work imbalance, excluding the single-threaded merge that
+// follows the barrier. Rows are keyed by shard index, so shard i of every
+// level and every call accumulates into one row.
+func (m *Meter) level(lvl int, widths, items, wallUS []int64) {
 	if m == nil {
 		return
 	}
@@ -96,6 +84,7 @@ func (m *Meter) Level(widths, items, wallUS []int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.levels++
+	m.depth = max(m.depth, lvl)
 	for i := range items {
 		for len(m.shards) <= i {
 			m.shards = append(m.shards, ShardStat{Shard: len(m.shards)})
@@ -109,28 +98,19 @@ func (m *Meter) Level(widths, items, wallUS []int64) {
 	}
 }
 
-// Depth raises the depth high-water mark to d.
-func (m *Meter) Depth(d int) {
+// phase records one call of layer l that took wallUS.
+func (m *Meter) phase(l Layer, wallUS int64) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	m.depth = max(m.depth, d)
-	m.mu.Unlock()
-}
-
-// Call records one kernel call of phase p that took wallUS.
-func (m *Meter) Call(p Phase, wallUS int64) {
-	if m == nil {
-		return
-	}
-	m.phases[p].Observe(float64(wallUS))
+	m.phases[l].Observe(float64(wallUS))
 }
 
 // Report returns the RunReport fields the meter measured: work, cache
 // traffic, depth, levels, per-shard rows with their imbalance and summed
-// barrier wait, and one phase row per kernel family that ran, with
-// quantiles of this job's own call durations. The caller fills in the
+// barrier wait, and one phase row per layer that ran, with quantiles of
+// this job's own call durations. Rows are inclusive: a core.implements
+// row's time contains the kernel rows of the calls it made. The caller fills in the
 // job's identity, wall time, workers and budget limits.
 func (m *Meter) Report() *RunReport {
 	r := &RunReport{
@@ -152,9 +132,9 @@ func (m *Meter) Report() *RunReport {
 	for _, s := range r.Shards {
 		r.BarrierWaitUS += s.BarrierWaitUS
 	}
-	for p := range m.phases {
-		if s := m.phases[p].Snapshot(); s.Count > 0 {
-			r.Phases = append(r.Phases, PhaseStat{Name: phaseNames[p], Calls: s.Count, WallUS: int64(s.Sum),
+	for l := range m.phases {
+		if s := m.phases[l].Snapshot(); s.Count > 0 {
+			r.Phases = append(r.Phases, PhaseStat{Name: layerNames[l], Calls: s.Count, WallUS: int64(s.Sum),
 				P50US: s.P50, P95US: s.P95, P99US: s.P99})
 		}
 	}

@@ -21,27 +21,24 @@ func TestMeterContext(t *testing.T) {
 	var none *obs.Meter // every charging method is a no-op on nil
 	none.Work(1, 1)
 	none.Cache(1, 1, 1, 1)
-	none.Level([]int64{1}, []int64{1}, []int64{1})
-	none.Depth(3)
-	none.Call(obs.PhaseMeasure, 5)
+	none.ChargeLevel(3, []int64{1}, []int64{1}, []int64{1})
+	none.ChargePhase(obs.LayerMeasure, 5)
 }
 
 // TestMeterReport checks that the report adds up what was charged: work,
-// cache traffic, per-shard rows with barrier wait, depth, and one phase
-// row per kernel family in report order.
+// cache traffic, per-shard rows with barrier wait, the deepest level as
+// the depth, and one phase row per layer in report order.
 func TestMeterReport(t *testing.T) {
 	m := &obs.Meter{}
 	m.Work(10, 20)
 	m.Work(5, 0)
 	m.Cache(3, 1, 0, 7)
 	m.Cache(0, 0, 2, 0)
-	m.Level([]int64{4, 4}, []int64{4, 2}, []int64{30, 10})
-	m.Level([]int64{2}, []int64{2}, []int64{5})
-	m.Depth(4)
-	m.Depth(2)
-	m.Call(obs.PhaseDAG, 100)
-	m.Call(obs.PhaseMeasure, 40)
-	m.Call(obs.PhaseMeasure, 60)
+	m.ChargeLevel(4, []int64{4, 4}, []int64{4, 2}, []int64{30, 10})
+	m.ChargeLevel(2, []int64{2}, []int64{2}, []int64{5})
+	m.ChargePhase(obs.LayerDAG, 100)
+	m.ChargePhase(obs.LayerMeasure, 40)
+	m.ChargePhase(obs.LayerMeasure, 60)
 	r := m.Report()
 	want := &obs.RunReport{
 		States: 15, Transitions: 20, DepthReached: 4,

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -201,27 +200,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Time starts a wall-clock timer; the returned stop function records the
-// elapsed microseconds into the named histogram:
-//
-//	defer r.Time("core.implements.us")()
-func (r *Registry) Time(name string) func() {
-	h := r.Histogram(name)
-	start := time.Now()
-	return func() { h.Observe(float64(time.Since(start).Microseconds())) }
-}
-
-// Reset discards every instrument. Intended for tests and benchmark
-// isolation; instruments obtained before Reset keep counting into the
-// discarded generation.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters = make(map[string]*Counter)
-	r.gauges = make(map[string]*Gauge)
-	r.hists = make(map[string]*Histogram)
-}
-
 // Snapshot is a point-in-time JSON-marshalable view of a registry.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters"`
@@ -306,6 +284,3 @@ func G(name string) *Gauge { return Default.Gauge(name) }
 
 // H returns a histogram from the Default registry.
 func H(name string) *Histogram { return Default.Histogram(name) }
-
-// Time times into the Default registry; see Registry.Time.
-func Time(name string) func() { return Default.Time(name) }

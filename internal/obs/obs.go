@@ -17,14 +17,14 @@
 //     V (mass/distance);
 //   - spans correlate a begin/end pair through a process-unique id and
 //     report their wall-clock duration in microseconds on the end event;
+//   - a timed layer is timed by one Call (Enter … End): one clock read
+//     pair feeds its span, its process histogram "<layer>.us" and the
+//     job meter's phase row;
 //   - metric names are dotted paths rooted at the instrumented package,
 //     e.g. "psioa.explore.states" or "sched.measure.steps".
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Kind classifies a trace event.
 type Kind string
@@ -127,48 +127,3 @@ func SetTracer(t Tracer) Tracer {
 
 // Active returns the process-wide tracer. The result is never nil.
 func Active() Tracer { return *active.Load() }
-
-// spanIDs issues process-unique span correlation ids.
-var spanIDs atomic.Int64
-
-// Span is a timed region begun with Begin. The zero Span (returned when
-// tracing is disabled) is valid and End on it is a no-op, so callers can
-// write `defer obs.Begin(...).End()` unconditionally.
-type Span struct {
-	tr     Tracer
-	id     int64
-	parent int64
-	name   string
-	start  time.Time
-}
-
-// Begin opens a root span when tracing is enabled and returns its handle.
-func Begin(name, attr string) Span {
-	return Span{}.Begin(name, attr)
-}
-
-// Begin opens a child span of s: the begin event carries s's id as Parent,
-// so the call hierarchy can be rebuilt from the trace. The zero Span is a valid parent (the child becomes a root), which
-// keeps the disabled path allocation-free: when tracing is off every span
-// is the zero Span and opening children off it costs one branch.
-func (s Span) Begin(name, attr string) Span {
-	tr := Active()
-	if !tr.Enabled() {
-		return Span{}
-	}
-	id := spanIDs.Add(1)
-	tr.Emit(Event{Kind: KindSpanBegin, Name: name, Attr: attr, Span: id, Parent: s.id})
-	return Span{tr: tr, id: id, parent: s.id, name: name, start: time.Now()}
-}
-
-// ID returns the span's correlation id (zero for the zero Span). Events
-// emitted with Parent set to this id attribute themselves to the span.
-func (s Span) ID() int64 { return s.id }
-
-// End closes the span, emitting its duration. No-op on the zero Span.
-func (s Span) End() {
-	if s.tr == nil {
-		return
-	}
-	s.tr.Emit(Event{Kind: KindSpanEnd, Name: s.name, Span: s.id, Parent: s.parent, Dur: time.Since(s.start).Microseconds()})
-}

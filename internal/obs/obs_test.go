@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -14,8 +15,8 @@ import (
 
 // TestNopHotPathAllocFree verifies the core contract of the no-op tracer:
 // an instrumented hot path — fetch the active tracer, check Enabled, bump
-// a counter, open and close a span, open and close a child span — allocates
-// nothing when tracing is disabled.
+// a counter, enter a timed call, time a shard lap and end the call —
+// allocates nothing when tracing is disabled.
 func TestNopHotPathAllocFree(t *testing.T) {
 	prev := obs.SetTracer(nil) // ensure the no-op tracer
 	defer obs.SetTracer(prev)
@@ -26,9 +27,10 @@ func TestNopHotPathAllocFree(t *testing.T) {
 			tr.Emit(obs.Event{Kind: obs.KindSchedStep, Name: "x"})
 		}
 		c.Inc()
-		sp := obs.Begin("obs.test.span", "attr")
-		sp.Begin("obs.test.child", "attr").End()
-		sp.End()
+		call := obs.Enter(context.Background(), obs.LayerExperiment, "attr")
+		lap := call.Lap()
+		_ = lap.US()
+		call.End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled hot path allocates %v times per run, want 0", allocs)
@@ -110,7 +112,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 		j.Emit(e)
 	}
 	prev := obs.SetTracer(j)
-	obs.Begin("work", "x").End()
+	call := obs.Enter(context.Background(), obs.LayerExperiment, "x")
+	call.End()
 	obs.SetTracer(prev)
 	if err := j.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
@@ -178,7 +181,8 @@ func TestCLI(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	obs.Begin("cli.work", "unit").End()
+	call := obs.Enter(context.Background(), obs.LayerExperiment, "unit")
+	call.End()
 	obs.C("obs.test.cli").Inc()
 	c.Stop()
 	c.Stop() // idempotent

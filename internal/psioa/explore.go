@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/resilience"
@@ -87,16 +86,8 @@ type Visitor interface {
 // visiting builds no product measure or signature either; any other
 // automaton supplies them from Trans(q, a).
 func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visitor) (*Exploration, error) {
-	sp := obs.Begin("psioa.explore", a.ID())
-	defer sp.End()
-	// One clock read pair times the call for the process histogram and,
-	// when ctx carries a job meter, for the job's psioa.explore phase.
-	m, begin := obs.MeterFrom(ctx), time.Now()
-	defer func() {
-		us := time.Since(begin).Microseconds()
-		obs.H("psioa.explore.us").Observe(float64(us))
-		m.Call(obs.PhaseExplore, us)
-	}()
+	c := obs.Enter(ctx, obs.LayerExplore, a.ID())
+	defer c.End()
 	if err := resilience.FireDelay(ctx, resilience.FaultSlowOp); err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/measure"
 	"repro/internal/obs"
@@ -230,21 +229,15 @@ func (dm *DAGMeasure) Image(f func(q psioa.State, depth int) string) *measure.Di
 // with the same typed sentinels, and a budget-bounded stop returns the
 // sound sub-probability prefix aggregated so far. The propagation itself
 // stays sequential (the collapsed workload rarely warrants sharding), but
-// a meter in ctx receives per-level rows — one shard per level with the
-// nodes expanded and the level's wall time — and the call's wall time, so
-// run reports cover DAG-routed jobs too.
+// its Call reports per-level rows — one shard per level with the nodes
+// expanded and the level's wall time — to the trace and to a meter in
+// ctx, as the tree kernel does, so run reports cover DAG-routed jobs too.
 func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDepth int, b *resilience.Budget, o Options) (*DAGMeasure, error) {
-	sp := obs.Begin("sched.measure.dag", s.Name())
-	defer sp.End()
-	defer obs.Time("sched.measure.dag.us")()
+	c := obs.Enter(ctx, obs.LayerDAG, s.Name())
+	defer c.End()
 	cDagCalls.Inc()
 	if err := resilience.FireDelay(ctx, resilience.FaultSlowOp); err != nil {
 		return nil, err
-	}
-	m := obs.MeterFrom(ctx)
-	var callStart time.Time
-	if m != nil {
-		callStart = time.Now()
 	}
 	dm := &DAGMeasure{}
 	start := a.Start()
@@ -253,9 +246,6 @@ func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDep
 		// on the start state, exactly as in MeasureOpts.
 		dm.halts = append(dm.halts, dagHalt{q: start, depth: 0, p: 1})
 		dm.total = 1
-		if m != nil {
-			m.Call(obs.PhaseDAG, time.Since(callStart).Microseconds())
-		}
 		return dm, nil
 	}
 	ck := resilience.NewCheckpoint(ctx, b)
@@ -281,11 +271,7 @@ func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDep
 	var nodes int64
 outer:
 	for d := 0; len(order) > 0; d++ {
-		var levelStart time.Time
-		levelNodes := nodes
-		if m != nil {
-			levelStart = time.Now()
-		}
+		lap, levelNodes := c.Lap(), nodes
 		epoch++
 		nextOrder = nextOrder[:0]
 		for _, qid := range order {
@@ -357,10 +343,8 @@ outer:
 				break outer
 			}
 		}
-		if m != nil {
-			wall := time.Since(levelStart).Microseconds()
-			m.Level([]int64{int64(len(order))}, []int64{nodes - levelNodes}, []int64{wall})
-			m.Depth(d)
+		if c.Timed() {
+			c.Level([]int64{int64(len(order))}, []int64{nodes - levelNodes}, []int64{lap.US()})
 		}
 		slots := *tbl.slots.Load()
 		sort.Slice(nextOrder, func(i, j int) bool { return slots[nextOrder[i]].q < slots[nextOrder[j]].q })
@@ -369,9 +353,6 @@ outer:
 	}
 	if err == nil && stopped == nil {
 		stopped = ck.Finish()
-	}
-	if m != nil {
-		m.Call(obs.PhaseDAG, time.Since(callStart).Microseconds())
 	}
 	cDagNodes.Add(nodes)
 	if err != nil {

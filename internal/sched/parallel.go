@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/measure"
 	"repro/internal/obs"
@@ -162,24 +161,12 @@ const parMinFrontier = 8
 // ErrCancelled/ErrDeadline. A panic inside a shard (e.g. an injected
 // transition.panic fault) surfaces as a *resilience.PanicError return.
 func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, b *resilience.Budget, o Options) (*ExecMeasure, error) {
-	sp := obs.Begin("sched.measure", s.Name())
-	defer sp.End()
-	defer obs.Time("sched.measure.us")()
+	c := obs.Enter(ctx, obs.LayerMeasure, s.Name())
+	defer c.End()
 	if err := resilience.FireDelay(ctx, resilience.FaultSlowOp); err != nil {
 		return nil, err
 	}
 	workers := o.workers()
-	tr := obs.Active()
-	traced := tr.Enabled()
-	// Per-shard telemetry (and the clock reads feeding it) is collected
-	// only for a meter in ctx or an enabled tracer, so undisturbed
-	// benchmarks keep the zero-instrumentation fast path.
-	m := obs.MeterFrom(ctx)
-	timed := m != nil || traced
-	var callStart time.Time
-	if timed {
-		callStart = time.Now()
-	}
 	em := &ExecMeasure{root: a.Start(), tree: make([]treeNode, 1, 8)} // the root, and room for a small tree
 	if maxDepth <= 0 {
 		// Depth 0 admits only the empty execution: the scheduler is never
@@ -191,9 +178,6 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 		cMeasureFrags.Inc()
 		gMeasureSupport.SetMax(1)
 		obs.H("sched.measure.support").Observe(1)
-		if m != nil {
-			m.Call(obs.PhaseMeasure, time.Since(callStart).Microseconds())
-		}
 		return em, nil
 	}
 	// The shards read the call and the level being expanded through k. A
@@ -204,7 +188,7 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 	// table, with each item's last state as a table ID. Any other
 	// scheduler's items carry fragments for Choose.
 	k := &treeCall{ctx: ctx, s: s, src: newStepSource(a, s, maxDepth, true), b: b,
-		traced: traced, timed: timed, em: em,
+		call: &c, em: em,
 		frontier: []parItem{{0, 0, 1}}}
 	expand := k.expand // one func value for every level
 	oblivious := k.src.s != nil
@@ -220,7 +204,6 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 	var spareFrags []*psioa.Frag
 	var steps, halts int64
 	var err, stopped error
-	lastLevel := -1
 	// The frontier's nodes are [frontStart, len(em.tree)).
 	frontStart := 0
 	for lvl := 0; len(k.frontier) > 0; lvl++ {
@@ -321,19 +304,15 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 		done := k.frags
 		k.merge(outs)
 		frontStart = len(em.tree) - len(k.frontier)
-		if traced {
+		if c.Traced() {
+			tr := obs.Active()
 			for i := range outs {
 				for _, ev := range outs[i].events {
 					tr.Emit(ev)
 				}
 			}
-			for i := range outs {
-				tr.Emit(obs.Event{Kind: obs.KindShard, Name: s.Name(),
-					Attr: fmt.Sprintf("L%d.S%d", lvl, i), N: outs[i].steps,
-					Dur: outs[i].wallUS, Parent: sp.ID()})
-			}
 		}
-		if m != nil {
+		if c.Timed() {
 			widths := make([]int64, len(outs))
 			items := make([]int64, len(outs))
 			walls := make([]int64, len(outs))
@@ -342,9 +321,8 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 				items[i] = outs[i].steps
 				walls[i] = outs[i].wallUS
 			}
-			m.Level(widths, items, walls)
+			c.Level(widths, items, walls)
 		}
-		lastLevel = lvl
 		spare = frontier[:0]
 		if done != nil {
 			// The level's fragments are dropped: nothing retains one.
@@ -353,10 +331,6 @@ func MeasureOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, maxDepth int, 
 		}
 	}
 	em.steps = k.steps.steps
-	if m != nil {
-		m.Call(obs.PhaseMeasure, time.Since(callStart).Microseconds())
-		m.Depth(lastLevel)
-	}
 	cMeasureCalls.Inc()
 	cMeasureSteps.Add(steps)
 	cMeasureHalts.Add(halts)
@@ -438,8 +412,7 @@ type treeCall struct {
 	tbl      *stepTable // nil until a level may repeat a state
 	steps    stepSet
 	b        *resilience.Budget
-	traced   bool
-	timed    bool
+	call     *obs.Call // times the call; the shards read Timed and Lap
 	em       *ExecMeasure
 	depth    int // the level being expanded: every item's length
 	frontier []parItem
@@ -450,14 +423,9 @@ type treeCall struct {
 
 // expand expands the level's span i into outs[i].
 func (k *treeCall) expand(i int) {
-	var t0 time.Time
-	if k.timed {
-		t0 = time.Now()
-	}
+	lap := k.call.Lap()
 	k.expandShard(k.spans[i].lo, k.spans[i].hi, &k.outs[i])
-	if k.timed {
-		k.outs[i].wallUS = time.Since(t0).Microseconds()
-	}
+	k.outs[i].wallUS = lap.US()
 }
 
 // lastState returns lstate of node n's fragment while the call runs.
@@ -503,7 +471,7 @@ func (k *treeCall) fragOf(j int) *psioa.Frag {
 // ordered views walk its node records, and a key materializes only when a
 // caller asks for it.
 func (k *treeCall) expandShard(lo, hi int, out *parShard) {
-	src, s, tbl, traced, depth := &k.src, k.s, k.tbl, k.traced, k.depth
+	src, s, tbl, traced, depth := &k.src, k.s, k.tbl, k.call.Traced(), k.depth
 	a, maxDepth := src.a, src.maxDepth
 	items := k.frontier[lo:hi]
 	ck := resilience.NewCheckpoint(k.ctx, k.b)
@@ -670,21 +638,12 @@ func SampleStateImageOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, 
 // index substream, and merges their keys in index order. draw returns a
 // sample's key and length; it must be safe for concurrent calls.
 func sampleImage(ctx context.Context, name string, stream *rng.Stream, n int, b *resilience.Budget, o Options, draw func(*rng.Stream) (string, int, error)) (*measure.Dist[string], error) {
+	c := obs.Enter(ctx, obs.LayerSample, name)
+	defer c.End()
 	material := stream.Uint64()
 	keys := make([]string, n)
 	spans := splitSpans(nil, n, o.workers())
 	outs := make([]parShard, len(spans))
-	sp := obs.Begin("sched.sample.par", name)
-	defer sp.End()
-	defer obs.Time("sched.sample.par.us")()
-	tr := obs.Active()
-	traced := tr.Enabled()
-	m := obs.MeterFrom(ctx)
-	timed := m != nil || traced
-	var callStart time.Time
-	if timed {
-		callStart = time.Now()
-	}
 	sampleRange := func(i int) {
 		lo, hi := spans[i].lo, spans[i].hi
 		ck := resilience.NewCheckpoint(ctx, b)
@@ -705,14 +664,9 @@ func sampleImage(ctx context.Context, name string, stream *rng.Stream, n int, b 
 		}
 	}
 	runErr := runShards(len(spans), func(i int) {
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
+		lap := c.Lap()
 		sampleRange(i)
-		if timed {
-			outs[i].wallUS = time.Since(t0).Microseconds()
-		}
+		outs[i].wallUS = lap.US()
 	})
 	var err error
 	errIdx := -1
@@ -724,30 +678,21 @@ func sampleImage(ctx context.Context, name string, stream *rng.Stream, n int, b 
 	if err == nil {
 		err = runErr
 	}
-	if timed && err == nil {
-		callWallUS := time.Since(callStart).Microseconds()
-		if m != nil {
-			widths := make([]int64, len(outs))
-			walls := make([]int64, len(outs))
-			for i := range outs {
-				widths[i] = int64(spans[i].hi - spans[i].lo)
-				walls[i] = outs[i].wallUS
-			}
-			// Sampling has no levels: the whole run is one barrier, and
-			// every sample in a shard's span was drawn, so items = width.
-			m.Level(widths, widths, walls)
-			m.Call(obs.PhaseSample, callWallUS)
-		}
-		if traced {
-			for i := range outs {
-				tr.Emit(obs.Event{Kind: obs.KindShard, Name: name,
-					Attr: fmt.Sprintf("S%d", i), N: int64(spans[i].hi - spans[i].lo),
-					Dur: outs[i].wallUS, Parent: sp.ID()})
-			}
-		}
-	}
 	if err != nil {
+		// An interrupted run reports no level, as the tree kernel drops an
+		// interrupted level whole.
 		return nil, err
+	}
+	if c.Timed() {
+		widths := make([]int64, len(outs))
+		walls := make([]int64, len(outs))
+		for i := range outs {
+			widths[i] = int64(spans[i].hi - spans[i].lo)
+			walls[i] = outs[i].wallUS
+		}
+		// Sampling has no levels: the whole run is one level, and every
+		// sample in a shard's span was drawn, so items = width.
+		c.Level(widths, widths, walls)
 	}
 	d := measure.New[string]()
 	inc := 1.0 / float64(n)

@@ -4,7 +4,8 @@
 #   1. dsecheck -explain -trace: the run report must print per-shard work
 #      counts and the cache hit ratio, and every JSONL trace event must
 #      carry a kind from the documented event-kind table
-#      (docs/OBSERVABILITY.md).
+#      (docs/OBSERVABILITY.md), and every span.begin must have exactly
+#      one span.end with the same span id.
 #   2. dsed: /v1/metrics?format=prom must pass scripts/prom_check.sh and
 #      /v1/debug must answer a JSON introspection snapshot with a positive
 #      heap_bytes.
@@ -50,6 +51,27 @@ awk '
         }
     }
     END { if (bad) exit 1 }
+' "$TMP/trace.jsonl"
+
+# Every span.begin has exactly one span.end with the same span id: each
+# timed call ends once, on every exit.
+awk '
+    /"kind":"span\.(begin|end)"/ {
+        if (match($0, /"span":[0-9]+/) == 0) {
+            print "obs-smoke: span event without an id at line " NR ": " $0; bad = 1; next
+        }
+        id = substr($0, RSTART + 7, RLENGTH - 7)
+        if ($0 ~ /"kind":"span\.begin"/) begins[id]++; else ends[id]++
+    }
+    END {
+        for (id in begins) if (ends[id] != 1 || begins[id] != 1) {
+            print "obs-smoke: span " id " has " begins[id] " begin(s) and " ends[id] + 0 " end(s)"; bad = 1
+        }
+        for (id in ends) if (!(id in begins)) {
+            print "obs-smoke: span " id " ends without a begin"; bad = 1
+        }
+        if (bad) exit 1
+    }
 ' "$TMP/trace.jsonl"
 
 # --- 2. dsed prom + debug ----------------------------------------------
