@@ -83,13 +83,16 @@ bench-smoke:
 # each template over the world's whole alphabet, the column-held
 # expansion tree against a reference tree of fragments sorted by key, the
 # walk of every automaton that shares a product's table against the
-# same automaton walked through Sig and Trans, and the preserving and
-# intrinsic transitions of generated configurations with creation and
-# destruction against their key round trip through FromKey and Reduce.
+# same automaton walked through Sig and Trans, the one-walk Validate
+# against its Explore-and-Trans version on faulty generated worlds, and
+# the preserving and intrinsic transitions of generated configurations
+# with creation and destruction against their key round trip through
+# FromKey and Reduce.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzPriorityTemplates -fuzztime=10s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz=FuzzExpansionTree -fuzztime=10s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz=FuzzSharedWalk -fuzztime=10s ./internal/psioa/
+	$(GO) test -run '^$$' -fuzz=FuzzValidateWalk -fuzztime=10s ./internal/psioa/
 	$(GO) test -run '^$$' -fuzz=FuzzIntrinsicTrans -fuzztime=10s ./internal/pca/
 
 # daemon-smoke starts dsed on a scratch port and runs a check through the

@@ -13,7 +13,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,18 +42,8 @@ func main() {
 		exit(2)
 	}
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	if *budget > 0 || *timeout > 0 {
-		// Experiment kernels do not all receive the context, so the process
-		// default budget is what propagates the limits into their
-		// cancellation checkpoints.
-		resilience.SetDefaultBudget(resilience.NewBudget(0, *budget, *timeout))
-	}
+	ctx, cancel := resilience.CLILimits(*timeout, *budget)
+	defer cancel()
 
 	_, runs := experiments.Runners()
 

@@ -15,7 +15,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -56,17 +55,8 @@ func main() {
 	flag.Parse()
 	fatal(ocli.Start())
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	if *budget > 0 || *timeout > 0 {
-		// The default budget makes the kernels' cancellation checkpoints
-		// enforce the limits even where a context is not threaded through.
-		resilience.SetDefaultBudget(resilience.NewBudget(0, *budget, *timeout))
-	}
+	ctx, cancel := resilience.CLILimits(*timeout, *budget)
+	defer cancel()
 
 	if *left == "" || *right == "" || len(envs) == 0 {
 		fmt.Fprintln(os.Stderr, "dsecheck: need -left, -right and at least one -env")

@@ -17,7 +17,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -52,15 +51,8 @@ func main() {
 	flag.Parse()
 	fatal(ocli.Start())
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	if *budget > 0 || *timeout > 0 {
-		resilience.SetDefaultBudget(resilience.NewBudget(0, *budget, *timeout))
-	}
+	ctx, cancel := resilience.CLILimits(*timeout, *budget)
+	defer cancel()
 
 	if len(systems) == 0 {
 		fmt.Fprintln(os.Stderr, "dsesim: need at least one -sys")

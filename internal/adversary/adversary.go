@@ -32,23 +32,22 @@ type Interface struct {
 // inputs that are never outputs (the genuinely adversary-driven commands).
 // This keeps the dummy adversary's forwarding direction well-defined.
 func InterfaceOf(s structured.SPSIOA, limit int) (*Interface, error) {
-	ex, err := psioa.Explore(s, limit)
-	if err != nil {
-		return nil, err
-	}
 	aiAll := psioa.NewActionSet()
 	aoAll := psioa.NewActionSet()
-	for _, q := range ex.States {
-		// AAct(q) ⊆ ext(q) = in(q) ∪ out(q), so what is not an output is
+	visit := func(_ uint32, q psioa.State, acts []psioa.Action, roles []psioa.Role) {
+		// AAct(q) = ext(q) \ EAct(q), and what in it is not an output is
 		// an input.
-		out := ex.Sigs[q].Out
-		for a := range structured.AAct(s, q) {
-			if out.Has(a) {
+		env := s.EAct(q)
+		for k, a := range acts {
+			if roles[k]&psioa.Out != 0 && !env.Has(a) {
 				aoAll.Add(a)
-			} else {
+			} else if roles[k]&psioa.In != 0 && !env.Has(a) {
 				aiAll.Add(a)
 			}
 		}
+	}
+	if _, err := psioa.Walk(nil, s, limit, nil, psioa.StateFunc(visit)); err != nil {
+		return nil, err
 	}
 	return &Interface{AI: aiAll.Minus(aoAll), AO: aoAll}, nil
 }
@@ -78,39 +77,44 @@ func IsAdversaryFor(adv psioa.PSIOA, s structured.SPSIOA, limit int) error {
 	if err != nil {
 		return err
 	}
-	ex, err := psioa.Explore(p, limit)
-	if err != nil {
-		return fmt.Errorf("adversary: %q not partially compatible with %q: %w", adv.ID(), s.ID(), err)
-	}
 	// AI_A, AO_A and EAct_A depend only on the host's state q_A, and
-	// sig(Adv) only on q_Adv, so each is evaluated once per distinct
-	// component state; the overlap is still checked at every product
-	// state, in BFS order.
+	// sig(Adv) only on q_Adv, so each is evaluated once per component
+	// state ID; the overlap is checked at every product state, in BFS
+	// order, and reported after any incompatibility the walk finds.
 	aiUnion := psioa.NewActionSet()
 	aoUnion := psioa.NewActionSet()
 	advOutUnion := psioa.NewActionSet()
-	eact := make(map[psioa.State]psioa.ActionSet)
-	advActs := make(map[psioa.State]psioa.ActionSet)
-	for _, q := range ex.States {
-		qs := p.Split(q)
-		qa, qadv := qs[0], qs[1]
-		env, ok := eact[qa]
+	eact := make(map[uint32]psioa.ActionSet)
+	advActs := make(map[uint32]psioa.ActionSet)
+	var touch error
+	visit := func(id uint32, q psioa.State, _ []psioa.Action, _ []psioa.Role) {
+		ia, qa := p.ComponentAt(id, 0)
+		env, ok := eact[ia]
 		if !ok {
-			aiUnion.AddAll(structured.AI(s, qa))
-			aoUnion.AddAll(structured.AO(s, qa))
+			// AI and AO are the inputs and outputs in AAct = ext \ EAct.
 			env = s.EAct(qa)
-			eact[qa] = env
+			sig := s.Sig(qa)
+			aiUnion.AddAll(sig.In.Minus(env))
+			aoUnion.AddAll(sig.Out.Minus(env))
+			eact[ia] = env
 		}
-		acts, ok := advActs[qadv]
+		iv, qadv := p.ComponentAt(id, 1)
+		acts, ok := advActs[iv]
 		if !ok {
 			sig := adv.Sig(qadv)
 			advOutUnion.AddAll(sig.Out)
 			acts = sig.All()
-			advActs[qadv] = acts
+			advActs[iv] = acts
 		}
-		if !env.Disjoint(acts) {
-			return fmt.Errorf("adversary: %q touches environment actions %v of %q at state %q", adv.ID(), env.Intersect(acts), s.ID(), q)
+		if touch == nil && !env.Disjoint(acts) {
+			touch = fmt.Errorf("adversary: %q touches environment actions %v of %q at state %q", adv.ID(), env.Intersect(acts), s.ID(), q)
 		}
+	}
+	if _, err := psioa.Walk(nil, p, limit, nil, psioa.StateFunc(visit)); err != nil {
+		return fmt.Errorf("adversary: %q not partially compatible with %q: %w", adv.ID(), s.ID(), err)
+	}
+	if touch != nil {
+		return touch
 	}
 	// Genuine adversary commands are the adversary inputs never produced by
 	// the protocol itself (see InterfaceOf on mixed-direction actions).

@@ -228,7 +228,7 @@ func (v *describer) escaped(id uint32, q psioa.State) (n, special int) {
 
 // State counts ⟨q⟩, the actions of q and, for a PCA, ⟨C⟩ and ⟨h⟩; its
 // query work is Sig's: the bits of q and of every action of sig(q).
-func (v *describer) State(id uint32, q psioa.State, acts []psioa.Action) {
+func (v *describer) State(id uint32, q psioa.State, acts []psioa.Action, _ []psioa.Role) {
 	d := v.d
 	v.q, v.acts = q, acts
 	v.qn, _ = v.escaped(id, q)

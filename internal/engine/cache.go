@@ -308,8 +308,12 @@ func memoKey(kind byte, parts ...string) string {
 // own (psioa.Product.Keyed): it is computed once, however many callers
 // ask, and dies with the product. Any other automaton is fingerprinted on
 // each call. A nil cache fingerprints too.
-func (c *Cache) Fingerprint(a psioa.PSIOA) (string, error) {
-	compute := func() (string, error) { return Fingerprint(a, DefaultFingerprintLimit) }
+func (c *Cache) Fingerprint(a psioa.PSIOA) (string, error) { return c.fingerprint(nil, a) }
+
+// fingerprint is Fingerprint walking under a job's ctx, which can stop the
+// walk and whose meter times it; the walk charges no budget.
+func (c *Cache) fingerprint(ctx context.Context, a psioa.PSIOA) (string, error) {
+	compute := func() (string, error) { return fingerprint(ctx, a, DefaultFingerprintLimit) }
 	if p, ok := a.(*psioa.Product); ok {
 		return p.Keyed(compute)
 	}
@@ -339,7 +343,7 @@ func (c *Cache) MeasureOpts(ctx context.Context, a psioa.PSIOA, s sched.Schedule
 	if c == nil {
 		return sched.MeasureOpts(ctx, a, s, maxDepth, b, o)
 	}
-	fp, err := c.Fingerprint(a)
+	fp, err := c.fingerprint(ctx, a)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +387,7 @@ func (c *Cache) FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler,
 	if c == nil {
 		return insight.FDistOpts(ctx, w, s, f, maxDepth, b, o)
 	}
-	fp, err := c.Fingerprint(w)
+	fp, err := c.fingerprint(ctx, w)
 	if err != nil {
 		return nil, err
 	}

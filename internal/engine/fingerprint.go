@@ -1,11 +1,13 @@
 package engine
 
 import (
-	"fmt"
+	"context"
+	"encoding/hex"
 	"hash/fnv"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/psioa"
@@ -29,14 +31,22 @@ var cFingerprints = obs.C("engine.fingerprints")
 // results. limit <= 0 means DefaultFingerprintLimit.
 //
 // It is one psioa.Walk: the visitor renders each state's part of the hash
-// input as the walk reaches it, from the successors the walk supplies, so
-// fingerprinting a product builds no transition measure.
-func Fingerprint(a psioa.PSIOA, limit int) (string, error) {
+// input as the walk reaches it, from the roles and successors the walk
+// supplies, so fingerprinting a product composes no signature and builds
+// no transition measure.
+func Fingerprint(a psioa.PSIOA, limit int) (string, error) { return fingerprint(nil, a, limit) }
+
+// fpPool keeps fingerprinters, whose buffers are most of what one allocates.
+var fpPool = sync.Pool{New: func() any { return new(fingerprinter) }}
+
+// fingerprint is Fingerprint walking under ctx, uncharged.
+func fingerprint(ctx context.Context, a psioa.PSIOA, limit int) (string, error) {
 	if limit <= 0 {
 		limit = DefaultFingerprintLimit
 	}
-	v := &fingerprinter{a: a}
-	ex, err := psioa.Walk(nil, a, limit, nil, v)
+	v := fpPool.Get().(*fingerprinter)
+	defer v.release()
+	ex, err := psioa.Walk(ctx, a, limit, nil, v)
 	if err != nil {
 		return "", err
 	}
@@ -56,7 +66,7 @@ func Fingerprint(a psioa.PSIOA, limit int) (string, error) {
 	for _, c := range v.chunks {
 		h.Write(v.buf[c.start:c.end])
 	}
-	fp := fmt.Sprintf("%x", h.Sum(nil))
+	fp := hex.EncodeToString(h.Sum(nil))
 	if ex.Truncated {
 		// A truncated exploration identifies only the explored fragment;
 		// mark it so such keys are visibly partial.
@@ -71,7 +81,6 @@ func Fingerprint(a psioa.PSIOA, limit int) (string, error) {
 // in encoding order with masses, every field NUL-terminated. Fingerprint
 // then hashes the chunks in sorted-state order.
 type fingerprinter struct {
-	a      psioa.PSIOA
 	buf    []byte
 	chunks []fpChunk
 	acts   []psioa.Action
@@ -84,23 +93,26 @@ type fpChunk struct {
 	start, end int
 }
 
+// release empties v, keeping its buffers, and returns it to fpPool.
+func (v *fingerprinter) release() {
+	clear(v.chunks)
+	*v = fingerprinter{buf: v.buf[:0], chunks: v.chunks[:0]}
+	fpPool.Put(v)
+}
+
 func (v *fingerprinter) wr(s string) { v.buf = append(append(v.buf, s...), 0) }
 
 // State renders q and its signature. acts is sig^ sorted, so filtering it
-// by each set yields that set sorted.
-func (v *fingerprinter) State(_ uint32, q psioa.State, acts []psioa.Action) {
-	sig := v.a.Sig(q)
+// by each role yields that set sorted.
+func (v *fingerprinter) State(_ uint32, q psioa.State, acts []psioa.Action, roles []psioa.Role) {
 	v.chunks = append(v.chunks, fpChunk{q: q, start: len(v.buf)})
 	v.acts = acts
 	v.wr("q")
 	v.wr(string(q))
-	for _, part := range [...]struct {
-		tag string
-		set psioa.ActionSet
-	}{{"in", sig.In}, {"out", sig.Out}, {"int", sig.Int}} {
-		v.wr(part.tag)
-		for _, act := range acts {
-			if part.set.Has(act) {
+	for i, tag := range [...]string{"in", "out", "int"} {
+		v.wr(tag)
+		for k, act := range acts {
+			if roles[k]&(psioa.In<<i) != 0 {
 				v.wr(string(act))
 			}
 		}

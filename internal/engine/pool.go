@@ -93,9 +93,10 @@ func (p *Pool) Busy() int {
 // terminated while a worker was mid-task is reported under the same
 // lowest-index rule (as resilience.ErrCancelled/ErrDeadline wrapping
 // ctx.Err()). Panics in fn are isolated into *resilience.PanicError task
-// failures. fn must be safe for concurrent calls with distinct indices. A
-// nil pool or a single-worker pool runs sequentially, stopping at the
-// first error.
+// failures. fn must be safe for concurrent calls with distinct indices.
+// The tasks run on min(Workers(), n) goroutines, each taking a pool slot
+// per task. A nil pool or a single-worker pool runs sequentially, stopping
+// at the first error.
 func (p *Pool) Map(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -118,62 +119,60 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(i int) error) error {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
+		next     int
 		firstErr error
 		firstIdx = n
 	)
-	record := func(i int, err error) {
-		mu.Lock()
-		if i < firstIdx {
-			firstErr, firstIdx = err, i
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	launched := 0
-launch:
-	// Launch strictly in index order: once a launched task fails at index
-	// k, every index < k has already been launched, so the minimum failing
-	// index among launched tasks equals the sequential first failure.
-	for i := 0; i < n; i++ {
-		select {
-		case <-ctx.Done():
-			break launch
-		case p.sem <- struct{}{}:
-		}
-		if failed() {
-			<-p.sem
-			break launch
-		}
-		p.mu.Lock()
-		p.busy++
-		gPoolBusy.SetMax(int64(p.busy))
-		p.mu.Unlock()
-		cPoolTasks.Inc()
-		launched++
+	// Each of min(workers, n) goroutines takes a slot, then the next
+	// index, strictly in index order: once a task fails at index k, every
+	// index < k has been taken, so the least failing index among taken
+	// tasks is the sequential first failure. None is taken after a failure.
+	for range min(p.workers, n) {
 		wg.Add(1)
-		go func(i int) {
-			defer func() {
-				p.mu.Lock()
-				p.busy--
-				p.mu.Unlock()
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case p.sem <- struct{}{}:
+				}
+				mu.Lock()
+				i := next
+				if i == n || firstErr != nil {
+					mu.Unlock()
+					<-p.sem
+					return
+				}
+				next++
+				mu.Unlock()
+				cPoolTasks.Inc()
+				p.addBusy(1)
+				err := call(ctx, fn, i)
+				p.addBusy(-1)
 				<-p.sem
-				wg.Done()
-			}()
-			if err := call(ctx, fn, i); err != nil {
-				record(i, err)
+				mu.Lock()
+				if err != nil && i < firstIdx {
+					firstErr, firstIdx = err, i
+				}
+				mu.Unlock()
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
 		return firstErr
 	}
-	if launched < n {
+	if next < n {
 		return resilience.CtxError(ctx)
 	}
 	return nil
+}
+
+// addBusy adds d to the count of running tasks.
+func (p *Pool) addBusy(d int) {
+	p.mu.Lock()
+	p.busy += d
+	gPoolBusy.SetMax(int64(p.busy))
+	p.mu.Unlock()
 }

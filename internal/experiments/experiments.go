@@ -155,6 +155,17 @@ func (t *Table) String() string {
 
 func f6(v float64) string { return fmt.Sprintf("%.6g", v) }
 
+// advDist is the largest distance any adversary of rep reached.
+func advDist(rep *core.EmulationReport) float64 {
+	dist := 0.0
+	for _, r := range rep.PerAdv {
+		if r.MaxDist > dist {
+			dist = r.MaxDist
+		}
+	}
+	return dist
+}
+
 // E1CompositionBound measures Lemma 4.3/B.1: B(A₁‖A₂) ≤ c·(B₁+B₂) across a
 // size sweep of explicit automata.
 func E1CompositionBound() (*Table, error) {
@@ -475,12 +486,7 @@ func E8SecureEmulation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dist := 0.0
-		for _, r := range rep.PerAdv {
-			if r.MaxDist > dist {
-				dist = r.MaxDist
-			}
-		}
+		dist := advDist(rep)
 		ok = ok && rep.Holds
 		t.Rows = append(t.Rows, []string{
 			"OTP(single)", f6(leak), f6(leak / 2), f6(dist), fmt.Sprint(rep.Holds),
@@ -511,12 +517,7 @@ func E8SecureEmulation() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dist := 0.0
-	for _, r := range rep.PerAdv {
-		if r.MaxDist > dist {
-			dist = r.MaxDist
-		}
-	}
+	dist := advDist(rep)
 	ok = ok && rep.Holds
 	t.Rows = append(t.Rows, []string{"OTP×2 composed (Thm 4.30 Sim)", "0", "0", f6(dist), fmt.Sprint(rep.Holds)})
 	t.Verdict = verdict(ok, "emulation error = leak/2 exactly; composed simulator achieves ε=0")
@@ -649,12 +650,7 @@ func E11DynamicEmulation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dist := 0.0
-		for _, r := range rep.PerAdv {
-			if r.MaxDist > dist {
-				dist = r.MaxDist
-			}
-		}
+		dist := advDist(rep)
 		ok = ok && rep.Holds
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(len(exr.States)), fmt.Sprint(len(exi.States)),
@@ -694,12 +690,7 @@ func E12Commitment() (*Table, error) {
 		if err != nil {
 			return 0, false, err
 		}
-		dist := 0.0
-		for _, r := range rep.PerAdv {
-			if r.MaxDist > dist {
-				dist = r.MaxDist
-			}
-		}
+		dist := advDist(rep)
 		return dist, rep.Holds, nil
 	}
 	ok := true
@@ -805,12 +796,7 @@ func E14CoinFlipping() (*Table, error) {
 		if err != nil {
 			return 0, false, err
 		}
-		dist := 0.0
-		for _, r := range rep.PerAdv {
-			if r.MaxDist > dist {
-				dist = r.MaxDist
-			}
-		}
+		dist := advDist(rep)
 		t.Rows = append(t.Rows, []string{label, ideal, f6(dist), fmt.Sprint(rep.Holds)})
 		return dist, rep.Holds, nil
 	}

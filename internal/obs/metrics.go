@@ -239,32 +239,27 @@ func (s Snapshot) JSON() []byte {
 	return out
 }
 
+// sortedNames returns the instrument names of m in order.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // String renders the snapshot as a compact sorted text summary, one
 // instrument per line.
 func (s Snapshot) String() string {
 	var b strings.Builder
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedNames(s.Counters) {
 		fmt.Fprintf(&b, "counter  %-36s %d\n", n, s.Counters[n])
 	}
-	names = names[:0]
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedNames(s.Gauges) {
 		fmt.Fprintf(&b, "gauge    %-36s %d\n", n, s.Gauges[n])
 	}
-	names = names[:0]
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedNames(s.Histograms) {
 		h := s.Histograms[n]
 		fmt.Fprintf(&b, "hist     %-36s n=%d mean=%.3g p50≤%.3g p95≤%.3g p99≤%.3g max=%.3g\n",
 			n, h.Count, h.Mean, h.P50, h.P95, h.P99, h.Max)

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -42,34 +41,19 @@ func PromName(name string) string {
 // emitted in sorted name order so the output is deterministic for a fixed
 // snapshot.
 func (s Snapshot) WriteProm(w io.Writer) error {
-	var names []string
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedNames(s.Counters) {
 		pn := PromName(n)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, s.Counters[n]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedNames(s.Gauges) {
 		pn := PromName(n)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, s.Gauges[n]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedNames(s.Histograms) {
 		pn := PromName(n)
 		h := s.Histograms[n]
 		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", pn); err != nil {

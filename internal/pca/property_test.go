@@ -79,22 +79,19 @@ func TestPreservingTransMassQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ok := true
-		sig.ForEachAction(func(a psioa.Action) {
+		for a := range sig.All() {
 			eta, err := pca.PreservingTrans(reg, c, a)
 			if err != nil || !eta.IsProb() {
-				ok = false
-				return
+				return false
 			}
 			for _, key := range eta.Support() {
 				c2, err := pca.FromKey(key)
 				if err != nil || c2.Len() != c.Len() {
-					ok = false
-					return
+					return false
 				}
 			}
-		})
-		return ok
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
@@ -121,33 +118,28 @@ func TestIntrinsicTransMassQuick(t *testing.T) {
 		if create && !c.Has("freshcoin") {
 			created = []string{"freshcoin"}
 		}
-		ok := true
-		sig.ForEachAction(func(a psioa.Action) {
+		for a := range sig.All() {
 			eta, err := pca.IntrinsicTrans(reg, c, a, created)
 			if err != nil || !eta.IsProb() {
-				ok = false
-				return
+				return false
 			}
 			for _, key := range eta.Support() {
 				c2, err := pca.FromKey(key)
 				if err != nil {
-					ok = false
-					return
+					return false
 				}
 				isRed, err := c2.IsReduced(reg)
 				if err != nil || !isRed {
-					ok = false
-					return
+					return false
 				}
 				// A created automaton appears unless instantly destroyed —
 				// coins start with a non-empty signature, so it must appear.
 				if len(created) > 0 && !c2.Has("freshcoin") {
-					ok = false
-					return
+					return false
 				}
 			}
-		})
-		return ok
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

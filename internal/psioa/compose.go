@@ -150,7 +150,14 @@ func (p *Product) Components() []PSIOA { return p.comps }
 func (p *Product) Start() State { return p.stateQ(p.startID()) }
 
 // Split decomposes a product state into component states.
-func (p *Product) Split(q State) []State { return p.splitState(p.lookup(q)) }
+func (p *Product) Split(q State) []State {
+	id := p.lookup(q)
+	out := make([]State, len(p.tabs))
+	for i := range out {
+		_, out[i] = p.ComponentAt(id, i)
+	}
+	return out
+}
 
 // Join composes component states into a product state.
 func (p *Product) Join(qs []State) State {

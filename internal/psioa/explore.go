@@ -3,10 +3,12 @@ package psioa
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 
+	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 )
@@ -71,20 +73,31 @@ type Succ struct {
 // table, or of the walk's own index for any other automaton.
 type Visitor interface {
 	// State is called for each state the walk dequeues, with its sorted
-	// actions (shared: do not modify); its signature is the automaton's Sig.
-	State(id uint32, q State, acts []Action)
+	// actions and their roles in its signature, the automaton's Sig (both
+	// shared: do not modify; roles only until State returns).
+	State(id uint32, q State, acts []Action, roles []Role)
 	// Trans is called after State, for each k in order, with the support
 	// of η_{(q, acts[k])} and its masses: seen successors and those beyond
 	// the limit included. succ is reused once Trans returns.
 	Trans(k int, succ []Succ)
 }
 
+// StateFunc is a Visitor of states only.
+type StateFunc func(id uint32, q State, acts []Action, roles []Role)
+
+// State implements Visitor.
+func (f StateFunc) State(id uint32, q State, acts []Action, roles []Role) { f(id, q, acts, roles) }
+
+// Trans implements Visitor: a StateFunc ignores transitions.
+func (StateFunc) Trans(int, []Succ) {}
+
 // Walk is ExploreCtx with a visitor v, which may be nil; under a visitor
 // it leaves Sigs nil. A product, and every view of one (see view: Hidden,
 // Atomic, the structured automata and the compositions that embed a
-// product), supplies the visited successors from the product's table, so
-// visiting builds no product measure or signature either; any other
-// automaton supplies them from Trans(q, a).
+// product), supplies the visited successors and roles from the product's
+// table, so visiting builds no product measure and composes no signature;
+// only a view through a Hidden reads its roles from its Sig, as hiding
+// reclassifies. Any other automaton supplies them from Trans and Sig.
 func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visitor) (*Exploration, error) {
 	c := obs.Enter(ctx, obs.LayerExplore, a.ID())
 	defer c.End()
@@ -121,7 +134,7 @@ func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visit
 		}
 		ex.States = append(ex.States, q)
 		if v != nil {
-			v.State(id, q, acts)
+			v.State(id, q, acts, st.roles())
 		} else {
 			ex.Sigs[q] = st.sig()
 		}
@@ -211,32 +224,49 @@ func (ex *Exploration) SortedStates() []State {
 // fragment (up to limit states): signature disjointness, action enabling
 // with probability-measure transitions, and — for composite automata —
 // compatibility at every reachable state (partial compatibility, §2.6) and
-// renaming injectivity (Lemma A.1 requirement).
+// renaming injectivity (Lemma A.1 requirement). It is one Walk: an
+// incompatibility anywhere is reported first, then the first failing
+// state in BFS order, with its least failing action.
 func Validate(a PSIOA, limit int) error {
-	ex, err := Explore(a, limit)
-	if err != nil {
+	v := &validator{a: a}
+	if _, err := Walk(nil, a, limit, nil, v); err != nil {
 		return err
 	}
-	for _, q := range ex.States {
-		sig := ex.Sigs[q]
-		if err := sig.CheckDisjoint(); err != nil {
-			return fmt.Errorf("psioa: %q state %q: %w", a.ID(), q, err)
-		}
-		var verr error
-		sig.ForEachAction(func(act Action) {
-			if verr != nil {
-				return
-			}
-			d := a.Trans(q, act)
-			if !d.IsProb() {
-				verr = fmt.Errorf("psioa: %q transition (%q,%q): total mass %v, want 1", a.ID(), q, act, d.Total())
-			}
-		})
-		if verr != nil {
-			return verr
-		}
+	return v.err
+}
+
+// validator is Validate's visitor; err is the first failure it saw.
+type validator struct {
+	a    PSIOA
+	q    State
+	acts []Action
+	succ []Succ
+	err  error
+}
+
+// State checks disjointness: an action with two roles is an overlap.
+func (v *validator) State(_ uint32, q State, acts []Action, roles []Role) {
+	v.q, v.acts = q, acts
+	if v.err == nil && slices.ContainsFunc(roles, func(r Role) bool { return r&(r-1) != 0 }) {
+		v.err = fmt.Errorf("psioa: %q state %q: %w", v.a.ID(), q, v.a.Sig(q).CheckDisjoint())
 	}
-	return nil
+}
+
+// Trans checks that the successors' masses sum to 1, summing them in
+// encoding order as measure.Dist.Total does.
+func (v *validator) Trans(k int, succ []Succ) {
+	if v.err != nil {
+		return
+	}
+	v.succ = append(v.succ[:0], succ...)
+	slices.SortFunc(v.succ, func(x, y Succ) int { return strings.Compare(string(x.Q), string(y.Q)) })
+	total := 0.0
+	for _, s := range v.succ {
+		total += s.P
+	}
+	if !(math.Abs(total-1) <= measure.Eps) {
+		v.err = fmt.Errorf("psioa: %q transition (%q,%q): total mass %v, want 1", v.a.ID(), v.q, v.acts[k], total)
+	}
 }
 
 // CheckPartiallyCompatible verifies that the automata are partially
@@ -270,8 +300,10 @@ type stepper interface {
 	// state checks compatibility at id and returns its state and sorted
 	// actions.
 	state(id uint32) (State, []Action, error)
-	// sig returns the signature of the state the last state call returned.
+	// sig returns the signature of the state the last state call returned,
+	// and roles the roles of its actions in it.
 	sig() Signature
+	roles() []Role
 	// fresh sets w.fresh to the successors of (id, acts[k]) that w has
 	// not seen, sorted by encoding; it stops collecting at w's limit.
 	// When w.visit is set it also sets w.succ to every successor.
@@ -310,6 +342,8 @@ type prodStepper struct {
 	w     *walk
 	found []foundState
 	emit  func(key []byte, pr float64)
+	hides bool // a views p through a Hidden, so its roles come from its Sig
+	rbuf  []Role
 }
 
 // foundState is an unseen successor with its encoding, the sort key.
@@ -320,6 +354,10 @@ type foundState struct {
 
 func newProdStepper(p *Product, a PSIOA) *prodStepper {
 	s := &prodStepper{p: p, a: a}
+	for v := a; v != PSIOA(p); v = v.(view).Inner() {
+		_, h := v.(interface{ HiddenAt(State) ActionSet })
+		s.hides = s.hides || h
+	}
 	s.emit = func(key []byte, pr float64) {
 		w := s.w
 		id, ok := p.byTuple[string(key)]
@@ -365,6 +403,14 @@ func (s *prodStepper) sig() Signature {
 	return s.p.sigOf(s.cur.ent)
 }
 
+func (s *prodStepper) roles() []Role {
+	if s.hides {
+		s.rbuf = appendRoles(s.rbuf[:0], s.a.Sig(s.cur.q), s.cur.ent.acts)
+		return s.rbuf
+	}
+	return s.cur.ent.roles
+}
+
 func (s *prodStepper) fresh(w *walk, _ uint32, k int) {
 	s.w, s.found = w, s.found[:0]
 	s.p.succs(s.cur, k, s.emit)
@@ -383,6 +429,7 @@ type autStepper struct {
 	states []State
 	cur    Signature
 	acts   []Action
+	rbuf   []Role
 }
 
 func (s *autStepper) intern(q State) uint32 {
@@ -411,17 +458,22 @@ func (s *autStepper) state(id uint32) (State, []Action, error) {
 
 func (s *autStepper) sig() Signature { return s.cur }
 
+func (s *autStepper) roles() []Role {
+	s.rbuf = appendRoles(s.rbuf[:0], s.cur, s.acts)
+	return s.rbuf
+}
+
 func (s *autStepper) fresh(w *walk, id uint32, k int) {
 	qs, ps := s.a.Trans(s.states[id], s.acts[k]).SupportAndProbs()
 	for j, q2 := range qs {
 		id2, ok := s.ids[q2]
 		if w.visit {
 			// As in prodStepper's emit, a visited successor is interned
-			// even beyond the limit.
+			// even beyond the limit. A NaN mass is kept, as Trans has it.
 			if !ok {
 				id2, ok = s.intern(q2), true
 			}
-			if ps[j] > 0 {
+			if ps[j] != 0 {
 				w.succ = append(w.succ, Succ{id2, q2, ps[j]})
 			}
 		}

@@ -59,6 +59,7 @@ type sigEntry struct {
 	comps []Signature               // the component signatures
 	sig   atomic.Pointer[Signature] // Def 2.4 composition, built by sigOf
 	acts  []Action                  // SortedAll of the composition
+	roles []Role                    // roles[k]: the role of acts[k] in it
 	actID []uint32                  // product-wide ID of acts[k]
 	// part[off[k]:off[k+1]] are the components whose signature has acts[k].
 	part []int32
@@ -85,6 +86,7 @@ type compTab struct {
 	cs       []cstate // by component state ID
 	sigs     []Signature
 	sorted   [][]Action // SortedAll(sigs[i])
+	roles    [][]Role   // roles[i][k]: the role of sorted[i][k] in sigs[i]
 	// sigHead maps a content hash to the first signature ID+1 with it;
 	// sigNext chains signature IDs with equal hashes.
 	sigHead map[uint64]int32
@@ -165,6 +167,7 @@ func (t *compTab) internSigLocked(sig Signature, h uint64) int32 {
 	id := int32(len(t.sigs))
 	t.sigs = append(t.sigs, sig)
 	t.sorted = append(t.sorted, SortedAll(sig))
+	t.roles = append(t.roles, appendRoles(nil, sig, t.sorted[id]))
 	t.sigNext = append(t.sigNext, t.sigHead[h])
 	t.sigHead[h] = id + 1
 	return id
@@ -418,20 +421,23 @@ func (p *Product) sigOf(e *sigEntry) Signature {
 	return *e.sig.Load()
 }
 
-// mergeActsLocked fills e's sorted actions, their IDs and participants by
-// merging the components' sorted action lists.
+// mergeActsLocked fills e's sorted actions, their roles, IDs and
+// participants by merging the components' sorted action lists.
 func (p *Product) mergeActsLocked(e *sigEntry, sigIDs []int32) {
 	var arr [8][]Action
-	heads := arr[:0]
+	var rarr [8][]Role
+	heads, roles := arr[:0], rarr[:0]
 	n := 0
 	for i, s := range sigIDs {
 		heads = append(heads, p.tabs[i].sorted[s])
+		roles = append(roles, p.tabs[i].roles[s])
 		n += len(heads[i])
 	}
 	// Every component action is one participant; shared actions make the
 	// distinct count smaller than n.
 	e.part = make([]int32, 0, n)
 	e.acts = make([]Action, 0, n)
+	e.roles = make([]Role, 0, n)
 	e.actID = make([]uint32, 0, n)
 	e.off = append(make([]int32, 0, n+1), 0)
 	for {
@@ -445,11 +451,16 @@ func (p *Product) mergeActsLocked(e *sigEntry, sigIDs []int32) {
 		if !found {
 			return
 		}
+		var r Role
 		for j, h := range heads {
 			if len(h) > 0 && h[0] == next {
 				e.part = append(e.part, int32(j))
-				heads[j] = h[1:]
+				r |= roles[j][0]
+				heads[j], roles[j] = h[1:], roles[j][1:]
 			}
+		}
+		if r&Out != 0 {
+			r &^= In // Def 2.4: an output of one component is the product's
 		}
 		aid, ok := p.actIDs[next]
 		if !ok {
@@ -458,6 +469,7 @@ func (p *Product) mergeActsLocked(e *sigEntry, sigIDs []int32) {
 			p.actList = append(p.actList, next)
 		}
 		e.acts = append(e.acts, next)
+		e.roles = append(e.roles, r)
 		e.actID = append(e.actID, aid)
 		e.off = append(e.off, int32(len(e.part)))
 	}
@@ -619,16 +631,13 @@ func cross(key []byte, parts []int32, lists [][]succ, pr float64, f func([]byte,
 	}
 }
 
-// splitState returns the component states of state id.
-func (p *Product) splitState(id uint32) []State {
+// ComponentAt returns the ID and the state of component i in the state
+// with walk ID id (a state ID of p's table).
+func (p *Product) ComponentAt(id uint32, i int) (uint32, State) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	key := p.states[id].key
-	out := make([]State, len(p.tabs))
-	for i := range p.tabs {
-		out[i] = p.tabs[i].stateLocked(idAt(key, i))
-	}
-	return out
+	cid := idAt(p.states[id].key, i)
+	return cid, p.tabs[i].stateLocked(cid)
 }
 
 // buildTrans builds η_{(P,q,a)} for state s (ID id) and a = s.ent.acts[k],

@@ -48,14 +48,10 @@ func TestComposeProbabilityPreservedQuick(t *testing.T) {
 			return false
 		}
 		for _, q := range ex.States {
-			ok := true
-			ex.Sigs[q].ForEachAction(func(act psioa.Action) {
+			for act := range ex.Sigs[q].All() {
 				if !p.Trans(q, act).IsProb() {
-					ok = false
+					return false
 				}
-			})
-			if !ok {
-				return false
 			}
 		}
 		return true
@@ -110,17 +106,13 @@ func TestHidePreservesDynamicsQuick(t *testing.T) {
 			return false
 		}
 		for _, q := range ex.States {
-			var same = true
-			ex.Sigs[q].ForEachAction(func(act psioa.Action) {
+			for act := range ex.Sigs[q].All() {
 				da, dh := a.Trans(q, act), h.Trans(q, act)
 				for _, q2 := range da.Support() {
 					if math.Abs(da.P(q2)-dh.P(q2)) > 1e-12 {
-						same = false
+						return false
 					}
 				}
-			})
-			if !same {
-				return false
 			}
 		}
 		return true

@@ -57,7 +57,8 @@ type compatAtChecker interface {
 // 4.17; the compositions that embed a Product, Defs 2.19 and 4.19). A
 // view adds no compatibility condition of its own. What the two share is
 // found by following Inner: the product whose table a walk reads
-// (productOf) and the compatibility checker (CompatAt). A wrapper that
+// (productOf) and the compatibility checker (CompatAt). A view that
+// reclassifies is a Hidden, or embeds one (HiddenAt). A wrapper that
 // changes the action set or the transitions (renaming, input enabling),
 // or that must be walked through its own Trans (instrumentation), is not
 // a view and must not define Inner.

@@ -13,6 +13,30 @@ type Signature struct {
 	Int ActionSet
 }
 
+// Role is an action's classification in a signature, a set of In, Out
+// and Int bits: exactly one in a disjoint signature (Def 2.1).
+type Role uint8
+
+const (
+	In Role = 1 << iota
+	Out
+	Int
+)
+
+// appendRoles appends to dst the role in sig of each of acts.
+func appendRoles(dst []Role, sig Signature, acts []Action) []Role {
+	for _, a := range acts {
+		var r Role
+		for i, set := range [...]ActionSet{sig.In, sig.Out, sig.Int} {
+			if set.Has(a) {
+				r |= 1 << i
+			}
+		}
+		dst = append(dst, r)
+	}
+	return dst
+}
+
 // NewSignature builds a signature from the given action lists.
 func NewSignature(in, out, internal []Action) Signature {
 	return Signature{In: NewActionSet(in...), Out: NewActionSet(out...), Int: NewActionSet(internal...)}
@@ -29,21 +53,6 @@ func EmptySignature() Signature {
 // allocating the union set; prefer it to All().Has on hot paths.
 func (s Signature) Has(a Action) bool {
 	return s.In.Has(a) || s.Out.Has(a) || s.Int.Has(a)
-}
-
-// ForEachAction visits every action of the signature without allocating
-// the union set. Actions appearing in several components (which a valid
-// signature forbids) would be visited more than once.
-func (s Signature) ForEachAction(f func(Action)) {
-	for a := range s.In {
-		f(a)
-	}
-	for a := range s.Out {
-		f(a)
-	}
-	for a := range s.Int {
-		f(a)
-	}
 }
 
 // SortedAll returns sig^ = in ∪ out ∪ int in lexicographic order, in a

@@ -281,7 +281,8 @@ func TestExploreWalkRandomProducts(t *testing.T) {
 	}
 }
 
-// recorder is a Visitor that keeps each visited state's sorted actions,
+// recorder is a Visitor that keeps each visited state's sorted actions
+// and their roles,
 // renders each visited transition's successors and fails on a walk ID
 // naming two states.
 type recorder struct {
@@ -292,6 +293,7 @@ type recorder struct {
 	q      psioa.State
 	acts   []psioa.Action
 	sorted map[psioa.State][]psioa.Action
+	roles  map[psioa.State][]psioa.Role
 	trans  map[string]string
 }
 
@@ -302,11 +304,12 @@ func (r *recorder) name(id uint32, q psioa.State) {
 	r.names[id] = q
 }
 
-func (r *recorder) State(id uint32, q psioa.State, acts []psioa.Action) {
+func (r *recorder) State(id uint32, q psioa.State, acts []psioa.Action, roles []psioa.Role) {
 	r.name(id, q)
 	r.q, r.acts = q, acts
 	r.states = append(r.states, q)
 	r.sorted[q] = slices.Clone(acts)
+	r.roles[q] = append([]psioa.Role{}, roles...)
 }
 
 func (r *recorder) Trans(k int, succ []psioa.Succ) {
@@ -329,7 +332,7 @@ func (r *recorder) Trans(k int, succ []psioa.Succ) {
 // left Sigs unfilled.
 func recordWalk(t *testing.T, what string, a psioa.PSIOA, limit int) (*psioa.Exploration, *recorder) {
 	t.Helper()
-	r := &recorder{t: t, what: what, names: map[uint32]psioa.State{}, sorted: map[psioa.State][]psioa.Action{}, trans: map[string]string{}}
+	r := &recorder{t: t, what: what, names: map[uint32]psioa.State{}, sorted: map[psioa.State][]psioa.Action{}, roles: map[psioa.State][]psioa.Role{}, trans: map[string]string{}}
 	ex, err := psioa.Walk(context.Background(), a, limit, nil, r)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
@@ -343,9 +346,27 @@ func recordWalk(t *testing.T, what string, a psioa.PSIOA, limit int) (*psioa.Exp
 	return ex, r
 }
 
+// rolesIn returns the role in sig of each action of SortedAll(sig).
+func rolesIn(sig psioa.Signature) []psioa.Role {
+	roles := []psioa.Role{}
+	for _, a := range psioa.SortedAll(sig) {
+		var r psioa.Role
+		for _, part := range []struct {
+			set  psioa.ActionSet
+			role psioa.Role
+		}{{sig.In, psioa.In}, {sig.Out, psioa.Out}, {sig.Int, psioa.Int}} {
+			if part.set.Has(a) {
+				r |= part.role
+			}
+		}
+		roles = append(roles, r)
+	}
+	return roles
+}
+
 // TestWalkVisitsTransitions: on every world and limit, Walk visits the
 // states Explore returns, in order, with the sorted actions of their
-// signatures, and for each of their actions exactly the support and
+// signatures and their roles, and for each of their actions exactly the support and
 // masses of Trans, without building a product measure; its states,
 // reachable actions and truncation equal Explore's.
 func TestWalkVisitsTransitions(t *testing.T) {
@@ -373,6 +394,9 @@ func TestWalkVisitsTransitions(t *testing.T) {
 			for _, q := range want.States {
 				if acts := psioa.SortedAll(want.Sigs[q]); !reflect.DeepEqual(r.sorted[q], acts) {
 					t.Fatalf("%s: %q visited with actions %q, want %q", what, q, r.sorted[q], acts)
+				}
+				if roles := rolesIn(want.Sigs[q]); !reflect.DeepEqual(r.roles[q], roles) {
+					t.Fatalf("%s: %q visited with roles %v, want %v", what, q, r.roles[q], roles)
 				}
 				for _, act := range psioa.SortedAll(want.Sigs[q]) {
 					qs, ps := b.Trans(q, act).SupportAndProbs()
@@ -779,7 +803,7 @@ var sharers = []struct {
 // FuzzSharedWalk: a testaut world under each sharer, alone or as a
 // component of a product, walks through the shared table exactly as the
 // same automaton behind an opaque wrapper walks through Sig and Trans:
-// the same states in order, sorted actions, successor lists and
+// the same states in order, sorted actions and roles, successor lists and
 // truncation, at the fuzzed limit, and the same signatures afterwards.
 func FuzzSharedWalk(f *testing.F) {
 	worlds := testaut.SyncWorlds()
@@ -816,6 +840,9 @@ func FuzzSharedWalk(f *testing.F) {
 		sameWalk(t, what, got, want)
 		if !reflect.DeepEqual(gotR.sorted, wantR.sorted) {
 			t.Fatalf("%s: sorted actions differ:\n got %v\nwant %v", what, gotR.sorted, wantR.sorted)
+		}
+		if !reflect.DeepEqual(gotR.roles, wantR.roles) {
+			t.Fatalf("%s: roles differ:\n got %v\nwant %v", what, gotR.roles, wantR.roles)
 		}
 		if !reflect.DeepEqual(gotR.trans, wantR.trans) {
 			t.Fatalf("%s: successor lists differ:\n got %v\nwant %v", what, gotR.trans, wantR.trans)

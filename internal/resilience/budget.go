@@ -103,6 +103,21 @@ func SetDefaultBudget(b *Budget) *Budget {
 	return defaultBudget.Swap(b)
 }
 
+// CLILimits applies a command's -timeout and -budget flags: the context
+// times out after timeout, and the default budget carries both limits into
+// the kernels' cancellation checkpoints, even where no context is threaded
+// through. Zero means no limit. The caller must call cancel.
+func CLILimits(timeout time.Duration, budget int64) (ctx context.Context, cancel context.CancelFunc) {
+	ctx, cancel = context.Background(), func() {}
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	}
+	if budget > 0 || timeout > 0 {
+		SetDefaultBudget(NewBudget(0, budget, timeout))
+	}
+	return ctx, cancel
+}
+
 // pollEvery is the amortization factor of Checkpoint.Step: the context and
 // the shared budget are consulted once per pollEvery steps, bounding both
 // the per-step cost (two adds, a decrement, a branch) and the overshoot

@@ -55,7 +55,8 @@ func (o *ObliviousSchema) Enumerate(a psioa.PSIOA, bound int) ([]Scheduler, erro
 	if maxCount == 0 {
 		maxCount = 100000
 	}
-	ex, err := psioa.Explore(a, alphabetLimit)
+	// The alphabet is the walk's Acts; its visitor keeps nothing else.
+	ex, err := psioa.Walk(nil, a, alphabetLimit, nil, psioa.StateFunc(func(uint32, psioa.State, []psioa.Action, []psioa.Role) {}))
 	if err != nil {
 		return nil, err
 	}

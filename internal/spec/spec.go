@@ -106,10 +106,7 @@ func FromTable(t *psioa.Table) *Automaton {
 	for _, q := range states {
 		sig := t.Sig(q)
 		out.States[string(q)] = Sig{In: strs(sig.In), Out: strs(sig.Out), Int: strs(sig.Int)}
-		var all []psioa.Action
-		sig.ForEachAction(func(a psioa.Action) { all = append(all, a) })
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		for _, a := range all {
+		for _, a := range psioa.SortedAll(sig) {
 			d := t.Trans(q, a)
 			to := map[string]float64{}
 			d.ForEach(func(q2 psioa.State, p float64) { to[string(q2)] = p })
