@@ -82,6 +82,7 @@ bench-smoke:
 # replays: the prefix-ranked Priority against a reference that expands
 # each template over the world's whole alphabet, the column-held
 # expansion tree against a reference tree of fragments sorted by key, the
+# state-collapsed DAG's exactness rule against the tree's aggregates, the
 # walk of every automaton that shares a product's table against the
 # same automaton walked through Sig and Trans, the one-walk Validate
 # against its Explore-and-Trans version on faulty generated worlds, and
@@ -91,6 +92,7 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzPriorityTemplates -fuzztime=10s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz=FuzzExpansionTree -fuzztime=10s ./internal/sched/
+	$(GO) test -run '^$$' -fuzz=FuzzDAGExecs -fuzztime=10s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz=FuzzSharedWalk -fuzztime=10s ./internal/psioa/
 	$(GO) test -run '^$$' -fuzz=FuzzValidateWalk -fuzztime=10s ./internal/psioa/
 	$(GO) test -run '^$$' -fuzz=FuzzIntrinsicTrans -fuzztime=10s ./internal/pca/

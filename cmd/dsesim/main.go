@@ -42,7 +42,7 @@ func main() {
 	bound := flag.Int("bound", 10, "scheduler bound (Def 4.6)")
 	samples := flag.Int("samples", 0, "Monte-Carlo samples (0 = exact measure)")
 	seed := flag.Uint64("seed", 1, "random seed for sampling")
-	insightName := flag.String("insight", "trace", "insight: trace | accept:<action> | print:<prefix>")
+	insightName := flag.String("insight", "trace", "insight: trace | final | accept:<action> | print:<prefix>")
 	maxShow := flag.Int("show", 20, "max entries to print")
 	timeout := flag.Duration("timeout", 0, "abort after this wall-clock time (0 = no limit)")
 	budget := flag.Int64("budget", 0, "kernel transition budget before stopping (0 = unlimited)")

@@ -13,3 +13,6 @@ func (c *Cache) Values() []any {
 	}
 	return out
 }
+
+// Outcomes renders a distribution as a simulate result's rows.
+var Outcomes = outcomes

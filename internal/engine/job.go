@@ -398,13 +398,24 @@ func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience
 		if err != nil {
 			return nil, err
 		}
-		return &SimulateResult{
-			Exact:      false,
-			InsightID:  ins.ID,
-			Executions: ss.Samples,
-			TotalMass:  d.Total(),
-			Outcomes:   outcomes(d),
-		}, nil
+		return &SimulateResult{InsightID: ins.ID, Executions: ss.Samples, TotalMass: d.Total(), Outcomes: outcomes(d)}, nil
+	}
+	exact := func(n int, total float64, maxLen int, img *measure.Dist[string]) *SimulateResult {
+		return &SimulateResult{Exact: true, InsightID: ins.ID, Executions: n, TotalMass: total, MaxLen: maxLen, Outcomes: outcomes(img)}
+	}
+	var img *measure.Dist[string] // the DAG pass's image, when it ran
+	if dob, ok := sched.AsDepthOblivious(s); ok && ins.StateLocal != nil && bud == nil && resilience.DefaultBudget() == nil {
+		// The job reports only aggregates of ε_σ and a state-local image,
+		// which the state-collapsed DAG gives exactly as the tree does when
+		// its path masses are dyadic (sched.DAGMeasure.Dyadic). Otherwise,
+		// and on any error, the tree below computes the aggregates; a pass
+		// that succeeded keeps its image, the one FDistOpts would compute.
+		if dm, dimg, err := insight.FDistDAG(ctx, w, dob, ins, depth, nil, r.kernelOpts()); err == nil {
+			if dm.Dyadic() {
+				return exact(dm.Executions(), dm.Total(), dm.MaxLen(), dimg), nil
+			}
+			img = dimg
+		}
 	}
 	em, err := r.Cache.MeasureOpts(ctx, w, s, depth, bud, r.kernelOpts())
 	if err != nil {
@@ -417,30 +428,16 @@ func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience
 		if em == nil || !resilience.IsBudget(err) {
 			return nil, err
 		}
-		img := insight.Image(w, em, ins)
-		return &SimulateResult{
-			Exact:      true,
-			InsightID:  ins.ID,
-			Executions: em.Len(),
-			TotalMass:  em.Total(),
-			MaxLen:     em.MaxLen(),
-			Outcomes:   outcomes(img),
-			Partial:    true,
-			Degraded:   err.Error(),
-		}, nil
+		res := exact(em.Len(), em.Total(), em.MaxLen(), insight.Image(w, em, ins))
+		res.Partial, res.Degraded = true, err.Error()
+		return res, nil
 	}
-	img, err := r.Cache.FDistOpts(ctx, w, s, ins, depth, bud, r.kernelOpts())
-	if err != nil {
-		return nil, err
+	if img == nil {
+		if img, err = r.Cache.FDistOpts(ctx, w, s, ins, depth, bud, r.kernelOpts()); err != nil {
+			return nil, err
+		}
 	}
-	return &SimulateResult{
-		Exact:      true,
-		InsightID:  ins.ID,
-		Executions: em.Len(),
-		TotalMass:  em.Total(),
-		MaxLen:     em.MaxLen(),
-		Outcomes:   outcomes(img),
-	}, nil
+	return exact(em.Len(), em.Total(), em.MaxLen(), img), nil
 }
 
 // DescribeSystems profiles each referenced system (description lengths,

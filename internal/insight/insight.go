@@ -15,13 +15,14 @@
 // the sense of Def 3.7 — which TestStability verifies empirically.
 //
 // Each of them is defined once, by a step factoring: Init, its value on a
-// zero-length execution, and Step(w, v, lstate(α), a), the value of
-// α⌢(a, q′) computed from v, the value of α — the previous value extended
-// by a when a is external at lstate(α) and passes the insight's filter,
-// else v unchanged. Apply is Step folded along the execution. Image folds
-// Step over an expanded tree instead, one step per tree node, so no
-// execution's trace is rebuilt from its root; an internal step returns its
-// parent's string and allocates nothing. Final is state-local instead
+// zero-length execution, and Step(v, a, ext), the value of α⌢(a, q′)
+// computed from v, the value of α, and ext, whether a is external at
+// lstate(α) — v extended by a when a is external and passes the insight's
+// filter, else v unchanged. Apply is Step folded along the execution.
+// Image folds Step over an expanded tree instead, one step per tree node
+// and one signature read per distinct step, so no execution's trace is
+// rebuilt from its root; an internal step returns its parent's string and
+// allocates nothing. Final is state-local instead
 // (StateLocal) and has no step factoring.
 package insight
 
@@ -66,25 +67,29 @@ type Insight struct {
 	// individual fragments. Trace-based insights leave it nil.
 	StateLocal func(w psioa.PSIOA, q psioa.State, depth int) string
 	// Init and Step, when Step is set, are the step factoring of Apply:
-	// Init is the value of every zero-length execution, and
-	// Step(w, v, lstate(α), a) is the value of α⌢(a, q′) given v, the value
-	// of α. Apply must be the fold of Step along the execution from Init.
-	// Image uses it to step each node of the expansion tree once, from its
-	// parent's value, instead of applying Apply to every halted execution.
+	// Init is the value of every zero-length execution, and Step(v, a, ext)
+	// the value of α⌢(a, q′) given v, α's value, and whether a is external
+	// in w's signature at lstate(α). Apply must be Step folded along the
+	// execution from Init. Image steps each node of the expansion tree
+	// once, from its parent's value, instead of applying Apply to every
+	// halted execution.
 	Init string
-	Step func(w psioa.PSIOA, prev string, q psioa.State, a psioa.Action) string
+	Step func(prev string, a psioa.Action, ext bool) string
 }
 
 // stepped returns the insight defined by its step factoring, with Apply
-// the fold of step along the execution.
-func stepped(id, init string, step func(w psioa.PSIOA, prev string, q psioa.State, a psioa.Action) string) Insight {
+// the fold of step along the execution. needs(v, a) reports whether ext
+// can change step(v, a, ext); where it cannot, Apply skips the signature
+// read.
+func stepped(id, init string, needs func(prev string, a psioa.Action) bool, step func(prev string, a psioa.Action, ext bool) string) Insight {
 	var fold func(w psioa.PSIOA, f *psioa.Frag) string
 	fold = func(w psioa.PSIOA, f *psioa.Frag) string {
 		p := f.Parent()
 		if p == nil {
 			return init
 		}
-		return step(w, fold(w, p), p.LState(), f.ActionAt(f.Len()-1))
+		v, a := fold(w, p), f.ActionAt(f.Len()-1)
+		return step(v, a, needs(v, a) && external(w, p.LState(), a))
 	}
 	return Insight{ID: id, Apply: fold, Init: init, Step: step}
 }
@@ -109,8 +114,9 @@ func Trace() Insight {
 // subtrace returns the insight recording the subsequence of trace actions
 // that keep accepts — the whole trace when keep is nil.
 func subtrace(id string, keep func(psioa.Action) bool) Insight {
-	return stepped(id, noTrace, func(w psioa.PSIOA, prev string, q psioa.State, a psioa.Action) string {
-		if keep != nil && !keep(a) || !external(w, q, a) {
+	kept := func(_ string, a psioa.Action) bool { return keep == nil || keep(a) }
+	return stepped(id, noTrace, kept, func(prev string, a psioa.Action, ext bool) string {
+		if keep != nil && !keep(a) || !ext {
 			return prev
 		}
 		return codec.AppendToTuple(prev, string(a))
@@ -123,8 +129,9 @@ func subtrace(id string, keep func(psioa.Action) bool) Insight {
 // environment signalling that it distinguished the real system from the
 // ideal one.
 func Accept(acc psioa.Action) Insight {
-	return stepped("accept("+string(acc)+")", "0", func(w psioa.PSIOA, prev string, q psioa.State, a psioa.Action) string {
-		if prev == "0" && a == acc && external(w, q, a) {
+	unseen := func(prev string, a psioa.Action) bool { return prev == "0" && a == acc }
+	return stepped("accept("+string(acc)+")", "0", unseen, func(prev string, a psioa.Action, ext bool) string {
+		if prev == "0" && a == acc && ext {
 			return "1"
 		}
 		return prev
@@ -181,23 +188,14 @@ func FDist(w psioa.PSIOA, s sched.Scheduler, f Insight, maxDepth int) (*measure.
 // the perception, so any interruption — budget included — returns nil with
 // the classified error.
 func FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error) {
-	c := obs.Enter(ctx, obs.LayerFDist, f.ID)
-	defer c.End()
 	if f.StateLocal != nil {
 		if dob, ok := sched.AsDepthOblivious(s); ok {
-			dm, err := sched.MeasureDAGOpts(ctx, w, dob, maxDepth, b, o)
-			if err != nil {
-				return nil, err
-			}
-			cProbeCalls.Inc()
-			cProbeEvals.Add(int64(dm.Classes()))
-			img := dm.Image(func(q psioa.State, depth int) string { return f.StateLocal(w, q, depth) })
-			if tr := obs.Active(); tr.Enabled() {
-				tr.Emit(obs.Event{Kind: obs.KindProbe, Name: f.ID, Attr: s.Name(), N: int64(img.Len())})
-			}
-			return img, nil
+			_, img, err := FDistDAG(ctx, w, dob, f, maxDepth, b, o)
+			return img, err
 		}
 	}
+	c := obs.Enter(ctx, obs.LayerFDist, f.ID)
+	defer c.End()
 	em, err := sched.MeasureOpts(ctx, w, s, maxDepth, b, o)
 	if err != nil {
 		return nil, err
@@ -207,6 +205,25 @@ func FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight,
 		tr.Emit(obs.Event{Kind: obs.KindProbe, Name: f.ID, Attr: s.Name(), N: int64(img.Len())})
 	}
 	return img, nil
+}
+
+// FDistDAG is FDistOpts's route for a state-local insight f under a
+// depth-oblivious scheduler: the image of the state-collapsed measure,
+// returned with that measure.
+func FDistDAG(ctx context.Context, w psioa.PSIOA, s sched.DepthOblivious, f Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*sched.DAGMeasure, *measure.Dist[string], error) {
+	c := obs.Enter(ctx, obs.LayerFDist, f.ID)
+	defer c.End()
+	dm, err := sched.MeasureDAGOpts(ctx, w, s, maxDepth, b, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	cProbeCalls.Inc()
+	cProbeEvals.Add(int64(dm.Classes()))
+	img := dm.Image(func(q psioa.State, depth int) string { return f.StateLocal(w, q, depth) })
+	if tr := obs.Active(); tr.Enabled() {
+		tr.Emit(obs.Event{Kind: obs.KindProbe, Name: f.ID, Attr: s.Name(), N: int64(img.Len())})
+	}
+	return dm, img, nil
 }
 
 // Image returns the image of the execution measure em of w under f —
@@ -219,9 +236,7 @@ func Image(w psioa.PSIOA, em *sched.ExecMeasure, f Insight) *measure.Dist[string
 	cProbeCalls.Inc()
 	cProbeEvals.Add(int64(em.Len()))
 	if f.Step != nil {
-		return em.ImageFold(f.Init, func(prev string, q psioa.State, a psioa.Action) string {
-			return f.Step(w, prev, q, a)
-		})
+		return em.ImageFold(f.Init, func(q psioa.State, a psioa.Action) bool { return external(w, q, a) }, f.Step)
 	}
 	return em.Image(func(fr *psioa.Frag) string { return f.Apply(w, fr) })
 }

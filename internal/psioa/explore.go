@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/measure"
 	"repro/internal/obs"
@@ -132,6 +133,11 @@ func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visit
 		if err != nil {
 			return nil, err
 		}
+		if st.newActs() {
+			for _, act := range acts {
+				ex.Acts.Add(act)
+			}
+		}
 		ex.States = append(ex.States, q)
 		if v != nil {
 			v.State(id, q, acts, st.roles())
@@ -147,7 +153,6 @@ func Walk(ctx context.Context, a PSIOA, limit int, b *resilience.Budget, v Visit
 		// affect discovery order or truncation, so only unseen ones are
 		// collected.
 		for k, act := range acts {
-			ex.Acts.Add(act)
 			nTrans++
 			if err := ck.Step(0, 1); err != nil {
 				return exploreStopped(ex, nTrans, err)
@@ -298,8 +303,9 @@ func Reachable(a PSIOA, q State, limit int) (bool, error) {
 type stepper interface {
 	start() uint32
 	// state checks compatibility at id and returns its state and sorted
-	// actions.
+	// actions; newActs reports whether they may be new to the walk.
 	state(id uint32) (State, []Action, error)
+	newActs() bool
 	// sig returns the signature of the state the last state call returned,
 	// and roles the roles of its actions in it.
 	sig() Signature
@@ -344,7 +350,11 @@ type prodStepper struct {
 	emit  func(key []byte, pr float64)
 	hides bool // a views p through a Hidden, so its roles come from its Sig
 	rbuf  []Role
+	walk  uint64 // this walk's ID, from walkIDs
 }
+
+// walkIDs numbers the walks of product tables (see sigEntry.walked).
+var walkIDs atomic.Uint64
 
 // foundState is an unseen successor with its encoding, the sort key.
 type foundState struct {
@@ -353,7 +363,7 @@ type foundState struct {
 }
 
 func newProdStepper(p *Product, a PSIOA) *prodStepper {
-	s := &prodStepper{p: p, a: a}
+	s := &prodStepper{p: p, a: a, walk: walkIDs.Add(1)}
 	for v := a; v != PSIOA(p); v = v.(view).Inner() {
 		_, h := v.(interface{ HiddenAt(State) ActionSet })
 		s.hides = s.hides || h
@@ -395,6 +405,9 @@ func (s *prodStepper) state(id uint32) (State, []Action, error) {
 	s.cur = st
 	return st.q, st.ent.acts, nil
 }
+
+// newActs reports whether the walk meets the state's entry for the first time.
+func (s *prodStepper) newActs() bool { return s.cur.ent.walked.Swap(s.walk) != s.walk }
 
 func (s *prodStepper) sig() Signature {
 	if s.a != PSIOA(s.p) {
@@ -457,6 +470,8 @@ func (s *autStepper) state(id uint32) (State, []Action, error) {
 }
 
 func (s *autStepper) sig() Signature { return s.cur }
+
+func (s *autStepper) newActs() bool { return true }
 
 func (s *autStepper) roles() []Role {
 	s.rbuf = appendRoles(s.rbuf[:0], s.cur, s.acts)

@@ -64,6 +64,9 @@ type sigEntry struct {
 	// part[off[k]:off[k+1]] are the components whose signature has acts[k].
 	part []int32
 	off  []int32
+	// walked is the last walk to add acts to its Acts; a walk that finds
+	// another's ID there, as concurrent walks may leave, adds them again.
+	walked atomic.Uint64
 }
 
 // parts returns the components that participate in acts[k].

@@ -125,23 +125,24 @@ func (b *Builder) Build() (*Table, error) {
 		if err := sig.CheckDisjoint(); err != nil {
 			return nil, fmt.Errorf("psioa: automaton %q state %q: %w", b.id, q, err)
 		}
-		all := sig.All()
-		for a := range all {
-			d, ok := b.trans[q][a]
-			if !ok {
-				return nil, fmt.Errorf("psioa: automaton %q: action %q enabled at %q has no transition (violates E1)", b.id, a, q)
-			}
-			if !d.IsProb() {
-				return nil, fmt.Errorf("psioa: automaton %q: transition (%q,%q) has total mass %v, want 1", b.id, q, a, d.Total())
-			}
-			for _, q2 := range d.Support() {
-				if _, ok := b.sigs[q2]; !ok {
-					return nil, fmt.Errorf("psioa: automaton %q: transition (%q,%q) targets undeclared state %q", b.id, q, a, q2)
+		for _, set := range [...]ActionSet{sig.In, sig.Out, sig.Int} {
+			for a := range set {
+				d, ok := b.trans[q][a]
+				if !ok {
+					return nil, fmt.Errorf("psioa: automaton %q: action %q enabled at %q has no transition (violates E1)", b.id, a, q)
+				}
+				if !d.IsProb() {
+					return nil, fmt.Errorf("psioa: automaton %q: transition (%q,%q) has total mass %v, want 1", b.id, q, a, d.Total())
+				}
+				for _, q2 := range d.Support() {
+					if _, ok := b.sigs[q2]; !ok {
+						return nil, fmt.Errorf("psioa: automaton %q: transition (%q,%q) targets undeclared state %q", b.id, q, a, q2)
+					}
 				}
 			}
 		}
 		for a := range b.trans[q] {
-			if !all.Has(a) {
+			if !sig.Has(a) {
 				return nil, fmt.Errorf("psioa: automaton %q: transition for %q at %q but the action is not in the signature", b.id, a, q)
 			}
 		}

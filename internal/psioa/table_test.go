@@ -163,3 +163,37 @@ func itoa(n int) string {
 	}
 	return string(b)
 }
+
+// TestBuilderErrorTexts: Build reports a missing transition (E1), a
+// transition of mass other than 1 and an undeclared target with the same
+// text whichever of in, out and int holds the action, and a transition
+// outside the signature.
+func TestBuilderErrorTexts(t *testing.T) {
+	half := measure.New[psioa.State]()
+	half.Add("q", 0.5)
+	sigs := map[string]func(...psioa.Action) psioa.Signature{
+		"in":  func(a ...psioa.Action) psioa.Signature { return psioa.NewSignature(a, nil, nil) },
+		"out": func(a ...psioa.Action) psioa.Signature { return psioa.NewSignature(nil, a, nil) },
+		"int": func(a ...psioa.Action) psioa.Signature { return psioa.NewSignature(nil, nil, a) },
+	}
+	for role, sig := range sigs {
+		for _, tc := range []struct {
+			build func(*psioa.Builder) *psioa.Builder
+			want  string
+		}{
+			{func(b *psioa.Builder) *psioa.Builder { return b },
+				`psioa: automaton "x": action "a" enabled at "q" has no transition (violates E1)`},
+			{func(b *psioa.Builder) *psioa.Builder { return b.AddTrans("q", "a", half) },
+				`psioa: automaton "x": transition ("q","a") has total mass 0.5, want 1`},
+			{func(b *psioa.Builder) *psioa.Builder { return b.AddDet("q", "a", "ghost") },
+				`psioa: automaton "x": transition ("q","a") targets undeclared state "ghost"`},
+			{func(b *psioa.Builder) *psioa.Builder { return b.AddDet("q", "a", "q").AddDet("q", "b", "q") },
+				`psioa: automaton "x": transition for "b" at "q" but the action is not in the signature`},
+		} {
+			_, err := tc.build(psioa.NewBuilder("x", "q").AddState("q", sig("a"))).Build()
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s: Build error %v, want %s", role, err, tc.want)
+			}
+		}
+	}
+}

@@ -103,6 +103,9 @@ func SetDefaultBudget(b *Budget) *Budget {
 	return defaultBudget.Swap(b)
 }
 
+// DefaultBudget returns the process-wide fallback budget, or nil.
+func DefaultBudget() *Budget { return defaultBudget.Load() }
+
 // CLILimits applies a command's -timeout and -budget flags: the context
 // times out after timeout, and the default budget carries both limits into
 // the kernels' cancellation checkpoints, even where no context is threaded

@@ -3,6 +3,8 @@ package sched
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/measure"
@@ -53,14 +55,18 @@ type sigChooser interface {
 	chooseSig(sig psioa.Signature, depth int) *Choice
 }
 
-// ChooseAt implements DepthOblivious: step i deterministically triggers
-// Acts[i] when enabled at q and halts otherwise.
-func (s *Sequence) ChooseAt(q psioa.State, depth int) *Choice {
-	if depth >= len(s.Acts) {
+// chooseAt is ChooseAt of a built-in depth-oblivious scheduler: it halts
+// from its horizon on and below it reads q's signature.
+func chooseAt(sc sigChooser, q psioa.State, depth int) *Choice {
+	if h, _ := sc.horizon(); depth >= h {
 		return haltChoice
 	}
-	return s.chooseSig(s.A.Sig(q), depth)
+	return sc.chooseSig(sc.sigAut().Sig(q), depth)
 }
+
+// ChooseAt implements DepthOblivious: step i deterministically triggers
+// Acts[i] when enabled at q and halts otherwise.
+func (s *Sequence) ChooseAt(q psioa.State, depth int) *Choice { return chooseAt(s, q, depth) }
 
 func (s *Sequence) sigAut() psioa.PSIOA  { return s.A }
 func (s *Sequence) horizon() (int, bool) { return len(s.Acts), false }
@@ -74,12 +80,7 @@ func (s *Sequence) chooseSig(sig psioa.Signature, depth int) *Choice {
 
 // ChooseAt implements DepthOblivious: uniform over the actions enabled at
 // q, halting at the bound.
-func (r *Random) ChooseAt(q psioa.State, depth int) *Choice {
-	if depth >= r.Bound {
-		return haltChoice
-	}
-	return r.chooseSig(r.A.Sig(q), depth)
-}
+func (r *Random) ChooseAt(q psioa.State, depth int) *Choice { return chooseAt(r, q, depth) }
 
 func (r *Random) sigAut() psioa.PSIOA  { return r.A }
 func (r *Random) horizon() (int, bool) { return r.Bound, true }
@@ -95,12 +96,7 @@ func (r *Random) chooseSig(sig psioa.Signature, _ int) *Choice {
 // ChooseAt implements DepthOblivious: the least enabled action with the
 // first prefix of the order that any enabled action has, halting at the
 // bound.
-func (p *Priority) ChooseAt(q psioa.State, depth int) *Choice {
-	if depth >= p.Bound {
-		return haltChoice
-	}
-	return p.chooseSig(p.A.Sig(q), depth)
-}
+func (p *Priority) ChooseAt(q psioa.State, depth int) *Choice { return chooseAt(p, q, depth) }
 
 func (p *Priority) sigAut() psioa.PSIOA  { return p.A }
 func (p *Priority) horizon() (int, bool) { return p.Bound, true }
@@ -116,12 +112,7 @@ func (p *Priority) chooseSig(sig psioa.Signature, _ int) *Choice {
 
 // ChooseAt implements DepthOblivious: the lexicographically-first enabled
 // action at q, halting at the bound.
-func (g *Greedy) ChooseAt(q psioa.State, depth int) *Choice {
-	if depth >= g.Bound {
-		return haltChoice
-	}
-	return g.chooseSig(g.A.Sig(q), depth)
-}
+func (g *Greedy) ChooseAt(q psioa.State, depth int) *Choice { return chooseAt(g, q, depth) }
 
 func (g *Greedy) sigAut() psioa.PSIOA  { return g.A }
 func (g *Greedy) horizon() (int, bool) { return g.Bound, true }
@@ -188,6 +179,26 @@ type DAGMeasure struct {
 	halts  []dagHalt
 	total  float64
 	maxLen int
+	execs  int // halted executions: paths into the halting classes
+	maxExp int // largest dyadic exponent bound of any path's mass
+}
+
+// dagClass is one (state, depth) class: its mass, the paths into it, and
+// the largest over them of the sum of every factor's dyadicExp.
+type dagClass struct {
+	m          float64
+	paths, exp int
+}
+
+// dyadicMax bounds the dyadic exponent of the path masses for which
+// Dyadic holds. 2^-dyadicMax must exceed pruneBelow, so that such a path
+// is never pruned; TestDyadicMaxAbovePrune checks it.
+const dyadicMax = 49
+
+// dyadicExp returns the least e ≥ 0 with x·2^e an integer, for x > 0.
+func dyadicExp(x float64) int {
+	frac, exp := math.Frexp(x)
+	return max(0, 53-exp-bits.TrailingZeros64(uint64(frac*(1<<53))))
 }
 
 // Total returns the aggregated halting mass; 1 for schedulers that always
@@ -197,6 +208,17 @@ func (dm *DAGMeasure) Total() float64 { return dm.total }
 
 // MaxLen returns the depth of the deepest halting class.
 func (dm *DAGMeasure) MaxLen() int { return dm.maxLen }
+
+// Executions returns the number of halted executions: the paths into the
+// halting classes.
+func (dm *DAGMeasure) Executions() int { return dm.execs }
+
+// Dyadic reports whether every path's mass had a dyadic exponent of at most
+// dyadicMax (49). Every path mass is then at least 2^-49 > pruneBelow, so neither the
+// DAG nor the tree kernel prunes, and every product and partial sum of
+// path masses is exact: Total is the tree's bit for bit in any summation
+// order, Executions the tree's Len and MaxLen the tree's MaxLen.
+func (dm *DAGMeasure) Dyadic() bool { return dm.maxExp <= dyadicMax }
 
 // Classes returns the number of (state, depth) halting classes — the
 // collapsed analogue of ExecMeasure.Len (which counts executions).
@@ -245,13 +267,13 @@ func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDep
 		// Depth 0 admits only the empty execution: ε_σ is the Dirac measure
 		// on the start state, exactly as in MeasureOpts.
 		dm.halts = append(dm.halts, dagHalt{q: start, depth: 0, p: 1})
-		dm.total = 1
+		dm.total, dm.execs = 1, 1
 		return dm, nil
 	}
 	ck := resilience.NewCheckpoint(ctx, b)
 	// Interned core: the step table gives states dense IDs on first touch
 	// (the start state is 0) and compiles each (state, depth) step once,
-	// with the IDs of its successors; the two frontier mass vectors are
+	// with the IDs of its successors; the two frontier class vectors are
 	// plain slices indexed by ID — no string-keyed map in the propagation
 	// loop. Level membership is tracked by an epoch mark (not mass != 0),
 	// so a sum that underflows to zero cannot change the insertion order
@@ -261,8 +283,8 @@ func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDep
 	tbl := newStepTable(newStepSource(a, s, maxDepth, true))
 	defer tbl.release()
 	tbl.intern(start) // ID 0
-	curMass := []float64{1}
-	nextMass := []float64{0}
+	cur := []dagClass{{m: 1, paths: 1}}
+	next := []dagClass{{}}
 	seenEpoch := []uint32{0}
 	epoch := uint32(0)
 	order := []uint32{0}
@@ -275,7 +297,8 @@ outer:
 		epoch++
 		nextOrder = nextOrder[:0]
 		for _, qid := range order {
-			m := curMass[qid]
+			cl := cur[qid]
+			m := cl.m
 			if m < pruneBelow {
 				continue
 			}
@@ -294,6 +317,8 @@ outer:
 			if halt := choice.Deficit(); halt > pruneBelow {
 				dm.halts = append(dm.halts, dagHalt{q: q, depth: d, p: m * halt})
 				dm.total += m * halt
+				dm.execs += cl.paths
+				dm.maxExp = max(dm.maxExp, cl.exp+dyadicExp(halt))
 				if d > dm.maxLen {
 					dm.maxLen = d
 				}
@@ -317,9 +342,9 @@ outer:
 				}
 				resilience.FirePanic(resilience.FaultTransitionPanic)
 				st := tbl.trans(sl, e, ai)
-				for n := tbl.states(); len(curMass) < n; {
-					curMass = append(curMass, 0)
-					nextMass = append(nextMass, 0)
+				for n := tbl.states(); len(cur) < n; {
+					cur = append(cur, dagClass{})
+					next = append(next, dagClass{})
 					seenEpoch = append(seenEpoch, 0)
 				}
 				for qi, q2id := range st.ids {
@@ -327,14 +352,18 @@ outer:
 					if pq <= 0 {
 						continue
 					}
+					eq := cl.exp + dyadicExp(pa) + dyadicExp(pq)
+					dm.maxExp = max(dm.maxExp, eq)
 					// Mass accumulates in (source state, action, successor)
 					// sorted order — deterministic for a fixed workload.
-					if seenEpoch[q2id] != epoch {
+					if nx := &next[q2id]; seenEpoch[q2id] != epoch {
 						seenEpoch[q2id] = epoch
 						nextOrder = append(nextOrder, q2id)
-						nextMass[q2id] = m * pa * pq
+						*nx = dagClass{m * pa * pq, cl.paths, eq}
 					} else {
-						nextMass[q2id] += m * pa * pq
+						nx.m += m * pa * pq
+						nx.paths += cl.paths
+						nx.exp = max(nx.exp, eq)
 					}
 					kids++
 				}
@@ -348,7 +377,7 @@ outer:
 		}
 		slots := *tbl.slots.Load()
 		sort.Slice(nextOrder, func(i, j int) bool { return slots[nextOrder[i]].q < slots[nextOrder[j]].q })
-		curMass, nextMass = nextMass, curMass
+		cur, next = next, cur
 		order, nextOrder = nextOrder, order[:0]
 	}
 	if err == nil && stopped == nil {

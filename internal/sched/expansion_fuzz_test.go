@@ -269,3 +269,53 @@ func FuzzExpansionTree(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDAGExecs holds the state-collapsed DAG's exactness rule sound on
+// FuzzExpansionTree's worlds, and on a coin of bias 0.1 to 0.9, under the
+// depth-oblivious schedulers: a halted execution whose mass is not a
+// multiple of 2^-49 (a 0.3 branch, a uniform choice over three actions)
+// makes the DAG report false (DAGMeasure.Dyadic), and wherever it reports
+// true, the tree kernel succeeds and its Len, Total bits and MaxLen are
+// the DAG's Executions, Total and MaxLen.
+func FuzzDAGExecs(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, world, pick, depth, bound, workers uint8, coin bool) {
+		w := fuzzTreeWorld(seed, world)
+		if coin {
+			w = testaut.Coin("c", float64(1+seed%9)/10)
+		}
+		maxDepth := int(depth % 9)
+		s, _ := sched.AsDepthOblivious(fuzzTreeSched(w, pick%3, int(bound%7)))
+		where := fmt.Sprintf("%s under %s, depth %d", w.ID(), s.Name(), maxDepth)
+		dm, err := sched.MeasureDAGOpts(context.Background(), w, s, maxDepth, nil, sched.Options{})
+		if err != nil {
+			return
+		}
+		if dm.Executions() > refMaxNodes {
+			t.Skip(where, "has too many paths to expand")
+		}
+		em, err := sched.MeasureOpts(context.Background(), w, s, maxDepth, nil, sched.Options{Workers: 1 + int(workers%4)})
+		if err != nil {
+			if dm.Dyadic() {
+				t.Fatalf("%s: the DAG reports dyadic masses, the tree fails: %v", where, err)
+			}
+			return
+		}
+		em.ForEach(func(fr *psioa.Frag, p float64) {
+			if x := math.Ldexp(p, sched.DyadicMax); x != math.Trunc(x) && dm.Dyadic() {
+				t.Fatalf("%s: the DAG reports dyadic masses, but %v has mass %v", where, fr, p)
+			}
+		})
+		if dm.Dyadic() && (em.Len() != dm.Executions() || math.Float64bits(em.Total()) != math.Float64bits(dm.Total()) || em.MaxLen() != dm.MaxLen()) {
+			t.Fatalf("%s: tree Len, Total, MaxLen = %d, %v, %d; DAG %d, %v, %d", where, em.Len(), em.Total(), em.MaxLen(), dm.Executions(), dm.Total(), dm.MaxLen())
+		}
+	})
+}
+
+// TestDyadicMaxAbovePrune checks the premise of DAGMeasure.Dyadic: a path
+// mass of 2^-DyadicMax, the least one the rule admits, is above the
+// kernels' pruning threshold, so no path the rule admits is pruned.
+func TestDyadicMaxAbovePrune(t *testing.T) {
+	if least := math.Ldexp(1, -sched.DyadicMax); least <= sched.PruneBelow {
+		t.Fatalf("2^-%d = %v is not above pruneBelow = %v", sched.DyadicMax, least, sched.PruneBelow)
+	}
+}

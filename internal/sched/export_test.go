@@ -8,3 +8,9 @@ func TreeColumns(em *ExecMeasure) (parent, step []uint32) {
 	}
 	return parent, step
 }
+
+// DyadicMax is the DAG's exponent bound (see DAGMeasure.Dyadic).
+const DyadicMax = dyadicMax
+
+// PruneBelow is the kernels' pruning threshold.
+const PruneBelow = pruneBelow
