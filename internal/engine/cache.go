@@ -336,7 +336,8 @@ func (c *Cache) Measure(a psioa.PSIOA, s sched.Scheduler, maxDepth int) (*sched.
 // MeasureOpts is Measure threading cancellation, a budget and kernel
 // options into the expansion. It is the only writer of measure entries.
 // An exact simulate job on the tree route reads its measure here, and its
-// image through FDistOpts unless a non-dyadic DAG pass already gave it; a
+// image through FDistOpts unless a non-dyadic state-local DAG pass
+// already gave it; a
 // resent job reads back what was cached. A job on the DAG route (see
 // Runner.simulate) reads neither. Measures are byte-identical
 // at every worker count, so they share cache keys. A budget-bounded

@@ -509,16 +509,17 @@ func TestCheckCachesImagesOnly(t *testing.T) {
 	}
 }
 
-// TestSimulateExpandsOnce: a fresh exact trace simulate expands its
-// execution measure once, and its image reads that cached measure instead
-// of expanding it again; a resend expands nothing. The cache then holds
-// the measure and its image.
+// TestSimulateExpandsOnce: a fresh exact trace simulate on the tree route
+// expands its execution measure once, and its image reads that cached
+// measure instead of expanding it again; a resend expands nothing. The
+// cache then holds the measure and its image. The 0.3 coin's masses are
+// not dyadic, so the job takes the tree route (see TestStepFoldRoute for
+// the DAG route).
 func TestSimulateExpandsOnce(t *testing.T) {
 	c := engine.NewCache(0)
 	r := engine.NewRunner(nil, c)
 	job := engine.Job{Kind: engine.KindSimulate, Simulate: &engine.SimulateSpec{
-		Systems: []string{"chan:real:x", "chan:env:x:1"}, Sched: "priority",
-		Order: []string{"send", "encrypt", "tap", "deliver"}, Bound: 8,
+		Systems: []string{"coin:biased:x:0.3", "coin:env:x"}, Bound: 8,
 	}}
 	calls := obs.C("sched.measure.calls")
 	for i, want := range []int64{1, 0} {

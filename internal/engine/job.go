@@ -404,12 +404,12 @@ func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience
 		return &SimulateResult{Exact: true, InsightID: ins.ID, Executions: n, TotalMass: total, MaxLen: maxLen, Outcomes: outcomes(img)}
 	}
 	var img *measure.Dist[string] // the DAG pass's image, when it ran
-	if dob, ok := sched.AsDepthOblivious(s); ok && ins.StateLocal != nil && bud == nil && resilience.DefaultBudget() == nil {
-		// The job reports only aggregates of ε_σ and a state-local image,
-		// which the state-collapsed DAG gives exactly as the tree does when
-		// its path masses are dyadic (sched.DAGMeasure.Dyadic). Otherwise,
-		// and on any error, the tree below computes the aggregates; a pass
-		// that succeeded keeps its image, the one FDistOpts would compute.
+	if dob, ok := sched.AsDepthOblivious(s); ok && (ins.StateLocal != nil || ins.Step != nil) && bud == nil && resilience.DefaultBudget() == nil {
+		// The job reports aggregates of ε_σ and a state-local or stepped
+		// image, which the state-collapsed DAG gives exactly as the tree
+		// does when its path masses are dyadic (DAGMeasure.Dyadic).
+		// Otherwise, and on any error, the tree below computes them; a
+		// state-local pass keeps its image (FDistOpts's); a stepped one, none.
 		if dm, dimg, err := insight.FDistDAG(ctx, w, dob, ins, depth, nil, r.kernelOpts()); err == nil {
 			if dm.Dyadic() {
 				return exact(dm.Executions(), dm.Total(), dm.MaxLen(), dimg), nil

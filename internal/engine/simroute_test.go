@@ -39,14 +39,19 @@ func walkRunner() *engine.Runner {
 // treeResult is the result of simulate job ss assembled from the tree
 // kernel's measure under budget b, with the error text. Its outcomes are
 // the measure's image when treeImage is set or the measure is partial,
-// else insight.FDist's, which images a state-local insight on the DAG.
+// else insight.FDist's, which images a state-local insight on the DAG and
+// a stepped one on the tree.
 func treeResult(t *testing.T, r *engine.Runner, ss *engine.SimulateSpec, b *resilience.Budget, treeImage bool) (*engine.SimulateResult, string) {
 	t.Helper()
-	a, err := r.Resolve(ss.Systems[0])
-	if err != nil {
-		t.Fatal(err)
+	var auts []psioa.PSIOA
+	for _, ref := range ss.Systems {
+		a, err := r.Resolve(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auts = append(auts, a)
 	}
-	w := psioa.MustCompose(a)
+	w := psioa.MustCompose(auts...)
 	s, err := engine.SchedByName(w, ss.Sched, ss.Order, ss.Bound)
 	if err != nil {
 		t.Fatal(err)
@@ -152,5 +157,83 @@ func TestFinalSimulateKeepsTreeFailures(t *testing.T) {
 	_, err = r.Run(context.Background(), engine.Job{Kind: engine.KindSimulate, Simulate: ss})
 	if _, msg := treeResult(t, r, ss, nil, true); err == nil || err.Error() != msg {
 		t.Errorf("failing scheduler: job error %v, want %s", err, msg)
+	}
+}
+
+// chanSpec is the dsed-mix channel job: the one-time-pad channel under the
+// priority scheduler, whose masses are dyadic.
+func chanSpec(ins string) *engine.SimulateSpec {
+	return &engine.SimulateSpec{Systems: []string{"chan:real:x", "chan:env:x:1"}, Sched: "priority",
+		Order: []string{"send", "encrypt", "tap", "deliver"}, Bound: 8, Insight: ins}
+}
+
+// TestStepFoldRoute: an exact trace job on the channel answers from the
+// state-collapsed DAG carrying the trace fold: its report has a
+// sched.measure.dag phase and no sched.measure phase, the cache stays
+// empty, and the result is byte for byte the one assembled from the tree
+// kernel and insight.Image.
+func TestStepFoldRoute(t *testing.T) {
+	r := walkRunner()
+	ss := chanSpec("trace")
+	res, err := r.Run(context.Background(), engine.Job{Kind: engine.KindSimulate, Simulate: ss})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ph := phases(res); !ph["sched.measure.dag"] || ph["sched.measure"] {
+		t.Errorf("phases %v; want sched.measure.dag and no sched.measure", ph)
+	}
+	if v := r.Cache.Values(); len(v) != 0 {
+		t.Errorf("the cache holds %d values, want none", len(v))
+	}
+	want, _ := treeResult(t, r, ss, nil, true)
+	got, _ := json.Marshal(res.Simulate)
+	if exp, _ := json.Marshal(want); string(got) != string(exp) {
+		t.Errorf("result\n%s\nwant\n%s", got, exp)
+	}
+}
+
+// TestStepSimulateMatchesTree: exact trace, accept and print jobs give, byte
+// for byte, the result assembled from the tree kernel and insight.Image.
+// Dyadic worlds — fair walks, the channel under priority, a one-subchain
+// ledger under the uniform scheduler, a 0.25 coin — answer from the
+// stepped DAG pass, with no sched.measure phase; a 0.3 coin fails the
+// exactness rule and falls back to the tree.
+func TestStepSimulateMatchesTree(t *testing.T) {
+	type job struct {
+		ss  *engine.SimulateSpec
+		dag bool
+	}
+	var jobs []job
+	for _, n := range []int{2, 8, 12} {
+		for _, b := range []int{3, 14, 16} {
+			for _, ins := range []string{"trace", "accept:x0", "print:go", "accept:hit_w"} {
+				for _, sc := range []string{"greedy", "random"} {
+					jobs = append(jobs, job{&engine.SimulateSpec{Systems: []string{fmt.Sprintf("walk:%d", n)}, Sched: sc, Bound: b, Insight: ins}, true})
+				}
+			}
+		}
+	}
+	for _, ins := range []string{"trace", "accept:x0", "print:go", "accept:result1_x", "print:tap"} {
+		coin := func(p string) *engine.SimulateSpec {
+			return &engine.SimulateSpec{Systems: []string{"coin:biased:x:" + p, "coin:env:x"}, Bound: 8, Insight: ins}
+		}
+		jobs = append(jobs, job{chanSpec(ins), true}, job{coin("0.25"), true}, job{coin("0.3"), false},
+			job{&engine.SimulateSpec{Systems: []string{"ledger:direct:x:1"}, Sched: "random", Bound: 8, Insight: ins}, true})
+	}
+	for _, j := range jobs {
+		r := walkRunner()
+		where := fmt.Sprintf("%v %s bound %d %s", j.ss.Systems, j.ss.Sched, j.ss.Bound, j.ss.Insight)
+		res, err := r.Run(context.Background(), engine.Job{Kind: engine.KindSimulate, Simulate: j.ss})
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		want, _ := treeResult(t, r, j.ss, nil, true)
+		got, _ := json.Marshal(res.Simulate)
+		if exp, _ := json.Marshal(want); string(got) != string(exp) {
+			t.Errorf("%s: result\n%s\nwant\n%s", where, got, exp)
+		}
+		if ph := phases(res); !ph["sched.measure.dag"] || ph["sched.measure"] == j.dag {
+			t.Errorf("%s: phases %v; want sched.measure.dag, and sched.measure only on the fallback", where, ph)
+		}
 	}
 }

@@ -22,8 +22,8 @@
 // Image folds Step over an expanded tree instead, one step per tree node
 // and one signature read per distinct step, so no execution's trace is
 // rebuilt from its root; an internal step returns its parent's string and
-// allocates nothing. Final is state-local instead
-// (StateLocal) and has no step factoring.
+// allocates nothing; FDistDAG folds Step along the state-collapsed DAG.
+// Final is state-local instead (StateLocal) and has no step factoring.
 package insight
 
 import (
@@ -72,7 +72,8 @@ type Insight struct {
 	// in w's signature at lstate(α). Apply must be Step folded along the
 	// execution from Init. Image steps each node of the expansion tree
 	// once, from its parent's value, instead of applying Apply to every
-	// halted execution.
+	// halted execution; FDistDAG calls Step once per (value, transition)
+	// pair of the state-collapsed DAG.
 	Init string
 	Step func(prev string, a psioa.Action, ext bool) string
 }
@@ -207,19 +208,28 @@ func FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight,
 	return img, nil
 }
 
-// FDistDAG is FDistOpts's route for a state-local insight f under a
-// depth-oblivious scheduler: the image of the state-collapsed measure,
-// returned with that measure.
+// FDistDAG returns the image of f on the state-collapsed measure of a
+// depth-oblivious scheduler, with that measure: a state-local f images the
+// (state, depth) classes (FDistOpts's route for it), a stepped one is
+// folded along the DAG (sched.MeasureDAGFold) and has no image unless the
+// pass is dyadic.
 func FDistDAG(ctx context.Context, w psioa.PSIOA, s sched.DepthOblivious, f Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*sched.DAGMeasure, *measure.Dist[string], error) {
 	c := obs.Enter(ctx, obs.LayerFDist, f.ID)
 	defer c.End()
-	dm, err := sched.MeasureDAGOpts(ctx, w, s, maxDepth, b, o)
-	if err != nil {
-		return nil, nil, err
+	var fold *sched.Fold
+	if f.StateLocal == nil {
+		fold = &sched.Fold{Init: f.Init, Ext: func(q psioa.State, a psioa.Action) bool { return external(w, q, a) }, Step: f.Step}
+	}
+	dm, err := sched.MeasureDAGFold(ctx, w, s, maxDepth, fold, b, o)
+	if err != nil || fold != nil && !dm.Dyadic() {
+		return dm, nil, err
 	}
 	cProbeCalls.Inc()
 	cProbeEvals.Add(int64(dm.Classes()))
-	img := dm.Image(func(q psioa.State, depth int) string { return f.StateLocal(w, q, depth) })
+	img := dm.FoldImage()
+	if fold == nil {
+		img = dm.Image(func(q psioa.State, depth int) string { return f.StateLocal(w, q, depth) })
+	}
 	if tr := obs.Active(); tr.Enabled() {
 		tr.Emit(obs.Event{Kind: obs.KindProbe, Name: f.ID, Attr: s.Name(), N: int64(img.Len())})
 	}

@@ -8,21 +8,21 @@ import (
 	"math/rand/v2"
 )
 
-// Stream is a deterministic random stream.
+// Stream is a deterministic random stream, its PCG state held by value.
 type Stream struct {
-	r *rand.Rand
+	pcg rand.PCG
 }
 
 // New returns a stream seeded from the given 64-bit seed.
 func New(seed uint64) *Stream {
-	return &Stream{r: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	return &Stream{pcg: *rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)}
 }
 
 // Split derives an independent sub-stream labelled by index. The derivation
 // is deterministic in (parent seed material, index), so parallel experiment
 // arms get stable, non-overlapping streams.
 func (s *Stream) Split(index uint64) *Stream {
-	return Substream(s.r.Uint64(), index)
+	return Substream(s.Uint64(), index)
 }
 
 // Substream is the pure counterpart of Split: it derives the index-labelled
@@ -32,7 +32,14 @@ func (s *Stream) Split(index uint64) *Stream {
 // draws the material once and derives one substream per sample — produce
 // the same randomness for any worker count and assignment order.
 func Substream(material, index uint64) *Stream {
-	return &Stream{r: rand.New(rand.NewPCG(material^mix(index), mix(index+0x632be59bd9b4e019)))}
+	s := &Stream{}
+	s.Reseed(material, index)
+	return s
+}
+
+// Reseed makes s the stream Substream(material, index) returns, in place.
+func (s *Stream) Reseed(material, index uint64) {
+	s.pcg.Seed(material^mix(index), mix(index+0x632be59bd9b4e019))
 }
 
 func mix(x uint64) uint64 {
@@ -44,14 +51,14 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// Float64 returns a uniform sample in [0, 1).
-func (s *Stream) Float64() float64 { return s.r.Float64() }
+// Float64 returns a uniform sample in [0, 1), as math/rand/v2 draws it.
+func (s *Stream) Float64() float64 { return float64(s.pcg.Uint64()<<11>>11) / (1 << 53) }
 
 // IntN returns a uniform sample in [0, n).
-func (s *Stream) IntN(n int) int { return s.r.IntN(n) }
+func (s *Stream) IntN(n int) int { return rand.New(&s.pcg).IntN(n) }
 
 // Uint64 returns a uniform 64-bit sample.
-func (s *Stream) Uint64() uint64 { return s.r.Uint64() }
+func (s *Stream) Uint64() uint64 { return s.pcg.Uint64() }
 
 // Perm returns a pseudo-random permutation of [0, n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
+func (s *Stream) Perm(n int) []int { return rand.New(&s.pcg).Perm(n) }

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -130,6 +131,37 @@ func TestSplitMatchesSubstream(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		if s1.Uint64() != s2.Uint64() {
 			t.Fatal("Split(i) must equal Substream(parent draw, i)")
+		}
+	}
+}
+
+// TestSubstreamDrawsMatchMathRand: for 1,000 (material, index) pairs, the
+// first 64 Float64, Uint64 and IntN draws of Substream, and of a stream
+// reseeded in place, equal those of a math/rand/v2 Rand over the same PCG
+// seeds.
+func TestSubstreamDrawsMatchMathRand(t *testing.T) {
+	var reused Stream
+	for i := uint64(0); i < 1000; i++ {
+		material, index := mix(i+1)*0x9e3779b97f4a7c15, i*7919
+		for kind := 0; kind < 3; kind++ {
+			want := rand.New(rand.NewPCG(material^mix(index), mix(index+0x632be59bd9b4e019)))
+			got := Substream(material, index)
+			reused.Reseed(material, index)
+			for j := 0; j < 64; j++ {
+				var w, g, r uint64
+				switch kind {
+				case 0:
+					w, g, r = math.Float64bits(want.Float64()), math.Float64bits(got.Float64()), math.Float64bits(reused.Float64())
+				case 1:
+					w, g, r = want.Uint64(), got.Uint64(), reused.Uint64()
+				default:
+					n := 1 + j*j
+					w, g, r = uint64(want.IntN(n)), uint64(got.IntN(n)), uint64(reused.IntN(n))
+				}
+				if g != w || r != w {
+					t.Fatalf("pair %d kind %d draw %d: Substream %d, reseeded %d, math/rand %d", i, kind, j, g, r, w)
+				}
+			}
 		}
 	}
 }

@@ -1,12 +1,15 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 
+	"repro/internal/intern"
 	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/psioa"
@@ -160,32 +163,47 @@ func AsDepthOblivious(s Scheduler) (DepthOblivious, bool) {
 	return nil, false
 }
 
-// dagHalt is one (state, depth) halting class with its aggregated mass.
+// Fold is a fragment functional folded along the steps, as the stepped
+// insights are (Def 3.4): a zero-length fragment maps to Init, α⌢(a, q′) to
+// Step(v, a, Ext(lstate(α), a)) where v is α's value. Under a depth-oblivious
+// scheduler, equal (lstate, depth, value) means equal futures and images.
+type Fold struct {
+	Init string
+	Ext  func(q psioa.State, a psioa.Action) bool
+	Step func(prev string, a psioa.Action, ext bool) string
+}
+
+// dagHalt is one (state, depth, value) halting class with its aggregated
+// mass. A pass without a fold has the one value 0.
 type dagHalt struct {
 	q     psioa.State
+	v     uint32
 	depth int
 	p     float64
 }
 
 // DAGMeasure is the state-collapsed form of ε_σ produced by MeasureDAGOpts:
-// halting mass aggregated per (state, depth) class, recorded in propagation
-// order (depth ascending, states sorted within a depth). It supports every
-// aggregate that does not need individual execution fragments — total mass,
-// max length, state-local images; cones and prefix enumeration need the
-// tree kernel. On the dyadic workloads pinned in equivalence_test.go all
-// float sums are exact, so the aggregates agree bit for bit with the tree
-// kernel's; in general they agree up to float summation order.
+// halting mass aggregated per (state, depth) class — (state, depth, value)
+// under a fold — in propagation order (depth ascending, then states sorted,
+// then values first-seen). It supports every aggregate that does not need
+// individual execution fragments — total mass, max length, state-local and
+// fold images; cones and prefix enumeration need the tree kernel. On the
+// dyadic workloads pinned in equivalence_test.go all float sums are exact,
+// so the aggregates agree bit for bit with the tree kernel's; in general
+// they agree up to float summation order.
 type DAGMeasure struct {
 	halts  []dagHalt
+	vals   *intern.Table // the fold's values by ID; nil without a fold
 	total  float64
 	maxLen int
 	execs  int // halted executions: paths into the halting classes
 	maxExp int // largest dyadic exponent bound of any path's mass
 }
 
-// dagClass is one (state, depth) class: its mass, the paths into it, and
-// the largest over them of the sum of every factor's dyadicExp.
+// dagClass is one (state, value) class of a level: its mass, the paths
+// into it, and the largest over them of the sum of every factor's dyadicExp.
 type dagClass struct {
+	q, v       uint32
 	m          float64
 	paths, exp int
 }
@@ -217,11 +235,12 @@ func (dm *DAGMeasure) Executions() int { return dm.execs }
 // dyadicMax (49). Every path mass is then at least 2^-49 > pruneBelow, so neither the
 // DAG nor the tree kernel prunes, and every product and partial sum of
 // path masses is exact: Total is the tree's bit for bit in any summation
-// order, Executions the tree's Len and MaxLen the tree's MaxLen.
+// order, Executions the tree's Len and MaxLen the tree's MaxLen. A fold
+// pass that breaks the rule stops there, its aggregates incomplete.
 func (dm *DAGMeasure) Dyadic() bool { return dm.maxExp <= dyadicMax }
 
-// Classes returns the number of (state, depth) halting classes — the
-// collapsed analogue of ExecMeasure.Len (which counts executions).
+// Classes returns the number of halting classes — the collapsed analogue
+// of ExecMeasure.Len (which counts executions).
 func (dm *DAGMeasure) Classes() int { return len(dm.halts) }
 
 // ForEach visits every halting class in deterministic propagation order.
@@ -242,6 +261,50 @@ func (dm *DAGMeasure) Image(f func(q psioa.State, depth int) string) *measure.Di
 	return d
 }
 
+// FoldImage returns the image of ε_σ under the pass's fold, as ImageFold
+// does on the tree: halting mass summed per value. Nil without a fold.
+func (dm *DAGMeasure) FoldImage() *measure.Dist[string] {
+	if dm.vals == nil {
+		return nil
+	}
+	d := measure.New[string]()
+	for _, h := range dm.halts {
+		d.Add(dm.vals.Str(h.v), h.p)
+	}
+	return d
+}
+
+// foldVals interns a fold's values in first-seen order (Init is 0) and
+// memoizes the next value per (value, compiled transition), Ext per
+// compiled transition: one (state, action) pair.
+type foldVals struct {
+	f    *Fold
+	ids  *intern.Table
+	ext  map[*stepTrans]bool
+	next map[foldStep]uint32
+}
+
+type foldStep struct {
+	st *stepTrans
+	v  uint32
+}
+
+// step returns the value of α⌢(st.act, ·) for α of value v ending in q.
+func (fv *foldVals) step(v uint32, q psioa.State, st *stepTrans) uint32 {
+	k := foldStep{st, v}
+	if n, ok := fv.next[k]; ok {
+		return n
+	}
+	x, ok := fv.ext[st]
+	if !ok {
+		x = fv.f.Ext(q, st.act)
+		fv.ext[st] = x
+	}
+	n := fv.ids.ID(fv.f.Step(fv.ids.Str(v), st.act, x))
+	fv.next[k] = n
+	return n
+}
+
 // MeasureDAGOpts computes the state-collapsed form of ε_σ by
 // forward-propagating aggregated state mass level by level: all fragments
 // sharing (lstate, depth) receive the same choice from a depth-oblivious
@@ -255,6 +318,13 @@ func (dm *DAGMeasure) Image(f func(q psioa.State, depth int) string) *measure.Di
 // expanded and the level's wall time — to the trace and to a meter in
 // ctx, as the tree kernel does, so run reports cover DAG-routed jobs too.
 func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDepth int, b *resilience.Budget, o Options) (*DAGMeasure, error) {
+	return MeasureDAGFold(ctx, a, s, maxDepth, nil, b, o)
+}
+
+// MeasureDAGFold is MeasureDAGOpts carrying a fold f, if not nil: a node
+// per (lstate, depth, value), and FoldImage is f's image. It stops,
+// without error, at the first path that breaks DAGMeasure.Dyadic's rule.
+func MeasureDAGFold(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDepth int, f *Fold, b *resilience.Budget, o Options) (*DAGMeasure, error) {
 	c := obs.Enter(ctx, obs.LayerDAG, s.Name())
 	defer c.End()
 	cDagCalls.Inc()
@@ -262,6 +332,12 @@ func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDep
 		return nil, err
 	}
 	dm := &DAGMeasure{}
+	var fv *foldVals
+	if f != nil {
+		fv = &foldVals{f: f, ids: intern.NewTable(0), ext: map[*stepTrans]bool{}, next: map[foldStep]uint32{}}
+		fv.ids.ID(f.Init) // value ID 0
+		dm.vals = fv.ids
+	}
 	start := a.Start()
 	if maxDepth <= 0 {
 		// Depth 0 admits only the empty execution: ε_σ is the Dirac measure
@@ -273,40 +349,33 @@ func MeasureDAGOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, maxDep
 	ck := resilience.NewCheckpoint(ctx, b)
 	// Interned core: the step table gives states dense IDs on first touch
 	// (the start state is 0) and compiles each (state, depth) step once,
-	// with the IDs of its successors; the two frontier class vectors are
-	// plain slices indexed by ID — no string-keyed map in the propagation
-	// loop. Level membership is tracked by an epoch mark (not mass != 0),
-	// so a sum that underflows to zero cannot change the insertion order
-	// the pre-interning map kernel had. First touch in an epoch assigns
-	// rather than accumulates, which also retires stale mass left from two
-	// levels ago when the vectors swap.
+	// with the IDs of its successors; a level is a slice of (state ID,
+	// value ID) classes in first-touch order, found through index.
 	tbl := newStepTable(newStepSource(a, s, maxDepth, true))
 	defer tbl.release()
 	tbl.intern(start) // ID 0
-	cur := []dagClass{{m: 1, paths: 1}}
-	next := []dagClass{{}}
-	seenEpoch := []uint32{0}
-	epoch := uint32(0)
-	order := []uint32{0}
-	var nextOrder []uint32
+	cur, next := []dagClass{{m: 1, paths: 1}}, []dagClass(nil)
+	index := map[uint64]int32{} // state ID<<32 | value ID -> class in next
 	var err, stopped error
 	var nodes int64
 outer:
-	for d := 0; len(order) > 0; d++ {
+	for d := 0; len(cur) > 0; d++ {
 		lap, levelNodes := c.Lap(), nodes
-		epoch++
-		nextOrder = nextOrder[:0]
-		for _, qid := range order {
-			cl := cur[qid]
+		next = next[:0]
+		clear(index)
+		for _, cl := range cur {
 			m := cl.m
 			if m < pruneBelow {
 				continue
+			}
+			if fv != nil && !dm.Dyadic() {
+				break outer
 			}
 			if stopped = ck.Step(1, 0); stopped != nil {
 				break outer
 			}
 			nodes++
-			sl := tbl.slot(qid)
+			sl := tbl.slot(cl.q)
 			q := sl.q
 			e := tbl.at(sl, d)
 			choice := e.choice
@@ -315,7 +384,7 @@ outer:
 				break outer
 			}
 			if halt := choice.Deficit(); halt > pruneBelow {
-				dm.halts = append(dm.halts, dagHalt{q: q, depth: d, p: m * halt})
+				dm.halts = append(dm.halts, dagHalt{q: q, v: cl.v, depth: d, p: m * halt})
 				dm.total += m * halt
 				dm.execs += cl.paths
 				dm.maxExp = max(dm.maxExp, cl.exp+dyadicExp(halt))
@@ -342,10 +411,9 @@ outer:
 				}
 				resilience.FirePanic(resilience.FaultTransitionPanic)
 				st := tbl.trans(sl, e, ai)
-				for n := tbl.states(); len(cur) < n; {
-					cur = append(cur, dagClass{})
-					next = append(next, dagClass{})
-					seenEpoch = append(seenEpoch, 0)
+				v := cl.v
+				if fv != nil {
+					v = fv.step(v, q, st)
 				}
 				for qi, q2id := range st.ids {
 					pq := st.ps[qi]
@@ -354,16 +422,16 @@ outer:
 					}
 					eq := cl.exp + dyadicExp(pa) + dyadicExp(pq)
 					dm.maxExp = max(dm.maxExp, eq)
-					// Mass accumulates in (source state, action, successor)
+					// Mass accumulates in (source class, action, successor)
 					// sorted order — deterministic for a fixed workload.
-					if nx := &next[q2id]; seenEpoch[q2id] != epoch {
-						seenEpoch[q2id] = epoch
-						nextOrder = append(nextOrder, q2id)
-						*nx = dagClass{m * pa * pq, cl.paths, eq}
-					} else {
+					if i, ok := index[uint64(q2id)<<32|uint64(v)]; ok {
+						nx := &next[i]
 						nx.m += m * pa * pq
 						nx.paths += cl.paths
 						nx.exp = max(nx.exp, eq)
+					} else {
+						index[uint64(q2id)<<32|uint64(v)] = int32(len(next))
+						next = append(next, dagClass{q2id, v, m * pa * pq, cl.paths, eq})
 					}
 					kids++
 				}
@@ -373,12 +441,16 @@ outer:
 			}
 		}
 		if c.Timed() {
-			c.Level([]int64{int64(len(order))}, []int64{nodes - levelNodes}, []int64{lap.US()})
+			c.Level([]int64{int64(len(cur))}, []int64{nodes - levelNodes}, []int64{lap.US()})
 		}
 		slots := *tbl.slots.Load()
-		sort.Slice(nextOrder, func(i, j int) bool { return slots[nextOrder[i]].q < slots[nextOrder[j]].q })
+		slices.SortFunc(next, func(x, y dagClass) int {
+			if c := strings.Compare(string(slots[x.q].q), string(slots[y.q].q)); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.v, y.v)
+		})
 		cur, next = next, cur
-		order, nextOrder = nextOrder, order[:0]
 	}
 	if err == nil && stopped == nil {
 		stopped = ck.Finish()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/measure"
@@ -308,7 +309,63 @@ func FuzzDAGExecs(f *testing.F) {
 		if dm.Dyadic() && (em.Len() != dm.Executions() || math.Float64bits(em.Total()) != math.Float64bits(dm.Total()) || em.MaxLen() != dm.MaxLen()) {
 			t.Fatalf("%s: tree Len, Total, MaxLen = %d, %v, %d; DAG %d, %v, %d", where, em.Len(), em.Total(), em.MaxLen(), dm.Executions(), dm.Total(), dm.MaxLen())
 		}
+		// The pass carrying a fold answers where the state-local one does,
+		// with the same rule, and where the rule holds it has the tree's
+		// aggregates and the tree's fold image, keys and mass bits.
+		fold := fuzzFold(w, pick/3%2 == 1)
+		fm, err := sched.MeasureDAGFold(context.Background(), w, s, maxDepth, fold, nil, sched.Options{})
+		if err != nil || fm.Dyadic() != dm.Dyadic() {
+			t.Fatalf("%s: fold pass returned %v, dyadic %v; state-local pass dyadic %v", where, err, err == nil && fm.Dyadic(), dm.Dyadic())
+		}
+		if !fm.Dyadic() {
+			return
+		}
+		if em.Len() != fm.Executions() || math.Float64bits(em.Total()) != math.Float64bits(fm.Total()) || em.MaxLen() != fm.MaxLen() {
+			t.Fatalf("%s: tree Len, Total, MaxLen = %d, %v, %d; fold pass %d, %v, %d", where, em.Len(), em.Total(), em.MaxLen(), fm.Executions(), fm.Total(), fm.MaxLen())
+		}
+		if got, want := renderBits(fm.FoldImage()), renderBits(em.ImageFold(fold.Init, fold.Ext, fold.Step)); got != want {
+			t.Fatalf("%s: fold pass image\n%s\ntree\n%s", where, got, want)
+		}
 	})
+}
+
+// fuzzFold returns a fold of FuzzDAGExecs: trace-like, the external
+// actions in order, or accept-style, whether the least action of w's start
+// state has occurred externally.
+func fuzzFold(w psioa.PSIOA, accept bool) *sched.Fold {
+	ext := func(q psioa.State, a psioa.Action) bool {
+		sig := w.Sig(q)
+		return sig.In.Has(a) || sig.Out.Has(a)
+	}
+	if !accept {
+		return &sched.Fold{Init: "", Ext: ext, Step: func(prev string, a psioa.Action, ext bool) string {
+			if !ext {
+				return prev
+			}
+			return prev + string(a) + ";"
+		}}
+	}
+	var acc psioa.Action
+	if acts := psioa.SortedAll(w.Sig(w.Start())); len(acts) > 0 {
+		acc = acts[0]
+	}
+	return &sched.Fold{Init: "0", Ext: ext, Step: func(prev string, a psioa.Action, ext bool) string {
+		if prev == "0" && a == acc && ext {
+			return "1"
+		}
+		return prev
+	}}
+}
+
+// renderBits renders d's keys, sorted, with the bits of their masses.
+func renderBits(d *measure.Dist[string]) string {
+	keys := d.Support()
+	slices.Sort(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%q %x\n", k, math.Float64bits(d.P(k)))
+	}
+	return b.String()
 }
 
 // TestDyadicMaxAbovePrune checks the premise of DAGMeasure.Dyadic: a path

@@ -608,11 +608,11 @@ func SampleImageOpts(ctx context.Context, a psioa.PSIOA, s Scheduler, stream *rn
 	draw, release := fragSampler(a, s, maxDepth)
 	defer release()
 	return sampleImage(ctx, s.Name(), stream, n, b, o, func(st *rng.Stream) (string, int, error) {
-		fr, err := draw(st)
+		fr, steps, err := draw(st)
 		if err != nil {
-			return "", 0, err
+			return "", steps, err
 		}
-		return f(fr), fr.Len(), nil
+		return f(fr), steps, nil
 	})
 }
 
@@ -628,7 +628,7 @@ func SampleStateImageOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, 
 	return sampleImage(ctx, s.Name(), stream, n, b, o, func(st *rng.Stream) (string, int, error) {
 		sl, depth, _, err := t.sample(st, maxDepth, false)
 		if err != nil {
-			return "", 0, err
+			return "", depth, err
 		}
 		return fold(sl.q, depth), depth, nil
 	})
@@ -636,7 +636,8 @@ func SampleStateImageOpts(ctx context.Context, a psioa.PSIOA, s DepthOblivious, 
 
 // sampleImage runs n draws sharded across workers, each on its own
 // index substream, and merges their keys in index order. draw returns a
-// sample's key and length; it must be safe for concurrent calls.
+// sample's key and steps taken; it must be safe for concurrent calls. A
+// shard reseeds one stream per sample and counts its runs and steps once.
 func sampleImage(ctx context.Context, name string, stream *rng.Stream, n int, b *resilience.Budget, o Options, draw func(*rng.Stream) (string, int, error)) (*measure.Dist[string], error) {
 	c := obs.Enter(ctx, obs.LayerSample, name)
 	defer c.End()
@@ -647,8 +648,13 @@ func sampleImage(ctx context.Context, name string, stream *rng.Stream, n int, b 
 	sampleRange := func(i int) {
 		lo, hi := spans[i].lo, spans[i].hi
 		ck := resilience.NewCheckpoint(ctx, b)
+		var st rng.Stream
+		var runs, drawn int64
+		defer func() { cSampleRuns.Add(runs); cSampleSteps.Add(drawn) }()
 		for k := lo; k < hi; k++ {
-			key, steps, err := draw(rng.Substream(material, uint64(k)))
+			st.Reseed(material, uint64(k))
+			key, steps, err := draw(&st)
+			runs, drawn = runs+1, drawn+int64(steps)
 			if err != nil {
 				outs[i].err, outs[i].errIdx = err, k
 				return

@@ -452,18 +452,14 @@ func (sl *stateSlot) compiled(act psioa.Action) *stepTrans {
 
 // sample draws one execution with exactly the draws of Sample — per step
 // one scheduler draw, then one transition draw — and returns the slot of
-// its last state and its length. With build it also returns the execution
-// as a fragment; without, no fragment is built.
+// its last state and the steps taken, which the caller counts. With build
+// it also returns the execution as a fragment; without, none is built.
 func (t *stepTable) sample(stream *rng.Stream, maxDepth int, build bool) (*stateSlot, int, *psioa.Frag, error) {
-	cSampleRuns.Inc()
 	sl, depth := t.slot(0), 0
 	var f *psioa.Frag
 	if build {
 		f = psioa.NewFrag(sl.q)
 	}
-	// The steps are counted once per sample: one shared atomic add per
-	// step would contend across the sampling shards.
-	defer func() { cSampleSteps.Add(int64(depth)) }()
 	for {
 		e := t.at(sl, depth)
 		i, ok := e.choice.SampleIndex(stream.Float64())
@@ -471,12 +467,12 @@ func (t *stepTable) sample(stream *rng.Stream, maxDepth int, build bool) (*state
 			return sl, depth, f, nil // halt
 		}
 		if depth >= maxDepth {
-			return nil, 0, nil, fmt.Errorf("sched: sample exceeded depth %d: %w", maxDepth, ErrDepthExceeded)
+			return nil, depth, nil, fmt.Errorf("sched: sample exceeded depth %d: %w", maxDepth, ErrDepthExceeded)
 		}
 		st := t.trans(sl, e, i)
 		j, ok := st.eta.SampleIndex(stream.Float64())
 		if !ok {
-			return nil, 0, nil, fmt.Errorf("sched: transition measure for %q at %q is sub-stochastic: %w", st.act, sl.q, ErrSubStochastic)
+			return nil, depth, nil, fmt.Errorf("sched: transition measure for %q at %q is sub-stochastic: %w", st.act, sl.q, ErrSubStochastic)
 		}
 		if build {
 			f = f.Extend(st.act, st.qs[j])

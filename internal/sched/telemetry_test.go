@@ -223,3 +223,34 @@ func TestSampleStepsCounter(t *testing.T) {
 		t.Errorf("sched.sample.steps advanced by %d, samples hold %d steps", got, steps)
 	}
 }
+
+// TestParallelSampleCounters: a sharded SampleImageOpts advances
+// sched.sample.runs by exactly its n samples and sched.sample.steps by
+// exactly the steps the samples hold, for a depth-oblivious scheduler
+// (through the step table) and for one that is not.
+func TestParallelSampleCounters(t *testing.T) {
+	a, s, depth := telemetryWorkload()
+	keyed := &sched.FuncSched{ID: "keyed", Fn: s.Choose}
+	for _, sc := range []sched.Scheduler{s, keyed} {
+		runs, steps := obs.C("sched.sample.runs"), obs.C("sched.sample.steps")
+		r0, s0 := runs.Value(), steps.Value()
+		var mu sync.Mutex
+		held := int64(0)
+		const n = 300
+		_, err := sched.SampleImageOpts(context.Background(), a, sc, rng.New(5), depth, n, func(f *psioa.Frag) string {
+			mu.Lock()
+			held += int64(f.Len())
+			mu.Unlock()
+			return string(f.LState())
+		}, nil, sched.Options{Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runs.Value() - r0; got != n {
+			t.Errorf("%s: sched.sample.runs advanced by %d, want %d", sc.Name(), got, n)
+		}
+		if got := steps.Value() - s0; got != held {
+			t.Errorf("%s: sched.sample.steps advanced by %d, samples hold %d steps", sc.Name(), got, held)
+		}
+	}
+}
