@@ -88,7 +88,8 @@ bench-smoke:
 # against its Explore-and-Trans version on faulty generated worlds, and
 # the preserving and intrinsic transitions of generated configurations
 # with creation and destruction against their key round trip through
-# FromKey and Reduce.
+# FromKey and Reduce. FuzzCDFSearch holds the samplers' closure-free CDF
+# search and their sure-draw test to sort.Search on generated prefix sums.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzPriorityTemplates -fuzztime=10s ./internal/sched/
 	$(GO) test -run '^$$' -fuzz=FuzzExpansionTree -fuzztime=10s ./internal/sched/
@@ -96,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzSharedWalk -fuzztime=10s ./internal/psioa/
 	$(GO) test -run '^$$' -fuzz=FuzzValidateWalk -fuzztime=10s ./internal/psioa/
 	$(GO) test -run '^$$' -fuzz=FuzzIntrinsicTrans -fuzztime=10s ./internal/pca/
+	$(GO) test -run '^$$' -fuzz=FuzzCDFSearch -fuzztime=10s ./internal/measure/
 
 # daemon-smoke starts dsed on a scratch port and runs a check through the
 # HTTP API twice, asserting the second run hits the memoization cache.

@@ -112,6 +112,36 @@ func BenchmarkCheckJob(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateWalkMix runs the simulate jobs of the measure-kernels
+// workload (bench/kernels.go): a fair reflecting walk on n+1 positions,
+// n ∈ {8, 12}, under greedy with step bound 14 or 16, as an exact trace
+// job, an exact final job and a 20,000-sample final job, one sub-benchmark
+// per route. Iterations cycle through the four (n, bound) shapes, each on
+// a fresh runner and cache with a walk of its own ID, as the workload's
+// jobs do. Profile the simulate path with -cpuprofile.
+func BenchmarkSimulateWalkMix(b *testing.B) {
+	pool := engine.NewPool(0)
+	for _, route := range []string{"trace", "final", "sample"} {
+		b.Run(route, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n, bound := [...]int{8, 12}[i%2], [...]int{14, 16}[i/2%2]
+				ss := &engine.SimulateSpec{Systems: []string{"walk"}, Sched: "greedy", Bound: bound, Insight: route}
+				if route == "sample" {
+					ss.Insight, ss.Samples, ss.Seed = "final", 20000, uint64(i)
+				}
+				r := engine.NewRunner(pool, engine.NewCache(0))
+				r.Resolve = func(string) (psioa.PSIOA, error) {
+					return testaut.RandomWalk(fmt.Sprintf("w%d", i), n, 0.5), nil
+				}
+				if _, err := r.Run(context.Background(), engine.Job{Kind: engine.KindSimulate, Simulate: ss}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkE4Transitivity measures a full witness-checked transitivity
 // instance (Theorem 4.16).
 func BenchmarkE4Transitivity(b *testing.B) {

@@ -1,6 +1,8 @@
 package measure
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 )
@@ -134,4 +136,67 @@ func TestIntSortedSupportUsesNumericRepr(t *testing.T) {
 	if len(ss) != 3 || ss[0] != 1 || ss[1] != 10 || ss[2] != 2 {
 		t.Errorf("SortedSupport = %v, want lexicographic by repr [1 10 2]", ss)
 	}
+}
+
+// cdfMass decodes one fuzz byte into a mass: its top three bits pick zero,
+// NaN, 1, 1−ulp, 1+ulp or (the last three) a multiple of 1/64 below 1/2.
+func cdfMass(b byte) float64 {
+	switch b >> 5 {
+	case 0:
+		return 0
+	case 1:
+		return math.NaN()
+	case 2:
+		return 1
+	case 3:
+		return math.Nextafter(1, 0)
+	case 4:
+		return math.Nextafter(1, 2)
+	}
+	return float64(b&31+1) / 64
+}
+
+// FuzzCDFSearch holds SearchCDF to sort.Search over the same prefix sums,
+// and SureCDF to "u = 0 and u = 1−2⁻⁵³ both draw the first element", on
+// CDFs of 0–40 decoded masses (zero, NaN, 1 and its neighbours, small
+// multiples of 1/64): sub-probability, over-mass, repeated prefix sums
+// and NaN included. Each CDF is searched at the fuzzed u, at 0, at
+// 1−2⁻⁵³ and at every prefix sum and its neighbours, directly and
+// through a Dist with the same masses.
+func FuzzCDFSearch(f *testing.F) {
+	ref := func(cum []float64, u float64) int {
+		return sort.Search(len(cum), func(i int) bool { return cum[i] > u })
+	}
+	f.Fuzz(func(t *testing.T, masses []byte, u float64) {
+		if len(masses) > 40 {
+			masses = masses[:40]
+		}
+		cum := make([]float64, len(masses))
+		d := New[string]()
+		acc := 0.0
+		for i, b := range masses {
+			p := cdfMass(b)
+			acc += p
+			cum[i] = acc
+			d.Add(fmt.Sprintf("%02d", i), p)
+		}
+		us := []float64{u, 0, maxDraw}
+		for _, c := range cum {
+			us = append(us, c, math.Nextafter(c, 0), math.Nextafter(c, 2))
+		}
+		for _, u := range us {
+			if got, want := SearchCDF(cum, u), ref(cum, u); got != want {
+				t.Fatalf("SearchCDF(%v, %v) = %d, sort.Search %d", cum, u, got, want)
+			}
+			dc := d.CDF()
+			i, ok := d.SampleIndex(u)
+			if want := ref(dc, u); i != want || ok != (want < len(dc)) {
+				t.Fatalf("SampleIndex(%v) over %v = %d, %v; sort.Search %d", u, dc, i, ok, want)
+			}
+		}
+		first := func(u float64) bool { return len(cum) > 0 && ref(cum, u) == 0 }
+		if got, want := SureCDF(cum), first(0) && first(maxDraw); got != want {
+			t.Fatalf("SureCDF(%v) = %v, want %v", cum, got, want)
+		}
+	})
 }

@@ -496,9 +496,45 @@ func (d *Dist[T]) Sample(u float64) (x T, ok bool) {
 // u both draw the same element. Kernels that keep per-element data
 // aligned with the sorted support index it directly.
 func (d *Dist[T]) SampleIndex(u float64) (int, bool) {
-	c := d.view()
-	i := sort.Search(len(c.cum), func(i int) bool { return c.cum[i] > u })
-	return i, i < len(c.cum)
+	cum := d.CDF()
+	i := SearchCDF(cum, u)
+	return i, i < len(cum)
+}
+
+// CDF returns the prefix sums of the masses over the sorted support, the
+// ones Sample searches: cum[i] is the mass of the first i+1 elements of
+// SortedSupport. The slice is shared with the internal cache and MUST NOT
+// be modified; it stays valid until the next mutation.
+func (d *Dist[T]) CDF() []float64 { return d.view().cum }
+
+// SearchCDF returns the least i with cum[i] > u, or len(cum) if there is
+// none: the index u draws from a CDF (len(cum) is the halting deficit).
+// Its probes are sort.Search's, in the same order, so it returns what
+// sort.Search does for every input, a CDF with NaN or decreasing entries
+// included, and makes no closure call per probe.
+func SearchCDF(cum []float64, u float64) int {
+	i, j := 0, len(cum)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if cum[h] > u {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
+	return i
+}
+
+// maxDraw is the largest u a sampling stream draws (rng.Stream.Float64):
+// 1 − 2⁻⁵³.
+const maxDraw = 1 - 0x1p-53
+
+// SureCDF reports whether every u in [0, 1) draws index 0 from cum, so
+// that a draw need not look at u. The probes on the way to index 0 are the
+// same for every u (each one goes left), and each holds for all u ≤ maxDraw
+// iff it holds at maxDraw, so one search decides.
+func SureCDF(cum []float64) bool {
+	return len(cum) > 0 && SearchCDF(cum, maxDraw) == 0
 }
 
 // String renders the distribution deterministically for diagnostics.

@@ -54,6 +54,10 @@ func mix(x uint64) uint64 {
 // Float64 returns a uniform sample in [0, 1), as math/rand/v2 draws it.
 func (s *Stream) Float64() float64 { return float64(s.pcg.Uint64()<<11>>11) / (1 << 53) }
 
+// Skip advances s by the one draw Float64 or Uint64 would take, for a
+// caller that knows what the draw would decide without its value.
+func (s *Stream) Skip() { s.pcg.Uint64() }
+
 // IntN returns a uniform sample in [0, n).
 func (s *Stream) IntN(n int) int { return rand.New(&s.pcg).IntN(n) }
 

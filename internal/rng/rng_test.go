@@ -165,3 +165,21 @@ func TestSubstreamDrawsMatchMathRand(t *testing.T) {
 		}
 	}
 }
+
+// TestSkipAdvancesLikeFloat64: Skip consumes exactly the draw a Float64
+// would, so a stream that skips stays in step with a twin that drew the
+// float, at every position of the stream.
+func TestSkipAdvancesLikeFloat64(t *testing.T) {
+	for i := uint64(0); i < 100; i++ {
+		skipped, drawn := Substream(mix(i+1), i), Substream(mix(i+1), i)
+		for j := 0; j < 64; j++ {
+			if j%3 == 0 {
+				skipped.Skip()
+				drawn.Float64()
+			}
+			if g, w := skipped.Uint64(), drawn.Uint64(); g != w {
+				t.Fatalf("stream %d draw %d: after Skip %d, after Float64 %d", i, j, g, w)
+			}
+		}
+	}
+}

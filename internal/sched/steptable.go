@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/intern"
+	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/psioa"
 	"repro/internal/rng"
@@ -27,9 +28,10 @@ var cStepFills = obs.C("sched.step.fills")
 //   - states get dense IDs on first touch, and the kernels carry each
 //     execution's last state as its ID;
 //   - the entry at (state ID, depth) holds the choice with its sorted
-//     support and, in a validating table, the first disabled action;
-//   - the transition of each (state, action) holds η with its sorted
-//     support and the IDs of its successors.
+//     support, its CDF and, in a validating table, the first disabled
+//     action;
+//   - the transition of each (state, action) holds η's sorted support,
+//     its CDF and the IDs of its successors.
 //
 // Everything fills lazily under one mutex and is published through atomic
 // pointers, read-only from then on: a hit takes no lock, only a miss does.
@@ -221,12 +223,23 @@ type depthRow struct {
 	es []atomic.Pointer[stepEntry]
 }
 
+// drawCDF is a compiled choice or transition as a sampler draws from it.
+type drawCDF struct {
+	cum []float64 // the Dist's CDF (measure.Dist.CDF)
+	// sure says every draw lands on index 0 (measure.SureCDF): a sampler
+	// then advances the stream without reading it.
+	sure bool
+}
+
+func newDrawCDF(cum []float64) drawCDF { return drawCDF{cum, measure.SureCDF(cum)} }
+
 // stepEntry is the compiled step at one (state, depth).
 type stepEntry struct {
 	depth  int
 	choice *Choice
 	acts   []psioa.Action // the choice's sorted support
 	aps    []float64      // aligned masses
+	drawCDF
 	// disabled is the index in acts of the first positive-mass action not
 	// enabled at the state, or -1. Only a validating table sets it, for a
 	// sub-probability choice with mass: the only choices the exact kernels
@@ -239,10 +252,10 @@ type stepEntry struct {
 // stepTrans is one compiled transition η(q, act).
 type stepTrans struct {
 	act psioa.Action
-	eta *psioa.Dist
 	qs  []psioa.State // η's sorted support
 	ps  []float64     // aligned masses
-	ids []uint32      // aligned successor IDs
+	drawCDF
+	ids []uint32 // aligned successor IDs
 	// steps holds the aligned step IDs of (act, successor) in the table's
 	// stepSet; nil without one.
 	steps []uint32
@@ -378,6 +391,7 @@ func (t *stepTable) compile(sl *stateSlot, depth int) *stepEntry {
 	choice, acts, aps, disabled := t.choose(sl.q, depth, &sl.sig)
 	e := t.entryArena.alloc()
 	e.depth, e.choice, e.acts, e.aps, e.disabled = depth, choice, acts, aps, disabled
+	e.drawCDF = newDrawCDF(choice.CDF())
 	if len(acts) == 1 {
 		e.trans = e.one[:]
 	} else {
@@ -404,7 +418,7 @@ func (t *stepTable) trans(sl *stateSlot, e *stepEntry, i int) *stepTrans {
 		eta := t.a.Trans(sl.q, act)
 		qs, ps := eta.SupportAndProbs()
 		st = t.transArena.alloc()
-		st.act, st.eta, st.qs, st.ps = act, eta, qs, ps
+		st.act, st.qs, st.ps, st.drawCDF = act, qs, ps, newDrawCDF(eta.CDF())
 		if sl.trans0 == nil {
 			sl.trans0 = st
 		} else {
@@ -451,9 +465,10 @@ func (sl *stateSlot) compiled(act psioa.Action) *stepTrans {
 }
 
 // sample draws one execution with exactly the draws of Sample — per step
-// one scheduler draw, then one transition draw — and returns the slot of
-// its last state and the steps taken, which the caller counts. With build
-// it also returns the execution as a fragment; without, none is built.
+// one scheduler draw, then one transition draw, each from the compiled
+// CDF — and returns the slot of its last state and the steps taken, which
+// the caller counts. With build it also returns the execution as a
+// fragment; without, none is built.
 func (t *stepTable) sample(stream *rng.Stream, maxDepth int, build bool) (*stateSlot, int, *psioa.Frag, error) {
 	sl, depth := t.slot(0), 0
 	var f *psioa.Frag
@@ -461,17 +476,29 @@ func (t *stepTable) sample(stream *rng.Stream, maxDepth int, build bool) (*state
 		f = psioa.NewFrag(sl.q)
 	}
 	for {
-		e := t.at(sl, depth)
-		i, ok := e.choice.SampleIndex(stream.Float64())
-		if !ok {
+		// The hit paths of at and trans, inline; a sure draw lands on
+		// index 0 for every u, so it only advances the stream.
+		e := sl.first.Load()
+		if t.haltsFrom(depth) || e == nil || e.depth != depth && !t.depthFree {
+			e = t.at(sl, depth)
+		}
+		i := 0
+		if e.sure {
+			stream.Skip()
+		} else if i = measure.SearchCDF(e.cum, stream.Float64()); i == len(e.cum) {
 			return sl, depth, f, nil // halt
 		}
 		if depth >= maxDepth {
 			return nil, depth, nil, fmt.Errorf("sched: sample exceeded depth %d: %w", maxDepth, ErrDepthExceeded)
 		}
-		st := t.trans(sl, e, i)
-		j, ok := st.eta.SampleIndex(stream.Float64())
-		if !ok {
+		st := e.trans[i].Load()
+		if st == nil {
+			st = t.trans(sl, e, i)
+		}
+		j := 0
+		if st.sure {
+			stream.Skip()
+		} else if j = measure.SearchCDF(st.cum, stream.Float64()); j == len(st.cum) {
 			return nil, depth, nil, fmt.Errorf("sched: transition measure for %q at %q is sub-stochastic: %w", st.act, sl.q, ErrSubStochastic)
 		}
 		if build {
