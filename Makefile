@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt bench bench-json bench-par bench-compare bench-smoke fuzz-smoke loc no-string-keys one-forwarding-rule one-clock daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
+.PHONY: build test race vet fmt bench bench-json bench-par bench-compare bench-smoke fuzz-smoke loc no-string-keys one-forwarding-rule one-clock one-route daemon-smoke obs-smoke cluster-smoke durable-smoke chaos check clean
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,15 @@ one-forwarding-rule:
 # See docs/OBSERVABILITY.md ("Timed layers").
 one-clock:
 	sh scripts/one_clock.sh
+
+# one-route guards the one exact route: whether an exact answer comes from
+# the state-collapsed DAG or the expansion tree is decided by insight.Exact
+# alone, so outside internal/insight and internal/sched no code asks for
+# the depth-oblivious capability, runs the DAG kernel or reads its
+# exactness rule (E20 compares the kernels on purpose). See docs/ENGINE.md
+# ("Exact routes").
+one-route:
+	sh scripts/one_route.sh
 
 # bench-smoke is the short-mode wiring for check: one fast experiment
 # through the -json path, self-compared through bench_compare.sh, so the
@@ -142,7 +151,7 @@ loc:
 # fuzz smokes, the parallel-kernel smoke, the baseline comparison, and the
 # daemon, cluster, and durability end-to-end smokes; run before every
 # commit.
-check: build vet fmt no-string-keys one-forwarding-rule one-clock test race chaos bench-smoke fuzz-smoke bench-par bench-compare daemon-smoke obs-smoke cluster-smoke durable-smoke
+check: build vet fmt no-string-keys one-forwarding-rule one-clock one-route test race chaos bench-smoke fuzz-smoke bench-par bench-compare daemon-smoke obs-smoke cluster-smoke durable-smoke
 
 clean:
 	$(GO) clean ./...

@@ -61,43 +61,61 @@ func metricCounter(t *testing.T, url, name string) int64 {
 	return snap.Counters[name]
 }
 
+// treeCheckBody is checkBody on a 0.3 coin, whose masses are not dyadic,
+// so its f-dists take the tree route, which the memoization cache serves.
+const treeCheckBody = `{"left":"coin:biased:x:0.3","right":"coin:fair:x","envs":["coin:env:x"],"eps":0.25,"q1":3}`
+
 // TestCheckEndToEndWithCacheHits is the daemon acceptance test: a check
 // request is served end to end, and a second identical request hits the
-// memoization cache (visible in /v1/metrics).
+// memoization cache (visible in /v1/metrics). The dyadic checkBody is
+// answered on the state-collapsed DAG: neither request reads or stores a
+// cache entry or fingerprints a world.
 func TestCheckEndToEndWithCacheHits(t *testing.T) {
 	ts := newTestServer(t)
+	for _, c := range []struct {
+		body string
+		tree bool
+	}{{treeCheckBody, true}, {checkBody, false}} {
+		counters := func() (hits, misses, fps int64) {
+			return metricCounter(t, ts.URL, "engine.cache.hits"), metricCounter(t, ts.URL, "engine.cache.misses"),
+				metricCounter(t, ts.URL, "engine.fingerprints")
+		}
+		hits0, misses0, fps0 := counters()
+		var first, second struct {
+			Kind  string `json:"kind"`
+			Check struct {
+				Holds   bool    `json:"Holds"`
+				MaxDist float64 `json:"MaxDist"`
+			} `json:"check"`
+		}
+		resp, body := post(t, ts.URL+"/v1/check", c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("first check: status %d: %s", resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &first); err != nil {
+			t.Fatalf("first check: %v in %s", err, body)
+		}
+		if first.Kind != "check" || !first.Check.Holds {
+			t.Fatalf("first check result: %s", body)
+		}
 
-	hits0 := metricCounter(t, ts.URL, "engine.cache.hits")
-	var first, second struct {
-		Kind  string `json:"kind"`
-		Check struct {
-			Holds   bool    `json:"Holds"`
-			MaxDist float64 `json:"MaxDist"`
-		} `json:"check"`
-	}
-	resp, body := post(t, ts.URL+"/v1/check", checkBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first check: status %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &first); err != nil {
-		t.Fatalf("first check: %v in %s", err, body)
-	}
-	if first.Kind != "check" || !first.Check.Holds {
-		t.Fatalf("first check result: %s", body)
-	}
-
-	resp, body = post(t, ts.URL+"/v1/check", checkBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("second check: status %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &second); err != nil {
-		t.Fatal(err)
-	}
-	if second.Check.Holds != first.Check.Holds || second.Check.MaxDist != first.Check.MaxDist {
-		t.Errorf("cached check disagrees: %+v vs %+v", second, first)
-	}
-	if hits := metricCounter(t, ts.URL, "engine.cache.hits") - hits0; hits == 0 {
-		t.Error("second identical check produced no cache hits")
+		resp, body = post(t, ts.URL+"/v1/check", c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("second check: status %d: %s", resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &second); err != nil {
+			t.Fatal(err)
+		}
+		if second.Check.Holds != first.Check.Holds || second.Check.MaxDist != first.Check.MaxDist {
+			t.Errorf("cached check disagrees: %+v vs %+v", second, first)
+		}
+		hits, misses, fps := counters()
+		if c.tree && hits-hits0 == 0 {
+			t.Error("second identical check produced no cache hits")
+		}
+		if !c.tree && (hits != hits0 || misses != misses0 || fps != fps0) {
+			t.Errorf("dyadic checks: %d cache hits, %d misses, %d fingerprints; want none", hits-hits0, misses-misses0, fps-fps0)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // dsesim simulates automata under schedulers: it composes the referenced
 // systems, resolves non-determinism with the chosen scheduler, and prints
 // either the exact execution measure or Monte-Carlo trace estimates. Exact
-// runs go through the engine's memoization cache, so repeated invocations
-// inside one process (and the dsed daemon serving the same request) reuse
-// the measure expansion.
+// runs go through the engine's memoization cache, so repeated tree-route
+// invocations inside one process (and the dsed daemon serving the same
+// request) reuse the answer; a dyadic run answers from one DAG pass.
 //
 // Usage:
 //

@@ -16,8 +16,8 @@
 //
 // Both renderings are embarrassingly parallel over (environment, scheduler)
 // pairs. The Options.Exec and Options.Memo hooks let callers fan the pair
-// work out to a worker pool and memoize the underlying measure expansions
-// (see internal/engine); the produced Report is byte-identical between
+// work out to a worker pool and memoize the f-dist answers of the
+// expansion tree (see internal/engine); the produced Report is byte-identical between
 // sequential and parallel runs.
 package core
 
@@ -65,8 +65,9 @@ type Executor interface {
 // fingerprint of the composed automaton plus the scheduler's name. The
 // returned distributions are shared and must be treated as read-only.
 // Implementations must honour ctx, b and o by threading them into the
-// underlying expansion and must never cache results computed under an
-// exhausted budget. internal/engine.Cache is the standard implementation.
+// underlying computation and must never cache results computed under an
+// exhausted budget. internal/engine.Cache is the standard implementation:
+// it answers on insight.Exact's route and caches tree answers only.
 type Memo interface {
 	FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error)
 }

@@ -35,22 +35,24 @@ const DefaultCacheSize = 4096
 // striping by key hash keeps them from serializing on a single mutex.
 const DefaultCacheShards = 8
 
-// Cache is a concurrency-safe, size-bounded LRU cache of answers: f-dist
-// images (Def 3.5) of implementation checks and simulations, plus the
-// execution measure of an exact simulate job, the one measure that is read
-// again. It holds answers only, never an automaton: keys are a canonical
-// automaton fingerprint, which each product keeps itself (see Fingerprint),
-// plus scheduler name, insight id and depth, so a world the cache has
-// served is collected once its job drops it. Explorations are not
-// memoized: the fingerprint that keys an entry is itself a full walk of
-// the automaton, so a hit would save less than its key costs. It implements core.Memo, so it can be plugged into core.Options
-// directly. Storage is lock-striped: keys map to N independent mutex-LRU
-// shards by key hash, so the concurrent callers of the parallel kernels do
-// not serialize on a single mutex, while hit/miss/eviction counters stay
-// aggregated.
+// Cache is a concurrency-safe, size-bounded LRU cache of answers. It holds
+// answers only: the exact answers of the tree route (see Exact), one entry
+// per question holding the image and the aggregates, and the raw blobs of a
+// store's memory view (see blobs.go). It holds no automaton and no
+// execution measure. Keys are a canonical automaton fingerprint, which each
+// product keeps itself (see Fingerprint), plus scheduler name, insight id
+// and depth, so a world the cache has served is collected once its job
+// drops it. Answers of the state-collapsed DAG are not cached, and
+// explorations are not memoized: the fingerprint that would key them is
+// itself a full walk of the automaton, which costs about what the pass or
+// the exploration does. It implements core.Memo, so it can be plugged into
+// core.Options directly. Storage is lock-striped: keys map to N
+// independent mutex-LRU shards by key hash, so the concurrent callers of
+// the parallel kernels do not serialize on a single mutex, while
+// hit/miss/eviction counters stay aggregated.
 //
 // Cached values are shared between callers and must be treated as
-// read-only; everything the engine caches (ExecMeasure, measure.Dist) is
+// read-only; everything the engine caches (insight.Answer, raw blobs) is
 // immutable after construction.
 //
 // Memoization keys schedulers by Scheduler.Name(). Every schema in
@@ -280,19 +282,16 @@ func (c *Cache) Totals() (hits, misses, evictions, lockWaitUS int64) {
 	return hits, misses, evictions, lockWaitUS
 }
 
-// Typed memo keys are fixed-width: one kind byte plus the 16-byte fnv-1a
-// 128 hash of the key parts. Seventeen bytes regardless of fingerprint,
+// Memo keys are fixed-width: one kind byte plus the 16-byte fnv-1a 128
+// hash of the key parts. Seventeen bytes regardless of fingerprint,
 // scheduler-name or insight-ID length, so shard routing and LRU map probes
 // stop re-hashing long concatenated strings on every cache access.
-const (
-	memoMeasure byte = 0x02
-	memoFDist   byte = 0x03
-)
+const memoFDist byte = 0x03
 
-// memoKey builds the fixed-width key for a typed memo entry. Parts are
+// memoKey builds the fixed-width key for a memo entry. Parts are
 // NUL-separated before hashing, so no concatenation of distinct part
-// tuples aliases; kind bytes keep the typed namespaces disjoint from each
-// other and from rawPrefix.
+// tuples aliases; the kind byte keeps the namespace disjoint from
+// rawPrefix.
 func memoKey(kind byte, parts ...string) string {
 	h := fnv.New128a()
 	for _, p := range parts {
@@ -326,90 +325,55 @@ func (c *Cache) ExploreCtx(ctx context.Context, a psioa.PSIOA, limit int, b *res
 	return psioa.ExploreCtx(ctx, a, limit, b)
 }
 
-// Measure is a memoizing sched.Measure: the exact execution measure of a
-// (automaton, scheduler, depth) triple is expanded once and reused. A nil
-// cache passes through.
-func (c *Cache) Measure(a psioa.PSIOA, s sched.Scheduler, maxDepth int) (*sched.ExecMeasure, error) {
-	return c.MeasureOpts(context.Background(), a, s, maxDepth, nil, sched.Options{})
-}
-
-// MeasureOpts is Measure threading cancellation, a budget and kernel
-// options into the expansion. It is the only writer of measure entries.
-// An exact simulate job on the tree route reads its measure here, and its
-// image through FDistOpts unless a non-dyadic state-local DAG pass
-// already gave it; a
-// resent job reads back what was cached. A job on the DAG route (see
-// Runner.simulate) reads neither. Measures are byte-identical
-// at every worker count, so they share cache keys. A budget-bounded
-// partial measure is returned with its error but never cached.
+// MeasureOpts is sched.MeasureOpts; the cache holds no measures (see
+// Cache). It stays only because bench/kernels.go calls it.
 func (c *Cache) MeasureOpts(ctx context.Context, a psioa.PSIOA, s sched.Scheduler, maxDepth int, b *resilience.Budget, o sched.Options) (*sched.ExecMeasure, error) {
-	if c == nil {
-		return sched.MeasureOpts(ctx, a, s, maxDepth, b, o)
-	}
-	fp, err := c.fingerprint(ctx, a)
-	if err != nil {
-		return nil, err
-	}
-	m := obs.MeterFrom(ctx)
-	key := measureKey(fp, s, maxDepth)
-	if v, ok := c.get(m, key); ok {
-		return v.(*sched.ExecMeasure), nil
-	}
-	em, err := sched.MeasureOpts(ctx, a, s, maxDepth, b, o)
-	if err != nil {
-		return em, err
-	}
-	c.put(m, key, em)
-	return em, nil
+	return sched.MeasureOpts(ctx, a, s, maxDepth, b, o)
 }
 
-// measureKey is the memo key of the execution measure of (a, s, maxDepth),
-// where fp is a's fingerprint.
-func measureKey(fp string, s sched.Scheduler, maxDepth int) string {
-	return memoKey(memoMeasure, fp, s.Name(), strconv.Itoa(maxDepth))
-}
-
-// FDist is a memoizing insight.FDist, the hot path of Implements: the image
-// distribution is cached per (automaton, scheduler, insight, depth). A nil
+// FDist is a memoizing insight.FDist, the hot path of Implements. A nil
 // cache passes through.
 func (c *Cache) FDist(w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int) (*measure.Dist[string], error) {
 	return c.FDistOpts(context.Background(), w, s, f, maxDepth, nil, sched.Options{})
 }
 
 // FDistOpts is FDist threading cancellation, a budget and kernel options
-// into the underlying computation; it implements core.Memo. On a miss, an
-// insight without a state-local factoring images the execution measure
-// that MeasureOpts cached for the same (automaton, scheduler, depth), if
-// there is one. Otherwise insight.FDistOpts computes the image on the
-// route it picks: a state-local insight may take the DAG route there,
-// whose floats agree with a tree image only up to summation order. Only
-// the image is cached; the measure a miss expands is dropped, because no
-// later lookup reads it. Interrupted computations, budget-bounded ones
-// included, are never cached.
+// into Exact; it implements core.Memo. Interrupted computations, budget-
+// bounded ones included, return no image.
 func (c *Cache) FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error) {
-	if c == nil {
-		return insight.FDistOpts(ctx, w, s, f, maxDepth, b, o)
-	}
-	fp, err := c.fingerprint(ctx, w)
+	a, err := c.Exact(ctx, w, s, f, maxDepth, b, o, false)
 	if err != nil {
 		return nil, err
 	}
-	m := obs.MeterFrom(ctx)
-	key := memoKey(memoFDist, fp, s.Name(), f.ID, strconv.Itoa(maxDepth))
-	if v, ok := c.get(m, key); ok {
-		return v.(*measure.Dist[string]), nil
-	}
-	if f.StateLocal == nil {
-		if v, ok := c.get(m, measureKey(fp, s, maxDepth)); ok {
-			img := insight.Image(w, v.(*sched.ExecMeasure), f)
-			c.put(m, key, img)
-			return img, nil
+	return a.Image, nil
+}
+
+// Exact is insight.Exact with the cache as its tree memo: a tree answer is
+// looked up, and stored, under the world's fingerprint, the scheduler's
+// name, the insight's ID and the depth; a DAG answer is neither, and takes
+// no fingerprint. The stored answer holds the image and the tree's
+// aggregates, and is the same whichever job stored it. Interrupted
+// computations, budget-bounded partial ones included, are never stored. A
+// nil cache passes through.
+func (c *Cache) Exact(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int, b *resilience.Budget, o sched.Options, agg bool) (*insight.Answer, error) {
+	var memo insight.TreeMemo
+	if c != nil {
+		memo = func(expand func() (*insight.Answer, error)) (*insight.Answer, error) {
+			fp, err := c.fingerprint(ctx, w)
+			if err != nil {
+				return nil, err
+			}
+			m := obs.MeterFrom(ctx)
+			key := memoKey(memoFDist, fp, s.Name(), f.ID, strconv.Itoa(maxDepth))
+			if v, ok := c.get(m, key); ok {
+				return v.(*insight.Answer), nil
+			}
+			a, err := expand()
+			if err == nil {
+				c.put(m, key, a)
+			}
+			return a, err
 		}
 	}
-	img, err := insight.FDistOpts(ctx, w, s, f, maxDepth, b, o)
-	if err != nil {
-		return nil, err
-	}
-	c.put(m, key, img)
-	return img, nil
+	return insight.Exact(ctx, w, s, f, maxDepth, b, o, agg, memo)
 }

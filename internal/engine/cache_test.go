@@ -84,9 +84,25 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// assertUncached runs run and fails the test if it moved the cache's hit
+// or miss counters, computed a fingerprint, or left an entry in c: what a
+// DAG-answered computation must do.
+func assertUncached(t *testing.T, where string, c *engine.Cache, run func()) {
+	t.Helper()
+	fps, hits, misses := obs.C("engine.fingerprints"), obs.C("engine.cache.hits"), obs.C("engine.cache.misses")
+	f0, h0, m0 := fps.Value(), hits.Value(), misses.Value()
+	run()
+	if f, h, m := fps.Value()-f0, hits.Value()-h0, misses.Value()-m0; f != 0 || h != 0 || m != 0 || c.Len() != 0 {
+		t.Errorf("%s: %d fingerprints, %d hits, %d misses, %d entries; want none on the DAG route", where, f, h, m, c.Len())
+	}
+}
+
+// TestCacheHitMissCounters: on the tree route a cold FDist misses and a
+// warm one hits. The 0.3 coin's masses are not dyadic, so the tree answers
+// its trace; the fair coin's are, so the DAG answers it, uncached.
 func TestCacheHitMissCounters(t *testing.T) {
 	c := engine.NewCache(16)
-	w := psioa.MustCompose(coin.Fair("x"), coin.Env("x"))
+	w := psioa.MustCompose(coin.Flipper("x", 0.3), coin.Env("x"))
 	s := &sched.Greedy{A: w, Bound: 3, LocalOnly: true}
 
 	hits0 := obs.C("engine.cache.hits").Value()
@@ -107,15 +123,27 @@ func TestCacheHitMissCounters(t *testing.T) {
 	if obs.C("engine.cache.hits").Value() <= hits1 {
 		t.Error("warm FDist should hit the cache")
 	}
+
+	c = engine.NewCache(16)
+	w = psioa.MustCompose(coin.Fair("x"), coin.Env("x"))
+	s = &sched.Greedy{A: w, Bound: 3, LocalOnly: true}
+	assertUncached(t, "fair coin", c, func() {
+		for range 2 {
+			if _, err := c.FDist(w, s, insight.Trace(), 6); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestCacheFDistCountsProbe: a cached FDist miss on the tree route counts
 // its image in insight.probe.{calls,evals} — one call, one eval per halted
 // execution — as insight.FDist does; a hit images nothing and counts
-// nothing.
+// nothing. The 0.3 walk's masses are not dyadic, so the tree answers it;
+// the fair walk's are, so the DAG answers it, uncached.
 func TestCacheFDistCountsProbe(t *testing.T) {
 	c := engine.NewCache(16)
-	w := testaut.RandomWalk("w", 4, 0.5)
+	w := testaut.RandomWalk("w", 4, 0.3)
 	s := &sched.Greedy{A: w, Bound: 6, LocalOnly: true}
 	em, err := sched.Measure(w, s, 8)
 	if err != nil {
@@ -131,47 +159,62 @@ func TestCacheFDistCountsProbe(t *testing.T) {
 			t.Errorf("probe calls/evals = %d/%d, want %d/%d", calls, evals, want.calls, want.evals)
 		}
 	}
+
+	c = engine.NewCache(16)
+	w = testaut.RandomWalk("w", 4, 0.5)
+	s = &sched.Greedy{A: w, Bound: 6, LocalOnly: true}
+	assertUncached(t, "fair walk", c, func() {
+		for range 2 {
+			if _, err := c.FDist(w, s, insight.Trace(), 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestCachedIdentity is the memoization regression: every cached accessor
-// must return results identical to the uncached computation.
+// must return results identical to the uncached computation, on the DAG
+// route (the 5/8 coin) and on the tree route, hit path included (the 0.3
+// coin).
 func TestCachedIdentity(t *testing.T) {
-	c := engine.NewCache(64)
-	w := psioa.MustCompose(coin.Flipper("x", 0.625), coin.Env("x"))
-	s := &sched.Greedy{A: w, Bound: 4, LocalOnly: true}
-	f := insight.Trace()
-	const depth = 8
+	for _, p := range []float64{0.625, 0.3} {
+		c := engine.NewCache(64)
+		w := psioa.MustCompose(coin.Flipper("x", p), coin.Env("x"))
+		s := &sched.Greedy{A: w, Bound: 4, LocalOnly: true}
+		f := insight.Trace()
+		const depth = 8
 
-	emPlain, err := sched.Measure(w, s, depth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ { // round 1 exercises the hit path
-		em, err := c.Measure(w, s, depth)
+		emPlain, err := sched.Measure(w, s, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if em.Len() != emPlain.Len() || em.Total() != emPlain.Total() || em.MaxLen() != emPlain.MaxLen() {
-			t.Errorf("round %d: cached measure differs: len %d/%d total %v/%v",
-				round, em.Len(), emPlain.Len(), em.Total(), emPlain.Total())
+		for round := 0; round < 2; round++ { // round 1 exercises the hit path
+			a, err := c.Exact(context.Background(), w, s, f, depth, nil, sched.Options{}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Executions != emPlain.Len() || a.Total != emPlain.Total() || a.MaxLen != emPlain.MaxLen() {
+				t.Errorf("coin %v round %d: cached aggregates differ: len %d/%d total %v/%v",
+					p, round, a.Executions, emPlain.Len(), a.Total, emPlain.Total())
+			}
 		}
-	}
 
-	dPlain, err := insight.FDist(w, s, f, depth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ {
-		d, err := c.FDist(w, s, f, depth)
+		dPlain, err := insight.FDist(w, s, f, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Len() != dPlain.Len() {
-			t.Fatalf("round %d: support size %d, want %d", round, d.Len(), dPlain.Len())
-		}
-		for _, k := range dPlain.Support() {
-			if math.Abs(d.P(k)-dPlain.P(k)) > 0 {
-				t.Errorf("round %d: P(%q) = %v, want %v", round, k, d.P(k), dPlain.P(k))
+		for round := 0; round < 2; round++ {
+			d, err := c.FDist(w, s, f, depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Len() != dPlain.Len() {
+				t.Fatalf("coin %v round %d: support size %d, want %d", p, round, d.Len(), dPlain.Len())
+			}
+			for _, k := range dPlain.Support() {
+				if math.Abs(d.P(k)-dPlain.P(k)) > 0 {
+					t.Errorf("coin %v round %d: P(%q) = %v, want %v", p, round, k, d.P(k), dPlain.P(k))
+				}
 			}
 		}
 	}
@@ -184,7 +227,10 @@ func TestNilCachePassesThrough(t *testing.T) {
 	if _, err := c.ExploreCtx(context.Background(), w, 1000, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Measure(w, s, 6); err != nil {
+	if _, err := c.MeasureOpts(context.Background(), w, s, 6, nil, sched.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exact(context.Background(), w, s, insight.Trace(), 6, nil, sched.Options{}, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.FDist(w, s, insight.Trace(), 6); err != nil {
@@ -197,21 +243,22 @@ func TestNilCachePassesThrough(t *testing.T) {
 
 func TestSchedulerNameDisambiguates(t *testing.T) {
 	// Two different schedulers on the same automaton must not alias in the
-	// cache: the memo key includes Scheduler.Name().
+	// cache: the memo key includes Scheduler.Name(). The 0.3 coin's
+	// answers take the tree route, which the cache keeps.
 	c := engine.NewCache(64)
-	w := psioa.MustCompose(coin.Fair("x"), coin.Env("x"))
+	w := psioa.MustCompose(coin.Flipper("x", 0.3), coin.Env("x"))
 	g := &sched.Greedy{A: w, Bound: 1, LocalOnly: true}
 	g2 := &sched.Greedy{A: w, Bound: 4, LocalOnly: true}
-	em1, err := c.Measure(w, g, 8)
+	a1, err := c.Exact(context.Background(), w, g, insight.Trace(), 8, nil, sched.Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	em2, err := c.Measure(w, g2, 8)
+	a2, err := c.Exact(context.Background(), w, g2, insight.Trace(), 8, nil, sched.Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if em1.MaxLen() == em2.MaxLen() {
-		t.Errorf("bound-1 and bound-4 greedy measures alias: MaxLen %d both", em1.MaxLen())
+	if c.Len() != 2 || a1.MaxLen == a2.MaxLen {
+		t.Errorf("bound-1 and bound-4 greedy answers alias: %d entries, MaxLen %d and %d", c.Len(), a1.MaxLen, a2.MaxLen)
 	}
 }
 
@@ -378,92 +425,34 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
-// TestCachedMeasureConcurrentViews: eight goroutines share one cached
-// execution measure before any of its views exist, and key its fragments
-// while they read them. The ordered views and the fragment keys are built
-// lazily by whichever reader comes first, so under -race this is the
-// soundness check for that sharing; every reader must see exactly what an
-// unshared measure shows.
-func TestCachedMeasureConcurrentViews(t *testing.T) {
-	w := testaut.RandomWalk("cv", 6, 0.5)
-	s := &sched.Greedy{A: w, Bound: 9}
-	ref, err := sched.Measure(w, s, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	render := func(em *sched.ExecMeasure, cones []*psioa.Frag) string {
-		var b strings.Builder
-		em.ForEach(func(f *psioa.Frag, p float64) { fmt.Fprintf(&b, "H %s %v\n", f.Key(), p) })
-		em.ForEachPrefix(func(f *psioa.Frag) { fmt.Fprintf(&b, "P %s\n", f.Key()) })
-		d := em.Dist()
-		for _, k := range d.SortedSupport() {
-			fmt.Fprintf(&b, "D %s %v\n", k, d.P(k))
-		}
-		for _, f := range cones {
-			fmt.Fprintf(&b, "C %s %v\n", f.Key(), em.Cone(f))
-		}
-		return b.String()
-	}
-	// Fragments decoded from keys, not the measure's own views.
-	var foreign []*psioa.Frag
-	ref.ForEachPrefix(func(f *psioa.Frag) {
-		if g, err := psioa.FragFromKey(f.Key()); err == nil && len(foreign) < 64 {
-			foreign = append(foreign, g)
-		}
-	})
-	want := render(ref, foreign)
-
-	c := engine.NewCache(0)
-	shared, err := c.MeasureOpts(context.Background(), w, s, 12, nil, sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]string, 8)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := range got {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			em, err := c.MeasureOpts(context.Background(), w, s, 12, nil, sched.Options{})
-			if err != nil || em != shared {
-				got[g] = fmt.Sprintf("cache returned %p, %v; want the shared measure", em, err)
-				return
-			}
-			<-start
-			got[g] = render(em, foreign)
-		}(g)
-	}
-	close(start)
-	wg.Wait()
-	for g := range got {
-		if got[g] != want {
-			t.Fatalf("goroutine %d saw a different measure:\n%.300s\nwant\n%.300s", g, got[g], want)
-		}
-	}
-}
-
 // keyRecorder is a core.Memo that records the distinct f-dist keys a check
-// looks up, by world fingerprint, scheduler, insight and depth, and
-// computes each image uncached.
+// looks up on the tree route, by world fingerprint, scheduler, insight and
+// depth, and computes each image uncached.
 type keyRecorder struct {
 	mu   sync.Mutex
 	keys map[string]bool
 }
 
 func (r *keyRecorder) FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f insight.Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error) {
-	fp, err := engine.Fingerprint(w, 0)
+	a, err := insight.Exact(ctx, w, s, f, maxDepth, b, o, false, func(expand func() (*insight.Answer, error)) (*insight.Answer, error) {
+		fp, err := engine.Fingerprint(w, 0)
+		if err != nil {
+			return nil, err
+		}
+		r.mu.Lock()
+		r.keys[fmt.Sprintf("%s|%s|%s|%d", fp, s.Name(), f.ID, maxDepth)] = true
+		r.mu.Unlock()
+		return expand()
+	})
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	r.keys[fmt.Sprintf("%s|%s|%s|%d", fp, s.Name(), f.ID, maxDepth)] = true
-	r.mu.Unlock()
-	return insight.FDistOpts(ctx, w, s, f, maxDepth, b, o)
+	return a.Image, nil
 }
 
 // fdistKeys runs the check cs through core.Implements under a keyRecorder
-// and returns the number of distinct f-dist keys it looked up.
+// and returns the number of distinct f-dist keys it looked up on the tree
+// route.
 func fdistKeys(t *testing.T, cs *engine.CheckSpec) int {
 	t.Helper()
 	schema, err := engine.SchemaByName(cs.Schema, cs.Templates)
@@ -489,10 +478,14 @@ func fdistKeys(t *testing.T, cs *engine.CheckSpec) int {
 }
 
 // TestCheckCachesImagesOnly: a check job on a fresh runner leaves exactly
-// one f-dist image per distinct f-dist key in the cache, and nothing else:
-// no execution measure of a tree-route image and no exploration.
+// one answer per distinct tree-route f-dist key in the cache, and nothing
+// else: no execution measure and no exploration. The 0.3 coin and the 0.3
+// leak make the left worlds' masses non-dyadic, so their f-dists take the
+// tree route; on the dyadic checks (the 5/8 coin, the 0.5 leak) the DAG
+// answers every f-dist, and the job stores nothing and fingerprints
+// nothing.
 func TestCheckCachesImagesOnly(t *testing.T) {
-	for name, cs := range map[string]*engine.CheckSpec{"coin": coinCheck(), "channel": chanCheck()} {
+	for name, cs := range map[string]*engine.CheckSpec{"coin": treeCoinCheck(), "channel": treeChanCheck()} {
 		c := engine.NewCache(0)
 		job := engine.Job{Kind: engine.KindCheck, Check: cs}
 		if _, err := engine.NewRunner(engine.NewPool(4), c).Run(context.Background(), job); err != nil {
@@ -502,19 +495,31 @@ func TestCheckCachesImagesOnly(t *testing.T) {
 			t.Errorf("%s: the cache holds %d entries, want one per f-dist key (%d)", name, got, want)
 		}
 		for _, v := range c.Values() {
-			if _, ok := v.(*measure.Dist[string]); !ok {
+			if a, ok := v.(*insight.Answer); !ok || a.Image == nil {
 				t.Errorf("%s: the cache holds a %T", name, v)
 			}
+		}
+	}
+	for name, cs := range map[string]*engine.CheckSpec{"dyadic coin": coinCheck(), "dyadic channel": chanCheck()} {
+		c := engine.NewCache(0)
+		job := engine.Job{Kind: engine.KindCheck, Check: cs}
+		assertUncached(t, name, c, func() {
+			if _, err := engine.NewRunner(engine.NewPool(4), c).Run(context.Background(), job); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n := fdistKeys(t, cs); n != 0 {
+			t.Errorf("%s: %d f-dist keys on the tree route, want 0", name, n)
 		}
 	}
 }
 
 // TestSimulateExpandsOnce: a fresh exact trace simulate on the tree route
-// expands its execution measure once, and its image reads that cached
-// measure instead of expanding it again; a resend expands nothing. The
-// cache then holds the measure and its image. The 0.3 coin's masses are
-// not dyadic, so the job takes the tree route (see TestStepFoldRoute for
-// the DAG route).
+// expands its execution measure once, and images that measure instead of
+// expanding it again; a resend expands nothing. The cache then holds one
+// answer, the image with the aggregates, and no measure. The 0.3 coin's
+// masses are not dyadic, so the job takes the tree route (see
+// TestStepFoldRoute for the DAG route).
 func TestSimulateExpandsOnce(t *testing.T) {
 	c := engine.NewCache(0)
 	r := engine.NewRunner(nil, c)
@@ -531,18 +536,43 @@ func TestSimulateExpandsOnce(t *testing.T) {
 			t.Errorf("run %d: %d sched.measure calls, want %d", i, got, want)
 		}
 	}
-	var measures, images int
+	var answers int
 	for _, v := range c.Values() {
 		switch v.(type) {
-		case *sched.ExecMeasure:
-			measures++
-		case *measure.Dist[string]:
-			images++
+		case *insight.Answer:
+			answers++
 		default:
 			t.Errorf("the cache holds a %T", v)
 		}
 	}
-	if measures != 1 || images != 1 {
-		t.Errorf("the cache holds %d measures and %d images, want 1 and 1", measures, images)
+	if answers != 1 {
+		t.Errorf("the cache holds %d answers, want 1", answers)
+	}
+}
+
+// TestTreeAnswersHoldNoMeasure: a tree-route simulate job and a tree-route
+// check, each run twice on one runner, leave answers in the cache and no
+// execution measure.
+func TestTreeAnswersHoldNoMeasure(t *testing.T) {
+	c := engine.NewCache(0)
+	r := engine.NewRunner(engine.NewPool(2), c)
+	jobs := []engine.Job{
+		{Kind: engine.KindSimulate, Simulate: &engine.SimulateSpec{Systems: []string{"coin:biased:x:0.3", "coin:env:x"}, Bound: 8}},
+		{Kind: engine.KindCheck, Check: treeCoinCheck()},
+	}
+	for range 2 {
+		for _, job := range jobs {
+			if _, err := r.Run(context.Background(), job); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if c.Len() == 0 {
+		t.Fatal("the tree-route jobs cached nothing")
+	}
+	for _, v := range c.Values() {
+		if _, ok := v.(*sched.ExecMeasure); ok {
+			t.Error("the cache holds an execution measure")
+		}
 	}
 }

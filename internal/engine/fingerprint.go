@@ -27,8 +27,7 @@ var cFingerprints = obs.C("engine.fingerprints")
 // (states, signatures, and transition measures, all in canonical order, the
 // same representation internal/codec's encodings canonicalise). Two automata
 // with equal fingerprints behave identically on their explored fragment, so
-// the fingerprint is a sound memoization key for Measure and FDist
-// results. limit <= 0 means DefaultFingerprintLimit.
+// the fingerprint is a sound memoization key for exact answers. limit <= 0 means DefaultFingerprintLimit.
 //
 // It is one psioa.Walk: the visitor renders each state's part of the hash
 // input as the walk reaches it, from the roles and successors the walk

@@ -9,7 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/insight"
 	"repro/internal/obs"
-	"repro/internal/protocols/channel"
+	"repro/internal/protocols/coin"
 	"repro/internal/psioa"
 	"repro/internal/resilience"
 	"repro/internal/sched"
@@ -18,10 +18,13 @@ import (
 // TestFDistFingerprintsUnderJobContext: the fingerprint walk of a memo
 // lookup runs under the job's context. It is timed in the job's meter as
 // a psioa.explore phase, and a job past its deadline stops there, even
-// when the cache holds its answer.
+// when the cache holds its answer. The 0.3 coin's masses are not dyadic,
+// so its trace takes the tree route, which the cache keys; the fair
+// coin's are, so the DAG answers it without a fingerprint.
 func TestFDistFingerprintsUnderJobContext(t *testing.T) {
+	p := 0.3
 	world := func() psioa.PSIOA {
-		return psioa.MustCompose(channel.Env("x", 1), channel.Real("x"), channel.Eavesdropper("x"))
+		return psioa.MustCompose(coin.Env("x"), coin.Flipper("x", p))
 	}
 	c := engine.NewCache(64)
 	fdist := func(ctx context.Context) error {
@@ -47,5 +50,19 @@ func TestFDistFingerprintsUnderJobContext(t *testing.T) {
 	defer cancel()
 	if err := fdist(ctx); !errors.Is(err, resilience.ErrDeadline) {
 		t.Errorf("FDistOpts past its deadline with its answer cached = %v, want ErrDeadline", err)
+	}
+
+	p, c = 0.5, engine.NewCache(64)
+	m = &obs.Meter{}
+	if err := fdist(obs.WithMeter(context.Background(), m)); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range m.Report().Phases {
+		if p.Name == "psioa.explore" {
+			t.Errorf("the DAG-answered f-dist has a psioa.explore phase: %+v", m.Report().Phases)
+		}
+	}
+	if c.Len() != 0 {
+		t.Errorf("the DAG-answered f-dist left %d cache entries, want none", c.Len())
 	}
 }

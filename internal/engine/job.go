@@ -353,9 +353,9 @@ func (r *Runner) check(ctx context.Context, cs *CheckSpec, bud *resilience.Budge
 }
 
 // Simulate composes the referenced systems, resolves non-determinism with
-// the requested scheduler and computes the exact execution measure (or a
-// Monte-Carlo estimate when Samples > 0), reusing cached measures for
-// repeated exact requests.
+// the requested scheduler and computes the exact answer on the route
+// insight.Exact picks (or a Monte-Carlo estimate when Samples > 0),
+// reusing the cached answer of a repeated tree-route request.
 func (r *Runner) Simulate(ctx context.Context, ss *SimulateSpec) (*SimulateResult, error) {
 	return r.simulate(ctx, ss, nil)
 }
@@ -400,44 +400,20 @@ func (r *Runner) simulate(ctx context.Context, ss *SimulateSpec, bud *resilience
 		}
 		return &SimulateResult{InsightID: ins.ID, Executions: ss.Samples, TotalMass: d.Total(), Outcomes: outcomes(d)}, nil
 	}
-	exact := func(n int, total float64, maxLen int, img *measure.Dist[string]) *SimulateResult {
-		return &SimulateResult{Exact: true, InsightID: ins.ID, Executions: n, TotalMass: total, MaxLen: maxLen, Outcomes: outcomes(img)}
+	a, err := r.Cache.Exact(ctx, w, s, ins, depth, bud, r.kernelOpts(), true)
+	if err != nil && (a == nil || !resilience.IsBudget(err)) {
+		return nil, err
 	}
-	var img *measure.Dist[string] // the DAG pass's image, when it ran
-	if dob, ok := sched.AsDepthOblivious(s); ok && (ins.StateLocal != nil || ins.Step != nil) && bud == nil && resilience.DefaultBudget() == nil {
-		// The job reports aggregates of ε_σ and a state-local or stepped
-		// image, which the state-collapsed DAG gives exactly as the tree
-		// does when its path masses are dyadic (DAGMeasure.Dyadic).
-		// Otherwise, and on any error, the tree below computes them; a
-		// state-local pass keeps its image (FDistOpts's); a stepped one, none.
-		if dm, dimg, err := insight.FDistDAG(ctx, w, dob, ins, depth, nil, r.kernelOpts()); err == nil {
-			if dm.Dyadic() {
-				return exact(dm.Executions(), dm.Total(), dm.MaxLen(), dimg), nil
-			}
-			img = dimg
-		}
-	}
-	em, err := r.Cache.MeasureOpts(ctx, w, s, depth, bud, r.kernelOpts())
+	res := &SimulateResult{Exact: true, InsightID: ins.ID, Executions: a.Executions, TotalMass: a.Total, MaxLen: a.MaxLen, Outcomes: outcomes(a.Image)}
 	if err != nil {
 		// Graceful degradation: a budget-bounded stop leaves an exact
 		// sub-probability prefix of ε_σ, which is a usable answer for a
 		// simulation (unlike for a check). Report it flagged Partial
-		// rather than failing the job. The partial measure is never
-		// cached (see Cache.MeasureOpts), so later unconstrained runs
-		// recompute in full.
-		if em == nil || !resilience.IsBudget(err) {
-			return nil, err
-		}
-		res := exact(em.Len(), em.Total(), em.MaxLen(), insight.Image(w, em, ins))
+		// rather than failing the job. The partial answer is never
+		// cached, so later unconstrained runs recompute in full.
 		res.Partial, res.Degraded = true, err.Error()
-		return res, nil
 	}
-	if img == nil {
-		if img, err = r.Cache.FDistOpts(ctx, w, s, ins, depth, bud, r.kernelOpts()); err != nil {
-			return nil, err
-		}
-	}
-	return exact(em.Len(), em.Total(), em.MaxLen(), img), nil
+	return res, nil
 }
 
 // DescribeSystems profiles each referenced system (description lengths,

@@ -33,7 +33,9 @@ func waitFinalized(t *testing.T, freed *atomic.Int64, want int64) {
 // TestNoAutomatonOutlivesItsJob: once a job returns, nothing the runner
 // keeps — its pool or the answers in its cache — reaches an automaton the
 // job resolved, so every component becomes garbage while the runner lives
-// on.
+// on. The 0.3 coin and leak, and the 0.3 coin simulated, take the tree
+// route and leave answers in the cache; the dyadic jobs take the DAG
+// route and leave none.
 func TestNoAutomatonOutlivesItsJob(t *testing.T) {
 	var made, freed atomic.Int64
 	r := engine.NewRunner(engine.NewPool(2), engine.NewCache(0))
@@ -51,6 +53,9 @@ func TestNoAutomatonOutlivesItsJob(t *testing.T) {
 		{Kind: engine.KindCheck, Check: chanCheck()},
 		{Kind: engine.KindSimulate, Simulate: &engine.SimulateSpec{Systems: []string{"chan:real:x", "chan:env:x:1"},
 			Sched: "priority", Order: []string{"send", "encrypt", "tap", "deliver"}, Bound: 8}},
+		{Kind: engine.KindCheck, Check: treeCoinCheck()},
+		{Kind: engine.KindCheck, Check: treeChanCheck()},
+		{Kind: engine.KindSimulate, Simulate: &engine.SimulateSpec{Systems: []string{"coin:biased:x:0.3", "coin:env:x"}, Bound: 8}},
 	} {
 		if _, err := r.Run(context.Background(), job); err != nil {
 			t.Fatal(err)
@@ -64,23 +69,30 @@ func TestNoAutomatonOutlivesItsJob(t *testing.T) {
 }
 
 // TestCacheHoldsNoWorld: an f-dist answer outlives the world it was
-// computed on, and the world does not.
+// computed on, and the world does not. The 0.3 coin's trace takes the
+// tree route, whose answer the cache keeps; the fair coin's takes the DAG
+// route, whose answer it does not.
 func TestCacheHoldsNoWorld(t *testing.T) {
-	c := engine.NewCache(0)
-	var freed atomic.Int64
-	func() {
-		w := psioa.MustCompose(coin.Env("x"), coin.Fair("x"))
-		runtime.SetFinalizer(w, func(*psioa.Product) { freed.Add(1) })
-		s := &sched.Greedy{A: w, Bound: 6}
-		if _, err := c.FDistOpts(context.Background(), w, s, insight.Trace(), 6, nil, sched.Options{}); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		p       float64
+		entries int
+	}{{0.3, 1}, {0.5, 0}} {
+		cache := engine.NewCache(0)
+		var freed atomic.Int64
+		func() {
+			w := psioa.MustCompose(coin.Env("x"), coin.Flipper("x", c.p))
+			runtime.SetFinalizer(w, func(*psioa.Product) { freed.Add(1) })
+			s := &sched.Greedy{A: w, Bound: 6}
+			if _, err := cache.FDistOpts(context.Background(), w, s, insight.Trace(), 6, nil, sched.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		if cache.Len() != c.entries {
+			t.Fatalf("coin %v: cache holds %d entries, want %d", c.p, cache.Len(), c.entries)
 		}
-	}()
-	if c.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want the one image", c.Len())
+		waitFinalized(t, &freed, 1)
+		runtime.KeepAlive(cache)
 	}
-	waitFinalized(t, &freed, 1)
-	runtime.KeepAlive(c)
 }
 
 // startPanicsOnce panics at its first Start call.

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -51,32 +52,60 @@ func chanCheck() *engine.CheckSpec {
 	}
 }
 
+// treeCoinCheck is coinCheck on a 0.3 coin, and treeChanCheck chanCheck on
+// a 0.3 leak: their left worlds' masses are not dyadic, so those f-dists
+// take the tree route and reach the cache, where the DAG answers the
+// dyadic ones of coinCheck and chanCheck uncached.
+func treeCoinCheck() *engine.CheckSpec {
+	cs := coinCheck()
+	cs.Left, cs.Eps = "coin:biased:x:0.3", 0.25
+	return cs
+}
+
+func treeChanCheck() *engine.CheckSpec {
+	cs := chanCheck()
+	cs.Left = "chan:leaky:x:0.3"
+	return cs
+}
+
 // TestPooledCheckIdentical is the tentpole acceptance test: a pooled,
 // memoized Implements run must produce a report identical to the
 // sequential, uncached run — same pairs, same distances, same ordering —
 // on both the coin-flip and the secure-channel examples, cold and warm.
+// The tree-route checks hit the cache warm; the dyadic ones, answered on
+// the DAG, neither store nor fingerprint anything.
 func TestPooledCheckIdentical(t *testing.T) {
 	specs := map[string]*engine.CheckSpec{
-		"coin":    coinCheck(),
-		"channel": chanCheck(),
+		"coin":           treeCoinCheck(),
+		"channel":        treeChanCheck(),
+		"dyadic coin":    coinCheck(),
+		"dyadic channel": chanCheck(),
 	}
 	for name, cs := range specs {
 		t.Run(name, func(t *testing.T) {
 			want := seqReport(t, cs)
-			r := engine.NewRunner(engine.NewPool(8), engine.NewCache(0))
+			c := engine.NewCache(0)
+			r := engine.NewRunner(engine.NewPool(8), c)
 			hits0 := obs.C("engine.cache.hits").Value()
-			for _, run := range []string{"cold", "warm"} {
-				got, err := r.Check(context.Background(), cs)
-				if err != nil {
-					t.Fatalf("%s: %v", run, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s pooled report differs from sequential:\n got: %s\nwant: %s", run, got, want)
-				}
-				if got.String() != want.String() {
-					t.Errorf("%s rendering differs", run)
+			runs := func() {
+				for _, run := range []string{"cold", "warm"} {
+					got, err := r.Check(context.Background(), cs)
+					if err != nil {
+						t.Fatalf("%s: %v", run, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s pooled report differs from sequential:\n got: %s\nwant: %s", run, got, want)
+					}
+					if got.String() != want.String() {
+						t.Errorf("%s rendering differs", run)
+					}
 				}
 			}
+			if strings.HasPrefix(name, "dyadic") {
+				assertUncached(t, name, c, runs)
+				return
+			}
+			runs()
 			if hits := obs.C("engine.cache.hits").Value() - hits0; hits == 0 {
 				t.Error("warm re-check produced no cache hits")
 			}

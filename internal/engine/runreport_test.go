@@ -57,10 +57,22 @@ func TestRunReportDeterministic(t *testing.T) {
 
 // TestRunReportAccounts sanity-checks the report of a real check job:
 // work was metered, the kernels were observed, and the derived statistics
-// are consistent with their parts.
+// are consistent with their parts. The 0.3 coin's f-dists take the tree
+// route, which the cache serves; the dyadic coin check's take the DAG
+// route, and its reports count no cache traffic.
 func TestRunReportAccounts(t *testing.T) {
 	r := engine.NewRunner(engine.NewPool(4), engine.NewCache(0))
-	job := engine.Job{Kind: engine.KindCheck, Check: coinCheck()}
+	for run := range 2 {
+		res, err := r.Run(context.Background(), engine.Job{Kind: engine.KindCheck, Check: coinCheck()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := res.Report; rep.CacheHits != 0 || rep.CacheMisses != 0 || rep.States == 0 && rep.Transitions == 0 {
+			t.Errorf("dyadic run %d: %d cache hits, %d misses, %d states, %d transitions; want no cache traffic and metered work",
+				run, rep.CacheHits, rep.CacheMisses, rep.States, rep.Transitions)
+		}
+	}
+	job := engine.Job{Kind: engine.KindCheck, Check: treeCoinCheck()}
 	cold, err := r.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
@@ -118,12 +130,15 @@ func TestRunReportOnSyncAndError(t *testing.T) {
 // TestRunReportDepthZeroPhases checks that a depth-0 kernel call is
 // accounted on both exact routes: a q1 = 0 check computes every f-dist at
 // depth 0, on the DAG kernel for the state-local final insight and on the
-// tree kernel for the trace insight, and each call is one phase call.
+// tree kernel for the trace insight under a budget, and each call is one
+// phase call. A depth-0 measure is one execution of mass 1, dyadic in
+// every world, so without a budget the trace insight takes the DAG route
+// too, with as many calls and no tree call.
 func TestRunReportDepthZeroPhases(t *testing.T) {
-	calls := func(insight, phase string) int64 {
+	calls := func(insight, phase string, budget int64) int64 {
 		cs := coinCheck()
 		cs.Q1, cs.Q2, cs.Insight = 0, 0, insight
-		res, err := engine.NewRunner(nil, nil).Run(context.Background(), engine.Job{Kind: engine.KindCheck, Check: cs})
+		res, err := engine.NewRunner(nil, nil).Run(context.Background(), engine.Job{Kind: engine.KindCheck, Check: cs, BudgetTransitions: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,9 +149,12 @@ func TestRunReportDepthZeroPhases(t *testing.T) {
 		}
 		return 0
 	}
-	tree, dag := calls("trace", "sched.measure"), calls("final", "sched.measure.dag")
+	tree, dag := calls("trace", "sched.measure", 1<<20), calls("final", "sched.measure.dag", 0)
 	if tree == 0 || dag != tree {
 		t.Errorf("depth-0 phase calls: tree route %d, DAG route %d; want equal and > 0", tree, dag)
+	}
+	if n, m := calls("trace", "sched.measure.dag", 0), calls("trace", "sched.measure", 0); n != dag || m != 0 {
+		t.Errorf("depth-0 unbudgeted trace: %d DAG calls, %d tree calls; want %d and 0", n, m, dag)
 	}
 }
 

@@ -9,20 +9,20 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/insight"
-	"repro/internal/obs"
 	"repro/internal/protocols/channel"
 	"repro/internal/psioa"
 	"repro/internal/sched"
 	"repro/internal/testaut"
 )
 
-var e18Leaks = []float64{0, 0.125, 0.25, 0.5}
+// Every leak but 0 gives non-dyadic masses, whose f-dists take the tree.
+var e18Leaks = []float64{0, 0.1, 0.3, 0.6}
 
 // e18Sweep runs the E8 secure-emulation check (leaky one-time-pad channel
 // vs ideal channel) across a leak sweep under the given base options — the
-// heaviest kernel in the suite. The ideal side and the environments are the
-// same automata at every leak value, so a memoizing run computes their
-// measure expansions once where the sequential run repeats them per leak.
+// heaviest kernel in the suite. The ideal side's masses are dyadic, so its
+// f-dists are answered on the state-collapsed DAG and never reach the
+// cache; the leaky side's take the tree route, which a warm cache serves.
 func e18Sweep(opt core.Options) ([]*core.EmulationReport, error) {
 	opt.Envs = []psioa.PSIOA{channel.Env("x", 0), channel.Env("x", 1)}
 	opt.Schema = &sched.PrefixPrioritySchema{Templates: [][]string{
@@ -78,23 +78,22 @@ func e18Holds(reps []*core.EmulationReport) bool {
 
 // E18EngineEquivalence validates the engine layer: fanning the (env,
 // scheduler) sweeps of a secure-emulation leak sweep onto a worker pool and
-// memoizing their measure expansions must leave every report byte-identical
-// to the sequential, uncached run. The ideal side repeats across the sweep,
-// so even the cold memoized run reuses expansions, and a warm cache serves
-// everything. The sweep's timing columns are informational: its automata are
-// small enough that the fingerprint's state-graph exploration rivals the
-// measure expansions it saves. A final stress pair shows the regime the
-// cache is built for — repeated f-dists of a deep random walk whose
-// execution tree dwarfs its state graph — where the warm cache must beat
-// the uncached loop outright. The verdict requires identical reports,
-// nonzero cache hits in every mode, and stress speedup > 1.
+// memoizing their tree-route answers must leave every report byte-identical
+// to the sequential, uncached run, and a warm cache must serve every
+// f-dist that reaches it. The sweep's timing columns are informational: its
+// automata are small enough that the fingerprint's state-graph exploration
+// rivals the measure expansions it saves. A final stress pair shows the
+// regime the cache is built for — repeated f-dists of a deep random walk
+// whose masses are not dyadic and whose execution tree dwarfs its state
+// graph — where the warm cache must beat the uncached loop outright. The
+// verdict requires identical reports, no warm-mode cache miss, and stress
+// speedup > 1.
 func E18EngineEquivalence() (*Table, error) {
 	t := &Table{
 		ID:     "E18",
-		Title:  "engine pool + memoization preserve reports and reuse measures (Def 4.12 sweep)",
+		Title:  "engine pool + memoization preserve reports and reuse answers (Def 4.12 sweep)",
 		Header: []string{"mode", "workers", "elapsed", "pairs", "cache hits", "identical", "speedup"},
 	}
-	hitsC := obs.C("engine.cache.hits")
 
 	seqStart := time.Now()
 	seqReps, err := e18Sweep(core.Options{})
@@ -111,26 +110,30 @@ func E18EngineEquivalence() (*Table, error) {
 	pool := engine.NewPool(8)
 	memoCache := engine.NewCache(0)
 	pooledCache := engine.NewCache(0)
+	// Each mode counts its own cache's traffic (Cache.Totals), so the
+	// experiments that run beside it on a pool do not move its counts.
 	modes := []struct {
-		name string
-		opt  core.Options
+		name  string
+		cache *engine.Cache
+		opt   core.Options
 	}{
-		{"memoized-cold", core.Options{Memo: memoCache}},
-		{"memoized-warm", core.Options{Memo: memoCache}},
-		{"pooled-cold", core.Options{Exec: pool, Memo: pooledCache}},
-		{"pooled-warm", core.Options{Exec: pool, Memo: pooledCache}},
+		{"memoized-cold", memoCache, core.Options{Memo: memoCache}},
+		{"memoized-warm", memoCache, core.Options{Memo: memoCache}},
+		{"pooled-cold", pooledCache, core.Options{Exec: pool, Memo: pooledCache}},
+		{"pooled-warm", pooledCache, core.Options{Exec: pool, Memo: pooledCache}},
 	}
 	identical := true
-	hits := map[string]int64{}
+	hits, misses := map[string]int64{}, map[string]int64{}
 	for _, m := range modes {
-		h0 := hitsC.Value()
+		h0, m0, _, _ := m.cache.Totals()
 		start := time.Now()
 		reps, err := e18Sweep(m.opt)
 		if err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		hits[m.name] = hitsC.Value() - h0
+		h1, m1, _, _ := m.cache.Totals()
+		hits[m.name], misses[m.name] = h1-h0, m1-m0
 		same := e18Render(reps) == seqStr
 		identical = identical && same
 		workers := 1
@@ -149,8 +152,9 @@ func E18EngineEquivalence() (*Table, error) {
 
 	// Stress pair: repeated f-dists of a deep random walk, where the
 	// execution tree (exponential in depth) dwarfs the state graph the
-	// fingerprint explores — the regime the cache is built for.
-	walk := testaut.RandomWalk("w", 10, 0.5)
+	// fingerprint explores — the regime the cache is built for. Its 0.3
+	// steps are not dyadic, so the tree answers it.
+	walk := testaut.RandomWalk("w", 10, 0.3)
 	wsched := &sched.Greedy{A: walk, Bound: 14, LocalOnly: true}
 	const stressReps = 10
 	stressStart := time.Now()
@@ -179,12 +183,10 @@ func E18EngineEquivalence() (*Table, error) {
 		fmt.Sprintf("%.2fx", stressSpeedup),
 	})
 
-	ok := identical && e18Holds(seqReps) && stressSpeedup > 1
-	for _, m := range modes {
-		ok = ok && hits[m.name] > 0
-	}
-	t.Verdict = verdict(ok, fmt.Sprintf("reports identical=%v, cache hits cold=%d warm=%d, stress speedup %.1fx",
-		identical, hits["memoized-cold"], hits["memoized-warm"], stressSpeedup))
+	warmMisses := misses["memoized-warm"] + misses["pooled-warm"]
+	ok := identical && e18Holds(seqReps) && stressSpeedup > 1 && warmMisses == 0
+	t.Verdict = verdict(ok, fmt.Sprintf("reports identical=%v, cache hits cold=%d warm=%d, warm misses %d, stress speedup %.1fx",
+		identical, hits["memoized-cold"], hits["memoized-warm"], warmMisses, stressSpeedup))
 	return t, nil
 }
 

@@ -22,7 +22,7 @@
 // Image folds Step over an expanded tree instead, one step per tree node
 // and one signature read per distinct step, so no execution's trace is
 // rebuilt from its root; an internal step returns its parent's string and
-// allocates nothing; FDistDAG folds Step along the state-collapsed DAG.
+// allocates nothing; Exact folds Step along the state-collapsed DAG.
 // Final is state-local instead (StateLocal) and has no step factoring.
 package insight
 
@@ -72,8 +72,8 @@ type Insight struct {
 	// in w's signature at lstate(α). Apply must be Step folded along the
 	// execution from Init. Image steps each node of the expansion tree
 	// once, from its parent's value, instead of applying Apply to every
-	// halted execution; FDistDAG calls Step once per (value, transition)
-	// pair of the state-collapsed DAG.
+	// halted execution; Exact's DAG pass calls Step once per (value,
+	// transition) pair of the state-collapsed DAG.
 	Init string
 	Step func(prev string, a psioa.Action, ext bool) string
 }
@@ -156,7 +156,7 @@ func Restrict(set psioa.ActionSet) Insight {
 }
 
 // Final is the state-local insight recording the final local state of the
-// execution. Because it factors through (lstate, depth), FDistOpts computes
+// execution. Because it factors through (lstate, depth), Exact computes
 // it on the state-collapsed DAG for depth-oblivious schedulers — the
 // O(|states| × depth) fast path — while remaining well-defined (via Apply)
 // for every scheduler.
@@ -180,42 +180,93 @@ func FDist(w psioa.PSIOA, s sched.Scheduler, f Insight, maxDepth int) (*measure.
 }
 
 // FDistOpts is FDist with cooperative cancellation, a work budget and
-// kernel options, routed automatically: a state-local insight under a
-// depth-oblivious scheduler computes on the state-collapsed DAG kernel (no
-// fragments materialised, O(|states| × depth)); everything else expands
-// the exact tree, sharded across o.Workers. Both routes produce the same
-// distribution — bit for bit on dyadic workloads, up to float summation
-// order otherwise. An image of a partial measure would silently misreport
-// the perception, so any interruption — budget included — returns nil with
-// the classified error.
+// kernel options, on the route Exact picks. An image of a partial measure
+// would silently misreport the perception, so any interruption — budget
+// included — returns nil with the classified error.
 func FDistOpts(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*measure.Dist[string], error) {
-	if f.StateLocal != nil {
-		if dob, ok := sched.AsDepthOblivious(s); ok {
-			_, img, err := FDistDAG(ctx, w, dob, f, maxDepth, b, o)
-			return img, err
-		}
-	}
-	c := obs.Enter(ctx, obs.LayerFDist, f.ID)
-	defer c.End()
-	em, err := sched.MeasureOpts(ctx, w, s, maxDepth, b, o)
+	a, err := Exact(ctx, w, s, f, maxDepth, b, o, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	img := Image(w, em, f)
-	if tr := obs.Active(); tr.Enabled() {
-		tr.Emit(obs.Event{Kind: obs.KindProbe, Name: f.ID, Attr: s.Name(), N: int64(img.Len())})
-	}
-	return img, nil
+	return a.Image, nil
 }
 
-// FDistDAG returns the image of f on the state-collapsed measure of a
-// depth-oblivious scheduler, with that measure: a state-local f images the
-// (state, depth) classes (FDistOpts's route for it), a stepped one is
-// folded along the DAG (sched.MeasureDAGFold) and has no image unless the
-// pass is dyadic.
-func FDistDAG(ctx context.Context, w psioa.PSIOA, s sched.DepthOblivious, f Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*sched.DAGMeasure, *measure.Dist[string], error) {
+// Answer is an exact answer about ε_σ: its image under an insight (Def
+// 3.5) and the halted executions, total mass and longest execution that a
+// simulation reports (zero where Exact answered a state-local insight
+// without agg). It is immutable once returned.
+type Answer struct {
+	Image      *measure.Dist[string]
+	Executions int
+	Total      float64
+	MaxLen     int
+}
+
+// TreeMemo returns an answer it stored for the question, or calls expand
+// and may store what it returns without error.
+type TreeMemo func(expand func() (*Answer, error)) (*Answer, error)
+
+// Exact is the one exact route: every exact image and aggregate of ε_σ, a
+// check's or a simulation's, is decided and computed here.
+//
+//   - DAG: under a depth-oblivious scheduler with no budget in force (b nil
+//     and no resilience.DefaultBudget), a state-local or stepped f takes one
+//     state-collapsed pass, which answers when sched.DAGMeasure.Dyadic
+//     holds, bit for bit as the tree would.
+//   - State-local images: under a depth-oblivious scheduler a state-local
+//     image is the pass's, dyadic or not, budget or not; without agg (a
+//     check) the pass answers alone.
+//   - Tree: everything else expands the tree under b, through memo if not
+//     nil; a budgeted job does so before any pass, so its partial answer
+//     (returned with the budget error) and its error texts are the tree's.
+//
+// agg asks for the aggregates. A DAG answer never reaches memo.
+func Exact(ctx context.Context, w psioa.PSIOA, s sched.Scheduler, f Insight, maxDepth int, b *resilience.Budget, o sched.Options, agg bool, memo TreeMemo) (*Answer, error) {
 	c := obs.Enter(ctx, obs.LayerFDist, f.ID)
 	defer c.End()
+	dob, oblivious := sched.AsDepthOblivious(s)
+	local := oblivious && f.StateLocal != nil
+	var img *measure.Dist[string] // the pass's state-local image
+	if local && !agg || oblivious && (local || f.Step != nil) && b == nil && resilience.DefaultBudget() == nil {
+		dm, dimg, err := dag(ctx, w, dob, f, maxDepth, b, o)
+		if local && !agg {
+			if err != nil {
+				return nil, err
+			}
+			return &Answer{Image: dimg}, nil
+		}
+		if err == nil && dm.Dyadic() {
+			return &Answer{Image: dimg, Executions: dm.Executions(), Total: dm.Total(), MaxLen: dm.MaxLen()}, nil
+		}
+		img = dimg
+	}
+	expand := func() (*Answer, error) {
+		em, err := sched.MeasureOpts(ctx, w, s, maxDepth, b, o)
+		if em == nil {
+			return nil, err
+		}
+		a := &Answer{Image: img, Executions: em.Len(), Total: em.Total(), MaxLen: em.MaxLen()}
+		switch {
+		case err != nil || !local:
+			a.Image = Image(w, em, f)
+			probe(s, f, a.Image)
+		case img == nil:
+			if _, a.Image, err = dag(ctx, w, dob, f, maxDepth, b, o); err != nil {
+				return nil, err
+			}
+		}
+		return a, err
+	}
+	if memo == nil {
+		return expand()
+	}
+	return memo(expand)
+}
+
+// dag runs one state-collapsed pass for f: a state-local f images the
+// (state, depth) classes; a stepped one is folded along the DAG and has no
+// image unless the pass is dyadic.
+func dag(ctx context.Context, w psioa.PSIOA, s sched.DepthOblivious, f Insight, maxDepth int, b *resilience.Budget, o sched.Options) (*sched.DAGMeasure, *measure.Dist[string], error) {
 	var fold *sched.Fold
 	if f.StateLocal == nil {
 		fold = &sched.Fold{Init: f.Init, Ext: func(q psioa.State, a psioa.Action) bool { return external(w, q, a) }, Step: f.Step}
@@ -230,10 +281,15 @@ func FDistDAG(ctx context.Context, w psioa.PSIOA, s sched.DepthOblivious, f Insi
 	if fold == nil {
 		img = dm.Image(func(q psioa.State, depth int) string { return f.StateLocal(w, q, depth) })
 	}
+	probe(s, f, img)
+	return dm, img, nil
+}
+
+// probe reports a computed image to the active trace.
+func probe(s sched.Scheduler, f Insight, img *measure.Dist[string]) {
 	if tr := obs.Active(); tr.Enabled() {
 		tr.Emit(obs.Event{Kind: obs.KindProbe, Name: f.ID, Attr: s.Name(), N: int64(img.Len())})
 	}
-	return dm, img, nil
 }
 
 // Image returns the image of the execution measure em of w under f —
@@ -252,7 +308,7 @@ func Image(w psioa.PSIOA, em *sched.ExecMeasure, f Insight) *measure.Dist[string
 }
 
 // SampleOpts estimates f-dist_{(E,A)}(σ) from n samples with
-// sched.SampleImageOpts, routed the way FDistOpts routes the exact image: a
+// sched.SampleImageOpts, routed the way Exact routes the exact image: a
 // state-local insight under a depth-oblivious scheduler folds each sample
 // to its final (state, depth) through sched.SampleStateImageOpts and builds
 // no fragment. Both routes draw the same samples, so the estimate does not

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/insight"
 	"repro/internal/measure"
 	"repro/internal/psioa"
 	"repro/internal/resilience"
@@ -277,7 +278,10 @@ func FuzzExpansionTree(f *testing.F) {
 // multiple of 2^-49 (a 0.3 branch, a uniform choice over three actions)
 // makes the DAG report false (DAGMeasure.Dyadic), and wherever it reports
 // true, the tree kernel succeeds and its Len, Total bits and MaxLen are
-// the DAG's Executions, Total and MaxLen.
+// the DAG's Executions, Total and MaxLen. The one exact route
+// (insight.Exact) answers a state-local and a stepped insight with the
+// tree's aggregates and image, bit for bit, whether the DAG answers or
+// the tree does; the state-local image off the dyadic rule is the DAG's.
 func FuzzDAGExecs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, world, pick, depth, bound, workers uint8, coin bool) {
 		w := fuzzTreeWorld(seed, world)
@@ -309,10 +313,29 @@ func FuzzDAGExecs(f *testing.F) {
 		if dm.Dyadic() && (em.Len() != dm.Executions() || math.Float64bits(em.Total()) != math.Float64bits(dm.Total()) || em.MaxLen() != dm.MaxLen()) {
 			t.Fatalf("%s: tree Len, Total, MaxLen = %d, %v, %d; DAG %d, %v, %d", where, em.Len(), em.Total(), em.MaxLen(), dm.Executions(), dm.Total(), dm.MaxLen())
 		}
+		// The one exact route answers with the tree's aggregates and image,
+		// bit for bit, where the DAG answers and where the tree does; a
+		// state-local image is the DAG's either way.
+		fold := fuzzFold(w, pick/3%2 == 1)
+		for _, f := range []insight.Insight{insight.Final(), {ID: "fold", Init: fold.Init, Step: fold.Step}} {
+			a, err := insight.Exact(context.Background(), w, s, f, maxDepth, nil, sched.Options{}, true, nil)
+			if err != nil {
+				t.Fatalf("%s: the route fails on %s where the tree answers: %v", where, f.ID, err)
+			}
+			img := insight.Image(w, em, f)
+			if f.StateLocal != nil && !dm.Dyadic() {
+				img = dm.Image(func(q psioa.State, depth int) string { return f.StateLocal(w, q, depth) })
+			}
+			if a.Executions != em.Len() || math.Float64bits(a.Total) != math.Float64bits(em.Total()) || a.MaxLen != em.MaxLen() {
+				t.Fatalf("%s: %s route Len, Total, MaxLen = %d, %v, %d; tree %d, %v, %d", where, f.ID, a.Executions, a.Total, a.MaxLen, em.Len(), em.Total(), em.MaxLen())
+			}
+			if got, want := renderBits(a.Image), renderBits(img); got != want {
+				t.Fatalf("%s: %s route image\n%s\nwant\n%s", where, f.ID, got, want)
+			}
+		}
 		// The pass carrying a fold answers where the state-local one does,
 		// with the same rule, and where the rule holds it has the tree's
 		// aggregates and the tree's fold image, keys and mass bits.
-		fold := fuzzFold(w, pick/3%2 == 1)
 		fm, err := sched.MeasureDAGFold(context.Background(), w, s, maxDepth, fold, nil, sched.Options{})
 		if err != nil || fm.Dyadic() != dm.Dyadic() {
 			t.Fatalf("%s: fold pass returned %v, dyadic %v; state-local pass dyadic %v", where, err, err == nil && fm.Dyadic(), dm.Dyadic())

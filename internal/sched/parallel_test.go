@@ -368,3 +368,62 @@ func TestSampleStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedMeasureConcurrentViews: eight goroutines share one execution
+// measure before any of its views exist, and key its fragments while they
+// read them. The ordered views and the fragment keys are built lazily by
+// whichever reader comes first, so under -race this is the soundness check
+// for that sharing; every reader must see exactly what an unshared measure
+// shows.
+func TestSharedMeasureConcurrentViews(t *testing.T) {
+	w := testaut.RandomWalk("cv", 6, 0.5)
+	s := &sched.Greedy{A: w, Bound: 9}
+	ref, err := sched.Measure(w, s, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(em *sched.ExecMeasure, cones []*psioa.Frag) string {
+		var b strings.Builder
+		em.ForEach(func(f *psioa.Frag, p float64) { fmt.Fprintf(&b, "H %s %v\n", f.Key(), p) })
+		em.ForEachPrefix(func(f *psioa.Frag) { fmt.Fprintf(&b, "P %s\n", f.Key()) })
+		d := em.Dist()
+		for _, k := range d.SortedSupport() {
+			fmt.Fprintf(&b, "D %s %v\n", k, d.P(k))
+		}
+		for _, f := range cones {
+			fmt.Fprintf(&b, "C %s %v\n", f.Key(), em.Cone(f))
+		}
+		return b.String()
+	}
+	// Fragments decoded from keys, not the measure's own views.
+	var foreign []*psioa.Frag
+	ref.ForEachPrefix(func(f *psioa.Frag) {
+		if g, err := psioa.FragFromKey(f.Key()); err == nil && len(foreign) < 64 {
+			foreign = append(foreign, g)
+		}
+	})
+	want := render(ref, foreign)
+
+	shared, err := sched.Measure(w, s, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g] = render(shared, foreign)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		if got[g] != want {
+			t.Fatalf("goroutine %d saw a different measure:\n%.300s\nwant\n%.300s", g, got[g], want)
+		}
+	}
+}
