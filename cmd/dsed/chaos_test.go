@@ -23,7 +23,7 @@ func newHardenedServer(t *testing.T, cfg engine.StoreConfig) *httptest.Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	s := &server{
-		runner:  engine.NewRunner(engine.NewPool(2), engine.NewCache(64)),
+		runner:  newRunner(2, 64),
 		store:   engine.NewStoreWith(cfg),
 		timeout: 30 * time.Second,
 		ctx:     ctx,

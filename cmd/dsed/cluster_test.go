@@ -19,7 +19,7 @@ import (
 func newWorkerServer(t *testing.T, id string) *httptest.Server {
 	t.Helper()
 	s := &server{
-		runner:  engine.NewRunner(engine.NewPool(2), engine.NewCache(256)),
+		runner:  newRunner(2, 256),
 		store:   engine.NewStore(),
 		timeout: 30 * time.Second,
 		ctx:     context.Background(),
@@ -44,7 +44,7 @@ func newCoordinatorServer(t *testing.T, workers ...*httptest.Server) *httptest.S
 		t.Fatal(err)
 	}
 	s := &server{
-		runner:  engine.NewRunner(engine.NewPool(1), engine.NewCache(16)),
+		runner:  newRunner(1, 16),
 		store:   engine.NewStore(),
 		timeout: 30 * time.Second,
 		coord:   coord,
@@ -190,7 +190,7 @@ func TestClusterAllWorkersDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &server{
-		runner:  engine.NewRunner(engine.NewPool(1), engine.NewCache(16)),
+		runner:  newRunner(1, 16),
 		store:   engine.NewStore(),
 		timeout: 5 * time.Second,
 		coord:   coord,

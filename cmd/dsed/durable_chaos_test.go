@@ -54,7 +54,7 @@ func startDurableDaemon(t *testing.T, dir string) *durableDaemon {
 	s := &server{
 		// One worker slot: submissions past the first provably sit queued
 		// when the kill lands.
-		runner:  engine.NewRunner(engine.NewPool(1), engine.NewCache(64)),
+		runner:  newRunner(1, 64),
 		store:   st,
 		timeout: 30 * time.Second,
 		durable: dm,

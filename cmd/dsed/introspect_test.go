@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -212,5 +213,62 @@ func TestChaosObservability(t *testing.T) {
 	}
 	if d.InFlight != 2 {
 		t.Errorf("inflight = %d, want 2 stalled jobs", d.InFlight)
+	}
+}
+
+// TestAnswerStoreObservable: a resent request is served from the answer
+// store, its run report says so (one engine.answer phase, no work), and
+// the store's traffic and size are on /v1/metrics (JSON and Prometheus)
+// and /v1/debug. Responses are compact JSON: one line each.
+func TestAnswerStoreObservable(t *testing.T) {
+	ts := newTestServer(t)
+	var first, second engine.Result
+	for _, res := range []*engine.Result{&first, &second} {
+		resp, body := post(t, ts.URL+"/v1/simulate", simulateBody(3))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("simulate: status %d: %s", resp.StatusCode, body)
+		}
+		if n := strings.Count(string(body), "\n"); n != 1 || !strings.HasSuffix(string(body), "}\n") {
+			t.Errorf("response is not one line of JSON (%d newlines): %s", n, body)
+		}
+		if err := json.Unmarshal(body, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := second.Report; rep == nil || rep.States != 0 || len(rep.Phases) != 1 || rep.Phases[0].Name != "engine.answer" {
+		t.Errorf("resent request's report %+v; want no work and one engine.answer phase", second.Report)
+	}
+	if first.Simulate == nil || second.Simulate == nil || !reflect.DeepEqual(first.Simulate, second.Simulate) {
+		t.Errorf("served result %+v differs from the computed %+v", second.Simulate, first.Simulate)
+	}
+
+	var d struct {
+		Answers engine.AnswerStats `json:"answers"`
+	}
+	_, body := getBody(t, ts.URL+"/v1/debug")
+	if err := json.Unmarshal(body, &d); err != nil {
+		t.Fatalf("debug not JSON: %v", err)
+	}
+	if a := d.Answers; a.Len != 1 || a.Hits != 1 || a.Misses != 1 || a.Bytes <= 0 || a.MaxBytes != engine.AnswerBytes {
+		t.Errorf("debug answers = %+v; want one entry, one hit, one miss, a %d-byte budget", a, engine.AnswerBytes)
+	}
+
+	_, body = getBody(t, ts.URL+"/v1/metrics?format=prom")
+	for _, name := range []string{"dse_engine_answers_hits", "dse_engine_answers_misses", "dse_engine_answers_bytes"} {
+		if v := promValue(string(body), name); v < 1 {
+			t.Errorf("%s = %v, want >= 1", name, v)
+		}
+	}
+	var snap struct {
+		Counters map[string]int64 `json:"counters"`
+		Gauges   map[string]int64 `json:"gauges"`
+	}
+	_, body = getBody(t, ts.URL+"/v1/metrics")
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counters["engine.answers.hits"] < 1 || snap.Gauges["engine.answers.bytes"] < 1 {
+		t.Errorf("metrics JSON: engine.answers.hits %d, engine.answers.bytes %d; want both >= 1",
+			snap.Counters["engine.answers.hits"], snap.Gauges["engine.answers.bytes"])
 	}
 }

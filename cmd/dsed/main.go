@@ -1,8 +1,10 @@
 // dsed is the verification daemon: it serves the implementation checks,
 // simulations and resource-bound profiles of the framework over HTTP,
 // running every job on one shared worker pool with one shared memoization
-// cache — repeated checks of the same systems reuse each other's measure
-// expansions (watch engine.cache.hits in GET /v1/metrics).
+// cache — repeated checks of the same systems reuse each other's tree
+// answers (watch engine.cache.hits in GET /v1/metrics) — and one answer
+// store, which answers a resent builtin request without running it
+// (engine.answers.hits).
 //
 // Usage:
 //
@@ -112,7 +114,7 @@ func main() {
 	}
 	store := engine.NewStoreWith(storeCfg)
 	srv := &server{
-		runner:  engine.NewRunner(engine.NewPool(*workers), engine.NewCache(*cacheSize)),
+		runner:  newRunner(*workers, *cacheSize),
 		store:   store,
 		timeout: *timeout,
 		durable: dm,

@@ -53,6 +53,15 @@ type server struct {
 	started time.Time
 }
 
+// newRunner returns the daemon's runner: a pool of workers, a memoization
+// cache of cacheSize entries, and an answer store of engine.AnswerBytes
+// that serves a resent builtin request without running it again.
+func newRunner(workers, cacheSize int) *engine.Runner {
+	r := engine.NewRunner(engine.NewPool(workers), engine.NewCache(cacheSize))
+	r.Answers = engine.NewAnswers(engine.AnswerBytes)
+	return r
+}
+
 // budgetDefaults carries the daemon-level -budget-* flag values.
 type budgetDefaults struct {
 	states, transitions, wallMS int64
@@ -71,7 +80,7 @@ type budgetDefaults struct {
 //	                      Prometheus text exposition format 0.0.4)
 //	GET  /v1/debug      — live introspection: uptime, heap bytes, pool occupancy,
 //	                      in-flight jobs with elapsed time, breaker states,
-//	                      cache shard occupancy, sort-memo stats
+//	                      cache shard occupancy, answer-store occupancy
 //	GET  /healthz       — liveness probe
 //
 // Job routes accept query overrides: ?timeout_ms=, ?budget_states=,
@@ -178,6 +187,9 @@ type debugState struct {
 	// occupancy and contention counters.
 	CacheLen    int                     `json:"cache_len"`
 	CacheShards []engine.CacheShardStat `json:"cache_shards"`
+	// Answers is the answer store: entries, retained bytes against the
+	// budget, and lookups that hit or missed.
+	Answers engine.AnswerStats `json:"answers"`
 	// Cluster is the coordinator's per-worker account (coordinator mode
 	// only): each worker's liveness, traffic and store counters plus the
 	// dispatch/re-route/store-hit totals.
@@ -212,6 +224,7 @@ func (s *server) debugInfo() debugState {
 		Jobs:        []debugJob{},
 		Breakers:    s.store.Breaker().Snapshot(),
 		CacheShards: s.runner.Cache.ShardStats(),
+		Answers:     s.runner.Answers.Stats(),
 	}
 	now := time.Now()
 	for _, rec := range s.store.List() {
@@ -396,9 +409,7 @@ func statusFor(err error) int {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

@@ -16,7 +16,7 @@ import (
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	s := &server{
-		runner:  engine.NewRunner(engine.NewPool(2), engine.NewCache(0)),
+		runner:  newRunner(2, 0),
 		store:   engine.NewStore(),
 		timeout: 30 * time.Second,
 		ctx:     context.Background(),
@@ -65,53 +65,69 @@ func metricCounter(t *testing.T, url, name string) int64 {
 // so its f-dists take the tree route, which the memoization cache serves.
 const treeCheckBody = `{"left":"coin:biased:x:0.3","right":"coin:fair:x","envs":["coin:env:x"],"eps":0.25,"q1":3}`
 
+// treeCheckOtherEps is treeCheckBody at another eps: a different request,
+// so the answer store cannot serve it, with the same f-dist questions, so
+// the memoization cache can.
+const treeCheckOtherEps = `{"left":"coin:biased:x:0.3","right":"coin:fair:x","envs":["coin:env:x"],"eps":0.3,"q1":3}`
+
 // TestCheckEndToEndWithCacheHits is the daemon acceptance test: a check
-// request is served end to end, and a second identical request hits the
-// memoization cache (visible in /v1/metrics). The dyadic checkBody is
-// answered on the state-collapsed DAG: neither request reads or stores a
-// cache entry or fingerprints a world.
+// request is served end to end; the same systems checked at another eps
+// hit the memoization cache (visible in /v1/metrics); and an identical
+// resend is answered from the answer store without touching the cache.
+// The dyadic checkBody is answered on the state-collapsed DAG: no request
+// of it reads or stores a cache entry or fingerprints a world.
 func TestCheckEndToEndWithCacheHits(t *testing.T) {
 	ts := newTestServer(t)
 	for _, c := range []struct {
-		body string
-		tree bool
-	}{{treeCheckBody, true}, {checkBody, false}} {
-		counters := func() (hits, misses, fps int64) {
+		body, other string
+		tree        bool
+	}{{treeCheckBody, treeCheckOtherEps, true}, {checkBody, "", false}} {
+		counters := func() (hits, misses, fps, answers int64) {
 			return metricCounter(t, ts.URL, "engine.cache.hits"), metricCounter(t, ts.URL, "engine.cache.misses"),
-				metricCounter(t, ts.URL, "engine.fingerprints")
+				metricCounter(t, ts.URL, "engine.fingerprints"), metricCounter(t, ts.URL, "engine.answers.hits")
 		}
-		hits0, misses0, fps0 := counters()
-		var first, second struct {
+		type verdict struct {
 			Kind  string `json:"kind"`
 			Check struct {
 				Holds   bool    `json:"Holds"`
 				MaxDist float64 `json:"MaxDist"`
 			} `json:"check"`
 		}
-		resp, body := post(t, ts.URL+"/v1/check", c.body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("first check: status %d: %s", resp.StatusCode, body)
+		check := func(what, body string) verdict {
+			t.Helper()
+			resp, out := post(t, ts.URL+"/v1/check", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", what, resp.StatusCode, out)
+			}
+			var v verdict
+			if err := json.Unmarshal(out, &v); err != nil {
+				t.Fatalf("%s: %v in %s", what, err, out)
+			}
+			if v.Kind != "check" || !v.Check.Holds {
+				t.Fatalf("%s result: %s", what, out)
+			}
+			return v
 		}
-		if err := json.Unmarshal(body, &first); err != nil {
-			t.Fatalf("first check: %v in %s", err, body)
+		hits0, misses0, fps0, _ := counters()
+		first := check("first check", c.body)
+		if c.tree {
+			check("check at another eps", c.other)
+			hits, _, _, _ := counters()
+			if hits-hits0 == 0 {
+				t.Error("the same systems checked at another eps produced no cache hits")
+			}
 		}
-		if first.Kind != "check" || !first.Check.Holds {
-			t.Fatalf("first check result: %s", body)
+		hits1, misses1, fps1, answers1 := counters()
+		second := check("identical check", c.body)
+		if second != first {
+			t.Errorf("resent check disagrees: %+v vs %+v", second, first)
 		}
-
-		resp, body = post(t, ts.URL+"/v1/check", c.body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("second check: status %d: %s", resp.StatusCode, body)
+		hits, misses, fps, answers := counters()
+		if answers-answers1 != 1 {
+			t.Errorf("identical resend: %d answer-store hits, want 1", answers-answers1)
 		}
-		if err := json.Unmarshal(body, &second); err != nil {
-			t.Fatal(err)
-		}
-		if second.Check.Holds != first.Check.Holds || second.Check.MaxDist != first.Check.MaxDist {
-			t.Errorf("cached check disagrees: %+v vs %+v", second, first)
-		}
-		hits, misses, fps := counters()
-		if c.tree && hits-hits0 == 0 {
-			t.Error("second identical check produced no cache hits")
+		if hits != hits1 || misses != misses1 || fps != fps1 {
+			t.Errorf("identical resend: %d cache hits, %d misses, %d fingerprints; want none", hits-hits1, misses-misses1, fps-fps1)
 		}
 		if !c.tree && (hits != hits0 || misses != misses0 || fps != fps0) {
 			t.Errorf("dyadic checks: %d cache hits, %d misses, %d fingerprints; want none", hits-hits0, misses-misses0, fps-fps0)

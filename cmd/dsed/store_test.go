@@ -51,7 +51,7 @@ var storeTiers = []storeTier{
 	}},
 	{"remote", true, func(t *testing.T, dir string) engine.Blobs {
 		s := &server{
-			runner:  engine.NewRunner(engine.NewPool(1), engine.NewCache(16)),
+			runner:  newRunner(1, 16),
 			store:   engine.NewStore(),
 			timeout: 5 * time.Second,
 			ctx:     context.Background(),

@@ -318,21 +318,27 @@ func (c *Coordinator) runSharded(ctx context.Context, job engine.Job) (*RunResul
 // runShard serves one shard: consult the content-addressed stores
 // (rendezvous owner first, then peers in configured order), and on a miss
 // compute on the owner, re-routing to survivors on transport failures and
-// load sheds. env labels the shard for diagnostics.
+// load sheds. env labels the shard for diagnostics. The fingerprint names
+// a file ref by its path, not by what the file holds, so a job with a
+// file ref (one that is not Job.Builtin) neither reads nor writes the
+// stores: it is computed every time.
 func (c *Coordinator) runShard(ctx context.Context, job engine.Job, env string) (*engine.Result, ShardResult, error) {
 	key := job.Fingerprint()
 	sh := ShardResult{Key: key, Env: env}
 	cDispatched.Inc()
 	c.dispatched.Add(1)
 
-	if res, node := c.storeLookup(ctx, key, job.Kind); res != nil {
-		cRemoteHits.Inc()
-		c.storeHits.Add(1)
-		sh.Worker, sh.FromStore = node, true
-		return res, sh, nil
+	stored := job.Builtin()
+	if stored {
+		if res, node := c.storeLookup(ctx, key, job.Kind); res != nil {
+			cRemoteHits.Inc()
+			c.storeHits.Add(1)
+			sh.Worker, sh.FromStore = node, true
+			return res, sh, nil
+		}
+		cRemoteMiss.Inc()
+		c.storeMiss.Add(1)
 	}
-	cRemoteMiss.Inc()
-	c.storeMiss.Add(1)
 
 	tried := make(map[string]bool)
 	var lastErr error
@@ -354,7 +360,9 @@ func (c *Coordinator) runShard(ctx context.Context, job engine.Job, env string) 
 		})
 		if err == nil {
 			sh.Worker = id
-			c.storePublish(ctx, b, key, res)
+			if stored {
+				c.storePublish(ctx, b, key, res)
+			}
 			return res, sh, nil
 		}
 		if !reroutable(err) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,7 +12,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/protocols/coin"
 	"repro/internal/resilience"
+	"repro/internal/spec"
 )
 
 // chanJob is the 2-environment leaky-channel check shared by the engine
@@ -384,5 +387,45 @@ func TestCoordinatorStoreStatsBackendAgnostic(t *testing.T) {
 	// Two shards computed and published once, then both served warm.
 	if puts != 2 || hits != 2 {
 		t.Errorf("store traffic = %+v, want 2 puts and 2 hits in all", local)
+	}
+}
+
+// TestCoordinatorFileRefNeverStored: a job's fingerprint names a file ref
+// by its path, not by what the file holds, so the coordinator neither
+// looks up nor publishes a job with a file ref. A check whose left system
+// is a spec file, run again after the file is rewritten, gets the new
+// file's answer, computed.
+func TestCoordinatorFileRefNeverStored(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "left.json")
+	write := func(p1 float64) {
+		if err := spec.Save(path, spec.FromTable(coin.Flipper("x", p1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job := engine.Job{Kind: engine.KindCheck, Check: &engine.CheckSpec{
+		Left: path, Right: "coin:fair:x", Envs: []string{"coin:env:x"}, Eps: 0.5, Q1: 3,
+	}}
+	coord, _ := localCluster(t, 2)
+	for _, p1 := range []float64{0.625, 0.75} {
+		write(p1)
+		want := localBaseline(t, job)
+		res, err := coord.Run(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderReport(t, res.Result); got != want {
+			t.Fatalf("p1 %g: cluster report\n%s\nwant the file's current answer\n%s", p1, got, want)
+		}
+		if res.Result.Check.MaxDist != p1-0.5 {
+			t.Errorf("p1 %g: MaxDist %g, want %g", p1, res.Result.Check.MaxDist, p1-0.5)
+		}
+		for _, sh := range res.Shards {
+			if sh.FromStore {
+				t.Errorf("p1 %g: shard %+v served from a store", p1, sh)
+			}
+		}
+	}
+	if st := coord.Stats(); st.StoreHits != 0 || st.StoreMisses != 0 {
+		t.Errorf("store consulted for a file-ref job: %d hits, %d misses", st.StoreHits, st.StoreMisses)
 	}
 }

@@ -54,16 +54,50 @@ type Job struct {
 
 // Fingerprint canonically identifies the job's workload — kind, spec and
 // budget, but not the timeout — for the circuit breaker: two submissions
-// of the same spec share a quarantine state regardless of deadline.
+// of the same spec share a quarantine state regardless of deadline. It is
+// the 64-bit FNV-1a hash of the job's canonical request.
 func (j Job) Fingerprint() string {
-	j.TimeoutMS = 0
-	b, err := json.Marshal(j)
-	if err != nil {
+	b := j.canonical()
+	if b == nil {
 		return "job-unmarshalable"
 	}
 	h := fnv.New64a()
 	h.Write(b)
 	return fmt.Sprintf("job-%016x", h.Sum64())
+}
+
+// canonical returns the job's canonical request: its JSON encoding with
+// the timeout zeroed, or nil when it does not encode.
+func (j Job) canonical() []byte {
+	j.TimeoutMS = 0
+	b, err := json.Marshal(j)
+	if err != nil {
+		return nil
+	}
+	return b
+}
+
+// Builtin reports whether every system ref of the job names a builtin
+// (spec.Builtin). Such a job reads no file, so its result is a function of
+// its canonical request and may be served from a store keyed by it; a file
+// ref's result changes when the file does.
+func (j Job) Builtin() bool {
+	var refs []string
+	if j.Check != nil {
+		refs = append(append(refs, j.Check.Left, j.Check.Right), j.Check.Envs...)
+	}
+	if j.Simulate != nil {
+		refs = append(refs, j.Simulate.Systems...)
+	}
+	if j.Describe != nil {
+		refs = append(refs, j.Describe.Systems...)
+	}
+	for _, ref := range refs {
+		if !spec.Builtin(ref) {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckSpec describes an Implements run over spec references (see
@@ -160,6 +194,7 @@ type Result struct {
 var (
 	cJobsRun    = obs.C("engine.jobs.run")
 	cJobsFailed = obs.C("engine.jobs.failed")
+	cResolved   = obs.C("engine.refs.resolved")
 )
 
 // Runner executes jobs on a shared pool with a shared memoization cache.
@@ -168,6 +203,11 @@ var (
 type Runner struct {
 	Pool  *Pool
 	Cache *Cache
+	// Answers, when non-nil, serves a job that resolves purely (Resolve is
+	// nil and Job.Builtin holds) from the answer to an earlier identical
+	// request, and keeps the answer of each such job it runs. dsed sets
+	// it; NewRunner leaves it nil.
+	Answers *Answers
 	// Results is the node's content-addressed result store, served on
 	// dsed's /v1/store and to cluster coordinators. NewRunner sets it to
 	// the cache's memory view; dsed layers its disk store under that with
@@ -187,6 +227,7 @@ func NewRunner(pool *Pool, cache *Cache) *Runner {
 }
 
 func (r *Runner) resolve(ref string) (psioa.PSIOA, error) {
+	cResolved.Inc()
 	if r.Resolve != nil {
 		return r.Resolve(ref)
 	}
@@ -249,7 +290,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Result, error) {
 	cJobsRun.Inc()
 	start := time.Now()
 	m := &obs.Meter{}
-	res, err := r.dispatch(obs.WithMeter(ctx, m), job, job.budget())
+	res, err := r.answer(obs.WithMeter(ctx, m), job)
 	if err != nil {
 		err = resilience.WrapCtx(err)
 		cJobsFailed.Inc()
@@ -274,10 +315,31 @@ func (r *Runner) RunSafe(ctx context.Context, job Job) (res *Result, err error) 
 	return r.Run(ctx, job)
 }
 
-func (r *Runner) dispatch(ctx context.Context, job Job, bud *resilience.Budget) (*Result, error) {
+// answer serves the job from the answer store when it resolves purely and
+// an earlier run of the same request stored its result; otherwise it runs
+// the job and stores the result. Errors, budget failures and partial
+// results are never stored.
+func (r *Runner) answer(ctx context.Context, job Job) (*Result, error) {
 	if err := resilience.FireErr(resilience.FaultJobTransient); err != nil {
 		return nil, err
 	}
+	var req []byte
+	if r.Answers != nil && r.Resolve == nil && job.Builtin() {
+		req = job.canonical()
+	}
+	if req != nil {
+		if res := r.Answers.get(ctx, req, job.Kind); res != nil {
+			return res, nil
+		}
+	}
+	res, err := r.dispatch(ctx, job, job.budget())
+	if err == nil && req != nil {
+		r.Answers.put(ctx, req, res)
+	}
+	return res, err
+}
+
+func (r *Runner) dispatch(ctx context.Context, job Job, bud *resilience.Budget) (*Result, error) {
 	switch job.Kind {
 	case KindCheck:
 		if job.Check == nil {

@@ -23,12 +23,14 @@ const (
 	LayerEmulation               // core.SecureEmulates
 	LayerPoolMap                 // engine.Pool.Map
 	LayerExperiment              // experiments.Instrumented
+	LayerAnswer                  // engine.Runner.Run: answer-store lookup and publish
 	numLayers
 )
 
 var layerNames = [numLayers]string{
 	"sched.measure", "sched.sample", "sched.measure.dag", "psioa.explore",
 	"insight.fdist", "core.implements", "core.emulation", "engine.pool.map", "experiment",
+	"engine.answer",
 }
 
 // layerHists caches each layer's histogram in the Default registry,

@@ -146,9 +146,18 @@ func Save(path string, a *Automaton) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// Builtin reports whether ref names a built-in automaton rather than a
+// JSON spec file: it contains no '/' and does not end in .json. Resolving
+// a builtin reads nothing outside the binary, so what it resolves to is a
+// function of ref alone; a file ref resolves to whatever the file holds
+// when it is read.
+func Builtin(ref string) bool {
+	return !strings.Contains(ref, "/") && !strings.HasSuffix(ref, ".json")
+}
+
 // Resolve maps a reference to an automaton: either a path to a JSON spec
-// (anything containing a '/' or ending in .json) or a built-in name of the
-// form kind:variant:args. Built-ins:
+// (any ref that is not Builtin) or a built-in name of the form
+// kind:variant:args. Built-ins:
 //
 //	coin:fair:<id>            — ideal fair coin
 //	coin:biased:<id>:<p1>     — coin with P(1) = p1
@@ -175,7 +184,7 @@ func Save(path string, a *Automaton) error {
 //	flip:weak:<id>            — weak (biasable) ideal coin
 //	flip:env:<id>             — coin-flipping environment
 func Resolve(ref string) (psioa.PSIOA, error) {
-	if strings.Contains(ref, "/") || strings.HasSuffix(ref, ".json") {
+	if !Builtin(ref) {
 		return Load(ref)
 	}
 	parts := strings.Split(ref, ":")

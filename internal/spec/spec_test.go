@@ -1,6 +1,8 @@
 package spec_test
 
 import (
+	"errors"
+	"io/fs"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -112,6 +114,22 @@ func TestResolveBuiltins(t *testing.T) {
 		if err := psioa.Validate(a, 5000); err != nil {
 			t.Errorf("Resolve(%q) invalid: %v", ref, err)
 		}
+	}
+}
+
+// TestBuiltin: a ref with a '/' or a .json suffix is a file, and Resolve
+// loads it; every other ref is a builtin, resolved without reading a file.
+func TestBuiltin(t *testing.T) {
+	for ref, want := range map[string]bool{
+		"coin:fair:x": true, "ledger:direct:x:2": true, "bogus": true,
+		"a.json": false, "dir/a": false, "/abs/a.json": false, "./a": false,
+	} {
+		if got := spec.Builtin(ref); got != want {
+			t.Errorf("Builtin(%q) = %v, want %v", ref, got, want)
+		}
+	}
+	if _, err := spec.Resolve("missing.json"); err == nil || !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Resolve of a missing .json ref = %v, want a file-not-found error", err)
 	}
 }
 

@@ -47,7 +47,7 @@ wait_up() {
 # submit <body> — queue an async simulate job, print its ID.
 submit() {
     out=$(curl -sf -X POST "$BASE/v1/simulate?async=1" -d "$1")
-    id=$(printf '%s' "$out" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
+    id=$(printf '%s' "$out" | grep -o '"id": *"[^"]*"' | head -n1 | sed 's/.*"\([^"]*\)"$/\1/')
     if [ -z "$id" ]; then
         echo "durable-smoke: submit returned no job ID: $out" >&2
         exit 1
@@ -57,7 +57,7 @@ submit() {
 
 # job_status <id> — print the job's status field ("" if unknown).
 job_status() {
-    curl -s "$BASE/v1/jobs/$1" | sed -n 's/.*"status": *"\([^"]*\)".*/\1/p'
+    curl -s "$BASE/v1/jobs/$1" | grep -o '"status": *"[^"]*"' | head -n1 | sed 's/.*"\([^"]*\)"$/\1/'
 }
 
 # await_done <id> — poll until the job is done; fail on failed/lost.
